@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 from .cover import VertexCover, connect_cover
 from .errors import TreeNotSpanning
-from .euler import RobotCycle, Solution, find_eulerian_cycle
+from .euler import Solution, solution_from_multisets
 from .graphs import (
     EdgeMultiset,
     ExplorationInstance,
     Multigraph,
-    graph_of_multiset,
     multiset_degree,
     norm_edge,
 )
@@ -180,13 +179,5 @@ def approx_solve(inst: ExplorationInstance, vc: VertexCover) -> Solution:
     deal_cover_edges(g, vcp, state)
     cset = vcp.as_set()
     tree = spanning_tree(g, cset, inst.v_init) if len(cset) > 1 else Counter()
-    cycles = []
-    for i in range(inst.k):
-        multiset = state.e_i[i] + tree
-        multiset = make_vc_even_degree(tree, multiset, vcp)
-        if sum(multiset.values()) == 0:
-            cycles.append(RobotCycle((inst.v_init,)))
-        else:
-            graph = graph_of_multiset(g.n, multiset)
-            cycles.append(find_eulerian_cycle(graph, inst.v_init))
-    return Solution(tuple(cycles))
+    multisets = (make_vc_even_degree(tree, e_i + tree, vcp) for e_i in state.e_i)
+    return solution_from_multisets(g.n, inst.v_init, multisets, inst.k)

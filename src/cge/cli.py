@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 
 from .approx import approx_solve
 from .cover import VertexCover, connect_cover, vertex_cover_2approx
@@ -21,21 +20,21 @@ from .errors import (
     TypeSpaceTooLarge,
 )
 from .exact import SearchConfig, exact_decide, exact_optimum
-from .euler import RobotCycle, Solution, find_eulerian_cycle, verify_solution
+from .euler import solution_from_multisets, verify_solution
 from .fptilp import (
     FptContext,
     build_ilp_system,
     check_assignment,
-    decompose_valid_pair,
     enumerate_type_space,
     export_ilp,
     format_assignment,
     parse_assignment,
     parse_ilp,
     reconstruct_solution,
+    solution_pairs,
     witness_from_solution,
 )
-from .graphs import ExplorationInstance, graph_of_multiset
+from .graphs import ExplorationInstance
 from .hardness import bin_to_rob, binpacking_to_exact
 from .textio import (
     InstanceDocument,
@@ -61,17 +60,10 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_cge(path: str) -> ExplorationInstance:
-    doc = parse_instance(_read(path), path)
-    if doc.kind != "cge":
-        raise ParseError(1, f"{path}: expected a 'cge' instance")
-    return doc.payload
-
-
-def _load_binpack(path: str):
-    doc = parse_instance(_read(path), path)
-    if doc.kind != "binpack":
-        raise ParseError(1, f"{path}: expected a 'binpack' instance")
+def _load(path: str, kind: str):
+    doc = parse_instance(_read(path))
+    if doc.kind != kind:
+        raise ParseError(1, f"{path}: expected a '{kind}' instance")
     return doc.payload
 
 
@@ -82,6 +74,9 @@ def _cover_from_arg(inst: ExplorationInstance, arg: str | None) -> VertexCover:
         vertices = tuple(sorted({int(p) for p in arg.split(",") if p}))
     except ValueError:
         raise ParseError(1, f"bad --vc value {arg!r}")
+    n = inst.graph.n
+    if any(not 0 <= v < n for v in vertices):
+        raise ParseError(1, f"--vc vertices must lie in 0..{n - 1}, got {arg!r}")
     return VertexCover(vertices)
 
 
@@ -95,27 +90,15 @@ def _fpt_pipeline(inst: ExplorationInstance, vc_arg: str | None):
     return ctx, types, system
 
 
-def _solution_pairs(ctx, sol: Solution):
-    """Valid pairs per robot; an idle robot stands in for a doubled start edge."""
-    pairs = []
-    for ms in sol.multisets:
-        source = Counter(ms)
-        if not source:
-            e0 = min(e for e in ctx.g.distinct_edges() if ctx.v_init in e)
-            source = Counter({e0: 2})
-        pairs.append(decompose_valid_pair(ctx, source))
-    return pairs
-
-
 def cmd_solve_approx(args) -> int:
-    inst = _load_cge(args.instance)
+    inst = _load(args.instance, "cge")
     sol = approx_solve(inst, _cover_from_arg(inst, args.vc))
     sys.stdout.write(format_solution(sol))
     return EXIT_OK
 
 
 def cmd_solve_exact(args) -> int:
-    inst = _load_cge(args.instance)
+    inst = _load(args.instance, "cge")
     cfg = SearchConfig(max_budget=args.max_budget, node_limit=args.node_limit)
     if inst.budget is not None:
         yes, witness = exact_decide(inst, cfg)
@@ -131,7 +114,7 @@ def cmd_solve_exact(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = _load_cge(args.instance)
+    inst = _load(args.instance, "cge")
     sol = parse_solution(_read(args.solution))
     report = verify_solution(inst, sol)
     sys.stdout.write("\n".join(report.lines()) + "\n")
@@ -139,7 +122,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce_bin(args) -> int:
-    bp = _load_binpack(args.instance)
+    bp = _load(args.instance, "binpack")
     if args.to_exact:
         bp = binpacking_to_exact(bp)
         sys.stdout.write(format_instance(InstanceDocument("binpack", bp)))
@@ -154,7 +137,7 @@ def cmd_reduce_bin(args) -> int:
 
 
 def cmd_build_ilp(args) -> int:
-    inst = _load_cge(args.instance)
+    inst = _load(args.instance, "cge")
     ctx, types, system = _fpt_pipeline(inst, args.vc)
     _write(args.output, export_ilp(system))
     sys.stdout.write(
@@ -165,10 +148,10 @@ def cmd_build_ilp(args) -> int:
 
 
 def cmd_derive_witness(args) -> int:
-    inst = _load_cge(args.instance)
+    inst = _load(args.instance, "cge")
     sol = parse_solution(_read(args.solution))
     ctx, types, system = _fpt_pipeline(inst, args.vc)
-    witness = witness_from_solution(ctx, types, _solution_pairs(ctx, sol))
+    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
     ok, violated = check_assignment(system, witness)
     _write(args.output, format_assignment(witness))
     if not ok:
@@ -192,7 +175,7 @@ def cmd_check_witness(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    inst = _load_cge(args.instance)
+    inst = _load(args.instance, "cge")
     system_text = _read(args.ilp)
     assignment = parse_assignment(_read(args.assignment))
     ctx, types, system = _fpt_pipeline(inst, args.vc)
@@ -203,15 +186,8 @@ def cmd_reconstruct(args) -> int:
         sys.stdout.write("assignment does not satisfy the system\n")
         return EXIT_NO
     multisets = reconstruct_solution(ctx, types, system, assignment)
-    cycles = []
-    for ms in multisets:
-        if not +ms:
-            cycles.append(RobotCycle((inst.v_init,)))
-        else:
-            cycles.append(
-                find_eulerian_cycle(graph_of_multiset(inst.graph.n, ms), inst.v_init)
-            )
-    sys.stdout.write(format_solution(Solution(tuple(cycles))))
+    sol = solution_from_multisets(inst.graph.n, inst.v_init, multisets, inst.k)
+    sys.stdout.write(format_solution(sol))
     return EXIT_OK
 
 

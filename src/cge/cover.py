@@ -146,12 +146,6 @@ class QuotientGraph:
     graph: Multigraph
     class_vertex: tuple[int, ...]  # class index -> vertex id in `graph`
 
-    def class_of_vertex(self, v: int) -> int | None:
-        try:
-            return self.class_vertex.index(v)
-        except ValueError:
-            return None
-
 
 def build_equivalence_graph(g: Multigraph, vc: VertexCover, eq: EquivalenceClasses) -> QuotientGraph:
     """All cover-internal edges of the host plus one class vertex per class,

@@ -9,12 +9,19 @@ here.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .errors import NotEulerian, StartNotInGraph
-from .graphs import EdgeMultiset, ExplorationInstance, Multigraph, norm_edge
+from .graphs import (
+    EdgeMultiset,
+    ExplorationInstance,
+    Multigraph,
+    graph_of_multiset,
+    norm_edge,
+    walk_edges,
+)
 
 
 @dataclass(frozen=True)
@@ -38,9 +45,7 @@ class RobotCycle:
         return len(self.walk) - 1
 
     def edge_multiset(self) -> EdgeMultiset:
-        return Counter(
-            norm_edge(self.walk[i], self.walk[i + 1]) for i in range(self.length)
-        )
+        return walk_edges(self.walk)
 
 
 def cycle_to_graph(rc: RobotCycle, n: int | None = None) -> Multigraph:
@@ -122,6 +127,23 @@ class Solution:
         return max(rc.length for rc in self.cycles)
 
 
+def solution_from_multisets(
+    n: int, start: int, multisets: Iterable[EdgeMultiset], k: int
+) -> Solution:
+    """One robot per multiset, walked as its Eulerian cycle from `start`.
+
+    Empty multisets, and robots beyond the given multisets up to k, stay idle
+    at `start`; they share one trivial walk and build no graph.
+    """
+    idle = RobotCycle((start,))
+    cycles = [
+        find_eulerian_cycle(graph_of_multiset(n, ms), start) if any(ms.values()) else idle
+        for ms in multisets
+    ]
+    cycles.extend([idle] * (k - len(cycles)))
+    return Solution(tuple(cycles))
+
+
 @dataclass(frozen=True)
 class RobotReport:
     index: int
@@ -182,27 +204,24 @@ class VerificationReport:
 def verify_solution(inst: ExplorationInstance, sol: Solution) -> VerificationReport:
     """Check every solution condition; failures are report entries, not errors."""
     g = inst.graph
+    graph_edges = set(g.distinct_edges())
+    covered: set = set()
     reports = []
     for i, rc in enumerate(sol.cycles):
-        adjacency_ok = all(
-            0 <= rc.walk[j] < g.n
-            and 0 <= rc.walk[j + 1] < g.n
-            and rc.walk[j] != rc.walk[j + 1]
-            and g.has_edge(rc.walk[j], rc.walk[j + 1])
-            for j in range(rc.length)
-        )
+        # a step is an edge of the graph iff its normalized pair is one; this
+        # rejects self-loops and out-of-range vertices without raising
+        steps = {(a, b) if a < b else (b, a) for a, b in zip(rc.walk, rc.walk[1:])}
+        on_graph = steps & graph_edges
+        covered |= on_graph
         reports.append(
             RobotReport(
                 index=i,
                 starts_at_init=rc.walk[0] == inst.v_init,
                 ends_at_init=rc.walk[-1] == inst.v_init,
-                adjacency_ok=adjacency_ok,
+                adjacency_ok=len(on_graph) == len(steps),
                 length=rc.length,
             )
         )
-    covered: set = set()
-    for rc in sol.cycles:
-        covered.update(rc.edge_multiset().keys())
     uncovered = tuple(e for e in g.distinct_edges() if e not in covered)
     value = max((rc.length for rc in sol.cycles), default=0)
     budget_ok = None if inst.budget is None else value <= inst.budget

@@ -22,20 +22,19 @@ from dataclasses import dataclass
 from .approx import approx_solve
 from .cover import connect_cover, vertex_cover_2approx
 from .errors import SearchBudgetExceeded
-from .euler import RobotCycle, Solution, find_eulerian_cycle
-from .graphs import ExplorationInstance, Multigraph, graph_of_multiset
+from .euler import Solution, solution_from_multisets
+from .graphs import ExplorationInstance, Multigraph
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the exact search.
 
-    max_budget caps the optimum search; max_multiplicity 2 is lossless; the
-    node limit aborts with SearchBudgetExceeded (answer unknown, not "no").
+    max_budget caps the optimum search; the node limit aborts with
+    SearchBudgetExceeded (answer unknown, not "no").
     """
 
     max_budget: int | None = None
-    max_multiplicity: int = 2
     node_limit: int = 5_000_000
 
 
@@ -71,23 +70,22 @@ def _walk_catalog(
 ) -> _Catalog:
     """Breadth-first enumeration of closed-walk states up to length `cap`.
 
-    A state packs the per-edge usage vector (2 bits per edge) and the current
-    vertex.  BFS order means the first time a support mask is completed at the
-    start vertex, it is completed with minimum length; longer realizations of
-    the same coverage are dominated and dropped.
+    A state packs the per-edge usage vector (2 bits per edge, each capped at
+    2 because instance graphs are simple) and the current vertex.  BFS order
+    means the first time a support mask is completed at the start vertex, it
+    is completed with minimum length; longer realizations of the same
+    coverage are dominated and dropped.  Nothing reads `cfg`; it keeps the
+    node budget the fifth positional argument, where perfbench/tracing.py
+    reads it.
     """
     edges = g.distinct_edges()
     m = len(edges)
     eidx = {e: i for i, e in enumerate(edges)}
     dist = g.bfs_distances(v_init)
-    maxmult = cfg.max_multiplicity
-    # (neighbor, edge index, usage cap for this edge)
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for (u, v), mult in g.edge_items():
-        i = eidx[(u, v)]
-        capm = min(maxmult, 2 * mult)  # simple graphs: cap 2
-        adj[u].append((v, i, capm))
-        adj[v].append((u, i, capm))
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # (neighbor, edge index)
+    for (u, v), i in eidx.items():
+        adj[u].append((v, i))
+        adj[v].append((u, i))
 
     best: dict[int, tuple[int, int]] = {}  # support mask -> (length, usage int)
     n = g.n
@@ -103,10 +101,9 @@ def _walk_catalog(
         if length == cap:
             continue
         nodes.spend()
-        for w, i, capm in adj[v]:
+        for w, i in adj[v]:
             shift = 2 * i
-            used = (usage >> shift) & 3
-            if used >= capm:
+            if (usage >> shift) & 3 == 2:
                 continue
             nlen = length + 1
             if nlen + dist[w] > cap:
@@ -173,20 +170,11 @@ def _assign_robots(
 def _solution_from_entries(
     inst: ExplorationInstance, catalog: _Catalog, entries: list[int]
 ) -> Solution:
-    cycles = []
-    for i in entries:
-        usage = catalog.usages[i]
-        counter = Counter(
-            {catalog.edges[j]: usage[j] for j in range(len(usage)) if usage[j]}
-        )
-        if not counter:
-            cycles.append(RobotCycle((inst.v_init,)))
-        else:
-            graph = graph_of_multiset(inst.graph.n, counter)
-            cycles.append(find_eulerian_cycle(graph, inst.v_init))
-    while len(cycles) < inst.k:
-        cycles.append(RobotCycle((inst.v_init,)))
-    return Solution(tuple(cycles))
+    multisets = (
+        Counter({e: u for e, u in zip(catalog.edges, catalog.usages[i]) if u})
+        for i in entries
+    )
+    return solution_from_multisets(inst.graph.n, inst.v_init, multisets, inst.k)
 
 
 def _edge_mask(g: Multigraph) -> int:
@@ -239,7 +227,7 @@ def exact_decide(
     g = inst.graph
     budget = inst.budget
     if g.num_edges == 0:
-        return True, Solution(tuple(RobotCycle((inst.v_init,)) for _ in range(inst.k)))
+        return True, solution_from_multisets(g.n, inst.v_init, (), inst.k)
     if _farthest_edge_bound(g, inst.v_init) > budget:
         return False, None
     nodes = _NodeBudget(cfg.node_limit)
@@ -261,7 +249,7 @@ def exact_optimum(
     """
     g = inst.graph
     if g.num_edges == 0:
-        return 0, Solution(tuple(RobotCycle((inst.v_init,)) for _ in range(inst.k)))
+        return 0, solution_from_multisets(g.n, inst.v_init, (), inst.k)
     lb = max(_traversal_lower_bound(inst), _farthest_edge_bound(g, inst.v_init))
     ub = approx_solve(inst, vertex_cover_2approx(g)).value
     if cfg.max_budget is not None:

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..errors import OddDegree, PreconditionViolated
+from ..euler import Solution
 from ..graphs import (
     EdgeMultiset,
     Multigraph,
@@ -21,10 +22,12 @@ from ..graphs import (
     multiset_degree,
     multiset_vertices,
     norm_edge,
+    walk_edges,
 )
 from .context import FptContext
 
 Cycle = tuple[int, ...]
+cycle_edges = walk_edges
 
 
 @dataclass(frozen=True)
@@ -42,10 +45,6 @@ class ValidPair:
         for cyc in self.cycles:
             total += cycle_edges(cyc)
         return total
-
-
-def cycle_edges(cycle: Cycle) -> EdgeMultiset:
-    return Counter(norm_edge(cycle[i], cycle[i + 1]) for i in range(len(cycle) - 1))
 
 
 def canonical_cycle(cycle: Cycle, anchor_vertices) -> Cycle:
@@ -282,6 +281,21 @@ def decompose_valid_pair(ctx: FptContext, source: EdgeMultiset) -> ValidPair:
     cycles = extract_cycle_cover(graph_of_multiset(g.n, remainder), vc)
     pair = ValidPair(cc=freeze_multiset(cc), cycles=tuple(sorted(cycles)))
     return pair
+
+
+def pair_source(ctx: FptContext, multiset: EdgeMultiset) -> EdgeMultiset:
+    """The multiset a robot's valid pair decomposes: its own edges, or for an
+    idle robot the doubled lowest edge at the start vertex.
+    """
+    if multiset:
+        return multiset
+    e0 = min(e for e in ctx.g.distinct_edges() if ctx.v_init in e)
+    return Counter({e0: 2})
+
+
+def solution_pairs(ctx: FptContext, sol: Solution) -> list[ValidPair]:
+    """The valid pair of every robot of a solution, in robot order."""
+    return [decompose_valid_pair(ctx, pair_source(ctx, ms)) for ms in sol.multisets]
 
 
 def _trail_to_odd_cover(

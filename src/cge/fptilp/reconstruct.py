@@ -12,29 +12,31 @@ from __future__ import annotations
 from collections import Counter
 
 from ..errors import InfeasibleAllocation
-from ..graphs import EdgeMultiset, norm_edge
+from ..graphs import EdgeMultiset, relabel_multiset, walk_edges
 from .context import FptContext
-from .system import IlpAssignment, IlpSystem, check_assignment
+from .system import IlpAssignment, IlpSystem, check_assignment, type_counts
 from .typespace import (
     CycleType,
     RobotType,
     TypeSpace,
     VertexType,
     copy_neighborhoods,
+    cycle_alloc_counts,
+    robot_alloc_counts,
 )
 
 Token = tuple  # ("rob", robot, t) or ("cyc", cycle type index, instance, t)
 
 
 def _vertex_types_per_member(
-    ctx: FptContext, types: TypeSpace, value: dict[str, int]
+    ctx: FptContext, types: TypeSpace, ver_counts: list[int]
 ) -> dict[int, VertexType]:
     chosen: dict[int, VertexType] = {}
     for cls_idx, cls in enumerate(ctx.eq.classes):
         pool: list[VertexType] = []
-        for vi, vt in enumerate(types.vertex_types):
+        for vt, count in zip(types.vertex_types, ver_counts):
             if vt.class_id == cls_idx:
-                pool.extend([vt] * value[f"x_ver_{vi}"])
+                pool.extend([vt] * count)
         if len(pool) != len(cls.members):
             raise InfeasibleAllocation(
                 f"class {cls_idx}: {len(pool)} vertex types for {len(cls.members)} members"
@@ -45,11 +47,11 @@ def _vertex_types_per_member(
 
 
 def _robot_types_per_robot(
-    ctx: FptContext, types: TypeSpace, value: dict[str, int]
+    ctx: FptContext, types: TypeSpace, rob_counts: list[int]
 ) -> list[RobotType]:
     pool: list[RobotType] = []
-    for ri, rt in enumerate(types.robot_types):
-        pool.extend([rt] * value[f"x_rob_{ri}"])
+    for rt, count in zip(types.robot_types, rob_counts):
+        pool.extend([rt] * count)
     if len(pool) != ctx.k:
         raise InfeasibleAllocation(f"{len(pool)} robot types for {ctx.k} robots")
     return pool
@@ -58,7 +60,7 @@ def _robot_types_per_robot(
 def _token_pools(
     ctx: FptContext,
     types: TypeSpace,
-    value: dict[str, int],
+    cyc_counts: list[int],
     robot_of: list[RobotType],
 ) -> dict[tuple[VertexType, tuple], list[Token]]:
     """All allocation tokens per (vertex type, neighbor multiset).
@@ -70,21 +72,13 @@ def _token_pools(
     """
     pools: dict[tuple[VertexType, tuple], list[Token]] = {}
     for i, rt in enumerate(robot_of):
-        nbhds = copy_neighborhoods(ctx, rt.cc_counter())
-        per_key: Counter = Counter()
-        for copy, vt in rt.alloc:
-            per_key[(vt, nbhds[copy])] += 1
-        for key, r in sorted(per_key.items()):
+        for key, r in sorted(robot_alloc_counts(ctx, rt).items()):
             for t in range(1, r + 1):
                 pools.setdefault(key, []).append(("rob", i, t))
-    for ci, ct in enumerate(types.cycle_types):
-        count = value[f"x_cyc_{ci}"]
+    for ci, (ct, count) in enumerate(zip(types.cycle_types, cyc_counts)):
         if not count:
             continue
-        per_key = Counter()
-        for ns, vt in ct.pa_alloc:
-            per_key[(vt, ns)] += 1
-        for key, r in sorted(per_key.items()):
+        for key, r in sorted(cycle_alloc_counts(ct).items()):
             for j in range(1, count + 1):
                 for t in range(1, r + 1):
                     pools.setdefault(key, []).append(("cyc", ci, j, t))
@@ -137,11 +131,7 @@ def _transform_skeleton(
             if token not in mapping:
                 raise InfeasibleAllocation(f"token {token} missing for {key}")
             replace[copy] = mapping[token]
-    out: Counter = Counter()
-    for (a, b), m in cc.items():
-        if m:
-            out[norm_edge(replace.get(a, a), replace.get(b, b))] += m
-    return out
+    return relabel_multiset(cc, replace)
 
 
 def _transform_cycle(
@@ -185,16 +175,13 @@ def _transform_cycle(
     walk = list(cyc)
     for pos, vertex in replace_at.items():
         walk[pos] = vertex
-    out: Counter = Counter()
-    for a, b in zip(walk, walk[1:]):
-        out[norm_edge(a, b)] += 1
-    return out
+    return walk_edges(walk)
 
 
 def _allocate_cycles_to_robots(
     ctx: FptContext,
     types: TypeSpace,
-    value: dict[str, int],
+    cyc_counts: list[int],
     robot_of: list[RobotType],
 ) -> dict[tuple[int, int], int]:
     """(cycle type index, instance) -> robot, respecting the exact non-4
@@ -211,14 +198,14 @@ def _allocate_cycles_to_robots(
         hosted = [
             (ci, ct)
             for ci, ct in enumerate(types.cycle_types)
-            if ct.robot_type == rt and value[f"x_cyc_{ci}"] > 0
+            if ct.robot_type == rt and cyc_counts[ci] > 0
         ]
         for slot, j in enumerate(ctx.cycle_length_slots):
             instances = [
                 (ci, inst)
                 for ci, ct in hosted
                 if ct.length == j
-                for inst in range(1, value[f"x_cyc_{ci}"] + 1)
+                for inst in range(1, cyc_counts[ci] + 1)
             ]
             need = rt.num_of_cyc[slot]
             if len(instances) != need * len(robots):
@@ -232,7 +219,7 @@ def _allocate_cycles_to_robots(
             (ci, inst)
             for ci, ct in hosted
             if ct.length == 4
-            for inst in range(1, value[f"x_cyc_{ci}"] + 1)
+            for inst in range(1, cyc_counts[ci] + 1)
         ]
         for q, inst in enumerate(quads):
             out[inst] = robots[q % len(robots)]
@@ -251,18 +238,18 @@ def reconstruct_solution(
     ok, violated = check_assignment(system, assignment)
     if not ok:
         raise InfeasibleAllocation(f"assignment violates constraints {violated}")
-    value = assignment.as_dict()
-    member_type = _vertex_types_per_member(ctx, types, value)
-    robot_of = _robot_types_per_robot(ctx, types, value)
-    pools = _token_pools(ctx, types, value, robot_of)
+    ver_counts, rob_counts, cyc_counts = type_counts(types, assignment)
+    member_type = _vertex_types_per_member(ctx, types, ver_counts)
+    robot_of = _robot_types_per_robot(ctx, types, rob_counts)
+    pools = _token_pools(ctx, types, cyc_counts, robot_of)
     sub_alloc = _sub_alloc(ctx, member_type, pools)
 
     multisets = [
         _transform_skeleton(ctx, i, rt, sub_alloc) for i, rt in enumerate(robot_of)
     ]
-    cycle_owner = _allocate_cycles_to_robots(ctx, types, value, robot_of)
+    cycle_owner = _allocate_cycles_to_robots(ctx, types, cyc_counts, robot_of)
     for ci, ct in enumerate(types.cycle_types):
-        for inst in range(1, value[f"x_cyc_{ci}"] + 1):
+        for inst in range(1, cyc_counts[ci] + 1):
             owner = cycle_owner.get((ci, inst))
             if owner is None:
                 raise InfeasibleAllocation(

@@ -12,26 +12,23 @@ Constraint groups:
   eq6  per robot type, length-4 cycles fit the leftover budget
 
 All coefficients are integers; the count-times-variable products are linear
-because the counts are constants of the type.
+because the counts are fixed by the type.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from ..errors import DomainMismatch, ParseError
 from .context import FptContext
 from .pairs import ValidPair, cycle_edges
 from .typespace import (
-    CycleType,
-    RobotType,
     TypeSpace,
-    copy_neighborhoods,
+    cycle_alloc_counts,
     derive_cycle_type,
     derive_robot_type,
     derive_vertex_type,
-    robot_bud,
+    robot_alloc_counts,
     robot_cycbud,
 )
 
@@ -58,7 +55,6 @@ class Constraint:
 class IlpSystem:
     variables: tuple[str, ...]
     constraints: tuple[Constraint, ...]
-    constants: tuple[tuple[str, int, int], ...] = ()  # (robot var, bud, cycbud)
 
     @property
     def num_variables(self) -> int:
@@ -88,27 +84,21 @@ def _cyc_var(types: TypeSpace, i: int) -> int:
     return len(types.vertex_types) + len(types.robot_types) + i
 
 
-def _robot_alloc_counts(ctx: FptContext, rt: RobotType) -> Counter:
-    """(vertex type, neighbor multiset) -> how often this robot allocates it."""
-    nbhds = copy_neighborhoods(ctx, rt.cc_counter())
-    out: Counter = Counter()
-    for copy, vt in rt.alloc:
-        out[(vt, nbhds[copy])] += 1
-    return out
-
-
-def _cycle_alloc_counts(ct: CycleType) -> Counter:
-    out: Counter = Counter()
-    for ns, vt in ct.pa_alloc:
-        out[(vt, ns)] += 1
-    return out
+def type_counts(
+    types: TypeSpace, assignment: IlpAssignment
+) -> tuple[list[int], list[int], list[int]]:
+    """The assignment's vertex-, robot- and cycle-type counts, each list in
+    canonical type order."""
+    value = assignment.as_dict()
+    counts = [value[name] for name in variable_names(types)]
+    n_ver, n_rob = len(types.vertex_types), len(types.robot_types)
+    return counts[:n_ver], counts[n_ver:n_ver + n_rob], counts[n_ver + n_rob:]
 
 
 def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
-    names = variable_names(types)
     constraints: list[Constraint] = []
-    rob_counts = [_robot_alloc_counts(ctx, rt) for rt in types.robot_types]
-    cyc_counts = [_cycle_alloc_counts(ct) for ct in types.cycle_types]
+    rob_counts = [robot_alloc_counts(ctx, rt) for rt in types.robot_types]
+    cyc_counts = [cycle_alloc_counts(ct) for ct in types.cycle_types]
 
     # eq1: one robot type per robot
     constraints.append(
@@ -192,11 +182,7 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
         terms.sort(key=lambda t: t[1])
         constraints.append(Constraint("eq6", tuple(terms), "<=", 0))
 
-    constants = tuple(
-        (names[_rob_var(types, ri)], robot_bud(ctx, rt), robot_cycbud(ctx, rt))
-        for ri, rt in enumerate(types.robot_types)
-    )
-    return IlpSystem(names, tuple(constraints), constants)
+    return IlpSystem(variable_names(types), tuple(constraints))
 
 
 def check_assignment(
@@ -246,39 +232,65 @@ def witness_from_solution(
 # text formats
 
 
+def _constraint_line(c: Constraint, variables: tuple[str, ...]) -> str:
+    parts = " + ".join(f"{coef} {variables[i]}" for coef, i in c.terms)
+    if parts:
+        return f"c {c.tag} : {parts} {c.relation} {c.rhs}"
+    return f"c {c.tag} : {c.relation} {c.rhs}"
+
+
 def export_ilp(system: IlpSystem) -> str:
     """Deterministic text form; re-parsing reproduces the bytes exactly."""
     lines = [f"ilp {system.num_variables} {len(system.constraints)}"]
     for name in system.variables:
         lines.append(f"var {name}")
     for c in system.constraints:
-        parts = " + ".join(f"{coef} {system.variables[i]}" for coef, i in c.terms)
-        if parts:
-            lines.append(f"c {c.tag} : {parts} {c.relation} {c.rhs}")
-        else:
-            lines.append(f"c {c.tag} : {c.relation} {c.rhs}")
+        lines.append(_constraint_line(c, system.variables))
     return "\n".join(lines) + "\n"
 
 
-def parse_ilp(text: str) -> IlpSystem:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError(1, "empty input")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "ilp":
-        raise ParseError(1, "expected header 'ilp <numvars> <numconstraints>'")
+def _exported_lines(text: str, usage: str) -> tuple[list[str], list[int]]:
+    """Split an exported text into lines and read its header counts.
+
+    The two parsers below accept only what their formatter writes:
+    LF-terminated lines, each equal to the rendering of what was read from
+    it.  That one comparison per line rejects stray whitespace, signs,
+    leading zeros, '_' separators and non-ASCII digits alike.
+    """
+    lines = text.split("\n")
+    if lines.pop() != "":
+        raise ParseError(len(lines) + 1, "missing final newline")
+    keyword, *fields = usage.split()
+    head = lines[0].split(" ") if lines else []
     try:
-        num_vars, num_cons = int(head[1]), int(head[2])
+        counts = [int(tok) for tok in head[1:]]
     except ValueError:
-        raise ParseError(1, "non-integer counts in header")
-    variables = []
+        counts = []
+    if (
+        len(counts) != len(fields)
+        or " ".join([keyword, *map(str, counts)]) != lines[0]
+        or min(counts, default=0) < 0
+    ):
+        raise ParseError(1, f"expected header '{usage}' with non-negative counts")
+    return lines, counts
+
+
+def parse_ilp(text: str) -> IlpSystem:
+    lines, (num_vars, num_cons) = _exported_lines(text, "ilp <numvars> <numconstraints>")
+    variables: list[str] = []
+    var_index: dict[str, int] = {}
     idx = 1
     for _ in range(num_vars):
-        if idx >= len(lines) or not lines[idx].startswith("var "):
+        line = lines[idx] if idx < len(lines) else ""
+        name = line[4:]
+        if not line.startswith("var ") or name.split() != [name]:
             raise ParseError(idx + 1, "expected a 'var <name>' line")
-        variables.append(lines[idx][4:].strip())
+        if name in var_index:
+            raise ParseError(idx + 1, f"duplicate variable {name!r}")
+        var_index[name] = len(variables)
+        variables.append(name)
         idx += 1
-    var_index = {name: i for i, name in enumerate(variables)}
+    names = tuple(variables)
     constraints = []
     for _ in range(num_cons):
         if idx >= len(lines):
@@ -291,7 +303,6 @@ def parse_ilp(text: str) -> IlpSystem:
             header, body = line[2:].split(" : ", 1)
         except ValueError:
             raise ParseError(idx, "missing ' : ' separator")
-        tag = header.strip()
         tokens = body.split()
         rel_pos = next(
             (p for p, tok in enumerate(tokens) if tok in RELATIONS), None
@@ -322,8 +333,13 @@ def parse_ilp(text: str) -> IlpSystem:
                 raise ParseError(idx, f"unknown variable {name!r}")
             terms.append((coef, var_index[name]))
             pos += 2
-        constraints.append(Constraint(tag, tuple(terms), relation, rhs))
-    return IlpSystem(tuple(variables), tuple(constraints))
+        c = Constraint(header, tuple(terms), relation, rhs)
+        if _constraint_line(c, names) != line:
+            raise ParseError(idx, "constraint is not in exported form")
+        constraints.append(c)
+    if idx < len(lines):
+        raise ParseError(idx + 1, "text after the last declared constraint")
+    return IlpSystem(names, tuple(constraints))
 
 
 def format_assignment(assignment: IlpAssignment) -> str:
@@ -334,22 +350,21 @@ def format_assignment(assignment: IlpAssignment) -> str:
 
 
 def parse_assignment(text: str) -> IlpAssignment:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("assign "):
-        raise ParseError(1, "expected header 'assign <numvars>'")
-    try:
-        count = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError(1, "non-integer count in header")
+    lines, (count,) = _exported_lines(text, "assign <numvars>")
     values = []
-    for i in range(count):
-        if 1 + i >= len(lines):
-            raise ParseError(i + 2, "missing assignment line")
-        parts = lines[1 + i].split()
+    for i in range(1, count + 1):
+        if i >= len(lines):
+            raise ParseError(i + 1, "missing assignment line")
+        parts = lines[i].split()
         if len(parts) != 2:
-            raise ParseError(i + 2, "expected '<name> <value>'")
+            raise ParseError(i + 1, "expected '<name> <value>'")
         try:
-            values.append((parts[0], int(parts[1])))
+            value = int(parts[1])
         except ValueError:
-            raise ParseError(i + 2, "non-integer value")
+            raise ParseError(i + 1, "non-integer value")
+        if lines[i] != f"{parts[0]} {value}":
+            raise ParseError(i + 1, "value is not in exported form")
+        values.append((parts[0], value))
+    if count + 1 < len(lines):
+        raise ParseError(count + 2, "text after the last declared value")
     return IlpAssignment(tuple(values))

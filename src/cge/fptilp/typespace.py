@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..errors import NotIndependent, PreconditionViolated, TypeSpaceTooLarge
-from ..graphs import EdgeMultiset, graph_of_multiset, multiset_vertices, norm_edge
+from ..graphs import EdgeMultiset, graph_of_multiset, multiset_vertices, relabel_multiset
 from .context import FptContext
-from .pairs import Cycle, ValidPair, canonical_cycle
+from .pairs import Cycle, ValidPair, canonical_cycle, freeze_multiset
 
 NeiSub = tuple[int, ...]  # sorted multiset of cover vertices
 
@@ -99,6 +99,17 @@ def copy_neighborhoods(ctx: FptContext, cc: EdgeMultiset) -> dict[int, NeiSub]:
     }
 
 
+def robot_alloc_counts(ctx: FptContext, rt: RobotType) -> Counter:
+    """(vertex type, neighbor multiset) -> how often the robot type allocates it."""
+    nbhds = copy_neighborhoods(ctx, rt.cc_counter())
+    return Counter((vt, nbhds[copy]) for copy, vt in rt.alloc)
+
+
+def cycle_alloc_counts(ct: CycleType) -> Counter:
+    """(vertex type, neighbor pair) -> how often the cycle type allocates it."""
+    return Counter((vt, ns) for ns, vt in ct.pa_alloc)
+
+
 def _sorted_group_alloc(
     entries: list[tuple[int, NeiSub, int, VertexType]]
 ) -> tuple[tuple[int, VertexType], ...]:
@@ -171,11 +182,7 @@ def relabel_skeleton(
             )
         for member, copy in zip(members, copies):
             mapping[member] = copy
-    relabeled: Counter = Counter()
-    for (a, b), m in cc.items():
-        if m:
-            relabeled[norm_edge(mapping.get(a, a), mapping.get(b, b))] += m
-    return relabeled, mapping
+    return relabel_multiset(cc, mapping), mapping
 
 
 def derive_robot_type(
@@ -191,10 +198,7 @@ def derive_robot_type(
     alloc = _sorted_group_alloc(entries)
     counts = Counter(len(cyc) - 1 for cyc in pair.cycles)
     num_of_cyc = tuple(counts.get(j, 0) for j in ctx.cycle_length_slots)
-    cc_frozen = []
-    for e in sorted(cc_bar):
-        cc_frozen.extend([e] * cc_bar[e])
-    return RobotType(cc=tuple(cc_frozen), alloc=alloc, num_of_cyc=num_of_cyc)
+    return RobotType(cc=freeze_multiset(cc_bar), alloc=alloc, num_of_cyc=num_of_cyc)
 
 
 def quotient_cycle(ctx: FptContext, cycle: Cycle) -> Cycle:
@@ -335,41 +339,34 @@ def _enumerate_skeletons(ctx: FptContext) -> list[EdgeMultiset]:
     return out
 
 
-def _alloc_choices(
-    ctx: FptContext, cc: EdgeMultiset, vertex_types: list[VertexType]
-) -> list[tuple[tuple[int, VertexType], ...]]:
-    """All allocations of the skeleton's copy neighborhoods to vertex types,
-    sorted inside interchangeable-copy groups.
+def _allocations(
+    groups: dict[tuple[int, NeiSub], list], vertex_types: list[VertexType]
+) -> list[tuple]:
+    """Every allocation of labelled slots to vertex types.
+
+    `groups` maps (class, neighbor multiset) to the labels of its slots (copy
+    ids or neighbor pairs).  A slot takes a type of its class that wants its
+    multiset; slots of one group are interchangeable, so each group draws its
+    types as a multiset and attaches them in label order.  Allocations are
+    sorted (label, type) tuples.
     """
-    nbhds = copy_neighborhoods(ctx, cc)
-    groups: dict[tuple[int, NeiSub], list[int]] = {}
-    for copy, nbhd in nbhds.items():
-        groups.setdefault((ctx.class_of_copy[copy], nbhd), []).append(copy)
-    group_keys = sorted(groups)
-    per_group_options: list[list[tuple[tuple[int, VertexType], ...]]] = []
-    for cls, nbhd in group_keys:
-        copies = sorted(groups[(cls, nbhd)])
+    per_group = []
+    for (cls, nbhd), labels in sorted(groups.items()):
         candidates = [
-            vt
-            for vt in vertex_types
-            if vt.class_id == cls and nbhd in vt.nei_subsets
+            vt for vt in vertex_types if vt.class_id == cls and nbhd in vt.nei_subsets
         ]
-        if not candidates:
-            return []
-        options = [
-            tuple(zip(copies, chosen))
-            for chosen in itertools.combinations_with_replacement(
-                candidates, len(copies)
-            )
-        ]
-        per_group_options.append(options)
-    allocs = []
-    for combo in itertools.product(*per_group_options):
-        flat: list[tuple[int, VertexType]] = []
-        for part in combo:
-            flat.extend(part)
-        allocs.append(tuple(sorted(flat)))
-    return allocs if allocs else [()]
+        per_group.append(
+            [
+                tuple(zip(labels, chosen))
+                for chosen in itertools.combinations_with_replacement(
+                    candidates, len(labels)
+                )
+            ]
+        )
+    return [
+        tuple(sorted(itertools.chain.from_iterable(combo)))
+        for combo in itertools.product(*per_group)
+    ]
 
 
 def _num_of_cyc_vectors(ctx: FptContext, spare: int) -> list[tuple[int, ...]]:
@@ -397,19 +394,18 @@ def _enumerate_robot_types(
 ) -> list[RobotType]:
     out = []
     for cc in _enumerate_skeletons(ctx):
-        cc_frozen: list[tuple[int, int]] = []
-        for e in sorted(cc):
-            cc_frozen.extend([e] * cc[e])
+        cc_frozen = freeze_multiset(cc)
         spare = ctx.budget - len(cc_frozen)
         if spare < 0:
             continue
-        allocs = _alloc_choices(ctx, cc, vertex_types)
+        groups: dict[tuple[int, NeiSub], list[int]] = {}
+        for copy, nbhd in sorted(copy_neighborhoods(ctx, cc).items()):
+            groups.setdefault((ctx.class_of_copy[copy], nbhd), []).append(copy)
+        allocs = _allocations(groups, vertex_types)
         vectors = _num_of_cyc_vectors(ctx, spare)
         for alloc in allocs:
             for vec in vectors:
-                out.append(
-                    RobotType(cc=tuple(cc_frozen), alloc=alloc, num_of_cyc=vec)
-                )
+                out.append(RobotType(cc=cc_frozen, alloc=alloc, num_of_cyc=vec))
                 if len(out) > max_types:
                     raise TypeSpaceTooLarge(
                         f"more than {max_types} robot types; shrink the instance"
@@ -460,37 +456,15 @@ def _enumerate_quotient_cycles(ctx: FptContext) -> list[Cycle]:
     return sorted(found)
 
 
-def _pa_alloc_choices(
-    ctx: FptContext, cycle: Cycle, vertex_types: list[VertexType]
-) -> list[tuple[tuple[NeiSub, VertexType], ...]]:
-    groups: Counter = Counter()
+def _pa_groups(ctx: FptContext, cycle: Cycle) -> dict[tuple[int, NeiSub], list[NeiSub]]:
+    """(class, neighbor pair) -> one slot per class-vertex position of the cycle."""
+    groups: dict[tuple[int, NeiSub], list[NeiSub]] = {}
     for pos in range(1, len(cycle) - 1):
-        v = cycle[pos]
-        cls = ctx.class_of_star_vertex.get(v)
-        if cls is None:
-            continue
-        ns = tuple(sorted((cycle[pos - 1], cycle[pos + 1])))
-        groups[(cls, ns)] += 1
-    per_group: list[list[tuple[tuple[NeiSub, VertexType], ...]]] = []
-    for (cls, ns), count in sorted(groups.items()):
-        candidates = [
-            vt for vt in vertex_types if vt.class_id == cls and ns in vt.nei_subsets
-        ]
-        if not candidates:
-            return []
-        per_group.append(
-            [
-                tuple((ns, vt) for vt in chosen)
-                for chosen in itertools.combinations_with_replacement(candidates, count)
-            ]
-        )
-    out = []
-    for combo in itertools.product(*per_group):
-        flat: list[tuple[NeiSub, VertexType]] = []
-        for part in combo:
-            flat.extend(part)
-        out.append(tuple(sorted(flat)))
-    return out if out else [()]
+        cls = ctx.class_of_star_vertex.get(cycle[pos])
+        if cls is not None:
+            ns = tuple(sorted((cycle[pos - 1], cycle[pos + 1])))
+            groups.setdefault((cls, ns), []).append(ns)
+    return groups
 
 
 def _enumerate_cycle_types(
@@ -505,7 +479,7 @@ def _enumerate_cycle_types(
     ]
     for cycle in _enumerate_quotient_cycles(ctx):
         cyc_cover = set(cycle) & ctx.cover_set
-        pa_options = _pa_alloc_choices(ctx, cycle, vertex_types)
+        pa_options = _allocations(_pa_groups(ctx, cycle), vertex_types)
         if not pa_options:
             continue
         for rt, rt_cover in cover_verts_of_rob:

@@ -96,10 +96,6 @@ class Multigraph:
         """Distinct neighbors in ascending order."""
         return [w for w, _ in self._adj[v]]
 
-    def adjacency(self, v: int) -> list[tuple[int, int]]:
-        """(neighbor, multiplicity) pairs in ascending neighbor order."""
-        return list(self._adj[v])
-
     def active_vertices(self) -> list[int]:
         """Vertices with degree > 0, ascending."""
         return [v for v in range(self.n) if self._adj[v]]
@@ -206,6 +202,21 @@ class Multigraph:
 def graph_of_multiset(n: int, edges: EdgeMultiset) -> Multigraph:
     """The multigraph spanned by an edge multiset (carrier size n)."""
     return Multigraph.from_counter(n, edges)
+
+
+def walk_edges(walk) -> EdgeMultiset:
+    """Traversal counts of the consecutive steps of a vertex sequence."""
+    return Counter(norm_edge(a, b) for a, b in zip(walk, walk[1:]))
+
+
+def relabel_multiset(edges: EdgeMultiset, mapping: Mapping[int, int]) -> EdgeMultiset:
+    """The multiset with every endpoint passed through `mapping` (unmapped
+    vertices stay fixed)."""
+    out: Counter = Counter()
+    for (a, b), m in edges.items():
+        if m:
+            out[norm_edge(mapping.get(a, a), mapping.get(b, b))] += m
+    return out
 
 
 def multiset_degree(edges: EdgeMultiset, v: int) -> int:

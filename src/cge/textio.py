@@ -17,15 +17,23 @@ Bin-packing instances:
     exact 0|1
     item <s>          # one line per item, in order
 
-'#' starts a comment; blank lines are ignored; LF line endings.  Parsing and
-formatting round-trip exactly.
+Solutions:
+
+    value <v>
+    robot <i>: <v0> <v1> ... <v0>   # one line per robot
+
+'#' starts a comment; blank lines are ignored; LF line endings.  Integers
+are ASCII digits with an optional sign: a line holding any other character
+outside ASCII, or a '_', is rejected, so int() never reads a digit the
+formatter would not write.  Scalar directives appear at most once.  Parsing
+and formatting round-trip exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import NotConnected, ParseError
 from .euler import RobotCycle, Solution
 from .graphs import ExplorationInstance, Multigraph, norm_edge
 from .hardness import BinPackingInstance
@@ -35,17 +43,18 @@ from .hardness import BinPackingInstance
 class InstanceDocument:
     kind: str  # "cge" | "binpack"
     payload: object
-    source_path: str | None = None
 
 
 def _meaningful_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
+            if not line.isascii() or "_" in line:
+                raise ParseError(lineno, "only ASCII without '_' is allowed")
             yield lineno, line
 
 
-def parse_instance(text: str, source_path: str | None = None) -> InstanceDocument:
+def parse_instance(text: str) -> InstanceDocument:
     lines = list(_meaningful_lines(text))
     if not lines:
         raise ParseError(1, "empty input")
@@ -54,11 +63,11 @@ def parse_instance(text: str, source_path: str | None = None) -> InstanceDocumen
     if head[0] == "cge":
         if head != ["cge", "1"]:
             raise ParseError(first_no, "expected header 'cge 1'")
-        return InstanceDocument("cge", _parse_cge(lines[1:]), source_path)
+        return InstanceDocument("cge", _parse_cge(lines[1:]))
     if head[0] == "binpack":
         if head != ["binpack", "1"]:
             raise ParseError(first_no, "expected header 'binpack 1'")
-        return InstanceDocument("binpack", _parse_binpack(lines[1:]), source_path)
+        return InstanceDocument("binpack", _parse_binpack(lines[1:]))
     raise ParseError(first_no, f"unknown format {head[0]!r}")
 
 
@@ -71,23 +80,30 @@ def _int_field(lineno: int, parts: list[str], arity: int) -> list[int]:
         raise ParseError(lineno, f"non-integer argument in {parts!r}")
 
 
+def _set_scalar(scalars: dict[str, int], lineno: int, parts: list[str]) -> None:
+    if parts[0] in scalars:
+        raise ParseError(lineno, f"repeated {parts[0]!r}")
+    (scalars[parts[0]],) = _int_field(lineno, parts, 1)
+
+
+def _require(scalars: dict[str, int], names: tuple[str, ...], lineno: int) -> None:
+    for name in names:
+        if name not in scalars:
+            raise ParseError(lineno, f"missing {name!r}")
+
+
 def _parse_cge(lines) -> ExplorationInstance:
-    n = v_init = k = budget = None
+    scalars: dict[str, int] = {}
     edges: dict[tuple[int, int], int] = {}
     last_line = 1
     for lineno, line in lines:
         last_line = lineno
         parts = line.split()
-        if parts[0] == "nodes":
-            (n,) = _int_field(lineno, parts, 1)
-        elif parts[0] == "init":
-            (v_init,) = _int_field(lineno, parts, 1)
-        elif parts[0] == "robots":
-            (k,) = _int_field(lineno, parts, 1)
-        elif parts[0] == "budget":
-            (budget,) = _int_field(lineno, parts, 1)
+        if parts[0] in ("nodes", "init", "robots", "budget"):
+            _set_scalar(scalars, lineno, parts)
         elif parts[0] == "edge":
             u, v = _int_field(lineno, parts, 2)
+            n = scalars.get("nodes")
             if n is None:
                 raise ParseError(lineno, "'nodes' must come before edges")
             if not (0 <= u < n and 0 <= v < n):
@@ -100,45 +116,42 @@ def _parse_cge(lines) -> ExplorationInstance:
             edges[e] = 1
         else:
             raise ParseError(lineno, f"unknown directive {parts[0]!r}")
-    if n is None:
-        raise ParseError(last_line, "missing 'nodes'")
-    if v_init is None:
-        raise ParseError(last_line, "missing 'init'")
-    if k is None:
-        raise ParseError(last_line, "missing 'robots'")
-    graph = Multigraph(n, edges)
-    return ExplorationInstance(graph, v_init, k, budget)
+    _require(scalars, ("nodes", "init", "robots"), last_line)
+    n = scalars["nodes"]
+    # a connected graph has at most one vertex more than it has edges;
+    # checking first keeps a huge 'nodes' from allocating adjacency
+    if n > len(edges) + 1:
+        raise ParseError(last_line, f"{n} nodes cannot be connected by {len(edges)} edges")
+    try:
+        graph = Multigraph(n, edges)
+        return ExplorationInstance(
+            graph, scalars["init"], scalars["robots"], scalars.get("budget")
+        )
+    except (ValueError, NotConnected) as exc:
+        raise ParseError(last_line, str(exc))
 
 
 def _parse_binpack(lines) -> BinPackingInstance:
-    capacity = bins = exact = None
+    scalars: dict[str, int] = {}
     sizes: list[int] = []
     last_line = 1
     for lineno, line in lines:
         last_line = lineno
         parts = line.split()
-        if parts[0] == "capacity":
-            (capacity,) = _int_field(lineno, parts, 1)
-        elif parts[0] == "bins":
-            (bins,) = _int_field(lineno, parts, 1)
-        elif parts[0] == "exact":
-            (flag,) = _int_field(lineno, parts, 1)
-            if flag not in (0, 1):
+        if parts[0] in ("capacity", "bins", "exact"):
+            _set_scalar(scalars, lineno, parts)
+            if scalars.get("exact", 0) not in (0, 1):
                 raise ParseError(lineno, "exact must be 0 or 1")
-            exact = bool(flag)
         elif parts[0] == "item":
             (s,) = _int_field(lineno, parts, 1)
             sizes.append(s)
         else:
             raise ParseError(lineno, f"unknown directive {parts[0]!r}")
-    if capacity is None:
-        raise ParseError(last_line, "missing 'capacity'")
-    if bins is None:
-        raise ParseError(last_line, "missing 'bins'")
-    if exact is None:
-        raise ParseError(last_line, "missing 'exact'")
+    _require(scalars, ("capacity", "bins", "exact"), last_line)
     try:
-        return BinPackingInstance(tuple(sizes), capacity, bins, exact)
+        return BinPackingInstance(
+            tuple(sizes), scalars["capacity"], scalars["bins"], bool(scalars["exact"])
+        )
     except ValueError as exc:
         raise ParseError(last_line, str(exc))
 
@@ -183,6 +196,8 @@ def parse_solution(text: str) -> Solution:
     for lineno, line in _meaningful_lines(text):
         parts = line.split()
         if parts[0] == "value":
+            if value_seen:
+                raise ParseError(lineno, "repeated 'value'")
             _int_field(lineno, parts, 1)
             value_seen = True
         elif parts[0] == "robot":

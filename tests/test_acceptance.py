@@ -5,11 +5,12 @@ summary.  Every tolerance is exact; zero violations are allowed anywhere.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
+import json
 import random
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,19 +18,20 @@ import pytest
 from cge.approx import approx_solve
 from cge.cli import main as cli_main
 from cge.cover import connect_cover, vertex_cover_2approx
-from cge.euler import RobotCycle, Solution, find_eulerian_cycle, verify_solution
+from cge.euler import find_eulerian_cycle, solution_from_multisets, verify_solution
 from cge.exact import exact_decide, exact_optimum
 from cge.fptilp import (
     FptContext,
     build_ilp_system,
     check_assignment,
     check_valid_pair,
-    decompose_valid_pair,
     enumerate_type_space,
+    pair_source,
     reconstruct_solution,
+    solution_pairs,
     witness_from_solution,
 )
-from cge.graphs import ExplorationInstance, Multigraph, graph_of_multiset
+from cge.graphs import ExplorationInstance, Multigraph
 from cge.hardness import BinPackingInstance, bin_to_rob, binpacking_to_exact, brute_binpacking
 
 from conftest import feasibility_conditions_hold, random_connected_graph, random_even_multigraph
@@ -37,6 +39,7 @@ from corpus import corpus_cover, corpus_instances
 
 DATA = Path(__file__).parent / "data"
 CORPUS_DIR = DATA / "corpus"
+CLI_DIGESTS = DATA / "cli_digests.json"
 
 
 def report(criterion, text):
@@ -153,15 +156,9 @@ def corpus_artifacts():
         ctx = FptContext.build(budgeted, vcp)
         types = enumerate_type_space(ctx)
         system = build_ilp_system(ctx, types)
-        pairs = []
-        for ms in sol.multisets:
-            source = Counter(ms)
-            if not source:
-                e0 = min(e for e in inst.graph.distinct_edges() if inst.v_init in e)
-                source = Counter({e0: 2})
-            pair = decompose_valid_pair(ctx, source)
-            assert check_valid_pair(ctx, pair, source) == [], name
-            pairs.append(pair)
+        pairs = solution_pairs(ctx, sol)
+        for ms, pair in zip(sol.multisets, pairs):
+            assert check_valid_pair(ctx, pair, pair_source(ctx, ms)) == [], name
         artifacts.append((name, budgeted, ctx, types, system, pairs, opt))
     return artifacts
 
@@ -183,15 +180,7 @@ def test_criterion_7_backward_direction(corpus_artifacts):
         witness = witness_from_solution(ctx, types, pairs)
         multisets = reconstruct_solution(ctx, types, system, witness)
         assert feasibility_conditions_hold(inst, multisets, opt), name
-        cycles = []
-        for ms in multisets:
-            if not +ms:
-                cycles.append(RobotCycle((inst.v_init,)))
-            else:
-                cycles.append(
-                    find_eulerian_cycle(graph_of_multiset(inst.graph.n, ms), inst.v_init)
-                )
-        rebuilt = Solution(tuple(cycles))
+        rebuilt = solution_from_multisets(inst.graph.n, inst.v_init, multisets, inst.k)
         rep = verify_solution(inst, rebuilt)
         assert rep.ok and rebuilt.value <= opt, name
     report(7, "30 reconstructions verify within budget")
@@ -205,18 +194,26 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_criterion_8_cli_determinism(tmp_path):
-    """Byte-identical output on double runs of every command, every corpus file;
-    the type-space guard trips with exit code 3 on the size-3-cover instance.
+def cli_digests(tmp_path):
+    """Run every command twice on every corpus file, assert the two runs agree,
+    and return the sha256 of each stdout and each -o file, keyed by the
+    command line with paths reduced to file names.
     """
     cge_files = sorted(CORPUS_DIR.glob("*.cge"))
     bp_files = sorted(CORPUS_DIR.glob("*.binpack"))
     assert len(cge_files) == 31 and len(bp_files) == 3
+    digests = {}
+
+    def pin(key, data):
+        digests[key] = hashlib.sha256(
+            data if isinstance(data, bytes) else data.encode("utf-8")
+        ).hexdigest()
 
     def twice(*argv):
         first = run_cli(*argv)
         second = run_cli(*argv)
         assert first == second, argv
+        pin(" ".join(Path(a).name for a in argv), first[1])
         return first
 
     guard = CORPUS_DIR / "guard-c4.cge"
@@ -236,12 +233,14 @@ def test_criterion_8_cli_determinism(tmp_path):
         ilp_first = ilp_file.read_bytes()
         twice("build-ilp", str(f), "-o", str(ilp_file))
         assert ilp_file.read_bytes() == ilp_first
+        pin(ilp_file.name, ilp_first)
         assign_file = tmp_path / (f.stem + ".assign")
         code, _, _ = twice("derive-witness", str(f), str(sol_file), "-o", str(assign_file))
         assert code == 0
         assign_first = assign_file.read_bytes()
         twice("derive-witness", str(f), str(sol_file), "-o", str(assign_file))
         assert assign_file.read_bytes() == assign_first
+        pin(assign_file.name, assign_first)
         code, _, _ = twice("check-witness", str(ilp_file), str(assign_file))
         assert code == 0
         code, _, _ = twice("reconstruct", str(ilp_file), str(assign_file), str(f))
@@ -251,4 +250,17 @@ def test_criterion_8_cli_determinism(tmp_path):
         twice("reduce-bin", str(f), "--to-cge")
     code, _, err = twice("build-ilp", str(guard), "-o", str(tmp_path / "guard.ilp"))
     assert code == 3
-    report(8, "all commands byte-stable twice; guard instance exits 3")
+    return digests
+
+
+def test_criterion_8_cli_determinism(tmp_path):
+    """Byte-identical output on double runs of every command, every corpus file,
+    equal to the pinned digests in data/cli_digests.json; the type-space guard
+    trips with exit code 3 on the size-3-cover instance.
+    """
+    digests = cli_digests(tmp_path)
+    pinned = json.loads(CLI_DIGESTS.read_text(encoding="utf-8"))
+    changed = sorted(k for k in digests.keys() | pinned.keys() if digests.get(k) != pinned.get(k))
+    assert not changed, f"{len(changed)} outputs differ from the pinned digests: {changed[:10]}"
+    report(8, f"all commands byte-stable twice and equal to {len(pinned)} pinned digests; "
+              "guard instance exits 3")

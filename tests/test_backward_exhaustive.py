@@ -7,12 +7,11 @@ assignment must reconstruct into feasible multisets within the budget.
 """
 
 import itertools
-from collections import Counter
 
 import pytest
 
 from cge.cover import VertexCover, connect_cover
-from cge.euler import RobotCycle, Solution, find_eulerian_cycle, verify_solution
+from cge.euler import solution_from_multisets, verify_solution
 from cge.fptilp import (
     FptContext,
     IlpAssignment,
@@ -23,7 +22,7 @@ from cge.fptilp import (
     robot_bud,
     robot_cycbud,
 )
-from cge.graphs import ExplorationInstance, Multigraph, graph_of_multiset
+from cge.graphs import ExplorationInstance, Multigraph
 
 from conftest import feasibility_conditions_hold
 
@@ -131,13 +130,8 @@ def test_every_satisfying_assignment_reconstructs(name, g, v_init, k, budget, co
             assignment.values,
             [dict(m) for m in multisets],
         )
-        cycles = []
-        for ms in multisets:
-            if not +ms:
-                cycles.append(RobotCycle((v_init,)))
-            else:
-                cycles.append(find_eulerian_cycle(graph_of_multiset(g.n, ms), v_init))
-        report = verify_solution(inst, Solution(tuple(cycles)))
+        sol = solution_from_multisets(g.n, v_init, multisets, k)
+        report = verify_solution(inst, sol)
         assert report.ok, name
         found += 1
     assert found > 0, f"{name}: no satisfying assignments found"

@@ -6,7 +6,8 @@ import pytest
 
 from cge.cli import main
 from cge.errors import ParseError
-from cge.euler import RobotCycle, Solution
+from cge.euler import solution_from_multisets
+from cge.graphs import walk_edges
 from cge.textio import (
     InstanceDocument,
     format_instance,
@@ -63,7 +64,7 @@ class TestParsing:
 
 class TestSolutionFormat:
     def test_trivial_robot_line(self):
-        sol = Solution((RobotCycle((0, 1, 2, 0)), RobotCycle((0,))))
+        sol = solution_from_multisets(3, 0, [walk_edges((0, 1, 2, 0))], 2)
         text = format_solution(sol)
         assert text == "value 3\nrobot 1: 0 1 2 0\nrobot 2: 0\n"
         assert format_solution(parse_solution(text)) == text
@@ -157,6 +158,23 @@ class TestCommands:
         ilp = tmp_path / "c4.ilp"
         code, _ = run_cli("build-ilp", str(inst), "-o", str(ilp))
         assert code == 3
+
+    def test_vc_out_of_range_is_a_usage_error(self, tmp_path):
+        inst = tmp_path / "path3.cge"
+        inst.write_text(PATH3_BUDGET)
+        assert run_cli("solve-approx", str(inst), "--vc", "1,99") == (2, "")
+        ilp = tmp_path / "out.ilp"
+        assert run_cli("build-ilp", str(inst), "-o", str(ilp), "--vc=-1,1") == (2, "")
+
+    def test_verify_self_loop_walk_is_a_violation(self, tmp_path):
+        inst = tmp_path / "tri.cge"
+        inst.write_text(TRIANGLE)
+        sol = tmp_path / "loop.sol"
+        sol.write_text("value 1\nrobot 1: 0 0\n")
+        code, out = run_cli("verify", str(inst), str(sol))
+        assert code == 1
+        assert out.startswith("robot 1: start=ok end=ok edges=BAD length=1\n")
+        assert out.endswith("result: FAIL\n")
 
     def test_determinism_two_runs(self, tmp_path):
         inst = tmp_path / "tri.cge"

@@ -12,6 +12,7 @@ from cge.euler import (
     cycle_to_graph,
     find_eulerian_cycle,
     has_eulerian_cycle,
+    solution_from_multisets,
     verify_solution,
 )
 from cge.graphs import ExplorationInstance, Multigraph
@@ -163,3 +164,20 @@ class TestVerify:
         report = verify_solution(inst, sol)
         assert not report.ok
         assert not report.robot_reports[0].starts_at_init
+
+    def test_self_loop_step_is_reported_not_raised(self):
+        inst = star3_instance()
+        sol = Solution((RobotCycle((0, 0)), RobotCycle((0, 1, 0, 2, 0, 3, 0))))
+        report = verify_solution(inst, sol)
+        assert not report.ok
+        assert not report.robot_reports[0].adjacency_ok
+        assert report.robot_reports[1].ok
+        assert report.uncovered == ()
+
+
+class TestSolutionFromMultisets:
+    def test_idle_robots_pad_to_k_and_share_one_walk(self):
+        g = Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
+        sol = solution_from_multisets(3, 0, [Counter(), g.edge_counter()], 4)
+        assert [rc.walk for rc in sol.cycles] == [(0,), (0, 1, 2, 0), (0,), (0,)]
+        assert sol.cycles[0] is sol.cycles[2] is sol.cycles[3]

@@ -18,6 +18,7 @@ from cge.fptilp import (
     format_assignment,
     parse_assignment,
     parse_ilp,
+    solution_pairs,
     witness_from_solution,
 )
 from cge.graphs import ExplorationInstance, Multigraph
@@ -32,17 +33,6 @@ def build_all(g, v_init, k, budget, cover=None):
     types = enumerate_type_space(ctx)
     system = build_ilp_system(ctx, types)
     return ctx, types, system
-
-
-def pairs_for_solution(ctx, sol):
-    pairs = []
-    for ms in sol.multisets:
-        source = Counter(ms)
-        if not source:
-            e0 = min(e for e in ctx.g.distinct_edges() if ctx.v_init in e)
-            source = Counter({e0: 2})
-        pairs.append(decompose_valid_pair(ctx, source))
-    return pairs
 
 
 class TestBuildSystem:
@@ -107,7 +97,7 @@ class TestWitness:
         ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
         opt, sol = exact_optimum(inst)
         assert opt == 2
-        witness = witness_from_solution(ctx, types, pairs_for_solution(ctx, sol))
+        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
         ok, violated = check_assignment(system, witness)
         assert ok, violated
         values = witness.as_dict()
@@ -134,7 +124,7 @@ class TestWitness:
         opt, sol = exact_optimum(inst)
         assert opt == 4
         ctx, types, system = build_all(g, 1, 1, 4, cover=VertexCover((1,)))
-        witness = witness_from_solution(ctx, types, pairs_for_solution(ctx, sol))
+        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
         ok, violated = check_assignment(system, witness)
         assert ok, [system.constraints[i] for i in violated]
 
@@ -143,7 +133,7 @@ class TestWitness:
         inst = ExplorationInstance(g, 1, 1, 4)
         opt, sol = exact_optimum(inst)
         ctx, types, system = build_all(g, 1, 1, 4, cover=VertexCover((1,)))
-        witness = witness_from_solution(ctx, types, pairs_for_solution(ctx, sol))
+        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
         values = dict(witness.values)
         target = next(n for n, v in values.items() if n.startswith("x_ver_") and v)
         values[target] += 1
@@ -182,6 +172,6 @@ class TestExport:
         inst = ExplorationInstance(g, 0, 1, 2)
         ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
         opt, sol = exact_optimum(inst)
-        witness = witness_from_solution(ctx, types, pairs_for_solution(ctx, sol))
+        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
         text = format_assignment(witness)
         assert format_assignment(parse_assignment(text)) == text

@@ -5,19 +5,20 @@ import pytest
 
 from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
 from cge.errors import InfeasibleAllocation
-from cge.euler import RobotCycle, Solution, find_eulerian_cycle, verify_solution
+from cge.euler import solution_from_multisets, verify_solution
 from cge.exact import exact_optimum
 from cge.fptilp import (
     FptContext,
     IlpAssignment,
     build_ilp_system,
     check_assignment,
-    decompose_valid_pair,
     enumerate_type_space,
     reconstruct_solution,
+    solution_pairs,
     witness_from_solution,
 )
-from cge.graphs import ExplorationInstance, Multigraph, graph_of_multiset
+from cge.fptilp.system import type_counts
+from cge.graphs import ExplorationInstance, Multigraph
 
 from conftest import feasibility_conditions_hold, random_connected_graph
 
@@ -31,23 +32,12 @@ def pipeline(g, v_init, k, budget, cover=None):
     return inst, ctx, types, system
 
 
-def oracle_pairs(ctx, sol):
-    pairs = []
-    for ms in sol.multisets:
-        source = Counter(ms)
-        if not source:
-            e0 = min(e for e in ctx.g.distinct_edges() if ctx.v_init in e)
-            source = Counter({e0: 2})
-        pairs.append(decompose_valid_pair(ctx, source))
-    return pairs
-
-
 class TestReconstruct:
     def test_single_robot_round_trip(self):
         g = Multigraph.from_pairs(2, [(0, 1)])
         inst, ctx, types, system = pipeline(g, 0, 1, 2, cover=VertexCover((0, 1)))
         opt, sol = exact_optimum(inst)
-        witness = witness_from_solution(ctx, types, oracle_pairs(ctx, sol))
+        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
         multisets = reconstruct_solution(ctx, types, system, witness)
         assert multisets == [Counter({(0, 1): 2})]
 
@@ -94,7 +84,9 @@ class TestReconstruct:
         from cge.fptilp.reconstruct import _allocate_cycles_to_robots
 
         robot_of = [rt, rt]
-        alloc = _allocate_cycles_to_robots(ctx, types, values, robot_of)
+        alloc = _allocate_cycles_to_robots(
+            ctx, types, type_counts(types, assignment)[2], robot_of
+        )
         for (ci, inst_idx), robot in alloc.items():
             owners[robot] += 1
         assert sorted(owners.values()) == [1, 1]
@@ -155,20 +147,13 @@ class TestReconstruct:
             ctx = FptContext.build(inst, vcp)
             types = enumerate_type_space(ctx)
             system = build_ilp_system(ctx, types)
-            witness = witness_from_solution(ctx, types, oracle_pairs(ctx, sol))
+            witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
             ok, violated = check_assignment(system, witness)
             assert ok, [system.constraints[i] for i in violated]
             multisets = reconstruct_solution(ctx, types, system, witness)
             assert feasibility_conditions_hold(inst, multisets, opt)
-            walks = []
-            for ms in multisets:
-                if not ms:
-                    walks.append(RobotCycle((v_init,)))
-                else:
-                    walks.append(
-                        find_eulerian_cycle(graph_of_multiset(g.n, ms), v_init)
-                    )
-            report = verify_solution(inst, Solution(tuple(walks)))
+            sol = solution_from_multisets(g.n, v_init, multisets, k)
+            report = verify_solution(inst, sol)
             assert report.ok
             assert report.value <= opt
             done += 1

@@ -15,6 +15,7 @@ from cge.fptilp import (
     derive_vertex_type,
     enumerate_type_space,
     robot_bud,
+    solution_pairs,
 )
 from cge.graphs import ExplorationInstance, Multigraph
 
@@ -228,13 +229,7 @@ class TestTypeClosure:
         ver_set = set(space.vertex_types)
         rob_set = set(space.robot_types)
         cyc_set = set(space.cycle_types)
-        pairs = []
-        for ms in sol.multisets:
-            source = Counter(ms)
-            if not source:
-                e0 = min(e for e in g.distinct_edges() if v_init in e)
-                source = Counter({e0: 2})
-            pairs.append(decompose_valid_pair(ctx, source))
+        pairs = solution_pairs(ctx, sol)
         for u in range(g.n):
             if u not in ctx.cover_set:
                 assert derive_vertex_type(ctx, u, pairs) in ver_set
