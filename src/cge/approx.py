@@ -11,7 +11,7 @@ twice the size of the connected cover actually used.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .cover import VertexCover, connect_cover
@@ -107,9 +107,9 @@ def spanning_tree(g: Multigraph, vertices: set[int], root: int) -> EdgeMultiset:
     """BFS tree of the induced subgraph, rooted at `root`, ascending neighbors."""
     tree: Counter = Counter()
     seen = {root}
-    queue = [root]
+    queue = deque([root])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for w in g.neighbors(v):
             if w in vertices and w not in seen:
                 seen.add(w)

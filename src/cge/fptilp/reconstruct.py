@@ -47,11 +47,12 @@ def _vertex_types_per_member(
 
 
 def _robot_types_per_robot(
-    ctx: FptContext, types: TypeSpace, rob_counts: list[int]
-) -> list[RobotType]:
-    pool: list[RobotType] = []
-    for rt, count in zip(types.robot_types, rob_counts):
-        pool.extend([rt] * count)
+    ctx: FptContext, rob_counts: list[int]
+) -> list[int]:
+    """The robot type index of every robot, in ascending type order."""
+    pool: list[int] = []
+    for ri, count in enumerate(rob_counts):
+        pool.extend([ri] * count)
     if len(pool) != ctx.k:
         raise InfeasibleAllocation(f"{len(pool)} robot types for {ctx.k} robots")
     return pool
@@ -61,7 +62,7 @@ def _token_pools(
     ctx: FptContext,
     types: TypeSpace,
     cyc_counts: list[int],
-    robot_of: list[RobotType],
+    robot_of: list[int],
 ) -> dict[tuple[VertexType, tuple], list[Token]]:
     """All allocation tokens per (vertex type, neighbor multiset).
 
@@ -71,8 +72,8 @@ def _token_pools(
     order.
     """
     pools: dict[tuple[VertexType, tuple], list[Token]] = {}
-    for i, rt in enumerate(robot_of):
-        for key, r in sorted(robot_alloc_counts(ctx, rt).items()):
+    for i, ri in enumerate(robot_of):
+        for key, r in sorted(robot_alloc_counts(ctx, types.robot_types[ri]).items()):
             for t in range(1, r + 1):
                 pools.setdefault(key, []).append(("rob", i, t))
     for ci, (ct, count) in enumerate(zip(types.cycle_types, cyc_counts)):
@@ -182,23 +183,21 @@ def _allocate_cycles_to_robots(
     ctx: FptContext,
     types: TypeSpace,
     cyc_counts: list[int],
-    robot_of: list[RobotType],
+    robot_of: list[int],
 ) -> dict[tuple[int, int], int]:
     """(cycle type index, instance) -> robot, respecting the exact non-4
     counts and balancing length-4 cycles within each robot type.
     """
     out: dict[tuple[int, int], int] = {}
-    robots_by_type: dict[RobotType, list[int]] = {}
-    for i, rt in enumerate(robot_of):
-        robots_by_type.setdefault(rt, []).append(i)
-    rob_index = {rt: i for i, rt in enumerate(types.robot_types)}
-    for rt, robots in sorted(
-        robots_by_type.items(), key=lambda kv: rob_index[kv[0]]
-    ):
+    robots_by_type: dict[int, list[int]] = {}
+    for i, ri in enumerate(robot_of):
+        robots_by_type.setdefault(ri, []).append(i)
+    for ri, robots in robots_by_type.items():
+        rt = types.robot_types[ri]
         hosted = [
-            (ci, ct)
-            for ci, ct in enumerate(types.cycle_types)
-            if ct.robot_type == rt and cyc_counts[ci] > 0
+            (ci, types.cycle_types[ci])
+            for ci in types.hosted[ri]
+            if cyc_counts[ci] > 0
         ]
         for slot, j in enumerate(ctx.cycle_length_slots):
             instances = [
@@ -240,12 +239,13 @@ def reconstruct_solution(
         raise InfeasibleAllocation(f"assignment violates constraints {violated}")
     ver_counts, rob_counts, cyc_counts = type_counts(types, assignment)
     member_type = _vertex_types_per_member(ctx, types, ver_counts)
-    robot_of = _robot_types_per_robot(ctx, types, rob_counts)
+    robot_of = _robot_types_per_robot(ctx, rob_counts)
     pools = _token_pools(ctx, types, cyc_counts, robot_of)
     sub_alloc = _sub_alloc(ctx, member_type, pools)
 
     multisets = [
-        _transform_skeleton(ctx, i, rt, sub_alloc) for i, rt in enumerate(robot_of)
+        _transform_skeleton(ctx, i, types.robot_types[ri], sub_alloc)
+        for i, ri in enumerate(robot_of)
     ]
     cycle_owner = _allocate_cycles_to_robots(ctx, types, cyc_counts, robot_of)
     for ci, ct in enumerate(types.cycle_types):

@@ -1,18 +1,24 @@
 """Linear equation system over the type variables, plus witness counting.
 
-Variables are named x_ver_<i>, x_rob_<i>, x_cyc_<i> in canonical type order.
-Constraint groups:
+Variables are named x_ver_<i>, x_rob_<i>, x_cyc_<i> in canonical type order,
+vertex variables first, then robot, then cycle variables.  Constraint groups,
+emitted in this order:
 
   eq1  robot types sum to the robot count
   eq2  per class, vertex types sum to the class size
-  eq3  per (vertex type, neighbor multiset), allocations from cycles and
-       robots cover the type's population
-  eq4  per cover-internal edge, some skeleton or cycle carries it
-  eq5  per robot type and non-4 length, cycle counts match the type exactly
+  eq3  per vertex type, then per neighbor multiset of that type, allocations
+       from robots and cycles cover the type's population
+  eq4  per cover-internal edge, in ascending edge order, some skeleton or
+       cycle carries it
+  eq5  per robot type, then per non-4 cycle length, cycle counts match the
+       type exactly
   eq6  per robot type, length-4 cycles fit the leftover budget
 
 All coefficients are integers; the count-times-variable products are linear
-because the counts are fixed by the type.
+because the counts are fixed by the type.  Every row lists its terms in
+ascending variable order by construction: the builder opens each row with its
+vertex or robot term, then makes one pass over the robot types and one over
+the cycle types, each in index order.
 """
 
 from __future__ import annotations
@@ -76,14 +82,6 @@ def variable_names(types: TypeSpace) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _rob_var(types: TypeSpace, i: int) -> int:
-    return len(types.vertex_types) + i
-
-
-def _cyc_var(types: TypeSpace, i: int) -> int:
-    return len(types.vertex_types) + len(types.robot_types) + i
-
-
 def type_counts(
     types: TypeSpace, assignment: IlpAssignment
 ) -> tuple[list[int], list[int], list[int]]:
@@ -96,92 +94,58 @@ def type_counts(
 
 
 def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
-    constraints: list[Constraint] = []
-    rob_counts = [robot_alloc_counts(ctx, rt) for rt in types.robot_types]
-    cyc_counts = [cycle_alloc_counts(ct) for ct in types.cycle_types]
-
-    # eq1: one robot type per robot
-    constraints.append(
-        Constraint(
-            "eq1",
-            tuple((1, _rob_var(types, i)) for i in range(len(types.robot_types))),
-            "=",
-            ctx.k,
-        )
-    )
-
-    # eq2: one vertex type per class member
-    for cls_idx, cls in enumerate(ctx.eq.classes):
-        terms = tuple(
-            (1, i)
-            for i, vt in enumerate(types.vertex_types)
-            if vt.class_id == cls_idx
-        )
-        constraints.append(Constraint("eq2", terms, "=", len(cls.members)))
-
-    # eq3: enough allocations of every wanted neighbor multiset
+    n_ver, n_rob = len(types.vertex_types), len(types.robot_types)
+    rob_base, cyc_base = n_ver, n_ver + n_rob
+    # Rows are keyed by what they count.  Vertex terms go in first, then the
+    # robot pass and the cycle pass append in index order, so every row stays
+    # in ascending variable order.  Every allocation key names a multiset its
+    # vertex type wants, and every cycle length is a tracked slot or 4.
+    eq2: list[list[tuple[int, int]]] = [[] for _ in ctx.eq.classes]
+    eq3: dict[tuple, list[tuple[int, int]]] = {}
     for vi, vt in enumerate(types.vertex_types):
+        eq2[vt.class_id].append((1, vi))
         for ns in vt.nei_subsets:
-            terms: list[tuple[int, int]] = []
-            for ci, ct in enumerate(types.cycle_types):
-                count = cyc_counts[ci].get((vt, ns), 0)
-                if count:
-                    terms.append((count, _cyc_var(types, ci)))
-            for ri in range(len(types.robot_types)):
-                count = rob_counts[ri].get((vt, ns), 0)
-                if count:
-                    terms.append((count, _rob_var(types, ri)))
-            terms.append((-1, vi))
-            terms.sort(key=lambda t: t[1])
-            constraints.append(Constraint("eq3", tuple(terms), ">=", 0))
-
-    # eq4: cover-internal edges are carried by someone
-    cover_edges = [
-        e
+            eq3[(vt, ns)] = [(-1, vi)]
+    eq4: dict[tuple[int, int], list[tuple[int, int]]] = {
+        e: []
         for e in ctx.g.distinct_edges()
         if e[0] in ctx.cover_set and e[1] in ctx.cover_set
-    ]
-    for e in cover_edges:
-        terms = []
-        for ci, ct in enumerate(types.cycle_types):
-            if cycle_edges(ct.cycle).get(e, 0):
-                terms.append((1, _cyc_var(types, ci)))
-        for ri, rt in enumerate(types.robot_types):
-            if rt.cc_counter().get(e, 0):
-                terms.append((1, _rob_var(types, ri)))
-        terms.sort(key=lambda t: t[1])
-        constraints.append(Constraint("eq4", tuple(terms), ">=", 1))
+    }
+    by_length: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-    # eq5: exact non-4 cycle counts per robot type
-    hosted: dict[int, list[int]] = {i: [] for i in range(len(types.robot_types))}
-    rob_index = {rt: i for i, rt in enumerate(types.robot_types)}
-    for ci, ct in enumerate(types.cycle_types):
-        hosted[rob_index[ct.robot_type]].append(ci)
     for ri, rt in enumerate(types.robot_types):
-        for slot, j in enumerate(ctx.cycle_length_slots):
-            terms = [
-                (1, _cyc_var(types, ci))
-                for ci in hosted[ri]
-                if types.cycle_types[ci].length == j
-            ]
-            if rt.num_of_cyc[slot]:
-                terms.append((-rt.num_of_cyc[slot], _rob_var(types, ri)))
-            terms.sort(key=lambda t: t[1])
-            constraints.append(Constraint("eq5", tuple(terms), "=", 0))
-
-    # eq6: length-4 cycles within the leftover budget
-    for ri, rt in enumerate(types.robot_types):
-        terms = [
-            (4, _cyc_var(types, ci))
-            for ci in hosted[ri]
-            if types.cycle_types[ci].length == 4
-        ]
+        var = rob_base + ri
+        for key, count in robot_alloc_counts(ctx, rt).items():
+            eq3[key].append((count, var))
+        for e in set(rt.cc):
+            if e in eq4:
+                eq4[e].append((1, var))
+        for n, j in zip(rt.num_of_cyc, ctx.cycle_length_slots):
+            by_length[(ri, j)] = [(-n, var)] if n else []
         cycbud = robot_cycbud(ctx, rt)
-        if cycbud:
-            terms.append((-cycbud, _rob_var(types, ri)))
-        terms.sort(key=lambda t: t[1])
-        constraints.append(Constraint("eq6", tuple(terms), "<=", 0))
+        by_length[(ri, 4)] = [(-cycbud, var)] if cycbud else []
 
+    host = {ci: ri for ri, hosted in enumerate(types.hosted) for ci in hosted}
+    for ci, ct in enumerate(types.cycle_types):
+        var = cyc_base + ci
+        for key, count in cycle_alloc_counts(ct).items():
+            eq3[key].append((count, var))
+        for e in cycle_edges(ct.cycle):
+            if e in eq4:
+                eq4[e].append((1, var))
+        by_length[(host[ci], ct.length)].append((4 if ct.length == 4 else 1, var))
+
+    eq1 = tuple((1, rob_base + ri) for ri in range(n_rob))
+    constraints = [Constraint("eq1", eq1, "=", ctx.k)]
+    for terms, cls in zip(eq2, ctx.eq.classes):
+        constraints.append(Constraint("eq2", tuple(terms), "=", len(cls.members)))
+    constraints += [Constraint("eq3", tuple(terms), ">=", 0) for terms in eq3.values()]
+    constraints += [Constraint("eq4", tuple(terms), ">=", 1) for terms in eq4.values()]
+    for ri in range(n_rob):
+        for j in ctx.cycle_length_slots:
+            constraints.append(Constraint("eq5", tuple(by_length[(ri, j)]), "=", 0))
+    for ri in range(n_rob):
+        constraints.append(Constraint("eq6", tuple(by_length[(ri, 4)]), "<=", 0))
     return IlpSystem(variable_names(types), tuple(constraints))
 
 
@@ -189,12 +153,11 @@ def check_assignment(
     system: IlpSystem, assignment: IlpAssignment
 ) -> tuple[bool, list[int]]:
     """Evaluate every constraint; returns (ok, violated constraint indices)."""
-    values_map = assignment.as_dict()
-    if tuple(values_map) != system.variables:
+    if tuple(name for name, _ in assignment.values) != system.variables:
         raise DomainMismatch("assignment domain differs from the system variables")
-    if any(v < 0 for v in values_map.values()):
+    values = [value for _, value in assignment.values]
+    if any(v < 0 for v in values):
         raise DomainMismatch("assignment values must be non-negative")
-    values = [values_map[name] for name in system.variables]
     violated = [
         idx for idx, c in enumerate(system.constraints) if not c.evaluate(values)
     ]
@@ -206,6 +169,8 @@ def witness_from_solution(
 ) -> IlpAssignment:
     """Count the derived types of a concrete decomposition per robot."""
     ver_idx, rob_idx, cyc_idx = types.indexes()
+    rob_base = len(types.vertex_types)
+    cyc_base = rob_base + len(types.robot_types)
     counts = [0] * (types.total)
     for u in sorted(set(range(ctx.g.n)) - set(ctx.cover_set)):
         vt = derive_vertex_type(ctx, u, pairs)
@@ -216,14 +181,14 @@ def witness_from_solution(
         rt = derive_robot_type(ctx, i, pairs)
         if rt not in rob_idx:
             raise DomainMismatch(f"derived robot type of robot {i} missing from the space")
-        counts[_rob_var(types, rob_idx[rt])] += 1
+        counts[rob_base + rob_idx[rt]] += 1
         for cyc in pairs[i].cycles:
             ct = derive_cycle_type(ctx, i, cyc, pairs)
             if ct not in cyc_idx:
                 raise DomainMismatch(
                     f"derived cycle type of robot {i} missing from the space"
                 )
-            counts[_cyc_var(types, cyc_idx[ct])] += 1
+            counts[cyc_base + cyc_idx[ct]] += 1
     names = variable_names(types)
     return IlpAssignment(tuple(zip(names, counts)))
 
@@ -352,6 +317,7 @@ def format_assignment(assignment: IlpAssignment) -> str:
 def parse_assignment(text: str) -> IlpAssignment:
     lines, (count,) = _exported_lines(text, "assign <numvars>")
     values = []
+    seen: set[str] = set()
     for i in range(1, count + 1):
         if i >= len(lines):
             raise ParseError(i + 1, "missing assignment line")
@@ -364,6 +330,9 @@ def parse_assignment(text: str) -> IlpAssignment:
             raise ParseError(i + 1, "non-integer value")
         if lines[i] != f"{parts[0]} {value}":
             raise ParseError(i + 1, "value is not in exported form")
+        if parts[0] in seen:
+            raise ParseError(i + 1, f"duplicate variable {parts[0]!r}")
+        seen.add(parts[0])
         values.append((parts[0], value))
     if count + 1 < len(lines):
         raise ParseError(count + 2, "text after the last declared value")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from ..errors import NotIndependent, PreconditionViolated, TypeSpaceTooLarge
@@ -67,6 +68,16 @@ class TypeSpace:
         rob = {t: i for i, t in enumerate(self.robot_types)}
         cyc = {t: i for i, t in enumerate(self.cycle_types)}
         return ver, rob, cyc
+
+    @cached_property
+    def hosted(self) -> tuple[tuple[int, ...], ...]:
+        """Per robot type index, the ascending indices of the cycle types it
+        hosts."""
+        rob = {rt: ri for ri, rt in enumerate(self.robot_types)}
+        out: list[list[int]] = [[] for _ in self.robot_types]
+        for ci, ct in enumerate(self.cycle_types):
+            out[rob[ct.robot_type]].append(ci)
+        return tuple(map(tuple, out))
 
     @property
     def total(self) -> int:

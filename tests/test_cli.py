@@ -152,6 +152,22 @@ class TestCommands:
         code2, out2 = run_cli("verify", str(inst), str(sol))
         assert code2 == 0
 
+    def test_assignment_naming_a_variable_twice_is_a_usage_error(self, tmp_path):
+        inst = Path(__file__).parent / "data" / "corpus" / "star2-k1.cge"
+        ilp = tmp_path / "star2.ilp"
+        assert run_cli("build-ilp", str(inst), "-o", str(ilp))[0] == 0
+        code, out = run_cli("solve-exact", str(inst))
+        assert code == 0
+        sol = tmp_path / "star2.sol"
+        sol.write_text(out.split("\n", 1)[1])
+        assign = tmp_path / "star2.assign"
+        assert run_cli("derive-witness", str(inst), str(sol), "-o", str(assign))[0] == 0
+        header, body = assign.read_text().split("\n", 1)
+        assert header == "assign 31"
+        assign.write_text("assign 32\nx_ver_0 7\n" + body)
+        assert run_cli("check-witness", str(ilp), str(assign)) == (2, "")
+        assert run_cli("reconstruct", str(ilp), str(assign), str(inst)) == (2, "")
+
     def test_type_guard_exit_code(self, tmp_path):
         inst = tmp_path / "c4.cge"
         inst.write_text(C4_BUDGET)

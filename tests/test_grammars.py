@@ -83,6 +83,7 @@ ASSIGNMENT_REJECTS = {
     "arabic-indic-value": "assign 1\nx ٣\n",
     "double-space": "assign 1\nx  1\n",
     "missing-final-newline": "assign 1\nx 1",
+    "duplicate-name": "assign 2\nx 1\nx 2\n",
 }
 
 

@@ -78,12 +78,11 @@ class TestReconstruct:
         values[f"x_cyc_{chosen_cyc}"] = 2
         # vertex types: give every class member the type the cycle allocates
         ct = types.cycle_types[chosen_cyc]
-        rt = types.robot_types[chosen_rob]
         assignment = IlpAssignment(tuple(values.items()))
         owners = Counter()
         from cge.fptilp.reconstruct import _allocate_cycles_to_robots
 
-        robot_of = [rt, rt]
+        robot_of = [chosen_rob, chosen_rob]
         alloc = _allocate_cycles_to_robots(
             ctx, types, type_counts(types, assignment)[2], robot_of
         )
