@@ -150,6 +150,9 @@ def cmd_build_ilp(args) -> int:
 def cmd_derive_witness(args) -> int:
     inst = _load(args.instance, "cge")
     sol = parse_solution(_read(args.solution))
+    if not verify_solution(inst, sol).ok:
+        sys.stdout.write("solution fails verification\n")
+        return EXIT_NO
     ctx, types, system = _fpt_pipeline(inst, args.vc)
     witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
     ok, violated = check_assignment(system, witness)

@@ -192,13 +192,14 @@ def _allocate_cycles_to_robots(
     robots_by_type: dict[int, list[int]] = {}
     for i, ri in enumerate(robot_of):
         robots_by_type.setdefault(ri, []).append(i)
+    used: dict[int, list[tuple[int, CycleType]]] = {}  # host -> (index, type)
+    for ci, count in enumerate(cyc_counts):
+        if count:
+            ct = types.cycle_types[ci]
+            used.setdefault(ct.host, []).append((ci, ct))
     for ri, robots in robots_by_type.items():
         rt = types.robot_types[ri]
-        hosted = [
-            (ci, types.cycle_types[ci])
-            for ci in types.hosted[ri]
-            if cyc_counts[ci] > 0
-        ]
+        hosted = used.get(ri, [])
         for slot, j in enumerate(ctx.cycle_length_slots):
             instances = [
                 (ci, inst)

@@ -23,6 +23,7 @@ the cycle types, each in index order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ..errors import DomainMismatch, ParseError
@@ -125,7 +126,6 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
         cycbud = robot_cycbud(ctx, rt)
         by_length[(ri, 4)] = [(-cycbud, var)] if cycbud else []
 
-    host = {ci: ri for ri, hosted in enumerate(types.hosted) for ci in hosted}
     for ci, ct in enumerate(types.cycle_types):
         var = cyc_base + ci
         for key, count in cycle_alloc_counts(ct).items():
@@ -133,7 +133,7 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
         for e in cycle_edges(ct.cycle):
             if e in eq4:
                 eq4[e].append((1, var))
-        by_length[(host[ci], ct.length)].append((4 if ct.length == 4 else 1, var))
+        by_length[(ct.host, ct.length)].append((4 if ct.length == 4 else 1, var))
 
     eq1 = tuple((1, rob_base + ri) for ri in range(n_rob))
     constraints = [Constraint("eq1", eq1, "=", ctx.k)]
@@ -164,31 +164,34 @@ def check_assignment(
     return not violated, violated
 
 
+def _position(table: tuple, item, missing: str) -> int:
+    """Index of `item` in a canonical, strictly increasing type table."""
+    i = bisect_left(table, item)
+    if i == len(table) or table[i] != item:
+        raise DomainMismatch(missing)
+    return i
+
+
 def witness_from_solution(
     ctx: FptContext, types: TypeSpace, pairs: list[ValidPair]
 ) -> IlpAssignment:
     """Count the derived types of a concrete decomposition per robot."""
-    ver_idx, rob_idx, cyc_idx = types.indexes()
     rob_base = len(types.vertex_types)
     cyc_base = rob_base + len(types.robot_types)
     counts = [0] * (types.total)
     for u in sorted(set(range(ctx.g.n)) - set(ctx.cover_set)):
         vt = derive_vertex_type(ctx, u, pairs)
-        if vt not in ver_idx:
-            raise DomainMismatch(f"derived vertex type of {u} missing from the space")
-        counts[ver_idx[vt]] += 1
-    for i in range(len(pairs)):
+        missing = f"derived vertex type of {u} missing from the space"
+        counts[_position(types.vertex_types, vt, missing)] += 1
+    for i, pair in enumerate(pairs):
         rt = derive_robot_type(ctx, i, pairs)
-        if rt not in rob_idx:
-            raise DomainMismatch(f"derived robot type of robot {i} missing from the space")
-        counts[rob_base + rob_idx[rt]] += 1
-        for cyc in pairs[i].cycles:
-            ct = derive_cycle_type(ctx, i, cyc, pairs)
-            if ct not in cyc_idx:
-                raise DomainMismatch(
-                    f"derived cycle type of robot {i} missing from the space"
-                )
-            counts[cyc_base + cyc_idx[ct]] += 1
+        missing = f"derived robot type of robot {i} missing from the space"
+        ri = _position(types.robot_types, rt, missing)
+        counts[rob_base + ri] += 1
+        for cyc in pair.cycles:
+            ct = derive_cycle_type(ctx, ri, cyc, pairs)
+            missing = f"derived cycle type of robot {i} missing from the space"
+            counts[cyc_base + _position(types.cycle_types, ct, missing)] += 1
     names = variable_names(types)
     return IlpAssignment(tuple(zip(names, counts)))
 

@@ -5,8 +5,8 @@ multisets whose union covers the class neighborhood.  A robot type is a
 skeleton inside the bounded expansion together with an allocation of its
 class-copy neighborhoods to vertex types and the per-length counts of its
 non-4 cycles.  A cycle type is a quotient-graph cycle with an allocation of
-its independent positions to vertex types, attached to a host robot type
-sharing a cover vertex with it.
+its independent positions to vertex types, and names its host robot type, one
+sharing a cover vertex with it, by index in the sorted robot-type table.
 
 Derivation (from a concrete decomposition) and enumeration are kept
 structurally aligned so every derived type is a member of the enumerated
@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from ..errors import NotIndependent, PreconditionViolated, TypeSpaceTooLarge
@@ -50,7 +49,7 @@ class RobotType:
 class CycleType:
     cycle: Cycle  # canonical cycle in the quotient graph
     pa_alloc: tuple[tuple[NeiSub, VertexType], ...]  # (pair, vertex type), sorted
-    robot_type: RobotType
+    host: int  # index of the host robot type in TypeSpace.robot_types
 
     @property
     def length(self) -> int:
@@ -62,22 +61,6 @@ class TypeSpace:
     vertex_types: tuple[VertexType, ...]
     robot_types: tuple[RobotType, ...]
     cycle_types: tuple[CycleType, ...]
-
-    def indexes(self):
-        ver = {t: i for i, t in enumerate(self.vertex_types)}
-        rob = {t: i for i, t in enumerate(self.robot_types)}
-        cyc = {t: i for i, t in enumerate(self.cycle_types)}
-        return ver, rob, cyc
-
-    @cached_property
-    def hosted(self) -> tuple[tuple[int, ...], ...]:
-        """Per robot type index, the ascending indices of the cycle types it
-        hosts."""
-        rob = {rt: ri for ri, rt in enumerate(self.robot_types)}
-        out: list[list[int]] = [[] for _ in self.robot_types]
-        for ci, ct in enumerate(self.cycle_types):
-            out[rob[ct.robot_type]].append(ci)
-        return tuple(map(tuple, out))
 
     @property
     def total(self) -> int:
@@ -222,9 +205,10 @@ def quotient_cycle(ctx: FptContext, cycle: Cycle) -> Cycle:
 
 
 def derive_cycle_type(
-    ctx: FptContext, i: int, cycle: Cycle, pairs: list[ValidPair]
+    ctx: FptContext, host: int, cycle: Cycle, pairs: list[ValidPair]
 ) -> CycleType:
-    host = derive_robot_type(ctx, i, pairs)
+    """The type of one of a robot's cycles; `host` is the index of that
+    robot's type in the robot-type table."""
     mapped = quotient_cycle(ctx, cycle)
     pa_entries: list[tuple[NeiSub, VertexType]] = []
     for pos in range(1, len(cycle) - 1):
@@ -233,9 +217,7 @@ def derive_cycle_type(
             continue
         ns = tuple(sorted((cycle[pos - 1], cycle[pos + 1])))
         pa_entries.append((ns, derive_vertex_type(ctx, v, pairs)))
-    return CycleType(
-        cycle=mapped, pa_alloc=tuple(sorted(pa_entries)), robot_type=host
-    )
+    return CycleType(cycle=mapped, pa_alloc=tuple(sorted(pa_entries)), host=host)
 
 
 # ---------------------------------------------------------------------------
@@ -484,25 +466,21 @@ def _enumerate_cycle_types(
     vertex_types: list[VertexType],
     max_types: int,
 ) -> list[CycleType]:
+    """Cycle types in canonical order: the loops run over ascending cycles,
+    allocations and host indices, and `robot_types` is sorted."""
     out = []
-    cover_verts_of_rob = [
-        (rt, multiset_vertices(rt.cc_counter()) & ctx.cover_set) for rt in robot_types
-    ]
+    rob_cover = [multiset_vertices(rt.cc_counter()) & ctx.cover_set for rt in robot_types]
     for cycle in _enumerate_quotient_cycles(ctx):
         cyc_cover = set(cycle) & ctx.cover_set
-        pa_options = _allocations(_pa_groups(ctx, cycle), vertex_types)
-        if not pa_options:
-            continue
-        for rt, rt_cover in cover_verts_of_rob:
-            if not (rt_cover & cyc_cover):
-                continue
-            for pa in pa_options:
-                out.append(CycleType(cycle=cycle, pa_alloc=pa, robot_type=rt))
+        hosts = [ri for ri, cover in enumerate(rob_cover) if cover & cyc_cover]
+        for pa in sorted(_allocations(_pa_groups(ctx, cycle), vertex_types)):
+            for ri in hosts:
+                out.append(CycleType(cycle=cycle, pa_alloc=pa, host=ri))
                 if len(out) > max_types:
                     raise TypeSpaceTooLarge(
                         f"more than {max_types} cycle types; shrink the instance"
                     )
-    return sorted(out)
+    return out
 
 
 def enumerate_type_space(ctx: FptContext, max_types: int = 200_000) -> TypeSpace:

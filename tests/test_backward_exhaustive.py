@@ -54,9 +54,8 @@ def satisfying_assignments(ctx, types, system, cap=100_000):
         ver_parts.append([(idxs, combo) for combo in compositions(total, len(idxs))])
 
     hosted: dict[int, list[int]] = {ri: [] for ri in range(n_rob)}
-    rob_index = {rt: i for i, rt in enumerate(types.robot_types)}
     for ci, ct in enumerate(types.cycle_types):
-        hosted[rob_index[ct.robot_type]].append(ci)
+        hosted[ct.host].append(ci)
 
     count = 0
     for rob_combo in compositions(ctx.k, n_rob):

@@ -168,6 +168,27 @@ class TestCommands:
         assert run_cli("check-witness", str(ilp), str(assign)) == (2, "")
         assert run_cli("reconstruct", str(ilp), str(assign), str(inst)) == (2, "")
 
+    @pytest.mark.parametrize(
+        "walks",
+        [
+            ["0 1 0"],  # edge 0-2 uncovered
+            ["0 1 0 1 0 2 0"],  # over budget
+            ["0 1 0 2 0", "0 1 0"],  # two robots for 'robots 1'
+            ["1 0 2 0 1"],  # starts away from the start vertex
+        ],
+    )
+    def test_derive_witness_refuses_a_failing_solution(self, tmp_path, walks):
+        inst = Path(__file__).parent / "data" / "corpus" / "star2-k1.cge"
+        sol = tmp_path / "bad.sol"
+        value = max(len(w.split()) - 1 for w in walks)
+        robots = "".join(f"robot {i}: {w}\n" for i, w in enumerate(walks, start=1))
+        sol.write_text(f"value {value}\n{robots}")
+        assert run_cli("verify", str(inst), str(sol))[0] == 1
+        assign = tmp_path / "bad.assign"
+        code, out = run_cli("derive-witness", str(inst), str(sol), "-o", str(assign))
+        assert (code, out) == (1, "solution fails verification\n")
+        assert not assign.exists()
+
     def test_type_guard_exit_code(self, tmp_path):
         inst = tmp_path / "c4.cge"
         inst.write_text(C4_BUDGET)

@@ -62,7 +62,7 @@ class TestReconstruct:
             if len(rt.cc) != 2 or ctx.v_init not in {v for e in rt.cc for v in e}:
                 continue
             for ci, ct in enumerate(types.cycle_types):
-                if ct.robot_type != rt or ct.length != 4:
+                if ct.host != ri or ct.length != 4:
                     continue
                 counts = Counter()
                 for ns, vt in ct.pa_alloc:
@@ -107,12 +107,11 @@ class TestReconstruct:
             and rt.num_of_cyc[slot2] == 1
             and sum(rt.num_of_cyc) == 1
         )
-        rt = types.robot_types[ri]
         star_vertex = ctx.gstar.class_vertex[0]
         ci = next(
             i
             for i, ct in enumerate(types.cycle_types)
-            if ct.robot_type == rt and ct.cycle == (1, star_vertex, 1)
+            if ct.host == ri and ct.cycle == (1, star_vertex, 1)
         )
         values = {n: 0 for n in system.variables}
         values["x_ver_0"] = 2

@@ -1,10 +1,13 @@
-"""The equation-system builder and the host table against naive scans.
+"""The equation-system builder and the host relation against naive scans.
 
 Seeded random stars and double stars (cover at most 2) at budget = exact
 optimum.  Every eq3 to eq6 row is recomputed here by scanning all robot and
 cycle types per row, the way the equations are defined, and compared term
-for term with the built system; the witness of the exact solution must
-satisfy the system and reconstruct into a verified solution.
+for term with the built system.  The hosts of every (cycle, allocation) are
+exactly the robot types whose skeleton shares a cover vertex with the cycle,
+and the three type tables are strictly increasing, which the witness lookup
+relies on.  The witness of the exact solution must satisfy the system and
+reconstruct into a verified solution.
 """
 
 import random
@@ -79,7 +82,7 @@ def naive_rows(ctx, types):
             ]
             rows["eq4"].append(terms)
     for ri, rt in enumerate(types.robot_types):
-        hosted = [(ci, ct.length) for ci, ct in enumerate(types.cycle_types) if ct.robot_type == rt]
+        hosted = [(ci, ct.length) for ci, ct in enumerate(types.cycle_types) if ct.host == ri]
         for slot, j in enumerate(ctx.cycle_length_slots):
             terms = [(-rt.num_of_cyc[slot], n_ver + ri)] if rt.num_of_cyc[slot] else []
             terms += [(1, n_ver + n_rob + ci) for ci, length in hosted if length == j]
@@ -100,10 +103,17 @@ def test_builder_and_host_table_match_naive_scans(n, edges, start, k, cover):
     types = enumerate_type_space(ctx)
     system = build_ilp_system(ctx, types)
 
-    for ri, rt in enumerate(types.robot_types):
-        assert types.hosted[ri] == tuple(
-            ci for ci, ct in enumerate(types.cycle_types) if ct.robot_type == rt
-        )
+    hosts = {}
+    for ct in types.cycle_types:
+        hosts.setdefault((ct.cycle, ct.pa_alloc), []).append(ct.host)
+    for (cycle, _), found in hosts.items():
+        assert found == [
+            ri
+            for ri, rt in enumerate(types.robot_types)
+            if {v for e in rt.cc for v in e} & set(cycle) & ctx.cover_set
+        ]
+    for table in (types.vertex_types, types.robot_types, types.cycle_types):
+        assert all(a < b for a, b in zip(table, table[1:]))
     for tag, rows in naive_rows(ctx, types).items():
         built = [list(c.terms) for c in system.constraints if c.tag == tag]
         assert built == rows, tag

@@ -206,7 +206,8 @@ class TestTypeClosure:
         pair = decompose_valid_pair(ctx, Counter(sol.multisets[0]))
         assert (0, 2, 0, 3, 0) in pair.cycles
         space = enumerate_type_space(ctx)
-        ct = derive_cycle_type(ctx, 0, (0, 2, 0, 3, 0), [pair])
+        host = space.robot_types.index(derive_robot_type(ctx, 0, [pair]))
+        ct = derive_cycle_type(ctx, host, (0, 2, 0, 3, 0), [pair])
         star_vertex = ctx.gstar.class_vertex[0]
         assert ct.cycle == (0, star_vertex, 0, star_vertex, 0)
         assert ct in set(space.cycle_types)
@@ -234,6 +235,8 @@ class TestTypeClosure:
             if u not in ctx.cover_set:
                 assert derive_vertex_type(ctx, u, pairs) in ver_set
         for i in range(k):
-            assert derive_robot_type(ctx, i, pairs) in rob_set
+            rt = derive_robot_type(ctx, i, pairs)
+            assert rt in rob_set
+            host = space.robot_types.index(rt)
             for cyc in pairs[i].cycles:
-                assert derive_cycle_type(ctx, i, cyc, pairs) in cyc_set
+                assert derive_cycle_type(ctx, host, cyc, pairs) in cyc_set
