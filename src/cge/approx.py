@@ -15,15 +15,9 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .cover import VertexCover, connect_cover
-from .errors import TreeNotSpanning
+from .errors import OddDegree, TreeNotSpanning
 from .euler import Solution, solution_from_multisets
-from .graphs import (
-    EdgeMultiset,
-    ExplorationInstance,
-    Multigraph,
-    multiset_degree,
-    norm_edge,
-)
+from .graphs import EdgeMultiset, ExplorationInstance, Multigraph, norm_edge
 
 
 @dataclass
@@ -123,50 +117,50 @@ def spanning_tree(g: Multigraph, vertices: set[int], root: int) -> EdgeMultiset:
 def make_vc_even_degree(
     tree: EdgeMultiset, e: EdgeMultiset, vcp: VertexCover
 ) -> EdgeMultiset:
-    """Add at most |cover| tree edges so every degree becomes even.
+    """Add at most |cover| - 1 tree edges so every degree becomes even.
 
-    Processes the lowest-id leaf of the shrinking tree each iteration; a leaf
-    with odd degree gets one extra copy of its tree edge before removal.  The
-    parity of the last remaining vertex self-corrects because the number of
-    odd-degree vertices in any multigraph is even.
+    `tree` must be a spanning tree of the cover contained in `e`, and every
+    vertex outside the cover must have even degree in `e`, so the odd cover
+    vertices are even in number.  Rooted at the lowest cover vertex, the edge
+    from v to its parent gets one extra copy exactly when v's subtree holds an
+    odd number of odd-degree vertices: the only fix that uses each tree edge
+    at most once.  One traversal of the tree, one pass over `e` and one pass
+    over the cover, children before parents, cost O(|e| + |cover|).
     """
     cset = vcp.as_set()
-    tree_adj: dict[int, set[int]] = {v: set() for v in cset}
-    for (u, v), m in tree.items():
-        if m:
-            if u not in cset or v not in cset:
-                raise TreeNotSpanning(f"tree edge {(u, v)} leaves the cover")
-            tree_adj[u].add(v)
-            tree_adj[v].add(u)
-    if len(cset) > 1:
-        comp = {min(cset)}
-        stack = [min(cset)]
-        while stack:
-            v = stack.pop()
-            for w in tree_adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if comp != cset:
-            raise TreeNotSpanning("tree does not span the cover")
-    for edge, m in tree.items():
-        if m and e[edge] < m:
-            raise TreeNotSpanning(f"tree edge {edge} missing from the multiset")
+    edges = [edge for edge, m in tree.items() if m]
+    if len(edges) != len(cset) - 1:
+        raise TreeNotSpanning(f"{len(edges)} tree edges cannot span {len(cset)} cover vertices")
+    tree_adj: dict[int, list[int]] = {v: [] for v in cset}
+    for (u, v) in edges:
+        if u not in cset or v not in cset:
+            raise TreeNotSpanning(f"tree edge {(u, v)} leaves the cover")
+        if e[(u, v)] < tree[(u, v)]:
+            raise TreeNotSpanning(f"tree edge {(u, v)} missing from the multiset")
+        tree_adj[u].append(v)
+        tree_adj[v].append(u)
+    root = min(cset)
+    parent = {root: root}
+    order = [root]
+    for v in order:
+        for w in tree_adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    if len(order) != len(cset):
+        raise TreeNotSpanning("tree does not span the cover")
 
+    odd: set[int] = set()
+    for (u, v), m in e.items():
+        if m % 2:
+            odd ^= {u, v}
+    if odd - cset:
+        raise OddDegree(f"vertex {min(odd - cset)} outside the cover has odd degree")
     result = Counter(e)
-    alive = set(cset)
-    deg = {v: multiset_degree(result, v) for v in alive}
-    while len(alive) >= 2:
-        leaf = min(v for v in alive if len(tree_adj[v]) == 1)
-        if deg[leaf] % 2 == 1:
-            nbr = next(iter(tree_adj[leaf]))
-            result[norm_edge(leaf, nbr)] += 1
-            deg[leaf] += 1
-            deg[nbr] += 1
-        nbr = next(iter(tree_adj[leaf]))
-        tree_adj[nbr].discard(leaf)
-        del tree_adj[leaf]
-        alive.discard(leaf)
+    for v in order[:0:-1]:  # every vertex but the root, children first
+        if v in odd:
+            result[norm_edge(v, parent[v])] += 1
+            odd ^= {parent[v]}
     return result
 
 

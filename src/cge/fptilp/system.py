@@ -126,13 +126,17 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
         cycbud = robot_cycbud(ctx, rt)
         by_length[(ri, 4)] = [(-cycbud, var)] if cycbud else []
 
+    # The hosts of one (cycle, allocation) are consecutive cycle types with
+    # the same eq3 and eq4 terms, so those rows are looked up once per pair.
+    pair = None
     for ci, ct in enumerate(types.cycle_types):
         var = cyc_base + ci
-        for key, count in cycle_alloc_counts(ct).items():
-            eq3[key].append((count, var))
-        for e in cycle_edges(ct.cycle):
-            if e in eq4:
-                eq4[e].append((1, var))
+        if (ct.cycle, ct.pa_alloc) != pair:
+            pair = (ct.cycle, ct.pa_alloc)
+            rows = [(eq3[key], count) for key, count in cycle_alloc_counts(ct).items()]
+            rows += [(eq4[e], 1) for e in cycle_edges(ct.cycle) if e in eq4]
+        for row, count in rows:
+            row.append((count, var))
         by_length[(ct.host, ct.length)].append((4 if ct.length == 4 else 1, var))
 
     eq1 = tuple((1, rob_base + ri) for ri in range(n_rob))

@@ -7,6 +7,10 @@ of length 4 and up already need three cover vertices to stay connected.
 
 from __future__ import annotations
 
+import random
+
+import pytest
+
 from cge.cover import connect_cover, vertex_cover_2approx
 from cge.graphs import ExplorationInstance, Multigraph
 
@@ -78,3 +82,27 @@ def corpus_instances() -> list[tuple[str, ExplorationInstance]]:
 
 def corpus_cover(inst: ExplorationInstance):
     return connect_cover(inst.graph, vertex_cover_2approx(inst.graph), inst.v_init)
+
+
+def random_instances(seed, count):
+    """`count` distinct instances: stars with 1-5 leaves and double stars with
+    up to two private leaves per center (or one shared leaf alone), k in 1..3,
+    a random start center."""
+    rng = random.Random(seed)
+    out = {}
+    while len(out) < count:
+        k = rng.randint(1, 3)
+        if rng.random() < 0.4:
+            leaves = rng.randint(1, 5)
+            name, (n, edges) = f"star{leaves}", _star(leaves)
+            start, cover = 0, (0,)
+        else:
+            shared = rng.randint(0, 1)
+            left = 0 if shared else rng.randint(0, 2)
+            right = 0 if shared else rng.randint(0, 2)
+            name = f"dstar-{left}-{right}-{shared}"
+            n, edges = _double_star(left, right, shared)
+            start, cover = rng.randint(0, 1), (0, 1)
+        case = f"{name}-k{k}-s{start}"
+        out[case] = pytest.param(n, edges, start, k, cover, id=case)
+    return list(out.values())

@@ -12,16 +12,65 @@ from cge.approx import (
     spanning_tree,
 )
 from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
-from cge.errors import TreeNotSpanning
+from cge.errors import OddDegree, TreeNotSpanning
 from cge.euler import verify_solution
 from cge.exact import exact_optimum
-from cge.graphs import ExplorationInstance, Multigraph, multiset_degree
+from cge.graphs import ExplorationInstance, Multigraph, multiset_degree, norm_edge
 
 from conftest import random_connected_graph
 
 
 def star(leaves):
     return Multigraph.from_pairs(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def lowest_leaf_reference(tree, e, vcp):
+    """The former parity fix: remove the lowest-id leaf of the shrinking tree,
+    adding one copy of its tree edge first if its degree is odd."""
+    cset = vcp.as_set()
+    tree_adj = {v: set() for v in cset}
+    for (u, v), m in tree.items():
+        if m:
+            tree_adj[u].add(v)
+            tree_adj[v].add(u)
+    result = Counter(e)
+    alive = set(cset)
+    deg = {v: multiset_degree(result, v) for v in alive}
+    while len(alive) >= 2:
+        leaf = min(v for v in alive if len(tree_adj[v]) == 1)
+        nbr = next(iter(tree_adj[leaf]))
+        if deg[leaf] % 2 == 1:
+            result[norm_edge(leaf, nbr)] += 1
+            deg[leaf] += 1
+            deg[nbr] += 1
+        tree_adj[nbr].discard(leaf)
+        del tree_adj[leaf]
+        alive.discard(leaf)
+    return result
+
+
+def random_tree_case(rng):
+    """A random cover with a random spanning tree (attachment to any earlier
+    vertex, a path or a star) and a multiset containing the tree in which
+    every vertex outside the cover has even degree."""
+    n = rng.randint(1, 30)
+    labels = rng.sample(range(n + 8), n + rng.randint(0, 8))
+    cover, outside = labels[:n], labels[n:]
+    shape = rng.choice(("attach", "path", "star"))
+    tree = Counter()
+    for i in range(1, n):
+        other = {"attach": rng.choice(cover[:i]), "path": cover[i - 1], "star": cover[0]}
+        tree[norm_edge(cover[i], other[shape])] += 1
+    e = Counter(tree)
+    for _ in range(rng.randint(0, 3 * n)):
+        u = rng.choice(cover)
+        w = rng.choice(cover + outside)
+        if w != u:
+            e[norm_edge(u, w)] += rng.randint(1, 2)
+    for w in outside:
+        if multiset_degree(e, w) % 2:
+            e[norm_edge(w, rng.choice(cover))] += 1
+    return tree, e, VertexCover(tuple(cover))
 
 
 class TestEvenIndependentDegrees:
@@ -84,7 +133,8 @@ class TestMakeVcEvenDegree:
         assert out == e
 
     def test_path_tree_trace(self):
-        # degrees: 0 odd, 1 even, 2 odd; processing leaves 0 then 1
+        # degrees: 0 odd, 1 even, 2 odd; rooted at 0, the subtrees of 1 and 2
+        # each hold one odd vertex, so both tree edges get a copy
         tree = Counter({(0, 1): 1, (1, 2): 1})
         e = Counter({(0, 1): 1, (1, 2): 1})
         out = make_vc_even_degree(tree, e, VertexCover((0, 1, 2)))
@@ -112,6 +162,45 @@ class TestMakeVcEvenDegree:
     def test_rejects_non_spanning_tree(self):
         with pytest.raises(TreeNotSpanning):
             make_vc_even_degree(Counter(), Counter({(0, 1): 1}), VertexCover((0, 1)))
+
+    def test_rejects_tree_with_cycle(self):
+        triangle = Counter({(0, 1): 1, (0, 2): 1, (1, 2): 1})
+        with pytest.raises(TreeNotSpanning):
+            make_vc_even_degree(triangle, Counter(triangle), VertexCover((0, 1, 2)))
+
+    def test_rejects_odd_vertex_outside_cover(self):
+        tree = Counter({(0, 1): 1, (1, 2): 1})
+        e = Counter({(0, 1): 1, (1, 2): 1, (0, 3): 1})
+        with pytest.raises(OddDegree, match="vertex 3"):
+            make_vc_even_degree(tree, e, VertexCover((0, 1, 2)))
+
+    def test_matches_lowest_leaf_elimination_on_random_trees(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            tree, e, vcp = random_tree_case(rng)
+            out = make_vc_even_degree(tree, e, vcp)
+            ref = lowest_leaf_reference(tree, e, vcp)
+            assert list(out.items()) == list(ref.items())
+
+    def test_matches_lowest_leaf_elimination_on_robot_multisets(self):
+        rng = random.Random(42)
+        cases = 0
+        for _ in range(80):
+            g = random_connected_graph(rng, n_max=12, m_max=24)
+            start = rng.randrange(g.n)
+            vcp = connect_cover(g, vertex_cover_2approx(g), start)
+            state = partition_independent_edges(
+                g, vcp, even_independent_degrees(g, vcp), rng.randint(1, 4)
+            )
+            deal_cover_edges(g, vcp, state)
+            cset = vcp.as_set()
+            tree = spanning_tree(g, cset, start) if len(cset) > 1 else Counter()
+            for e_i in state.e_i:
+                out = make_vc_even_degree(tree, e_i + tree, vcp)
+                ref = lowest_leaf_reference(tree, e_i + tree, vcp)
+                assert list(out.items()) == list(ref.items())
+                cases += 1
+        assert cases >= 200
 
 
 class TestApproxSolve:

@@ -1,9 +1,10 @@
 """The equation system solved by an independent MILP solver.
 
-For every buildable corpus instance, the system at budget = exact optimum
-must be feasible and the system at optimum - 1 infeasible: the system is
-tight.  The solver's own assignment, not a witness derived from a known
-solution, must reconstruct into a verified solution within the budget.
+For every buildable corpus instance and for seeded random stars and double
+stars, the system at budget = exact optimum must be feasible and the system
+at optimum - 1 infeasible: the system is tight.  The solver's own
+assignment, not a witness derived from a known solution, must reconstruct
+into a verified solution within the budget.
 Needs scipy (HiGHS); skipped without it, since the toolkit itself is
 stdlib-only.
 """
@@ -16,7 +17,7 @@ scipy_optimize = pytest.importorskip("scipy.optimize")
 import numpy as np  # noqa: E402  (scipy depends on numpy)
 from scipy.sparse import csr_array  # noqa: E402
 
-from cge.cover import connect_cover, vertex_cover_2approx  # noqa: E402
+from cge.cover import VertexCover  # noqa: E402
 from cge.euler import solution_from_multisets, verify_solution  # noqa: E402
 from cge.exact import exact_optimum  # noqa: E402
 from cge.fptilp import (  # noqa: E402
@@ -26,7 +27,10 @@ from cge.fptilp import (  # noqa: E402
     enumerate_type_space,
     reconstruct_solution,
 )
+from cge.graphs import ExplorationInstance, Multigraph  # noqa: E402
 from cge.textio import parse_instance  # noqa: E402
+
+from corpus import corpus_cover, random_instances  # noqa: E402
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 # guard-* files trip the type-space guard by design: no system to solve
@@ -65,22 +69,19 @@ def solve(system):
     return [int(round(x)) for x in result.x]
 
 
-def budgeted_system(inst, budget):
-    vcp = connect_cover(inst.graph, vertex_cover_2approx(inst.graph), inst.v_init)
+def budgeted_system(inst, vcp, budget):
     ctx = FptContext.build(inst.with_budget(budget), vcp)
     types = enumerate_type_space(ctx)
     return ctx, types, build_ilp_system(ctx, types)
 
 
-@pytest.mark.parametrize("path", BUILDABLE, ids=lambda p: p.stem)
-def test_system_is_tight_and_its_solutions_reconstruct(path):
-    inst = parse_instance(path.read_text()).payload
+def assert_tight(inst, vcp):
     opt, _ = exact_optimum(inst)
 
-    ctx, types, system = budgeted_system(inst, opt - 1)
+    ctx, types, system = budgeted_system(inst, vcp, opt - 1)
     assert solve(system) is None, f"feasible below the optimum {opt}"
 
-    ctx, types, system = budgeted_system(inst, opt)
+    ctx, types, system = budgeted_system(inst, vcp, opt)
     values = solve(system)
     assert values is not None, f"infeasible at the optimum {opt}"
     assignment = IlpAssignment(tuple(zip(system.variables, values)))
@@ -91,3 +92,15 @@ def test_system_is_tight_and_its_solutions_reconstruct(path):
     )
     assert report.ok
     assert report.value <= opt
+
+
+@pytest.mark.parametrize("path", BUILDABLE, ids=lambda p: p.stem)
+def test_system_is_tight_and_its_solutions_reconstruct(path):
+    inst = parse_instance(path.read_text()).payload
+    assert_tight(inst, corpus_cover(inst))
+
+
+@pytest.mark.parametrize("n,edges,start,k,cover", random_instances(2917, 10))
+def test_random_star_systems_are_tight(n, edges, start, k, cover):
+    inst = ExplorationInstance(Multigraph.from_pairs(n, edges), start, k)
+    assert_tight(inst, VertexCover(cover))

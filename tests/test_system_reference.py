@@ -10,8 +10,6 @@ relies on.  The witness of the exact solution must satisfy the system and
 reconstruct into a verified solution.
 """
 
-import random
-
 import pytest
 
 from cge.cover import VertexCover
@@ -31,31 +29,7 @@ from cge.fptilp.pairs import cycle_edges
 from cge.fptilp.typespace import cycle_alloc_counts, robot_alloc_counts
 from cge.graphs import ExplorationInstance, Multigraph
 
-from corpus import _double_star, _star
-
-
-def random_instances(seed, count):
-    """`count` distinct instances: stars with 1-5 leaves and double stars with
-    up to two private leaves per center (or one shared leaf alone), k in 1..3,
-    a random start center."""
-    rng = random.Random(seed)
-    out = {}
-    while len(out) < count:
-        k = rng.randint(1, 3)
-        if rng.random() < 0.4:
-            leaves = rng.randint(1, 5)
-            name, (n, edges) = f"star{leaves}", _star(leaves)
-            start, cover = 0, (0,)
-        else:
-            shared = rng.randint(0, 1)
-            left = 0 if shared else rng.randint(0, 2)
-            right = 0 if shared else rng.randint(0, 2)
-            name = f"dstar-{left}-{right}-{shared}"
-            n, edges = _double_star(left, right, shared)
-            start, cover = rng.randint(0, 1), (0, 1)
-        case = f"{name}-k{k}-s{start}"
-        out[case] = pytest.param(n, edges, start, k, cover, id=case)
-    return list(out.values())
+from corpus import random_instances
 
 
 def naive_rows(ctx, types):
