@@ -173,5 +173,10 @@ def approx_solve(inst: ExplorationInstance, vc: VertexCover) -> Solution:
     deal_cover_edges(g, vcp, state)
     cset = vcp.as_set()
     tree = spanning_tree(g, cset, inst.v_init) if len(cset) > 1 else Counter()
-    multisets = (make_vc_even_degree(tree, e_i + tree, vcp) for e_i in state.e_i)
+    # every robot without edges of its own walks the same fixed tree: one
+    # object, so solution_from_multisets walks it once
+    idle = make_vc_even_degree(tree, tree, vcp) if not all(state.e_i) else None
+    multisets = (
+        make_vc_even_degree(tree, e_i + tree, vcp) if e_i else idle for e_i in state.e_i
+    )
     return solution_from_multisets(g.n, inst.v_init, multisets, inst.k)

@@ -89,32 +89,45 @@ def vertex_cover_2approx(g: Multigraph) -> VertexCover:
 def connect_cover(g: Multigraph, vc: VertexCover, v_init: int) -> VertexCover:
     """Augment a cover so its induced subgraph is connected and contains v_init.
 
-    Repeatedly scans the vertices outside the current cover in ascending id;
-    a vertex adjacent to two different components is added and the components
-    merge.  Because the complement of a cover is independent, every pair of
-    cover components is bridged by a single outside vertex, so the loop makes
-    progress whenever the host graph is connected.  Adds at most |vc| - 1
-    connectors plus v_init.
+    One ascending pass over the vertices outside the cover, with the cover's
+    components in a union-find: a vertex adjacent to two or more components is
+    added and they merge; the pass stops once one component is left.  Because
+    the complement of a cover is independent, every pair of cover components
+    is bridged by a single outside vertex, so a connected host graph always
+    gets connected.  This is the cover the first qualifying vertex in id order
+    would give, chosen again and again with the components recomputed each
+    time: an outside vertex's neighbors all lie in the cover, so adding a
+    connector only merges components, and a vertex that touched fewer than
+    two components never touches two later.  Adds at most |vc| - 1 connectors
+    plus v_init.
     """
     if not is_cover(g, vc.vertices):
         raise NotACover(f"{vc.vertices} is not a vertex cover")
     current = set(vc.vertices) | {v_init}
-    while True:
-        comps = g.components(current)
-        if len(comps) <= 1:
+    comps = g.components(current)
+    root = {v: comp[0] for comp in comps for v in comp}
+    components = len(comps)
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for v in range(g.n):
+        if components <= 1:
             break
-        comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
-        added = False
-        for v in range(g.n):
-            if v in current:
-                continue
-            touched = {comp_id[w] for w in g.neighbors(v) if w in comp_id}
-            if len(touched) >= 2:
-                current.add(v)
-                added = True
-                break
-        if not added:  # host graph disconnected
-            raise NotACover("cannot connect cover: host graph is disconnected")
+        if v in current:
+            continue
+        touched = {find(w) for w in g.neighbors(v) if w in root}
+        if len(touched) >= 2:
+            current.add(v)
+            root[v] = v
+            for r in touched:
+                root[r] = v
+            components -= len(touched) - 1
+    if components > 1:
+        raise NotACover("cannot connect cover: host graph is disconnected")
     return VertexCover(tuple(sorted(current)), connected=True)
 
 

@@ -9,6 +9,7 @@ here.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -133,13 +134,25 @@ def solution_from_multisets(
     """One robot per multiset, walked as its Eulerian cycle from `start`.
 
     Empty multisets, and robots beyond the given multisets up to k, stay idle
-    at `start`; they share one trivial walk and build no graph.
+    at `start`; they share one trivial walk and build no graph.  Robots given
+    the same multiset object share one `RobotCycle`: Hierholzer's walk is a
+    function of the multiset and `start` alone, so walking it once per object
+    gives every robot the walk it would get on its own.  A memo entry keeps a
+    weak reference to its multiset: a multiset freed after its walk (as a
+    generator's are) and a later one given the same `id` are told apart,
+    and no multiset outlives its producer's use of it.
     """
     idle = RobotCycle((start,))
-    cycles = [
-        find_eulerian_cycle(graph_of_multiset(n, ms), start) if any(ms.values()) else idle
-        for ms in multisets
-    ]
+    walked: dict[int, tuple[weakref.ref, RobotCycle]] = {}
+    cycles = []
+    for ms in multisets:
+        entry = walked.get(id(ms))
+        if entry is None or entry[0]() is not ms:
+            rc = idle
+            if any(ms.values()):
+                rc = find_eulerian_cycle(graph_of_multiset(n, ms), start)
+            entry = walked[id(ms)] = (weakref.ref(ms), rc)
+        cycles.append(entry[1])
     cycles.extend([idle] * (k - len(cycles)))
     return Solution(tuple(cycles))
 
@@ -202,26 +215,33 @@ class VerificationReport:
 
 
 def verify_solution(inst: ExplorationInstance, sol: Solution) -> VerificationReport:
-    """Check every solution condition; failures are report entries, not errors."""
+    """Check every solution condition; failures are report entries, not errors.
+
+    Robots that share one `RobotCycle` object share its checks: the step set,
+    the on-graph test, the start and end flags and the length depend on the
+    walk alone, and a walk's edges count once toward coverage however many
+    robots take it.  Each robot still gets its own report under its own index.
+    """
     g = inst.graph
     graph_edges = set(g.distinct_edges())
     covered: set = set()
+    checked: dict[int, tuple[bool, bool, bool, int]] = {}  # sol.cycles keeps each id alive
     reports = []
     for i, rc in enumerate(sol.cycles):
-        # a step is an edge of the graph iff its normalized pair is one; this
-        # rejects self-loops and out-of-range vertices without raising
-        steps = {(a, b) if a < b else (b, a) for a, b in zip(rc.walk, rc.walk[1:])}
-        on_graph = steps & graph_edges
-        covered |= on_graph
-        reports.append(
-            RobotReport(
-                index=i,
-                starts_at_init=rc.walk[0] == inst.v_init,
-                ends_at_init=rc.walk[-1] == inst.v_init,
-                adjacency_ok=len(on_graph) == len(steps),
-                length=rc.length,
+        flags = checked.get(id(rc))
+        if flags is None:
+            # a step is an edge of the graph iff its normalized pair is one;
+            # this rejects self-loops and out-of-range vertices without raising
+            steps = {(a, b) if a < b else (b, a) for a, b in zip(rc.walk, rc.walk[1:])}
+            on_graph = steps & graph_edges
+            covered |= on_graph
+            flags = checked[id(rc)] = (
+                rc.walk[0] == inst.v_init,
+                rc.walk[-1] == inst.v_init,
+                len(on_graph) == len(steps),
+                rc.length,
             )
-        )
+        reports.append(RobotReport(i, *flags))
     uncovered = tuple(e for e in g.distinct_edges() if e not in covered)
     value = max((rc.length for rc in sol.cycles), default=0)
     budget_ok = None if inst.budget is None else value <= inst.budget

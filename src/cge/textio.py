@@ -20,7 +20,7 @@ Bin-packing instances:
 Solutions:
 
     value <v>
-    robot <i>: <v0> <v1> ... <v0>   # one line per robot
+    robot <i>: <v0> <v1> ... <v0>   # one line per robot, i = 1, 2, ... in order
 
 '#' starts a comment; blank lines are ignored; LF line endings.  Integers
 are ASCII digits with an optional sign: a line holding any other character
@@ -185,32 +185,42 @@ def format_instance(doc: InstanceDocument) -> str:
 
 def format_solution(sol: Solution) -> str:
     lines = [f"value {sol.value}"]
+    rendered: dict[int, str] = {}  # sol.cycles keeps each id alive
     for i, rc in enumerate(sol.cycles, start=1):
-        lines.append(f"robot {i}: " + " ".join(str(v) for v in rc.walk))
+        walk = rendered.get(id(rc))
+        if walk is None:
+            walk = rendered[id(rc)] = " ".join(map(str, rc.walk))
+        lines.append(f"robot {i}: {walk}")
+    del rendered  # the lines hold every walk now; free the copies before joining
     return "\n".join(lines) + "\n"
 
 
 def parse_solution(text: str) -> Solution:
     cycles = []
+    walks: dict[str, RobotCycle] = {}  # walk text after a checked label -> its cycle
     value_seen = False
     for lineno, line in _meaningful_lines(text):
-        parts = line.split()
+        parts = line.split(None, 2)
         if parts[0] == "value":
             if value_seen:
                 raise ParseError(lineno, "repeated 'value'")
-            _int_field(lineno, parts, 1)
+            _int_field(lineno, line.split(), 1)
             value_seen = True
         elif parts[0] == "robot":
-            if len(parts) < 3 or not parts[1].endswith(":"):
-                raise ParseError(lineno, "expected 'robot <i>: v0 v1 ... v0'")
-            try:
-                walk = tuple(int(p) for p in parts[2:])
-            except ValueError:
-                raise ParseError(lineno, "non-integer vertex in walk")
-            try:
-                cycles.append(RobotCycle(walk))
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc))
+            label = f"{len(cycles) + 1}:"  # exactly what format_solution writes
+            if len(parts) < 3 or parts[1] != label:
+                raise ParseError(lineno, f"expected 'robot {label} v0 v1 ... v0'")
+            rc = walks.get(parts[2])
+            if rc is None:
+                try:
+                    walk = tuple(int(p) for p in parts[2].split())
+                except ValueError:
+                    raise ParseError(lineno, "non-integer vertex in walk")
+                try:
+                    rc = walks[parts[2]] = RobotCycle(walk)
+                except ValueError as exc:
+                    raise ParseError(lineno, str(exc))
+            cycles.append(rc)
         else:
             raise ParseError(lineno, f"unknown directive {parts[0]!r}")
     if not value_seen:

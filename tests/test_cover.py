@@ -94,6 +94,85 @@ class TestConnectCover:
             assert len(induced.components(vcp.as_set())) == 1
 
 
+def multi_round_connect(g, vc, v_init):
+    """The multi-round loop `connect_cover` replaced: recompute the components
+    of the current set, add the first outside vertex (in id order) adjacent to
+    two of them, and start over."""
+    current = set(vc.vertices) | {v_init}
+    while True:
+        comps = g.components(current)
+        if len(comps) <= 1:
+            return tuple(sorted(current))
+        comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
+        for v in range(g.n):
+            if v not in current and len({comp_id[w] for w in g.neighbors(v) if w in comp_id}) >= 2:
+                current.add(v)
+                break
+        else:
+            raise NotACover("cannot connect cover: host graph is disconnected")
+
+
+def random_minimal_cover(rng, g):
+    """Drop vertices in random order while the rest still covers every edge;
+    such covers leave many components for the connectors to join."""
+    cover = set(range(g.n))
+    order = list(range(g.n))
+    rng.shuffle(order)
+    for v in order:
+        if all(w in cover for w in g.neighbors(v)):
+            cover.discard(v)
+    return VertexCover(tuple(sorted(cover)))
+
+
+class TestConnectCoverMatchesMultiRound:
+    def check(self, g, vc, v_init):
+        vcp = connect_cover(g, vc, v_init)
+        assert vcp.vertices == multi_round_connect(g, vc, v_init)
+        assert vcp.connected
+
+    def test_seeded_connected_graphs(self):
+        rng = random.Random(8123)
+        for _ in range(300):
+            g = random_connected_graph(rng, n_max=rng.choice((8, 20, 40)), m_max=60)
+            cover = rng.choice((vertex_cover_2approx(g), random_minimal_cover(rng, g)))
+            self.check(g, cover, rng.randrange(g.n))
+
+    def test_sparse_trees(self):
+        rng = random.Random(8124)
+        for _ in range(40):
+            n = rng.randint(50, 150)
+            g = random_connected_graph(rng, n_max=n, m_max=n - 1)
+            self.check(g, random_minimal_cover(rng, g), rng.randrange(g.n))
+
+    def test_covers_padded_with_extra_vertices(self):
+        rng = random.Random(8125)
+        for _ in range(200):
+            g = random_connected_graph(rng, n_max=25, m_max=40)
+            cover = set(random_minimal_cover(rng, g).vertices)
+            cover |= set(rng.sample(range(g.n), rng.randint(1, g.n)))
+            self.check(g, VertexCover(tuple(sorted(cover))), rng.randrange(g.n))
+
+    def test_v_init_outside_the_cover(self):
+        rng = random.Random(8126)
+        checked = 0
+        for _ in range(200):
+            g = random_connected_graph(rng, n_max=25, m_max=40)
+            cover = random_minimal_cover(rng, g)
+            outside = sorted(set(range(g.n)) - set(cover.vertices))
+            if outside:
+                self.check(g, cover, rng.choice(outside))
+                checked += 1
+        assert checked >= 150
+
+    def test_disconnected_host_is_not_connectable(self):
+        g = Multigraph.from_pairs(5, [(0, 1), (1, 2), (3, 4)])
+        for cover in ((1, 3), (0, 2, 3), (1, 4)):
+            with pytest.raises(NotACover):
+                connect_cover(g, VertexCover(cover), 0)
+            with pytest.raises(NotACover):
+                multi_round_connect(g, VertexCover(cover), 0)
+
+
 class TestEquivalenceClasses:
     def test_path_single_class(self):
         eq = equivalence_classes(path3(), VertexCover((1,)))

@@ -62,6 +62,22 @@ SOLUTION_REJECTS = {
     "underscored-vertex": "value 2\nrobot 1: 0 1_0 0\n",
     "arabic-indic-vertex": "value 2\nrobot 1: 0 ١ 0\n",
     "arabic-indic-value": "value ٢\nrobot 1: 0 1 0\n",
+    "non-numeric-label": "value 2\nrobot x: 0 1 0\n",
+    "colon-label": "value 2\nrobot :: 0 1 0\n",
+    "label-with-suffix": "value 2\nrobot 1:x: 0 1 0\n",
+    "repeated-label": "value 2\nrobot 7: 0 1 0\nrobot 7: 0 1 0\n",
+    "label-not-first": "value 2\nrobot 2: 0 1 0\n",
+    "label-skips-a-number": "value 2\nrobot 1: 0 1 0\nrobot 3: 0 1 0\n",
+    "zero-padded-label": "value 2\nrobot 01: 0 1 0\n",
+    "signed-label": "value 2\nrobot +1: 0 1 0\n",
+    "label-without-colon": "value 2\nrobot 1 0 1 0\n",
+    # a bad line repeating a good line's tokens still fails its own checks
+    "same-text-after-colon": "value 2\nrobot 1: 0 1 0\nrobot 2 x: 0 1 0\n",
+    "same-walk-no-label": "value 2\nrobot 1: 0 1 0\nrobot 2 0 1 0\n",
+    "same-walk-repeated-label": "value 2\nrobot 1: 0 1 0\nrobot 1: 0 1 0\n",
+    "same-leading-vertices": "value 2\nrobot 1: 0 1 0\nrobot 2: 0 1 x\n",
+    "open-walk-after-closed": "value 2\nrobot 1: 0 1 0\nrobot 2: 0 1 0 1\n",
+    "label-suffix-then-walk-suffix": "value 2\nrobot 1:x: 0 1 0\nrobot 2: x: 0 1 0\n",
 }
 ILP_REJECTS = {
     "negative-vars": "ilp -1 0\n",
