@@ -98,6 +98,10 @@ def cmd_solve_approx(args) -> int:
 
 
 def cmd_solve_exact(args) -> int:
+    if args.max_budget is not None and args.max_budget < 0:
+        raise ParseError(1, f"--max-budget must be non-negative, got {args.max_budget}")
+    if args.node_limit < 1:
+        raise ParseError(1, f"--node-limit must be positive, got {args.node_limit}")
     inst = _load(args.instance, "cge")
     cfg = SearchConfig(max_budget=args.max_budget, node_limit=args.node_limit)
     if inst.budget is not None:
@@ -108,8 +112,11 @@ def cmd_solve_exact(args) -> int:
         sys.stdout.write("yes\n")
         sys.stdout.write(format_solution(witness))
         return EXIT_OK
-    opt, sol = exact_optimum(inst, cfg)
-    sys.stdout.write(format_solution(sol))
+    found = exact_optimum(inst, cfg)
+    if found is None:
+        sys.stdout.write("no\n")
+        return EXIT_NO
+    sys.stdout.write(format_solution(found[1]))
     return EXIT_OK
 
 
@@ -208,8 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-exact", help="exact search: optimum, or decide if budgeted")
     p.add_argument("instance")
-    p.add_argument("--max-budget", type=int, default=None)
-    p.add_argument("--node-limit", type=int, default=5_000_000)
+    p.add_argument("--max-budget", type=int, default=None,
+                   help="largest budget the optimum search tries; 'no' if none suffices")
+    p.add_argument("--node-limit", type=int, default=5_000_000,
+                   help="search nodes before giving up (exit 3); a node is one expanded "
+                        "walk state or one robot-assignment step")
     p.set_defaults(func=cmd_solve_exact)
 
     p = sub.add_parser("verify", help="check a solution file against an instance")

@@ -182,8 +182,9 @@ class VerificationReport:
     def coverage_ok(self) -> bool:
         return not self.uncovered
 
-    @property
+    @cached_property
     def ok(self) -> bool:
+        """Every check passed; computed once, as `lines()` and callers both read it."""
         return (
             self.robot_count_ok
             and all(r.ok for r in self.robot_reports)

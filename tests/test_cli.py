@@ -92,6 +92,50 @@ class TestCommands:
         assert code == 1
         assert out == "no\n"
 
+    def test_solve_exact_max_budget_below_lower_bound_is_no(self, tmp_path):
+        f = tmp_path / "tri.cge"
+        f.write_text(TRIANGLE)
+        assert run_cli("solve-exact", str(f), "--max-budget", "2") == (1, "no\n")
+        assert run_cli("solve-exact", str(f), "--max-budget", "0") == (1, "no\n")
+
+    def test_solve_exact_every_budget_up_to_max_fails_is_no(self, tmp_path):
+        # lower bound 4, optimum 5: budget 4 is searched and fails
+        f = tmp_path / "tri-leaf.cge"
+        f.write_text("cge 1\nnodes 4\ninit 0\nrobots 1\nedge 0 1\nedge 0 2\nedge 1 2\nedge 2 3\n")
+        assert run_cli("solve-exact", str(f), "--max-budget", "4") == (1, "no\n")
+        code, out = run_cli("solve-exact", str(f), "--max-budget", "5")
+        assert code == 0 and out.startswith("value 5\n")
+        assert run_cli("solve-exact", str(f)) == (code, out)
+
+    def test_solve_exact_node_limit_trip_exits_3(self, tmp_path):
+        f = tmp_path / "tri.cge"
+        f.write_text(TRIANGLE)
+        assert run_cli("solve-exact", str(f), "--node-limit", "1") == (3, "")
+
+    @pytest.mark.parametrize(
+        "flags", [("--max-budget", "-1"), ("--node-limit", "0"), ("--node-limit", "-5")]
+    )
+    def test_solve_exact_bad_search_limits_are_usage_errors(self, tmp_path, flags):
+        f = tmp_path / "tri.cge"
+        f.write_text(TRIANGLE)
+        assert run_cli("solve-exact", str(f), *flags) == (2, "")
+
+    def test_verify_reads_each_robot_report_once(self, tmp_path, monkeypatch):
+        import cge.euler
+
+        calls = []
+        original = cge.euler.RobotReport.ok
+        monkeypatch.setattr(
+            cge.euler.RobotReport, "ok", property(lambda r: calls.append(r) or original.fget(r))
+        )
+        inst = tmp_path / "tri.cge"
+        inst.write_text(TRIANGLE.replace("robots 1\n", "robots 5\n"))
+        sol = tmp_path / "tri.sol"
+        sol.write_text(run_cli("solve-exact", str(inst))[1])
+        code, out = run_cli("verify", str(inst), str(sol))
+        assert code == 0 and out.endswith("result: ok\n")
+        assert sorted(r.index for r in calls) == [0, 1, 2, 3, 4]
+
     def test_verify_roundtrip(self, tmp_path):
         inst = tmp_path / "tri.cge"
         inst.write_text(TRIANGLE)
