@@ -16,9 +16,7 @@ from .euler import (
     RobotCycle,
     Solution,
     VerificationReport,
-    cycle_to_graph,
     find_eulerian_cycle,
-    has_eulerian_cycle,
     verify_solution,
 )
 from .exact import SearchConfig, exact_decide, exact_optimum
@@ -42,9 +40,7 @@ __all__ = [
     "RobotCycle",
     "Solution",
     "VerificationReport",
-    "cycle_to_graph",
     "find_eulerian_cycle",
-    "has_eulerian_cycle",
     "verify_solution",
     "SearchConfig",
     "exact_decide",

@@ -16,11 +16,10 @@ from typing import Iterable
 
 from .errors import NotEulerian, StartNotInGraph
 from .graphs import (
+    Edge,
     EdgeMultiset,
     ExplorationInstance,
-    Multigraph,
-    graph_of_multiset,
-    norm_edge,
+    odd_degree_vertices,
     walk_edges,
 )
 
@@ -49,59 +48,88 @@ class RobotCycle:
         return walk_edges(self.walk)
 
 
-def cycle_to_graph(rc: RobotCycle, n: int | None = None) -> Multigraph:
-    """The multigraph whose edge multiplicities are the walk's traversal counts.
+def _neighbour_lists(edges: EdgeMultiset) -> dict[int, list[tuple[int, Edge]]]:
+    """Ascending neighbour lists of the multiset's support; each entry carries
+    its edge's key.  Counts at or below zero are absent.
 
-    The walk is an Eulerian cycle of the result.
+    Keys must be normalized pairs (u < v): one pass over the sorted keys then
+    appends every vertex's lesser neighbours before its greater ones, each
+    group ascending.
     """
-    if n is None:
-        n = max(rc.walk) + 1
-    return Multigraph.from_counter(n, rc.edge_multiset())
+    adj: dict[int, list[tuple[int, Edge]]] = {}
+    for e in sorted(edges):
+        if edges[e] > 0:
+            a, b = e
+            if not a < b:
+                raise ValueError(f"edge {e} is not a normalized pair")
+            adj.setdefault(a, []).append((b, e))
+            adj.setdefault(b, []).append((a, e))
+    return adj
 
 
-def has_eulerian_cycle(g: Multigraph) -> bool:
-    """True iff the non-isolated part is connected and every degree is even.
+def _walk_faults(
+    edges: EdgeMultiset, adj: dict[int, list[tuple[int, Edge]]], start: int
+) -> list[str]:
+    if not adj:
+        return ["is empty"]
+    faults = []
+    seen = {next(iter(adj))}
+    todo = list(seen)
+    while todo:
+        for w, _ in adj[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    if len(seen) != len(adj):
+        faults.append("is not connected")
+    if start not in adj:
+        faults.append("misses the start vertex")
+    if odd_degree_vertices(edges):
+        faults.append("has an odd degree")
+    return faults
 
-    The empty graph qualifies.
+
+def closed_walk_faults(edges: EdgeMultiset, start: int) -> list[str]:
+    """Why an edge multiset is not one robot's closed walk from `start`.
+
+    A subset of "is empty", "is not connected", "misses the start vertex" and
+    "has an odd degree", in that order; an empty list means the multiset is
+    the traversal count of such a walk.
     """
-    if any(g.degree(v) % 2 for v in range(g.n)):
-        return False
-    return g.is_connected()
+    return _walk_faults(edges, _neighbour_lists(edges), start)
 
 
-def find_eulerian_cycle(g: Multigraph, start: int) -> RobotCycle:
-    """Hierholzer's algorithm with deterministic tie-breaking.
+def find_eulerian_cycle(edges: EdgeMultiset, start: int) -> RobotCycle:
+    """The closed walk from `start` that traverses every edge exactly its count.
 
-    From the current vertex the least-id neighbor with remaining multiplicity
-    is consumed first.  An empty graph yields the trivial walk (start,).
+    Hierholzer's algorithm with deterministic tie-breaking: from the current
+    vertex the least-id neighbor with remaining multiplicity is consumed
+    first.  An empty multiset yields the trivial walk (start,).
     """
-    if not (0 <= start < g.n):
-        raise StartNotInGraph(f"start vertex {start} out of range")
-    if g.num_edges == 0:
+    adj = _neighbour_lists(edges)
+    if not adj:
         return RobotCycle((start,))
-    if g.degree(start) == 0:
-        raise StartNotInGraph(f"start vertex {start} is isolated")
-    if not has_eulerian_cycle(g):
-        raise NotEulerian("graph is not connected with all degrees even")
+    if start not in adj:
+        raise StartNotInGraph(f"start vertex {start} is not on an edge")
+    if _walk_faults(edges, adj, start):
+        raise NotEulerian("edge multiset is not connected with all degrees even")
 
-    remaining = {e: m for e, m in g.edge_items()}
-    nbrs = {v: g.neighbors(v) for v in g.active_vertices()}
-    ptr = {v: 0 for v in nbrs}
-
+    remaining = dict(edges)
+    ptr = dict.fromkeys(adj, 0)
     stack = [start]
     path: list[int] = []
     while stack:
         v = stack[-1]
-        lst = nbrs.get(v, ())
-        i = ptr.get(v, 0)
-        # advance past exhausted neighbors; pointers only move forward because
+        lst = adj[v]
+        i = ptr[v]
+        # advance past exhausted edges; pointers only move forward because
         # multiplicities never grow back
-        while i < len(lst) and remaining.get(norm_edge(v, lst[i]), 0) == 0:
+        while i < len(lst) and not remaining[lst[i][1]]:
             i += 1
         ptr[v] = i
         if i < len(lst):
-            w = lst[i]
-            remaining[norm_edge(v, w)] -= 1
+            w, e = lst[i]
+            remaining[e] -= 1
             stack.append(w)
         else:
             path.append(stack.pop())
@@ -134,13 +162,14 @@ def solution_from_multisets(
     """One robot per multiset, walked as its Eulerian cycle from `start`.
 
     Empty multisets, and robots beyond the given multisets up to k, stay idle
-    at `start`; they share one trivial walk and build no graph.  Robots given
+    at `start`; they share one trivial walk.  Robots given
     the same multiset object share one `RobotCycle`: Hierholzer's walk is a
     function of the multiset and `start` alone, so walking it once per object
     gives every robot the walk it would get on its own.  A memo entry keeps a
     weak reference to its multiset: a multiset freed after its walk (as a
     generator's are) and a later one given the same `id` are told apart,
-    and no multiset outlives its producer's use of it.
+    and no multiset outlives its producer's use of it.  A walk through a
+    vertex outside 0..n-1 raises ValueError.
     """
     idle = RobotCycle((start,))
     walked: dict[int, tuple[weakref.ref, RobotCycle]] = {}
@@ -150,7 +179,9 @@ def solution_from_multisets(
         if entry is None or entry[0]() is not ms:
             rc = idle
             if any(ms.values()):
-                rc = find_eulerian_cycle(graph_of_multiset(n, ms), start)
+                rc = find_eulerian_cycle(ms, start)
+                if min(rc.walk) < 0 or max(rc.walk) >= n:
+                    raise ValueError(f"walk leaves vertices 0..{n - 1}")
             entry = walked[id(ms)] = (weakref.ref(ms), rc)
         cycles.append(entry[1])
     cycles.extend([idle] * (k - len(cycles)))

@@ -31,25 +31,19 @@ class FptContext:
     eq: EquivalenceClasses
     gstar: QuotientGraph
     gbar: ExpandedGraph
-    budget: int
 
     @classmethod
     def build(
-        cls,
-        inst: ExplorationInstance,
-        vcp: VertexCover,
-        budget: int | None = None,
-        max_cover: int = 6,
+        cls, inst: ExplorationInstance, vcp: VertexCover, max_cover: int = 6
     ) -> "FptContext":
         if inst.v_init not in vcp.as_set():
             raise PreconditionViolated("the cover must contain the start vertex")
-        b = budget if budget is not None else inst.budget
-        if b is None:
+        if inst.budget is None:
             raise PreconditionViolated("a budget is required to build the equations")
         eq = equivalence_classes(inst.graph, vcp)
         gstar = build_equivalence_graph(inst.graph, vcp, eq)
         gbar = build_gbar(inst.graph, vcp, eq, max_cover=max_cover)
-        return cls(inst, vcp, eq, gstar, gbar, b)
+        return cls(inst, vcp, eq, gstar, gbar)
 
     @property
     def g(self):
@@ -62,6 +56,10 @@ class FptContext:
     @property
     def k(self) -> int:
         return self.instance.k
+
+    @property
+    def budget(self) -> int:
+        return self.instance.budget
 
     @cached_property
     def cover_set(self) -> frozenset[int]:

@@ -14,14 +14,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..errors import OddDegree, PreconditionViolated
-from ..euler import Solution
+from ..euler import Solution, closed_walk_faults
 from ..graphs import (
     EdgeMultiset,
-    Multigraph,
-    graph_of_multiset,
     multiset_degree,
     multiset_vertices,
     norm_edge,
+    odd_degree_vertices,
     walk_edges,
 )
 from .context import FptContext
@@ -75,7 +74,9 @@ def freeze_multiset(edges: EdgeMultiset) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def extract_cycle_cover(g: Multigraph, vc: set[int] | frozenset[int]) -> list[Cycle]:
+def extract_cycle_cover(
+    edges: EdgeMultiset, vc: set[int] | frozenset[int]
+) -> list[Cycle]:
     """Partition an all-even edge multiset into cycles, few of them non-4.
 
     While more than 2|vc|^2 edges remain, two equal neighbor pairs around
@@ -83,10 +84,10 @@ def extract_cycle_cover(g: Multigraph, vc: set[int] | frozenset[int]) -> list[Cy
     cycle which is removed.  The remainder is peeled into simple cycles, at
     most |vc|^2 of them.  Deterministic: pairs and walks scan ascending ids.
     """
-    for v in range(g.n):
-        if g.degree(v) % 2:
-            raise OddDegree(f"vertex {v} has odd degree")
-    work = g.edge_counter()
+    odd = odd_degree_vertices(edges)
+    if odd:
+        raise OddDegree(f"vertex {odd[0]} has odd degree")
+    work = +Counter(edges)
     limit = 2 * len(vc) ** 2
     cycles: list[Cycle] = []
 
@@ -94,7 +95,7 @@ def extract_cycle_cover(g: Multigraph, vc: set[int] | frozenset[int]) -> list[Cy
         return sum(work.values())
 
     while total() > limit:
-        found = _find_pigeonhole_square(g.n, work, vc)
+        found = _find_pigeonhole_square(work, vc)
         if found is None:
             break  # cannot happen by the counting argument; fall through safely
         cycles.append(canonical_cycle(found, vc))
@@ -102,7 +103,7 @@ def extract_cycle_cover(g: Multigraph, vc: set[int] | frozenset[int]) -> list[Cy
             work[norm_edge(found[i], found[i + 1])] -= 1
 
     while total() > 0:
-        cyc = _peel_simple_cycle(g.n, work)
+        cyc = _peel_simple_cycle(work)
         cycles.append(canonical_cycle(cyc, vc))
         for i in range(len(cyc) - 1):
             work[norm_edge(cyc[i], cyc[i + 1])] -= 1
@@ -110,21 +111,22 @@ def extract_cycle_cover(g: Multigraph, vc: set[int] | frozenset[int]) -> list[Cy
     return sorted(cycles)
 
 
-def _find_pigeonhole_square(n: int, work: EdgeMultiset, vc) -> Cycle | None:
+def _find_pigeonhole_square(work: EdgeMultiset, vc) -> Cycle | None:
     """Two independent vertices sharing an incident neighbor pair close a
     4-cycle (u, v, u', v', u).  Pairs are formed per vertex over the sorted
     incident multiset, consecutively.
     """
+    incident: dict[int, list[int]] = {}
+    for (a, b), m in sorted(work.items()):
+        if m:
+            incident.setdefault(a, []).extend([b] * m)
+            incident.setdefault(b, []).extend([a] * m)
     seen: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for u in range(n):
+    for u, nbrs in sorted(incident.items()):
         if u in vc:
             continue
-        incident: list[int] = []
-        for (a, b), m in sorted(work.items()):
-            if m and (a == u or b == u):
-                incident.extend([a if b == u else b] * m)
-        for i in range(0, len(incident) - 1, 2):
-            v, vp = incident[i], incident[i + 1]
+        for i in range(0, len(nbrs) - 1, 2):
+            v, vp = nbrs[i], nbrs[i + 1]
             key = (v, vp) if v <= vp else (vp, v)
             if key in seen:
                 u0, v0, vp0 = seen[key]
@@ -135,7 +137,7 @@ def _find_pigeonhole_square(n: int, work: EdgeMultiset, vc) -> Cycle | None:
     return None
 
 
-def _peel_simple_cycle(n: int, work: EdgeMultiset) -> Cycle:
+def _peel_simple_cycle(work: EdgeMultiset) -> Cycle:
     """Walk from the lowest active vertex along least available neighbors
     until a vertex repeats; the enclosed portion is a simple cycle.
     """
@@ -175,7 +177,6 @@ def check_valid_pair(
     g = ctx.g
     vc = ctx.cover_set
 
-    graph_cc = graph_of_multiset(g.n, cc)
     per_class: Counter = Counter()
     for v in multiset_vertices(cc):
         if v not in vc:
@@ -190,15 +191,7 @@ def check_valid_pair(
     if any(m > 2 for m in cc.values()):
         problems.append("skeleton edge multiplicity exceeds 2")
 
-    if cc:
-        if not graph_cc.is_connected():
-            problems.append("skeleton is not connected")
-        if graph_cc.degree(ctx.v_init) == 0:
-            problems.append("skeleton misses the start vertex")
-        if any(graph_cc.degree(v) % 2 for v in range(g.n)):
-            problems.append("skeleton has an odd degree")
-    else:
-        problems.append("skeleton is empty")
+    problems.extend(f"skeleton {f}" for f in closed_walk_faults(cc, ctx.v_init))
 
     if (multiset_vertices(cc) & vc) != (multiset_vertices(source) & vc):
         problems.append("skeleton covers different cover vertices than the source")
@@ -228,21 +221,15 @@ def decompose_valid_pair(ctx: FptContext, source: EdgeMultiset) -> ValidPair:
     from the unused edges; the remainder splits into cycles.
     """
     src = +Counter(source)
-    g = ctx.g
     vc = ctx.cover_set
-    graph_src = graph_of_multiset(g.n, src)
-    if not src:
-        raise PreconditionViolated("source multiset is empty")
+    graph_edges = ctx.g.edge_counter()
+    if any(e not in graph_edges for e in src):
+        raise PreconditionViolated("source uses a non-edge")
     if any(m > 2 for m in src.values()):
         raise PreconditionViolated("source multiplicities must be at most 2")
-    if any(e not in g.edge_counter() for e in src):
-        raise PreconditionViolated("source uses a non-edge")
-    if any(graph_src.degree(v) % 2 for v in range(g.n)):
-        raise PreconditionViolated("source has an odd degree")
-    if not graph_src.is_connected():
-        raise PreconditionViolated("source is not connected")
-    if graph_src.degree(ctx.v_init) == 0:
-        raise PreconditionViolated("source misses the start vertex")
+    faults = closed_walk_faults(src, ctx.v_init)
+    if faults:
+        raise PreconditionViolated(f"source {faults[0]}")
 
     h = Counter(src)
 
@@ -262,11 +249,8 @@ def decompose_valid_pair(ctx: FptContext, source: EdgeMultiset) -> ValidPair:
                 seen_nbhd.add(nbhd)
 
     # stage 2: fix odd cover degrees with simple paths from the leftovers
-    def odd_cover_vertices() -> list[int]:
-        return sorted(v for v in vc if multiset_degree(h, v) % 2)
-
     while True:
-        odd = odd_cover_vertices()
+        odd = [v for v in odd_degree_vertices(h) if v in vc]
         if not odd:
             break
         v = odd[0]
@@ -278,7 +262,7 @@ def decompose_valid_pair(ctx: FptContext, source: EdgeMultiset) -> ValidPair:
 
     cc = +h
     remainder = src - cc
-    cycles = extract_cycle_cover(graph_of_multiset(g.n, remainder), vc)
+    cycles = extract_cycle_cover(remainder, vc)
     pair = ValidPair(cc=freeze_multiset(cc), cycles=tuple(sorted(cycles)))
     return pair
 

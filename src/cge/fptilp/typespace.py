@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..errors import NotIndependent, PreconditionViolated, TypeSpaceTooLarge
-from ..graphs import EdgeMultiset, graph_of_multiset, multiset_vertices, relabel_multiset
+from ..euler import closed_walk_faults
+from ..graphs import EdgeMultiset, multiset_vertices, relabel_multiset
 from .context import FptContext
 from .pairs import Cycle, ValidPair, canonical_cycle, freeze_multiset
 
@@ -323,12 +324,8 @@ def _enumerate_skeletons(ctx: FptContext) -> list[EdgeMultiset]:
                     cc[edges[i]] = 1
                 for i in doubles:
                     cc[edges[i]] = 2
-                if not cc:
-                    continue
-                graph = graph_of_multiset(ctx.gbar.graph.n, cc)
-                if graph.degree(ctx.v_init) == 0 or not graph.is_connected():
-                    continue
-                out.append(cc)
+                if not closed_walk_faults(cc, ctx.v_init):
+                    out.append(cc)
     return out
 
 

@@ -58,10 +58,6 @@ class Multigraph:
         cnt: Counter = Counter(norm_edge(u, v) for u, v in pairs)
         return cls(n, cnt)
 
-    @classmethod
-    def from_counter(cls, n: int, edges: EdgeMultiset) -> "Multigraph":
-        return cls(n, {norm_edge(u, v): m for (u, v), m in edges.items() if m})
-
     # -- queries ---------------------------------------------------------
 
     def multiplicity(self, u: int, v: int) -> int:
@@ -96,22 +92,8 @@ class Multigraph:
         """Distinct neighbors in ascending order."""
         return [w for w, _ in self._adj[v]]
 
-    def active_vertices(self) -> list[int]:
-        """Vertices with degree > 0, ascending."""
-        return [v for v in range(self.n) if self._adj[v]]
-
     def is_simple(self) -> bool:
         return all(m == 1 for m in self._edges.values())
-
-    def is_connected(self) -> bool:
-        """Connectivity of the subgraph induced by non-isolated vertices.
-
-        The empty graph (no edges) counts as connected.
-        """
-        active = self.active_vertices()
-        if not active:
-            return True
-        return len(self._component_of(active[0])) == len(active)
 
     def _component_of(self, start: int) -> set[int]:
         seen = {start}
@@ -199,11 +181,6 @@ class Multigraph:
         return f"Multigraph(n={self.n}, edges={dict(sorted(self._edges.items()))})"
 
 
-def graph_of_multiset(n: int, edges: EdgeMultiset) -> Multigraph:
-    """The multigraph spanned by an edge multiset (carrier size n)."""
-    return Multigraph.from_counter(n, edges)
-
-
 def walk_edges(walk) -> EdgeMultiset:
     """Traversal counts of the consecutive steps of a vertex sequence."""
     return Counter(norm_edge(a, b) for a, b in zip(walk, walk[1:]))
@@ -221,6 +198,16 @@ def relabel_multiset(edges: EdgeMultiset, mapping: Mapping[int, int]) -> EdgeMul
 
 def multiset_degree(edges: EdgeMultiset, v: int) -> int:
     return sum(m for (a, b), m in edges.items() if m and (a == v or b == v))
+
+
+def odd_degree_vertices(edges: EdgeMultiset) -> list[int]:
+    """Vertices of odd degree in the multiset, ascending."""
+    deg: Counter = Counter()
+    for (a, b), m in edges.items():
+        if m > 0:
+            deg[a] += m
+            deg[b] += m
+    return sorted(v for v, d in deg.items() if d % 2)
 
 
 def multiset_vertices(edges: EdgeMultiset) -> set[int]:

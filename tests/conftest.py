@@ -110,10 +110,10 @@ def feasibility_conditions_hold(
             return False
         if not support:
             continue
-        sub = Multigraph.from_counter(g.n, ms)
+        sub = Multigraph(g.n, +ms)
         if any(sub.degree(v) % 2 for v in range(g.n)):
             return False
-        if not sub.is_connected():
+        if len(sub.components({v for e in support for v in e})) != 1:
             return False
         if sub.degree(inst.v_init) == 0:
             return False

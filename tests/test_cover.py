@@ -231,7 +231,7 @@ class TestQuotientGraph:
             vcp = connect_cover(g, vertex_cover_2approx(g), 0)
             eq = equivalence_classes(g, vcp)
             res = build_equivalence_graph(g, vcp, eq)
-            active = set(res.graph.active_vertices())
+            active = {v for e in res.graph.distinct_edges() for v in e}
             if res.graph.num_edges:
                 assert active <= (vcp.as_set() | set(res.class_vertex))
             assert res.graph.n == g.n + len(eq)

@@ -9,13 +9,12 @@ from cge.errors import NotEulerian, StartNotInGraph
 from cge.euler import (
     RobotCycle,
     Solution,
-    cycle_to_graph,
+    closed_walk_faults,
     find_eulerian_cycle,
-    has_eulerian_cycle,
     solution_from_multisets,
     verify_solution,
 )
-from cge.graphs import ExplorationInstance, Multigraph
+from cge.graphs import ExplorationInstance, Multigraph, walk_edges
 
 from conftest import random_even_multigraph
 
@@ -26,91 +25,125 @@ def star3_instance(k=1):
 
 
 class TestCycleToGraph:
+    """A walk's traversal counts are the multiset its Eulerian cycle walks."""
+
     def test_double_edge(self):
-        g = cycle_to_graph(RobotCycle((0, 1, 0)))
-        assert g.edge_items() == [((0, 1), 2)]
+        assert RobotCycle((0, 1, 0)).edge_multiset() == Counter({(0, 1): 2})
 
     def test_triangle(self):
-        g = cycle_to_graph(RobotCycle((0, 1, 2, 0)))
-        assert g.edge_items() == [((0, 1), 1), ((0, 2), 1), ((1, 2), 1)]
+        ms = RobotCycle((0, 1, 2, 0)).edge_multiset()
+        assert ms == Counter({(0, 1): 1, (0, 2): 1, (1, 2): 1})
 
     def test_multi_revisit_walk(self):
         # a walk revisiting the start twice: traversal counts are multiplicities
-        g = cycle_to_graph(RobotCycle((0, 1, 2, 0, 2, 1, 0)))
-        assert g.edge_items() == [((0, 1), 2), ((0, 2), 2), ((1, 2), 2)]
+        ms = RobotCycle((0, 1, 2, 0, 2, 1, 0)).edge_multiset()
+        assert ms == Counter({(0, 1): 2, (0, 2): 2, (1, 2): 2})
 
     def test_walk_is_eulerian_in_own_graph(self):
         rc = RobotCycle((0, 3, 1, 0, 2, 1, 3, 0))
-        g = cycle_to_graph(rc)
-        assert has_eulerian_cycle(g)
+        assert closed_walk_faults(rc.edge_multiset(), rc.start) == []
 
 
 class TestHasEulerianCycle:
+    """`closed_walk_faults`: the start, parity and connectivity test on multisets."""
+
     def test_double_edge(self):
-        assert has_eulerian_cycle(Multigraph(2, {(0, 1): 2}))
+        assert closed_walk_faults(Counter({(0, 1): 2}), 1) == []
 
     def test_path_odd_degrees(self):
-        assert not has_eulerian_cycle(Multigraph.from_pairs(3, [(0, 1), (1, 2)]))
+        faults = closed_walk_faults(Counter({(0, 1): 1, (1, 2): 1}), 0)
+        assert faults == ["has an odd degree"]
 
     def test_disjoint_triangles(self):
-        g = Multigraph.from_pairs(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert not has_eulerian_cycle(g)
+        ms = walk_edges((0, 1, 2, 0)) + walk_edges((3, 4, 5, 3))
+        assert closed_walk_faults(ms, 0) == ["is not connected"]
+        faults = closed_walk_faults(ms, 6)
+        assert faults == ["is not connected", "misses the start vertex"]
 
     def test_empty(self):
-        assert has_eulerian_cycle(Multigraph(3))
+        assert closed_walk_faults(Counter({(0, 1): 0}), 0) == ["is empty"]
+
+    def test_every_fault_at_once(self):
+        ms = Counter({(0, 1): 1, (1, 2): 1, (3, 4): 2})
+        assert closed_walk_faults(ms, 5) == [
+            "is not connected",
+            "misses the start vertex",
+            "has an odd degree",
+        ]
 
 
 class TestFindEulerianCycle:
     def test_double_edge(self):
-        g = Multigraph(2, {(0, 1): 2})
-        assert find_eulerian_cycle(g, 0).walk == (0, 1, 0)
+        assert find_eulerian_cycle(Counter({(0, 1): 2}), 0).walk == (0, 1, 0)
 
     def test_triangle_ascending_rule(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
-        assert find_eulerian_cycle(g, 0).walk == (0, 1, 2, 0)
+        ms = Counter({(0, 1): 1, (0, 2): 1, (1, 2): 1})
+        assert find_eulerian_cycle(ms, 0).walk == (0, 1, 2, 0)
 
     def test_empty_graph_trivial_walk(self):
-        assert find_eulerian_cycle(Multigraph(2), 1).walk == (1,)
+        assert find_eulerian_cycle(Counter(), 1).walk == (1,)
 
     def test_rejects_non_eulerian(self):
         with pytest.raises(NotEulerian):
-            find_eulerian_cycle(Multigraph.from_pairs(3, [(0, 1), (1, 2)]), 0)
+            find_eulerian_cycle(Counter({(0, 1): 1, (1, 2): 1}), 0)
 
     def test_rejects_isolated_start(self):
         with pytest.raises(StartNotInGraph):
-            find_eulerian_cycle(Multigraph(3, {(0, 1): 2}), 2)
+            find_eulerian_cycle(Counter({(0, 1): 2}), 2)
+
+    def test_rejects_unnormalized_pair(self):
+        with pytest.raises(ValueError):
+            find_eulerian_cycle(Counter({(1, 0): 2}), 0)
 
     def test_round_trip_on_chorded_cycle(self):
-        g = Multigraph(5, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 0): 1, (0, 2): 2})
-        rc = find_eulerian_cycle(g, 0)
-        assert cycle_to_graph(rc, 5) == g
+        ms = Counter({(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1, (0, 2): 2})
+        rc = find_eulerian_cycle(ms, 0)
+        assert rc.edge_multiset() == ms
 
     def test_corpus_edge_exactness(self):
         rng = random.Random(2024)
         for _ in range(500):
             g = random_even_multigraph(rng)
-            start = g.active_vertices()[0] if g.active_vertices() else 0
-            rc = find_eulerian_cycle(g, start)
+            start = g.distinct_edges()[0][0]
+            rc = find_eulerian_cycle(g.edge_counter(), start)
             assert rc.walk[0] == rc.walk[-1] == start
             assert rc.edge_multiset() == g.edge_counter()
 
-    def test_agrees_with_predicate(self):
+    def test_agrees_with_networkx(self):
+        """Accept/reject equals networkx's Eulerian test plus "start is touched"."""
+        nx = pytest.importorskip("networkx")
         rng = random.Random(77)
-        for _ in range(150):
-            g = random_even_multigraph(rng, n_max=6, total_max=14)
-            # damage half of them by removing one copy of an edge
-            if rng.random() < 0.5 and g.num_edges:
-                e = rng.choice(g.distinct_edges())
-                cnt = g.edge_counter()
-                cnt[e] -= 1
-                g = Multigraph.from_counter(g.n, cnt)
-            start = g.active_vertices()[0] if g.active_vertices() else 0
+        verdicts = Counter()
+        for trial in range(600):
+            ms = random_even_multigraph(rng, n_max=7, total_max=16).edge_counter()
+            # damage every other one: drop one copy of an edge or add a stray one
+            if trial % 2:
+                if rng.random() < 0.5:
+                    ms[rng.choice(sorted(ms))] -= 1
+                    ms = +ms
+                else:
+                    u, v = sorted(rng.sample(range(9), 2))
+                    ms[(u, v)] += rng.randint(1, 2)
+            touched = sorted({v for e in ms for v in e})
+            if touched and rng.random() < 0.8:
+                start = rng.choice(touched)
+            else:
+                start = rng.randrange(9)
+            oracle = nx.MultiGraph()
+            oracle.add_edges_from(e for e, m in ms.items() for _ in range(m))
+            expected = start in oracle and nx.is_eulerian(oracle)
             try:
-                find_eulerian_cycle(g, start)
-                found = True
-            except NotEulerian:
-                found = False
-            assert found == has_eulerian_cycle(g)
+                rc = find_eulerian_cycle(ms, start)
+            except (NotEulerian, StartNotInGraph):
+                assert not expected, (ms, start)
+                verdicts[False] += 1
+                continue
+            if ms:
+                assert expected, (ms, start)
+                assert rc.walk[0] == rc.walk[-1] == start
+                assert rc.edge_multiset() == ms
+                verdicts[True] += 1
+        assert verdicts[True] > 200 and verdicts[False] > 200, verdicts
 
 
 @given(st.lists(st.integers(0, 4), min_size=0, max_size=12))
@@ -123,9 +156,8 @@ def test_round_trip_property(steps):
     if walk[-1] != walk[0]:
         walk.append(walk[0])
     rc = RobotCycle(tuple(walk))
-    g = cycle_to_graph(rc, 6)
-    back = find_eulerian_cycle(g, rc.start)
-    assert cycle_to_graph(back, 6) == g
+    back = find_eulerian_cycle(rc.edge_multiset(), rc.start)
+    assert back.edge_multiset() == rc.edge_multiset()
 
 
 class TestVerify:
@@ -181,3 +213,7 @@ class TestSolutionFromMultisets:
         sol = solution_from_multisets(3, 0, [Counter(), g.edge_counter()], 4)
         assert [rc.walk for rc in sol.cycles] == [(0,), (0, 1, 2, 0), (0,), (0,)]
         assert sol.cycles[0] is sol.cycles[2] is sol.cycles[3]
+
+    def test_vertex_outside_the_graph_is_refused(self):
+        with pytest.raises(ValueError):
+            solution_from_multisets(3, 0, [Counter({(0, 3): 2})], 1)

@@ -31,10 +31,6 @@ class TestMultigraph:
         g = Multigraph.from_pairs(4, [(0, 1)])
         assert g.components({0, 1, 3}) == [[0, 1], [3]]
 
-    def test_connectivity_ignores_isolated(self):
-        g = Multigraph(5, {(1, 2): 2})
-        assert g.is_connected()
-
     def test_induced(self):
         g = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
         sub = g.induced({0, 1, 2})

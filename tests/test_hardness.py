@@ -71,7 +71,7 @@ class TestBinToRob:
         inst = bin_to_rob(BinPackingInstance((3, 2, 1), 3, 2, exact=True))
         g = inst.graph
         assert g.num_edges == g.n - 1  # tree
-        assert g.is_connected()
+        assert g.components() == [list(range(g.n))]
         # three-level elimination: root, centers, leaves
         centers = set(range(1, 4))
         for (u, v) in g.distinct_edges():

@@ -7,6 +7,7 @@ from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
 from cge.errors import OddDegree, PreconditionViolated
 from cge.fptilp import (
     FptContext,
+    ValidPair,
     check_valid_pair,
     cycle_edges,
     decompose_valid_pair,
@@ -23,19 +24,28 @@ def make_ctx(g, v_init, k, budget, cover=None):
     return FptContext.build(inst, vcp)
 
 
+C4_CHORD = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+WALK_PROBLEMS = {
+    "skeleton is empty",
+    "skeleton is not connected",
+    "skeleton misses the start vertex",
+    "skeleton has an odd degree",
+}
+
+
 class TestExtractCycleCover:
     def test_empty(self):
-        assert extract_cycle_cover(Multigraph(3), {0}) == []
+        assert extract_cycle_cover(Counter(), {0}) == []
 
     def test_c4_single_cycle(self):
         g = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        cycles = extract_cycle_cover(g, {0, 2})
+        cycles = extract_cycle_cover(g.edge_counter(), {0, 2})
         assert len(cycles) == 1
         assert cycle_edges(cycles[0]) == g.edge_counter()
 
     def test_rejects_odd_degrees(self):
         with pytest.raises(OddDegree):
-            extract_cycle_cover(Multigraph.from_pairs(3, [(0, 1), (1, 2)]), {1})
+            extract_cycle_cover(Counter({(0, 1): 1, (1, 2): 1}), {1})
 
     def test_pigeonhole_square(self):
         # complete bipartite core {0,1} x {2,3} plus three doubled spokes to
@@ -48,7 +58,7 @@ class TestExtractCycleCover:
             edges[(0, u)] = 2
             edges[(1, u)] = 2
         g = Multigraph(7, edges)
-        cycles = extract_cycle_cover(g, {0, 1})
+        cycles = extract_cycle_cover(g.edge_counter(), {0, 1})
         union = Counter()
         for c in cycles:
             union += cycle_edges(c)
@@ -63,7 +73,7 @@ class TestExtractCycleCover:
         for _ in range(200):
             g = random_even_multigraph(rng, n_max=7, total_max=18)
             vc = set(vertex_cover_2approx(g).vertices)
-            cycles = extract_cycle_cover(g, vc)
+            cycles = extract_cycle_cover(g.edge_counter(), vc)
             union = Counter()
             for c in cycles:
                 union += cycle_edges(c)
@@ -107,10 +117,24 @@ class TestDecompose:
         assert pair.cycles == ((0, 2, 0),)
 
     def test_rejects_disconnected(self):
-        g = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-        ctx = make_ctx(g, 0, 1, 8)
+        ctx = make_ctx(C4_CHORD, 0, 1, 8)
         with pytest.raises(PreconditionViolated):
             decompose_valid_pair(ctx, Counter({(0, 1): 2, (2, 3): 2}))
+
+    @pytest.mark.parametrize(
+        "source, problem",
+        [
+            (Counter({(0, 1): 1, (1, 2): 1}), "has an odd degree"),
+            (Counter({(1, 2): 2}), "misses the start vertex"),
+            (Counter(), "is empty"),
+            (Counter({(1, 3): 2}), "uses a non-edge"),
+        ],
+    )
+    def test_rejects_a_source_that_is_no_robot_walk(self, source, problem):
+        ctx = make_ctx(C4_CHORD, 0, 1, 8)
+        with pytest.raises(PreconditionViolated, match=f"source {problem}"):
+            decompose_valid_pair(ctx, source)
+
 
     def test_random_even_sources(self):
         """Decomposition rebuilds the source exactly on 200 random inputs."""
@@ -123,12 +147,9 @@ class TestDecompose:
             simple_support = Multigraph(
                 g.n, {e: 1 for e in g.distinct_edges()}
             )
-            if not simple_support.is_connected():
+            if len(simple_support.components()) != 1:
                 continue
-            active = simple_support.active_vertices()
-            if len(active) != g.n:
-                continue
-            v_init = active[0]
+            v_init = 0
             vcp = connect_cover(
                 simple_support, vertex_cover_2approx(simple_support), v_init
             )
@@ -140,3 +161,19 @@ class TestDecompose:
                 check_valid_pair(ctx, pair, source), source
             )
             done += 1
+
+
+class TestCheckValidPair:
+    @pytest.mark.parametrize(
+        "cc, problem",
+        [
+            ((), "skeleton is empty"),
+            (((0, 1), (0, 1), (2, 3), (2, 3)), "skeleton is not connected"),
+            (((1, 2), (1, 2)), "skeleton misses the start vertex"),
+            (((0, 1), (1, 2)), "skeleton has an odd degree"),
+        ],
+    )
+    def test_reports_a_skeleton_that_is_no_robot_walk(self, cc, problem):
+        ctx = make_ctx(C4_CHORD, 0, 1, 8)
+        problems = check_valid_pair(ctx, ValidPair(cc=cc, cycles=()), Counter(cc))
+        assert [p for p in problems if p in WALK_PROBLEMS] == [problem]
