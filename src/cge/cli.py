@@ -3,6 +3,10 @@
 Commands read instance files, run the requested computation, and print
 deterministic text.  Exit codes: 0 ok/yes, 1 no/violation, 2 usage or parse
 error, 3 resource guard tripped (search or type-space limits).
+
+`COMMANDS` describes each subcommand once, and a call builds only the parser
+of the subcommand it names; `tests/test_cli_usage.py` pins the help and usage
+bytes to those of the full eight-subcommand parser.
 """
 
 from __future__ import annotations
@@ -201,69 +205,84 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+# name -> (help, handler, argument specs); the one description of each command.
+COMMANDS = {
+    "solve-approx": ("additive-approximation solver", cmd_solve_approx, (
+        _arg("instance"),
+        _arg("--vc", help="comma-separated cover vertices (default: 2-approx)"),
+    )),
+    "solve-exact": ("exact search: optimum, or decide if budgeted", cmd_solve_exact, (
+        _arg("instance"),
+        _arg("--max-budget", type=int, default=None,
+             help="largest budget the optimum search tries; 'no' if none suffices"),
+        _arg("--node-limit", type=int, default=5_000_000,
+             help="search nodes before giving up (exit 3); a node is one expanded "
+                  "walk state or one robot-assignment step"),
+    )),
+    "verify": ("check a solution file against an instance", cmd_verify, (
+        _arg("instance"),
+        _arg("solution"),
+    )),
+    "reduce-bin": ("bin packing reductions", cmd_reduce_bin, (
+        _arg("instance"),
+        _arg("--to-exact", action="store_true"),
+        _arg("--to-cge", action="store_true"),
+    )),
+    "build-ilp": ("compile the instance to equation-system text", cmd_build_ilp, (
+        _arg("instance"),
+        _arg("-o", "--output", required=True),
+        _arg("--vc"),
+    )),
+    "derive-witness": ("count types of a solution into an assignment", cmd_derive_witness, (
+        _arg("instance"),
+        _arg("solution"),
+        _arg("-o", "--output", required=True),
+        _arg("--vc"),
+    )),
+    "check-witness": ("evaluate an assignment against exported equations", cmd_check_witness, (
+        _arg("ilp"),
+        _arg("assignment"),
+    )),
+    "reconstruct": ("rebuild robot walks from a satisfying assignment", cmd_reconstruct, (
+        _arg("ilp"),
+        _arg("assignment"),
+        _arg("instance"),
+        _arg("--vc"),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `cge` parser: the top level plus the subparser of `command` alone
+    when it names one, else plus all of them.  A one-subparser parser still
+    shows every command name in its usage line, so its errors read the same;
+    the full parser leaves the metavar unset, since argparse words "required"
+    and "invalid choice" errors by it."""
     parser = argparse.ArgumentParser(
         prog="cge",
         description="Solvers, verifiers and reductions for collective graph exploration.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve-approx", help="additive-approximation solver")
-    p.add_argument("instance")
-    p.add_argument("--vc", help="comma-separated cover vertices (default: 2-approx)")
-    p.set_defaults(func=cmd_solve_approx)
-
-    p = sub.add_parser("solve-exact", help="exact search: optimum, or decide if budgeted")
-    p.add_argument("instance")
-    p.add_argument("--max-budget", type=int, default=None,
-                   help="largest budget the optimum search tries; 'no' if none suffices")
-    p.add_argument("--node-limit", type=int, default=5_000_000,
-                   help="search nodes before giving up (exit 3); a node is one expanded "
-                        "walk state or one robot-assignment step")
-    p.set_defaults(func=cmd_solve_exact)
-
-    p = sub.add_parser("verify", help="check a solution file against an instance")
-    p.add_argument("instance")
-    p.add_argument("solution")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("reduce-bin", help="bin packing reductions")
-    p.add_argument("instance")
-    p.add_argument("--to-exact", action="store_true")
-    p.add_argument("--to-cge", action="store_true")
-    p.set_defaults(func=cmd_reduce_bin)
-
-    p = sub.add_parser("build-ilp", help="compile the instance to equation-system text")
-    p.add_argument("instance")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--vc")
-    p.set_defaults(func=cmd_build_ilp)
-
-    p = sub.add_parser("derive-witness", help="count types of a solution into an assignment")
-    p.add_argument("instance")
-    p.add_argument("solution")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--vc")
-    p.set_defaults(func=cmd_derive_witness)
-
-    p = sub.add_parser("check-witness", help="evaluate an assignment against exported equations")
-    p.add_argument("ilp")
-    p.add_argument("assignment")
-    p.set_defaults(func=cmd_check_witness)
-
-    p = sub.add_parser("reconstruct", help="rebuild robot walks from a satisfying assignment")
-    p.add_argument("ilp")
-    p.add_argument("assignment")
-    p.add_argument("instance")
-    p.add_argument("--vc")
-    p.set_defaults(func=cmd_reconstruct)
-
+    one = command in COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if one else None,
+    )
+    for name in (command,) if one else COMMANDS:
+        help_text, func, specs = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in specs:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
