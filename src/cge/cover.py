@@ -31,9 +31,6 @@ class VertexCover:
     vertices: tuple[int, ...]
     connected: bool = False
 
-    def __contains__(self, v: int) -> bool:
-        return v in set(self.vertices)
-
     def __len__(self) -> int:
         return len(self.vertices)
 

@@ -90,23 +90,23 @@ def extract_cycle_cover(
     work = +Counter(edges)
     limit = 2 * len(vc) ** 2
     cycles: list[Cycle] = []
+    left = sum(work.values())  # edges not yet in a cycle
 
-    def total() -> int:
-        return sum(work.values())
-
-    while total() > limit:
+    while left > limit:
         found = _find_pigeonhole_square(work, vc)
         if found is None:
             break  # cannot happen by the counting argument; fall through safely
         cycles.append(canonical_cycle(found, vc))
         for i in range(4):
             work[norm_edge(found[i], found[i + 1])] -= 1
+        left -= 4
 
-    while total() > 0:
+    while left > 0:
         cyc = _peel_simple_cycle(work)
         cycles.append(canonical_cycle(cyc, vc))
         for i in range(len(cyc) - 1):
             work[norm_edge(cyc[i], cyc[i + 1])] -= 1
+        left -= len(cyc) - 1
 
     return sorted(cycles)
 

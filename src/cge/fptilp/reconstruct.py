@@ -1,15 +1,20 @@
 """Rebuilding robot edge multisets from a satisfying assignment.
 
 Every step that the existence proofs leave arbitrary is fixed to ascending
-canonical order: class members take vertex types in canonical type order,
-robots take robot types likewise, allocation tokens are consumed round-robin
-so every populated vertex receives at least one, and length-4 cycles spread
-over same-type robots with counts differing by at most one.
+canonical order: class members take vertex types in canonical type order and
+robots take robot types likewise.  Each (vertex type, neighbor multiset) has
+one cursor over the members of that type, ascending (the whole class when the
+type has none), which hands them out round-robin so every populated vertex
+receives at least one of each multiset it expects.  Cycle instances draw
+first, by (cycle type, instance), then robot skeletons by robot; inside a
+skeleton or cycle, slots draw in ascending copy or position order.  Length-4
+cycles spread over same-type robots with counts differing by at most one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 
 from ..errors import InfeasibleAllocation
 from ..graphs import EdgeMultiset, relabel_multiset, walk_edges
@@ -17,21 +22,21 @@ from .context import FptContext
 from .system import IlpAssignment, IlpSystem, check_assignment, type_counts
 from .typespace import (
     CycleType,
+    NeiSub,
     RobotType,
     TypeSpace,
     VertexType,
     copy_neighborhoods,
-    cycle_alloc_counts,
-    robot_alloc_counts,
+    cycle_slots,
 )
 
-Token = tuple  # ("rob", robot, t) or ("cyc", cycle type index, instance, t)
 
-
-def _vertex_types_per_member(
+def _members_by_type(
     ctx: FptContext, types: TypeSpace, ver_counts: list[int]
-) -> dict[int, VertexType]:
-    chosen: dict[int, VertexType] = {}
+) -> dict[VertexType, list[int]]:
+    """The class members of every vertex type, ascending: inside a class the
+    members take the types in canonical order."""
+    by_type: dict[VertexType, list[int]] = {}
     for cls_idx, cls in enumerate(ctx.eq.classes):
         pool: list[VertexType] = []
         for vt, count in zip(types.vertex_types, ver_counts):
@@ -42,8 +47,8 @@ def _vertex_types_per_member(
                 f"class {cls_idx}: {len(pool)} vertex types for {len(cls.members)} members"
             )
         for member, vt in zip(cls.members, pool):
-            chosen[member] = vt
-    return chosen
+            by_type.setdefault(vt, []).append(member)
+    return by_type
 
 
 def _robot_types_per_robot(
@@ -58,124 +63,47 @@ def _robot_types_per_robot(
     return pool
 
 
-def _token_pools(
-    ctx: FptContext,
-    types: TypeSpace,
-    cyc_counts: list[int],
-    robot_of: list[int],
-) -> dict[tuple[VertexType, tuple], list[Token]]:
-    """All allocation tokens per (vertex type, neighbor multiset).
+def _member_cursors(
+    ctx: FptContext, by_type: dict[VertexType, list[int]]
+) -> Callable[[VertexType, NeiSub], int]:
+    """`pick(vt, ns)` hands out the members of type vt round-robin, one
+    cursor per (vt, ns)."""
+    turns: Counter = Counter()
 
-    A robot allocating a multiset r times contributes tokens (rob, i, 1..r);
-    instance j of a cycle type allocating it r times contributes
-    (cyc, index, j, 1..r).  Robot tokens come first, each group in ascending
-    order.
-    """
-    pools: dict[tuple[VertexType, tuple], list[Token]] = {}
-    for i, ri in enumerate(robot_of):
-        for key, r in sorted(robot_alloc_counts(ctx, types.robot_types[ri]).items()):
-            for t in range(1, r + 1):
-                pools.setdefault(key, []).append(("rob", i, t))
-    for ci, (ct, count) in enumerate(zip(types.cycle_types, cyc_counts)):
-        if not count:
-            continue
-        for key, r in sorted(cycle_alloc_counts(ct).items()):
-            for j in range(1, count + 1):
-                for t in range(1, r + 1):
-                    pools.setdefault(key, []).append(("cyc", ci, j, t))
-    return pools
+    def pick(vt: VertexType, ns: NeiSub) -> int:
+        population = by_type.get(vt) or ctx.eq.classes[vt.class_id].members
+        q = turns[(vt, ns)]
+        turns[(vt, ns)] = q + 1
+        return population[q % len(population)]
 
-
-def _sub_alloc(
-    ctx: FptContext,
-    member_type: dict[int, VertexType],
-    pools: dict[tuple[VertexType, tuple], list[Token]],
-) -> dict[tuple[VertexType, tuple], dict[Token, int]]:
-    """Assign every token a target vertex, round-robin over the population of
-    the vertex type so each populated vertex gets one of every multiset it
-    expects; empty populations fall back to the whole class.
-    """
-    by_type: dict[VertexType, list[int]] = {}
-    for member in sorted(member_type):
-        by_type.setdefault(member_type[member], []).append(member)
-    out: dict[tuple[VertexType, tuple], dict[Token, int]] = {}
-    for (vt, ns), tokens in sorted(pools.items()):
-        targets = by_type.get(vt) or list(ctx.eq.classes[vt.class_id].members)
-        mapping: dict[Token, int] = {}
-        for q, token in enumerate(sorted(tokens)):
-            mapping[token] = targets[q % len(targets)]
-        out[(vt, ns)] = mapping
-    return out
+    return pick
 
 
 def _transform_skeleton(
-    ctx: FptContext,
-    i: int,
-    rt: RobotType,
-    sub_alloc,
+    ctx: FptContext, rt: RobotType, pick: Callable[[VertexType, NeiSub], int]
 ) -> EdgeMultiset:
-    """Replace every class copy of the skeleton by its allocated vertex."""
+    """Replace every class copy of the skeleton by a member of its type."""
     cc = rt.cc_counter()
     nbhds = copy_neighborhoods(ctx, cc)
-    alloc_of = dict(rt.alloc)
-    groups: dict[tuple[VertexType, tuple], list[int]] = {}
-    for copy in sorted(nbhds):
-        vt = alloc_of[copy]
-        groups.setdefault((vt, nbhds[copy]), []).append(copy)
-    replace: dict[int, int] = {}
-    for key, copies in groups.items():
-        mapping = sub_alloc.get(key)
-        if mapping is None:
-            raise InfeasibleAllocation(f"no tokens for {key}")
-        for t, copy in enumerate(sorted(copies), start=1):
-            token = ("rob", i, t)
-            if token not in mapping:
-                raise InfeasibleAllocation(f"token {token} missing for {key}")
-            replace[copy] = mapping[token]
+    replace = {copy: pick(vt, nbhds[copy]) for copy, vt in rt.alloc}
     return relabel_multiset(cc, replace)
 
 
 def _transform_cycle(
-    ctx: FptContext,
-    ci: int,
-    ct: CycleType,
-    j: int,
-    sub_alloc,
+    ctx: FptContext, ct: CycleType, pick: Callable[[VertexType, NeiSub], int]
 ) -> EdgeMultiset:
-    """Replace every class vertex of a cycle instance by its allocated vertex."""
-    cyc = ct.cycle
-    positions = [
-        pos
-        for pos in range(1, len(cyc) - 1)
-        if cyc[pos] in ctx.class_of_star_vertex
-    ]
-    # expand the stored multiset allocation to positions: inside each
-    # (class, pair) group positions take types in canonical order
-    per_group_types: dict[tuple[int, tuple], list[VertexType]] = {}
-    for ns, vt in sorted(ct.pa_alloc):
-        per_group_types.setdefault((vt.class_id, ns), []).append(vt)
-    group_pos: dict[tuple[int, tuple], list[int]] = {}
-    for pos in positions:
-        cls = ctx.class_of_star_vertex[cyc[pos]]
-        ns = tuple(sorted((cyc[pos - 1], cyc[pos + 1])))
-        group_pos.setdefault((cls, ns), []).append(pos)
-    replace_at: dict[int, int] = {}
-    for key, poss in sorted(group_pos.items()):
-        vts = per_group_types.get(key, [])
-        if len(vts) != len(poss):
+    """Replace every class vertex of a cycle instance by a member of its type."""
+    # inside each (class, pair) group the positions take types in canonical order
+    group_types: dict[tuple[int, NeiSub], list[VertexType]] = {}
+    for ns, vt in ct.pa_alloc:
+        group_types.setdefault((vt.class_id, ns), []).append(vt)
+    walk = list(ct.cycle)
+    for key, positions in sorted(cycle_slots(ctx, ct.cycle).items()):
+        vts = group_types.get(key, [])
+        if len(vts) != len(positions):
             raise InfeasibleAllocation(f"allocation arity mismatch at {key}")
-        t_counter: Counter = Counter()
-        for pos, vt in zip(sorted(poss), vts):
-            ns = key[1]
-            t_counter[(vt, ns)] += 1
-            token = ("cyc", ci, j, t_counter[(vt, ns)])
-            mapping = sub_alloc.get((vt, ns))
-            if mapping is None or token not in mapping:
-                raise InfeasibleAllocation(f"token {token} missing for {(vt, ns)}")
-            replace_at[pos] = mapping[token]
-    walk = list(cyc)
-    for pos, vertex in replace_at.items():
-        walk[pos] = vertex
+        for pos, vt in zip(positions, vts):
+            walk[pos] = pick(vt, key[1])
     return walk_edges(walk)
 
 
@@ -239,16 +167,11 @@ def reconstruct_solution(
     if not ok:
         raise InfeasibleAllocation(f"assignment violates constraints {violated}")
     ver_counts, rob_counts, cyc_counts = type_counts(types, assignment)
-    member_type = _vertex_types_per_member(ctx, types, ver_counts)
+    pick = _member_cursors(ctx, _members_by_type(ctx, types, ver_counts))
     robot_of = _robot_types_per_robot(ctx, rob_counts)
-    pools = _token_pools(ctx, types, cyc_counts, robot_of)
-    sub_alloc = _sub_alloc(ctx, member_type, pools)
-
-    multisets = [
-        _transform_skeleton(ctx, i, types.robot_types[ri], sub_alloc)
-        for i, ri in enumerate(robot_of)
-    ]
     cycle_owner = _allocate_cycles_to_robots(ctx, types, cyc_counts, robot_of)
+    # cycle instances draw members before the skeletons do
+    cycles: list[tuple[int, EdgeMultiset]] = []
     for ci, ct in enumerate(types.cycle_types):
         for inst in range(1, cyc_counts[ci] + 1):
             owner = cycle_owner.get((ci, inst))
@@ -256,5 +179,10 @@ def reconstruct_solution(
                 raise InfeasibleAllocation(
                     f"cycle instance {(ci, inst)} was never allocated"
                 )
-            multisets[owner] += _transform_cycle(ctx, ci, ct, inst, sub_alloc)
+            cycles.append((owner, _transform_cycle(ctx, ct, pick)))
+    multisets = [
+        _transform_skeleton(ctx, types.robot_types[ri], pick) for ri in robot_of
+    ]
+    for owner, edges in cycles:
+        multisets[owner] += edges
     return multisets

@@ -105,23 +105,25 @@ def cycle_alloc_counts(ct: CycleType) -> Counter:
     return Counter((vt, ns) for ns, vt in ct.pa_alloc)
 
 
-def _sorted_group_alloc(
-    entries: list[tuple[int, NeiSub, int, VertexType]]
-) -> tuple[tuple[int, VertexType], ...]:
-    """Normalize an allocation: inside each (class, neighborhood) group the
-    assigned types are sorted and re-attached to the copies in ascending id.
-    Swapping copies with identical neighborhoods leaves the skeleton
-    unchanged, so this quotient is sound.
-    """
-    groups: dict[tuple[int, NeiSub], list[tuple[int, VertexType]]] = {}
-    for copy, nbhd, cls, vt in entries:
-        groups.setdefault((cls, nbhd), []).append((copy, vt))
-    alloc: list[tuple[int, VertexType]] = []
-    for (_, _), members in groups.items():
-        copies = sorted(c for c, _ in members)
-        types = sorted((vt for _, vt in members))
-        alloc.extend(zip(copies, types))
-    return tuple(sorted(alloc))
+def skeleton_slots(
+    ctx: FptContext, cc: EdgeMultiset
+) -> dict[tuple[int, NeiSub], list[int]]:
+    """(class, neighbor multiset) -> the skeleton's class copies, ascending."""
+    slots: dict[tuple[int, NeiSub], list[int]] = {}
+    for copy, nbhd in sorted(copy_neighborhoods(ctx, cc).items()):
+        slots.setdefault((ctx.class_of_copy[copy], nbhd), []).append(copy)
+    return slots
+
+
+def cycle_slots(ctx: FptContext, cycle: Cycle) -> dict[tuple[int, NeiSub], list[int]]:
+    """(class, neighbor pair) -> the quotient cycle's class positions, ascending."""
+    slots: dict[tuple[int, NeiSub], list[int]] = {}
+    for pos in range(1, len(cycle) - 1):
+        cls = ctx.class_of_star_vertex.get(cycle[pos])
+        if cls is not None:
+            ns = tuple(sorted((cycle[pos - 1], cycle[pos + 1])))
+            slots.setdefault((cls, ns), []).append(pos)
+    return slots
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +187,15 @@ def derive_robot_type(
 ) -> RobotType:
     pair = pairs[i]
     cc_bar, mapping = relabel_skeleton(ctx, pair.cc_counter())
-    nbhds = copy_neighborhoods(ctx, cc_bar)
-    entries = []
-    for member, copy in mapping.items():
-        vt = derive_vertex_type(ctx, member, pairs)
-        entries.append((copy, nbhds[copy], ctx.class_of[member], vt))
-    alloc = _sorted_group_alloc(entries)
+    type_of = {
+        copy: derive_vertex_type(ctx, member, pairs) for member, copy in mapping.items()
+    }
+    # copies of one slot group are interchangeable: their types are sorted
+    alloc = tuple(sorted(
+        slot
+        for copies in skeleton_slots(ctx, cc_bar).values()
+        for slot in zip(copies, sorted(type_of[c] for c in copies))
+    ))
     counts = Counter(len(cyc) - 1 for cyc in pair.cycles)
     num_of_cyc = tuple(counts.get(j, 0) for j in ctx.cycle_length_slots)
     return RobotType(cc=freeze_multiset(cc_bar), alloc=alloc, num_of_cyc=num_of_cyc)
@@ -388,10 +393,7 @@ def _enumerate_robot_types(
         spare = ctx.budget - len(cc_frozen)
         if spare < 0:
             continue
-        groups: dict[tuple[int, NeiSub], list[int]] = {}
-        for copy, nbhd in sorted(copy_neighborhoods(ctx, cc).items()):
-            groups.setdefault((ctx.class_of_copy[copy], nbhd), []).append(copy)
-        allocs = _allocations(groups, vertex_types)
+        allocs = _allocations(skeleton_slots(ctx, cc), vertex_types)
         vectors = _num_of_cyc_vectors(ctx, spare)
         for alloc in allocs:
             for vec in vectors:
@@ -446,17 +448,6 @@ def _enumerate_quotient_cycles(ctx: FptContext) -> list[Cycle]:
     return sorted(found)
 
 
-def _pa_groups(ctx: FptContext, cycle: Cycle) -> dict[tuple[int, NeiSub], list[NeiSub]]:
-    """(class, neighbor pair) -> one slot per class-vertex position of the cycle."""
-    groups: dict[tuple[int, NeiSub], list[NeiSub]] = {}
-    for pos in range(1, len(cycle) - 1):
-        cls = ctx.class_of_star_vertex.get(cycle[pos])
-        if cls is not None:
-            ns = tuple(sorted((cycle[pos - 1], cycle[pos + 1])))
-            groups.setdefault((cls, ns), []).append(ns)
-    return groups
-
-
 def _enumerate_cycle_types(
     ctx: FptContext,
     robot_types: list[RobotType],
@@ -470,7 +461,11 @@ def _enumerate_cycle_types(
     for cycle in _enumerate_quotient_cycles(ctx):
         cyc_cover = set(cycle) & ctx.cover_set
         hosts = [ri for ri, cover in enumerate(rob_cover) if cover & cyc_cover]
-        for pa in sorted(_allocations(_pa_groups(ctx, cycle), vertex_types)):
+        # every position of a slot group is labelled with its neighbor pair
+        labels = {
+            key: [key[1]] * len(poss) for key, poss in cycle_slots(ctx, cycle).items()
+        }
+        for pa in sorted(_allocations(labels, vertex_types)):
             for ri in hosts:
                 out.append(CycleType(cycle=cycle, pa_alloc=pa, host=ri))
                 if len(out) > max_types:

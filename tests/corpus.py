@@ -8,11 +8,19 @@ of length 4 and up already need three cover vertices to stay connected.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from cge.cover import connect_cover, vertex_cover_2approx
+from cge.fptilp import FptContext, build_ilp_system, enumerate_type_space
 from cge.graphs import ExplorationInstance, Multigraph
+
+CORPUS = Path(__file__).parent / "data" / "corpus"
+# guard-* files trip the type-space guard by design: no system to solve
+BUILDABLE = sorted(
+    p for p in CORPUS.glob("*.cge") if not p.name.startswith("guard-")
+)
 
 
 def _inst(n, edges, v_init, k):
@@ -82,6 +90,12 @@ def corpus_instances() -> list[tuple[str, ExplorationInstance]]:
 
 def corpus_cover(inst: ExplorationInstance):
     return connect_cover(inst.graph, vertex_cover_2approx(inst.graph), inst.v_init)
+
+
+def budgeted_system(inst, vcp, budget):
+    ctx = FptContext.build(inst.with_budget(budget), vcp)
+    types = enumerate_type_space(ctx)
+    return ctx, types, build_ilp_system(ctx, types)
 
 
 def random_instances(seed, count):

@@ -9,8 +9,6 @@ Needs scipy (HiGHS); skipped without it, since the toolkit itself is
 stdlib-only.
 """
 
-from pathlib import Path
-
 import pytest
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
@@ -20,22 +18,15 @@ from scipy.sparse import csr_array  # noqa: E402
 from cge.cover import VertexCover  # noqa: E402
 from cge.euler import solution_from_multisets, verify_solution  # noqa: E402
 from cge.exact import exact_optimum  # noqa: E402
-from cge.fptilp import (  # noqa: E402
-    FptContext,
-    IlpAssignment,
-    build_ilp_system,
-    enumerate_type_space,
-    reconstruct_solution,
-)
+from cge.fptilp import IlpAssignment, reconstruct_solution  # noqa: E402
 from cge.graphs import ExplorationInstance, Multigraph  # noqa: E402
 from cge.textio import parse_instance  # noqa: E402
 
-from corpus import corpus_cover, random_instances  # noqa: E402
-
-CORPUS = Path(__file__).parent / "data" / "corpus"
-# guard-* files trip the type-space guard by design: no system to solve
-BUILDABLE = sorted(
-    p for p in CORPUS.glob("*.cge") if not p.name.startswith("guard-")
+from corpus import (  # noqa: E402
+    BUILDABLE,
+    budgeted_system,
+    corpus_cover,
+    random_instances,
 )
 
 BOUNDS = {"=": lambda rhs: (rhs, rhs), "<=": lambda rhs: (-np.inf, rhs),
@@ -67,12 +58,6 @@ def solve(system):
     if result.status == 2:
         return None
     return [int(round(x)) for x in result.x]
-
-
-def budgeted_system(inst, vcp, budget):
-    ctx = FptContext.build(inst.with_budget(budget), vcp)
-    types = enumerate_type_space(ctx)
-    return ctx, types, build_ilp_system(ctx, types)
 
 
 def assert_tight(inst, vcp):

@@ -10,6 +10,7 @@ from cge.exact import exact_optimum
 from cge.fptilp import (
     FptContext,
     IlpAssignment,
+    IlpSystem,
     build_ilp_system,
     check_assignment,
     enumerate_type_space,
@@ -17,10 +18,28 @@ from cge.fptilp import (
     solution_pairs,
     witness_from_solution,
 )
+from cge.fptilp.reconstruct import _allocate_cycles_to_robots
 from cge.fptilp.system import type_counts
-from cge.graphs import ExplorationInstance, Multigraph
+from cge.fptilp.typespace import (
+    CycleType,
+    RobotType,
+    TypeSpace,
+    VertexType,
+    copy_neighborhoods,
+    cycle_alloc_counts,
+    robot_alloc_counts,
+)
+from cge.graphs import (
+    EdgeMultiset,
+    ExplorationInstance,
+    Multigraph,
+    relabel_multiset,
+    walk_edges,
+)
+from cge.textio import parse_instance
 
 from conftest import feasibility_conditions_hold, random_connected_graph
+from corpus import BUILDABLE, budgeted_system, corpus_cover, random_instances
 
 
 def pipeline(g, v_init, k, budget, cover=None):
@@ -80,8 +99,6 @@ class TestReconstruct:
         ct = types.cycle_types[chosen_cyc]
         assignment = IlpAssignment(tuple(values.items()))
         owners = Counter()
-        from cge.fptilp.reconstruct import _allocate_cycles_to_robots
-
         robot_of = [chosen_rob, chosen_rob]
         alloc = _allocate_cycles_to_robots(
             ctx, types, type_counts(types, assignment)[2], robot_of
@@ -155,3 +172,267 @@ class TestReconstruct:
             assert report.ok
             assert report.value <= opt
             done += 1
+
+
+# ---------------------------------------------------------------------------
+# reconstruct_solution against the token-based reference
+#
+# The functions from `Token` down to `reference_reconstruct_solution` are the
+# reconstruction exactly as it was written before the member cursors: every
+# allocated slot became a tuple token, the tokens of one (vertex type,
+# neighbor multiset) were pooled and sorted ("cyc" before "rob"), and the
+# q-th token took the q-th member round-robin.  The cursors must rebuild the
+# same multisets, robot for robot.
+
+Token = tuple  # ("rob", robot, t) or ("cyc", cycle type index, instance, t)
+
+
+def _vertex_types_per_member(
+    ctx: FptContext, types: TypeSpace, ver_counts: list[int]
+) -> dict[int, VertexType]:
+    chosen: dict[int, VertexType] = {}
+    for cls_idx, cls in enumerate(ctx.eq.classes):
+        pool: list[VertexType] = []
+        for vt, count in zip(types.vertex_types, ver_counts):
+            if vt.class_id == cls_idx:
+                pool.extend([vt] * count)
+        if len(pool) != len(cls.members):
+            raise InfeasibleAllocation(
+                f"class {cls_idx}: {len(pool)} vertex types for {len(cls.members)} members"
+            )
+        for member, vt in zip(cls.members, pool):
+            chosen[member] = vt
+    return chosen
+
+
+def _robot_types_per_robot(
+    ctx: FptContext, rob_counts: list[int]
+) -> list[int]:
+    """The robot type index of every robot, in ascending type order."""
+    pool: list[int] = []
+    for ri, count in enumerate(rob_counts):
+        pool.extend([ri] * count)
+    if len(pool) != ctx.k:
+        raise InfeasibleAllocation(f"{len(pool)} robot types for {ctx.k} robots")
+    return pool
+
+
+def _token_pools(
+    ctx: FptContext,
+    types: TypeSpace,
+    cyc_counts: list[int],
+    robot_of: list[int],
+) -> dict[tuple[VertexType, tuple], list[Token]]:
+    """All allocation tokens per (vertex type, neighbor multiset).
+
+    A robot allocating a multiset r times contributes tokens (rob, i, 1..r);
+    instance j of a cycle type allocating it r times contributes
+    (cyc, index, j, 1..r).  Robot tokens come first, each group in ascending
+    order.
+    """
+    pools: dict[tuple[VertexType, tuple], list[Token]] = {}
+    for i, ri in enumerate(robot_of):
+        for key, r in sorted(robot_alloc_counts(ctx, types.robot_types[ri]).items()):
+            for t in range(1, r + 1):
+                pools.setdefault(key, []).append(("rob", i, t))
+    for ci, (ct, count) in enumerate(zip(types.cycle_types, cyc_counts)):
+        if not count:
+            continue
+        for key, r in sorted(cycle_alloc_counts(ct).items()):
+            for j in range(1, count + 1):
+                for t in range(1, r + 1):
+                    pools.setdefault(key, []).append(("cyc", ci, j, t))
+    return pools
+
+
+def _sub_alloc(
+    ctx: FptContext,
+    member_type: dict[int, VertexType],
+    pools: dict[tuple[VertexType, tuple], list[Token]],
+) -> dict[tuple[VertexType, tuple], dict[Token, int]]:
+    """Assign every token a target vertex, round-robin over the population of
+    the vertex type so each populated vertex gets one of every multiset it
+    expects; empty populations fall back to the whole class.
+    """
+    by_type: dict[VertexType, list[int]] = {}
+    for member in sorted(member_type):
+        by_type.setdefault(member_type[member], []).append(member)
+    out: dict[tuple[VertexType, tuple], dict[Token, int]] = {}
+    for (vt, ns), tokens in sorted(pools.items()):
+        targets = by_type.get(vt) or list(ctx.eq.classes[vt.class_id].members)
+        mapping: dict[Token, int] = {}
+        for q, token in enumerate(sorted(tokens)):
+            mapping[token] = targets[q % len(targets)]
+        out[(vt, ns)] = mapping
+    return out
+
+
+def _transform_skeleton(
+    ctx: FptContext,
+    i: int,
+    rt: RobotType,
+    sub_alloc,
+) -> EdgeMultiset:
+    """Replace every class copy of the skeleton by its allocated vertex."""
+    cc = rt.cc_counter()
+    nbhds = copy_neighborhoods(ctx, cc)
+    alloc_of = dict(rt.alloc)
+    groups: dict[tuple[VertexType, tuple], list[int]] = {}
+    for copy in sorted(nbhds):
+        vt = alloc_of[copy]
+        groups.setdefault((vt, nbhds[copy]), []).append(copy)
+    replace: dict[int, int] = {}
+    for key, copies in groups.items():
+        mapping = sub_alloc.get(key)
+        if mapping is None:
+            raise InfeasibleAllocation(f"no tokens for {key}")
+        for t, copy in enumerate(sorted(copies), start=1):
+            token = ("rob", i, t)
+            if token not in mapping:
+                raise InfeasibleAllocation(f"token {token} missing for {key}")
+            replace[copy] = mapping[token]
+    return relabel_multiset(cc, replace)
+
+
+def _transform_cycle(
+    ctx: FptContext,
+    ci: int,
+    ct: CycleType,
+    j: int,
+    sub_alloc,
+) -> EdgeMultiset:
+    """Replace every class vertex of a cycle instance by its allocated vertex."""
+    cyc = ct.cycle
+    positions = [
+        pos
+        for pos in range(1, len(cyc) - 1)
+        if cyc[pos] in ctx.class_of_star_vertex
+    ]
+    # expand the stored multiset allocation to positions: inside each
+    # (class, pair) group positions take types in canonical order
+    per_group_types: dict[tuple[int, tuple], list[VertexType]] = {}
+    for ns, vt in sorted(ct.pa_alloc):
+        per_group_types.setdefault((vt.class_id, ns), []).append(vt)
+    group_pos: dict[tuple[int, tuple], list[int]] = {}
+    for pos in positions:
+        cls = ctx.class_of_star_vertex[cyc[pos]]
+        ns = tuple(sorted((cyc[pos - 1], cyc[pos + 1])))
+        group_pos.setdefault((cls, ns), []).append(pos)
+    replace_at: dict[int, int] = {}
+    for key, poss in sorted(group_pos.items()):
+        vts = per_group_types.get(key, [])
+        if len(vts) != len(poss):
+            raise InfeasibleAllocation(f"allocation arity mismatch at {key}")
+        t_counter: Counter = Counter()
+        for pos, vt in zip(sorted(poss), vts):
+            ns = key[1]
+            t_counter[(vt, ns)] += 1
+            token = ("cyc", ci, j, t_counter[(vt, ns)])
+            mapping = sub_alloc.get((vt, ns))
+            if mapping is None or token not in mapping:
+                raise InfeasibleAllocation(f"token {token} missing for {(vt, ns)}")
+            replace_at[pos] = mapping[token]
+    walk = list(cyc)
+    for pos, vertex in replace_at.items():
+        walk[pos] = vertex
+    return walk_edges(walk)
+
+
+def reference_reconstruct_solution(
+    ctx: FptContext,
+    types: TypeSpace,
+    system: IlpSystem,
+    assignment: IlpAssignment,
+) -> list[EdgeMultiset]:
+    """Turn a satisfying assignment into k edge multisets meeting the
+    feasibility conditions with value at most the budget.
+    """
+    ok, violated = check_assignment(system, assignment)
+    if not ok:
+        raise InfeasibleAllocation(f"assignment violates constraints {violated}")
+    ver_counts, rob_counts, cyc_counts = type_counts(types, assignment)
+    member_type = _vertex_types_per_member(ctx, types, ver_counts)
+    robot_of = _robot_types_per_robot(ctx, rob_counts)
+    pools = _token_pools(ctx, types, cyc_counts, robot_of)
+    sub_alloc = _sub_alloc(ctx, member_type, pools)
+
+    multisets = [
+        _transform_skeleton(ctx, i, types.robot_types[ri], sub_alloc)
+        for i, ri in enumerate(robot_of)
+    ]
+    cycle_owner = _allocate_cycles_to_robots(ctx, types, cyc_counts, robot_of)
+    for ci, ct in enumerate(types.cycle_types):
+        for inst in range(1, cyc_counts[ci] + 1):
+            owner = cycle_owner.get((ci, inst))
+            if owner is None:
+                raise InfeasibleAllocation(
+                    f"cycle instance {(ci, inst)} was never allocated"
+                )
+            multisets[owner] += _transform_cycle(ctx, ci, ct, inst, sub_alloc)
+    return multisets
+
+
+# HiGHS needs up to 14 s on the largest slack system (187 062 variables); the
+# systems above this size are left to test_milp_oracle at the optimum
+MAX_MILP_VARIABLES = 30_000
+
+
+def assert_matches_reference(inst, ctx, types, system, assignment):
+    """Both reconstructions agree, and the result is a verified solution
+    within the system's budget."""
+    multisets = reconstruct_solution(ctx, types, system, assignment)
+    assert multisets == reference_reconstruct_solution(ctx, types, system, assignment)
+    g = inst.graph
+    report = verify_solution(
+        inst.with_budget(ctx.budget),
+        solution_from_multisets(g.n, inst.v_init, multisets, inst.k),
+    )
+    assert report.ok
+    assert report.value <= ctx.budget
+
+
+def corpus_instance(path):
+    inst = parse_instance(path.read_text()).payload
+    return inst, corpus_cover(inst)
+
+
+def random_instance(n, edges, start, k, cover):
+    inst = ExplorationInstance(Multigraph.from_pairs(n, edges), start, k)
+    return inst, VertexCover(cover)
+
+
+@pytest.mark.parametrize("path", BUILDABLE, ids=lambda p: p.stem)
+def test_witness_matches_reference(path):
+    """The witness of an exact solution at the optimum (about 2 s in all)."""
+    inst, vcp = corpus_instance(path)
+    opt, sol = exact_optimum(inst)
+    ctx, types, system = budgeted_system(inst, vcp, opt)
+    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+    assert_matches_reference(inst, ctx, types, system, witness)
+
+
+MILP_CASES = [
+    pytest.param(corpus_instance, (p,), id=p.stem) for p in BUILDABLE
+] + [
+    pytest.param(random_instance, prm.values, id=prm.id)
+    for prm in random_instances(2917, 10)
+]
+
+
+@pytest.mark.parametrize("slack", [0, 1])
+@pytest.mark.parametrize("make,args", MILP_CASES)
+def test_milp_assignment_matches_reference(make, args, slack):
+    """HiGHS's own assignment at the optimum and one above it, which no
+    derived witness reaches (about 4 s in all with scipy; skipped without)."""
+    pytest.importorskip("scipy.optimize")
+    from test_milp_oracle import solve
+
+    inst, vcp = make(*args)
+    opt, _ = exact_optimum(inst)
+    ctx, types, system = budgeted_system(inst, vcp, opt + slack)
+    if system.num_variables > MAX_MILP_VARIABLES:
+        pytest.skip(f"{system.num_variables} variables exceed {MAX_MILP_VARIABLES}")
+    values = solve(system)
+    assert values is not None, f"infeasible at budget {opt + slack}"
+    assignment = IlpAssignment(tuple(zip(system.variables, values)))
+    assert_matches_reference(inst, ctx, types, system, assignment)
