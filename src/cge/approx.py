@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .cover import VertexCover, connect_cover
 from .errors import OddDegree, TreeNotSpanning
@@ -22,11 +23,16 @@ from .graphs import EdgeMultiset, ExplorationInstance, Multigraph, norm_edge
 
 @dataclass
 class PartitionState:
-    """Intermediate state of the balanced partition, exposed for testing."""
+    """Intermediate state of the balanced partition, exposed for testing.
+
+    `e_i` holds only the robots dealt edges so far, always robots 0, 1, ...
+    in order; the other robots of the k hold nothing.
+    """
 
     e_ind: EdgeMultiset
     e_i: list[EdgeMultiset]
     pairs_dealt: int
+    k: int
 
 
 def even_independent_degrees(g: Multigraph, vcp: VertexCover) -> EdgeMultiset:
@@ -53,11 +59,12 @@ def partition_independent_edges(
 
     Pairs are extracted per independent vertex in ascending id, its incident
     multiset sorted by neighbor id; moving a pair atomically keeps the vertex's
-    degree even in every robot multiset.  Pair j goes to robot j mod k.
+    degree even in every robot multiset.  Pair j goes to robot j mod k, so
+    the robots dealt a pair are the first min(k, pairs).
     """
     cset = vcp.as_set()
     work = Counter(e_ind)
-    e_i: list[Counter] = [Counter() for _ in range(k)]
+    e_i: list[Counter] = []
     j = 0
     for u in range(g.n):
         if u in cset:
@@ -67,13 +74,15 @@ def partition_independent_edges(
             e = norm_edge(u, w)
             incident.extend([e] * work[e])
         for idx in range(0, len(incident) - 1, 2):
-            robot = j % k
-            e_i[robot][incident[idx]] += 1
-            e_i[robot][incident[idx + 1]] += 1
+            if j < k:
+                e_i.append(Counter())
+            robot = e_i[j % k]
+            robot[incident[idx]] += 1
+            robot[incident[idx + 1]] += 1
             work[incident[idx]] -= 1
             work[incident[idx + 1]] -= 1
             j += 1
-    return PartitionState(e_ind=work, e_i=e_i, pairs_dealt=j)
+    return PartitionState(e_ind=work, e_i=e_i, pairs_dealt=j, k=k)
 
 
 def deal_cover_edges(g: Multigraph, vcp: VertexCover, state: PartitionState) -> None:
@@ -81,9 +90,11 @@ def deal_cover_edges(g: Multigraph, vcp: VertexCover, state: PartitionState) -> 
 
     The schedule is the O(1)-per-step equivalent of minimum selection: with
     t = pairs mod k robots holding one extra pair, first deal to robots
-    t..k-1, then repeatedly from k-1 down to 0.
+    t..k-1, then repeatedly from k-1 down to 0.  Robot t is the first without
+    a pair when pairs < k, so the robots holding edges stay a prefix, of
+    length min(k, pairs + cover-internal edges).
     """
-    k = len(state.e_i)
+    k = state.k
     cset = vcp.as_set()
     singles = [e for e in g.distinct_edges() if e[0] in cset and e[1] in cset]
     t = state.pairs_dealt % k
@@ -93,6 +104,8 @@ def deal_cover_edges(g: Multigraph, vcp: VertexCover, state: PartitionState) -> 
         if idx == len(order):
             order = list(range(k - 1, -1, -1))
             idx = 0
+        if order[idx] == len(state.e_i):
+            state.e_i.append(Counter())
         state.e_i[order[idx]][e] += 1
         idx += 1
 
@@ -173,10 +186,10 @@ def approx_solve(inst: ExplorationInstance, vc: VertexCover) -> Solution:
     deal_cover_edges(g, vcp, state)
     cset = vcp.as_set()
     tree = spanning_tree(g, cset, inst.v_init) if len(cset) > 1 else Counter()
-    # every robot without edges of its own walks the same fixed tree: one
-    # object, so solution_from_multisets walks it once
-    idle = make_vc_even_degree(tree, tree, vcp) if not all(state.e_i) else None
-    multisets = (
-        make_vc_even_degree(tree, e_i + tree, vcp) if e_i else idle for e_i in state.e_i
-    )
-    return solution_from_multisets(g.n, inst.v_init, multisets, inst.k)
+    runs = ((make_vc_even_degree(tree, e_i + tree, vcp), 1) for e_i in state.e_i)
+    idle = inst.k - len(state.e_i)
+    if idle:
+        # the robots past the dealt prefix hold no edges of their own: one
+        # run walks the parity-fixed tree
+        runs = chain(runs, [(make_vc_even_degree(tree, tree, vcp), idle)])
+    return solution_from_multisets(g.n, inst.v_init, runs, inst.k)

@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
     inst = _load(args.instance, "cge")
     sol = parse_solution(_read(args.solution))
     report = verify_solution(inst, sol)
-    sys.stdout.write("\n".join(report.lines()) + "\n")
+    sys.stdout.write(report.text())
     return EXIT_OK if report.ok else EXIT_NO
 
 
@@ -200,7 +200,8 @@ def cmd_reconstruct(args) -> int:
         sys.stdout.write("assignment does not satisfy the system\n")
         return EXIT_NO
     multisets = reconstruct_solution(ctx, types, system, assignment)
-    sol = solution_from_multisets(inst.graph.n, inst.v_init, multisets, inst.k)
+    runs = ((ms, 1) for ms in multisets)
+    sol = solution_from_multisets(inst.graph.n, inst.v_init, runs, inst.k)
     sys.stdout.write(format_solution(sol))
     return EXIT_OK
 

@@ -5,14 +5,17 @@ edge multiset records traversal counts.  A multiset is realizable as a robot
 cycle exactly when its spanned multigraph is connected, contains the start
 vertex, and has all degrees even; the conversion in both directions lives
 here.
+
+A solution is a sequence of runs, each a walk and the number of consecutive
+robots that take it.  Walking, verifying and reporting cost one step per run;
+only the per-robot text lines, written by `robot_lines`, cost one per robot.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import NotEulerian, StartNotInGraph
 from .graphs import (
@@ -139,58 +142,79 @@ def find_eulerian_cycle(edges: EdgeMultiset, start: int) -> RobotCycle:
 
 @dataclass(frozen=True)
 class Solution:
-    """k robot cycles; value is the longest walk length."""
+    """k robot cycles as runs: each run is a walk and the number of
+    consecutive robots, at least one, that take it.  The value is the longest
+    walk length.
+    """
 
-    cycles: tuple[RobotCycle, ...]
+    runs: tuple[tuple[RobotCycle, int], ...]
 
     @property
     def k(self) -> int:
-        return len(self.cycles)
-
-    @cached_property
-    def multisets(self) -> tuple[EdgeMultiset, ...]:
-        return tuple(rc.edge_multiset() for rc in self.cycles)
+        return sum(count for _, count in self.runs)
 
     @property
     def value(self) -> int:
-        return max(rc.length for rc in self.cycles)
+        return max(rc.length for rc, _ in self.runs)
+
+    @property
+    def cycles(self) -> tuple[RobotCycle, ...]:
+        """Every robot's cycle in robot order, built on each access: O(k)."""
+        return tuple(rc for rc, count in self.runs for _ in range(count))
+
+    @property
+    def multisets(self) -> tuple[EdgeMultiset, ...]:
+        """Every robot's own edge multiset in robot order, built on each access: O(k)."""
+        return tuple(rc.edge_multiset() for rc in self.cycles)
 
 
 def solution_from_multisets(
-    n: int, start: int, multisets: Iterable[EdgeMultiset], k: int
+    n: int, start: int, runs: Iterable[tuple[EdgeMultiset, int]], k: int
 ) -> Solution:
-    """One robot per multiset, walked as its Eulerian cycle from `start`.
+    """One run per (multiset, count) pair: `count` consecutive robots take
+    the multiset's Eulerian cycle from `start`, walked once.
 
-    Empty multisets, and robots beyond the given multisets up to k, stay idle
-    at `start`; they share one trivial walk.  Robots given
-    the same multiset object share one `RobotCycle`: Hierholzer's walk is a
-    function of the multiset and `start` alone, so walking it once per object
-    gives every robot the walk it would get on its own.  A memo entry keeps a
-    weak reference to its multiset: a multiset freed after its walk (as a
-    generator's are) and a later one given the same `id` are told apart,
-    and no multiset outlives its producer's use of it.  A walk through a
+    An empty multiset gives the trivial walk (start,); so do the robots left
+    beyond the pairs' counts up to k, as one last run.  A walk through a
     vertex outside 0..n-1 raises ValueError.
     """
     idle = RobotCycle((start,))
-    walked: dict[int, tuple[weakref.ref, RobotCycle]] = {}
-    cycles = []
-    for ms in multisets:
-        entry = walked.get(id(ms))
-        if entry is None or entry[0]() is not ms:
-            rc = idle
-            if any(ms.values()):
-                rc = find_eulerian_cycle(ms, start)
-                if min(rc.walk) < 0 or max(rc.walk) >= n:
-                    raise ValueError(f"walk leaves vertices 0..{n - 1}")
-            entry = walked[id(ms)] = (weakref.ref(ms), rc)
-        cycles.append(entry[1])
-    cycles.extend([idle] * (k - len(cycles)))
-    return Solution(tuple(cycles))
+    out = []
+    robots = 0
+    for ms, count in runs:
+        rc = idle
+        if any(ms.values()):
+            rc = find_eulerian_cycle(ms, start)
+            if min(rc.walk) < 0 or max(rc.walk) >= n:
+                raise ValueError(f"walk leaves vertices 0..{n - 1}")
+        out.append((rc, count))
+        robots += count
+    if robots < k:
+        out.append((idle, k - robots))
+    return Solution(tuple(out))
+
+
+_CHUNK = 1 << 14  # robot lines per joined piece
+
+
+def robot_lines(first: int, count: int, body: str) -> Iterator[str]:
+    """The lines `robot i: <body>` for i = first + 1 .. first + count.
+
+    They come newline-joined in pieces of at most `_CHUNK` lines, so a run of
+    a million robots never holds a million line objects at once.
+    """
+    end = first + count + 1
+    for lo in range(first + 1, end, _CHUNK):
+        yield "\n".join([f"robot {i}: {body}" for i in range(lo, min(lo + _CHUNK, end))])
 
 
 @dataclass(frozen=True)
 class RobotReport:
+    """The checks of one run: robots index .. index + count - 1 (0-based)
+    take the same walk, so they share every flag."""
+
     index: int
+    count: int
     starts_at_init: bool
     ends_at_init: bool
     adjacency_ok: bool
@@ -203,7 +227,7 @@ class RobotReport:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    robot_reports: tuple[RobotReport, ...]
+    run_reports: tuple[RobotReport, ...]
     uncovered: tuple[tuple[int, int], ...]
     value: int
     budget_ok: bool | None  # None when the instance carries no budget
@@ -215,23 +239,26 @@ class VerificationReport:
 
     @cached_property
     def ok(self) -> bool:
-        """Every check passed; computed once, as `lines()` and callers both read it."""
+        """Every check passed; computed once, as `text()` and callers both read it."""
         return (
             self.robot_count_ok
-            and all(r.ok for r in self.robot_reports)
+            and all(r.ok for r in self.run_reports)
             and self.coverage_ok
             and (self.budget_ok is not False)
         )
 
-    def lines(self) -> list[str]:
+    def text(self) -> str:
+        """The report as `verify` prints it: one line per robot, written run
+        by run, then the summary lines."""
         out = []
-        for r in self.robot_reports:
-            out.append(
-                f"robot {r.index + 1}: start={'ok' if r.starts_at_init else 'BAD'}"
+        for r in self.run_reports:
+            body = (
+                f"start={'ok' if r.starts_at_init else 'BAD'}"
                 f" end={'ok' if r.ends_at_init else 'BAD'}"
                 f" edges={'ok' if r.adjacency_ok else 'BAD'}"
                 f" length={r.length}"
             )
+            out.extend(robot_lines(r.index, r.count, body))
         if not self.robot_count_ok:
             out.append("robot count: BAD")
         if self.uncovered:
@@ -243,44 +270,45 @@ class VerificationReport:
         if self.budget_ok is not None:
             out.append(f"budget: {'ok' if self.budget_ok else 'exceeded'}")
         out.append(f"result: {'ok' if self.ok else 'FAIL'}")
-        return out
+        return "\n".join(out) + "\n"
 
 
 def verify_solution(inst: ExplorationInstance, sol: Solution) -> VerificationReport:
     """Check every solution condition; failures are report entries, not errors.
 
-    Robots that share one `RobotCycle` object share its checks: the step set,
-    the on-graph test, the start and end flags and the length depend on the
-    walk alone, and a walk's edges count once toward coverage however many
-    robots take it.  Each robot still gets its own report under its own index.
+    Each run's walk is tested once: the step set, the on-graph test, the
+    start and end flags and the length depend on the walk alone, and a
+    walk's edges count once toward coverage however many robots take it.
     """
     g = inst.graph
     graph_edges = set(g.distinct_edges())
     covered: set = set()
-    checked: dict[int, tuple[bool, bool, bool, int]] = {}  # sol.cycles keeps each id alive
     reports = []
-    for i, rc in enumerate(sol.cycles):
-        flags = checked.get(id(rc))
-        if flags is None:
-            # a step is an edge of the graph iff its normalized pair is one;
-            # this rejects self-loops and out-of-range vertices without raising
-            steps = {(a, b) if a < b else (b, a) for a, b in zip(rc.walk, rc.walk[1:])}
-            on_graph = steps & graph_edges
-            covered |= on_graph
-            flags = checked[id(rc)] = (
+    robots = 0
+    for rc, count in sol.runs:
+        # a step is an edge of the graph iff its normalized pair is one;
+        # this rejects self-loops and out-of-range vertices without raising
+        steps = {(a, b) if a < b else (b, a) for a, b in zip(rc.walk, rc.walk[1:])}
+        on_graph = steps & graph_edges
+        covered |= on_graph
+        reports.append(
+            RobotReport(
+                robots,
+                count,
                 rc.walk[0] == inst.v_init,
                 rc.walk[-1] == inst.v_init,
                 len(on_graph) == len(steps),
                 rc.length,
             )
-        reports.append(RobotReport(i, *flags))
+        )
+        robots += count
     uncovered = tuple(e for e in g.distinct_edges() if e not in covered)
-    value = max((rc.length for rc in sol.cycles), default=0)
+    value = max((r.length for r in reports), default=0)
     budget_ok = None if inst.budget is None else value <= inst.budget
     return VerificationReport(
-        robot_reports=tuple(reports),
+        run_reports=tuple(reports),
         uncovered=uncovered,
         value=value,
         budget_ok=budget_ok,
-        robot_count_ok=len(sol.cycles) == inst.k,
+        robot_count_ok=robots == inst.k,
     )

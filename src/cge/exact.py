@@ -232,7 +232,8 @@ def _solution_from_entries(
         Counter({e: u for j, e in enumerate(edges) if (u := catalog.usages[i] >> 2 * j & 3)})
         for i in entries
     )
-    return solution_from_multisets(inst.graph.n, inst.v_init, multisets, inst.k)
+    runs = ((ms, 1) for ms in multisets)
+    return solution_from_multisets(inst.graph.n, inst.v_init, runs, inst.k)
 
 
 def _edge_mask(g: Multigraph) -> int:

@@ -22,6 +22,10 @@ Solutions:
     value <v>
     robot <i>: <v0> <v1> ... <v0>   # one line per robot, i = 1, 2, ... in order
 
+Consecutive robot lines with the same walk text form one run of the parsed
+solution, and each run's walk is written out once when formatting, so both
+directions cost one walk per run plus the per-robot lines.
+
 '#' starts a comment; blank lines are ignored; LF line endings.  Integers
 are ASCII digits with an optional sign: a line holding any other character
 outside ASCII, or a '_', is rejected, so int() never reads a digit the
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotConnected, ParseError
-from .euler import RobotCycle, Solution
+from .euler import RobotCycle, Solution, robot_lines
 from .graphs import ExplorationInstance, Multigraph, norm_edge
 from .hardness import BinPackingInstance
 
@@ -184,20 +188,19 @@ def format_instance(doc: InstanceDocument) -> str:
 
 
 def format_solution(sol: Solution) -> str:
-    lines = [f"value {sol.value}"]
-    rendered: dict[int, str] = {}  # sol.cycles keeps each id alive
-    for i, rc in enumerate(sol.cycles, start=1):
-        walk = rendered.get(id(rc))
-        if walk is None:
-            walk = rendered[id(rc)] = " ".join(map(str, rc.walk))
-        lines.append(f"robot {i}: {walk}")
-    del rendered  # the lines hold every walk now; free the copies before joining
-    return "\n".join(lines) + "\n"
+    pieces = [f"value {sol.value}"]
+    first = 0
+    for rc, count in sol.runs:
+        pieces.extend(robot_lines(first, count, " ".join(map(str, rc.walk))))
+        first += count
+    return "\n".join(pieces) + "\n"
 
 
 def parse_solution(text: str) -> Solution:
-    cycles = []
-    walks: dict[str, RobotCycle] = {}  # walk text after a checked label -> its cycle
+    cycles: list[RobotCycle] = []
+    counts: list[int] = []  # robots per run, parallel to `cycles`
+    robots = 0
+    last = None  # walk text of the last robot line
     value_seen = False
     for lineno, line in _meaningful_lines(text):
         parts = line.split(None, 2)
@@ -207,24 +210,27 @@ def parse_solution(text: str) -> Solution:
             _int_field(lineno, line.split(), 1)
             value_seen = True
         elif parts[0] == "robot":
-            label = f"{len(cycles) + 1}:"  # exactly what format_solution writes
+            robots += 1
+            label = f"{robots}:"  # exactly what format_solution writes
             if len(parts) < 3 or parts[1] != label:
                 raise ParseError(lineno, f"expected 'robot {label} v0 v1 ... v0'")
-            rc = walks.get(parts[2])
-            if rc is None:
-                try:
-                    walk = tuple(int(p) for p in parts[2].split())
-                except ValueError:
-                    raise ParseError(lineno, "non-integer vertex in walk")
-                try:
-                    rc = walks[parts[2]] = RobotCycle(walk)
-                except ValueError as exc:
-                    raise ParseError(lineno, str(exc))
-            cycles.append(rc)
+            if parts[2] == last:
+                counts[-1] += 1
+                continue
+            try:
+                walk = tuple(int(p) for p in parts[2].split())
+            except ValueError:
+                raise ParseError(lineno, "non-integer vertex in walk")
+            try:
+                cycles.append(RobotCycle(walk))
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc))
+            counts.append(1)
+            last = parts[2]
         else:
             raise ParseError(lineno, f"unknown directive {parts[0]!r}")
     if not value_seen:
         raise ParseError(1, "missing 'value'")
     if not cycles:
         raise ParseError(1, "missing robot walks")
-    return Solution(tuple(cycles))
+    return Solution(tuple(zip(cycles, counts)))

@@ -180,7 +180,8 @@ def test_criterion_7_backward_direction(corpus_artifacts):
         witness = witness_from_solution(ctx, types, pairs)
         multisets = reconstruct_solution(ctx, types, system, witness)
         assert feasibility_conditions_hold(inst, multisets, opt), name
-        rebuilt = solution_from_multisets(inst.graph.n, inst.v_init, multisets, inst.k)
+        runs = [(ms, 1) for ms in multisets]
+        rebuilt = solution_from_multisets(inst.graph.n, inst.v_init, runs, inst.k)
         rep = verify_solution(inst, rebuilt)
         assert rep.ok and rebuilt.value <= opt, name
     report(7, "30 reconstructions verify within budget")

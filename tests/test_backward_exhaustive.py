@@ -129,7 +129,7 @@ def test_every_satisfying_assignment_reconstructs(name, g, v_init, k, budget, co
             assignment.values,
             [dict(m) for m in multisets],
         )
-        sol = solution_from_multisets(g.n, v_init, multisets, k)
+        sol = solution_from_multisets(g.n, v_init, [(ms, 1) for ms in multisets], k)
         report = verify_solution(inst, sol)
         assert report.ok, name
         found += 1

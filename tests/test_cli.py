@@ -64,7 +64,7 @@ class TestParsing:
 
 class TestSolutionFormat:
     def test_trivial_robot_line(self):
-        sol = solution_from_multisets(3, 0, [walk_edges((0, 1, 2, 0))], 2)
+        sol = solution_from_multisets(3, 0, [(walk_edges((0, 1, 2, 0)), 1)], 2)
         text = format_solution(sol)
         assert text == "value 3\nrobot 1: 0 1 2 0\nrobot 2: 0\n"
         assert format_solution(parse_solution(text)) == text
@@ -134,7 +134,8 @@ class TestCommands:
         sol.write_text(run_cli("solve-exact", str(inst))[1])
         code, out = run_cli("verify", str(inst), str(sol))
         assert code == 0 and out.endswith("result: ok\n")
-        assert sorted(r.index for r in calls) == [0, 1, 2, 3, 4]
+        # robots 1-3 take three different walks, robots 4-5 stay idle: four runs
+        assert sorted((r.index, r.count) for r in calls) == [(0, 1), (1, 1), (2, 1), (3, 2)]
 
     def test_verify_roundtrip(self, tmp_path):
         inst = tmp_path / "tri.cge"

@@ -163,14 +163,14 @@ def test_round_trip_property(steps):
 class TestVerify:
     def test_star_single_robot_ok(self):
         inst = star3_instance()
-        sol = Solution((RobotCycle((0, 1, 0, 2, 0, 3, 0)),))
+        sol = Solution(((RobotCycle((0, 1, 0, 2, 0, 3, 0)), 1),))
         report = verify_solution(inst, sol)
         assert report.ok
         assert report.value == 6
 
     def test_missing_leaf_detected(self):
         inst = star3_instance()
-        sol = Solution((RobotCycle((0, 1, 0, 2, 0)),))
+        sol = Solution(((RobotCycle((0, 1, 0, 2, 0)), 1),))
         report = verify_solution(inst, sol)
         assert not report.ok
         assert report.uncovered == ((0, 3),)
@@ -178,42 +178,42 @@ class TestVerify:
     def test_triangle_with_idle_robot(self):
         g = Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
         inst = ExplorationInstance(g, 0, 2)
-        sol = Solution((RobotCycle((0, 1, 2, 0)), RobotCycle((0,))))
+        sol = Solution(((RobotCycle((0, 1, 2, 0)), 1), (RobotCycle((0,)), 1)))
         report = verify_solution(inst, sol)
         assert report.ok
         assert report.value == 3
 
     def test_budget_violation(self):
         inst = star3_instance().with_budget(4)
-        sol = Solution((RobotCycle((0, 1, 0, 2, 0, 3, 0)),))
+        sol = Solution(((RobotCycle((0, 1, 0, 2, 0, 3, 0)), 1),))
         report = verify_solution(inst, sol)
         assert report.budget_ok is False
         assert not report.ok
 
     def test_wrong_start_detected(self):
         inst = star3_instance()
-        sol = Solution((RobotCycle((1, 0, 1)),))
+        sol = Solution(((RobotCycle((1, 0, 1)), 1),))
         report = verify_solution(inst, sol)
         assert not report.ok
-        assert not report.robot_reports[0].starts_at_init
+        assert not report.run_reports[0].starts_at_init
 
     def test_self_loop_step_is_reported_not_raised(self):
         inst = star3_instance()
-        sol = Solution((RobotCycle((0, 0)), RobotCycle((0, 1, 0, 2, 0, 3, 0))))
+        sol = Solution(((RobotCycle((0, 0)), 1), (RobotCycle((0, 1, 0, 2, 0, 3, 0)), 1)))
         report = verify_solution(inst, sol)
         assert not report.ok
-        assert not report.robot_reports[0].adjacency_ok
-        assert report.robot_reports[1].ok
+        assert not report.run_reports[0].adjacency_ok
+        assert report.run_reports[1].ok
         assert report.uncovered == ()
 
 
 class TestSolutionFromMultisets:
     def test_idle_robots_pad_to_k_and_share_one_walk(self):
         g = Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
-        sol = solution_from_multisets(3, 0, [Counter(), g.edge_counter()], 4)
+        sol = solution_from_multisets(3, 0, [(Counter(), 1), (g.edge_counter(), 1)], 4)
         assert [rc.walk for rc in sol.cycles] == [(0,), (0, 1, 2, 0), (0,), (0,)]
         assert sol.cycles[0] is sol.cycles[2] is sol.cycles[3]
 
     def test_vertex_outside_the_graph_is_refused(self):
         with pytest.raises(ValueError):
-            solution_from_multisets(3, 0, [Counter({(0, 3): 2})], 1)
+            solution_from_multisets(3, 0, [(Counter({(0, 3): 2}), 1)], 1)

@@ -72,8 +72,9 @@ def assert_tight(inst, vcp):
     assignment = IlpAssignment(tuple(zip(system.variables, values)))
     multisets = reconstruct_solution(ctx, types, system, assignment)
     g = inst.graph
+    runs = [(ms, 1) for ms in multisets]
     report = verify_solution(
-        inst.with_budget(opt), solution_from_multisets(g.n, inst.v_init, multisets, inst.k)
+        inst.with_budget(opt), solution_from_multisets(g.n, inst.v_init, runs, inst.k)
     )
     assert report.ok
     assert report.value <= opt

@@ -167,7 +167,7 @@ class TestReconstruct:
             assert ok, [system.constraints[i] for i in violated]
             multisets = reconstruct_solution(ctx, types, system, witness)
             assert feasibility_conditions_hold(inst, multisets, opt)
-            sol = solution_from_multisets(g.n, v_init, multisets, k)
+            sol = solution_from_multisets(g.n, v_init, [(ms, 1) for ms in multisets], k)
             report = verify_solution(inst, sol)
             assert report.ok
             assert report.value <= opt
@@ -385,7 +385,7 @@ def assert_matches_reference(inst, ctx, types, system, assignment):
     g = inst.graph
     report = verify_solution(
         inst.with_budget(ctx.budget),
-        solution_from_multisets(g.n, inst.v_init, multisets, inst.k),
+        solution_from_multisets(g.n, inst.v_init, [(ms, 1) for ms in multisets], inst.k),
     )
     assert report.ok
     assert report.value <= ctx.budget

@@ -96,6 +96,7 @@ def test_builder_and_host_table_match_naive_scans(n, edges, start, k, cover):
     ok, violated = check_assignment(system, witness)
     assert ok, [system.constraints[i] for i in violated]
     multisets = reconstruct_solution(ctx, types, system, witness)
-    report = verify_solution(inst, solution_from_multisets(n, start, multisets, k))
+    runs = [(ms, 1) for ms in multisets]
+    report = verify_solution(inst, solution_from_multisets(n, start, runs, k))
     assert report.ok
     assert report.value <= opt
