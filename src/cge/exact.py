@@ -28,18 +28,25 @@ A search capped at c expands the states a breadth-first search pruned at c
 expands, so deciding a budget spends the same nodes either way, and the
 optimum search pays for the rounds up to the optimum only.
 
-Robots are assigned walks in non-decreasing catalog order to kill
-permutation symmetry.  Pruning uses only multiplicity caps, coverage counts,
-and remaining-budget reachability; closed walks may have odd length in
-non-bipartite graphs and no parity assumption is made.
+Each robot in turn takes a walk covering the lowest edge still uncovered, so
+a set of walks is tried in one order only; no order between the robots'
+walks is enforced otherwise.  The last robot needs no search: it takes the
+first usable walk that covers every edge still uncovered, looked up once per
+uncovered set.  Pruning uses only coverage and remaining-budget
+reachability; closed walks may have odd length in non-bipartite graphs and
+no parity assumption is made.
+
+The optimum search starts at the Chinese-postman bound: together the robots
+walk a connected even multigraph through every edge, so at least CPP(G)
+edges, and the longest walk is at least ceil(CPP(G) / k).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .cover import connect_cover, vertex_cover_2approx
 from .errors import SearchBudgetExceeded
 from .euler import Solution, solution_from_multisets
 from .graphs import ExplorationInstance, Multigraph
@@ -66,13 +73,16 @@ class _Catalog:
     supports[i] is a bitmask of distinct edges covered, lengths[i] the walk
     length, usages[i] the per-edge usage packed 2 bits per edge (edge j in
     bits 2j, 2j+1).  Entries are sorted by (length, support mask); index 0 is
-    always the empty walk.
+    always the empty walk.  by_edge[j] lists, ascending, the first `indexed`
+    entries whose support holds edge j; `_assign_robots` extends it.
     """
 
     edges: list[tuple[int, int]]
     supports: list[int]
     lengths: list[int]
     usages: list[int]
+    by_edge: list[list[int]]
+    indexed: int = 0
 
 
 class _NodeBudget:
@@ -123,7 +133,7 @@ class _Frontier:
         self.rounds = 0
         self.pending: dict[tuple[int, int], dict[int, int]] = {(0, 0): {v_init: 0}}
         self.found = {0}  # supports in the catalog, one bit per used edge at 2j
-        self.catalog = _Catalog(edges, [0], [0], [0])
+        self.catalog = _Catalog(edges, [0], [0], [0], [[] for _ in edges])
 
     def expand(self, p: int, l: int, nodes: _NodeBudget) -> None:
         bucket = self.pending.pop((p, l), None)
@@ -187,23 +197,29 @@ def _walk_catalog(
 def _assign_robots(
     catalog: _Catalog, k: int, budget: int, full_mask: int, nodes: _NodeBudget
 ) -> list[int] | None:
-    """Assign catalog walks to robots so every edge is covered.
+    """Assign catalog walks of length <= `budget` to robots so every edge is
+    covered.
 
-    Each recursion level commits one robot to an entry covering the lowest
-    uncovered edge, which fixes the level order for any fixed entry set and
-    avoids permutation blowup.  Returns chosen entry indices (possibly fewer
+    Each recursion level spends one node and commits one robot to an entry
+    covering the lowest uncovered edge.  The last robot's entry is the first
+    one there whose support holds every uncovered edge, memoized per
+    uncovered mask.  `catalog.by_edge` is extended over the entries added
+    since the last call; entries are sorted by length, so the usable ones
+    are a prefix of each list.  Returns chosen entry indices (possibly fewer
     than k; the rest stay at the start vertex), or None.
     """
-    usable = [i for i in range(len(catalog.supports)) if catalog.lengths[i] <= budget]
-    reachable = 0
-    for i in usable:
-        reachable |= catalog.supports[i]
+    supports = catalog.supports
+    new = range(catalog.indexed, len(supports))
+    for e_bit, covering in enumerate(catalog.by_edge):
+        covering += [i for i in new if supports[i] >> e_bit & 1]
+    catalog.indexed = len(supports)
+    usable = bisect_right(catalog.lengths, budget)
+    by_edge = [c if not c or c[-1] < usable else c[:bisect_left(c, usable)]
+               for c in catalog.by_edge]
+    reachable = sum(1 << e_bit for e_bit, c in enumerate(by_edge) if c)
     if full_mask & ~reachable:
         return None
-    by_edge: dict[int, list[int]] = {}
-    m = len(catalog.edges)
-    for e_bit in range(m):
-        by_edge[e_bit] = [i for i in usable if catalog.supports[i] >> e_bit & 1]
+    last: dict[int, int | None] = {}  # uncovered mask -> the last robot's entry
 
     def recurse(covered: int, robots_left: int, chosen: list[int]):
         if covered == full_mask:
@@ -213,9 +229,15 @@ def _assign_robots(
         nodes.spend()
         remaining = ~covered & full_mask
         lowest = (remaining & -remaining).bit_length() - 1
+        if robots_left == 1:
+            if remaining not in last:
+                last[remaining] = next(
+                    (i for i in by_edge[lowest] if supports[i] & remaining == remaining), None)
+            i = last[remaining]
+            return None if i is None else chosen + [i]
         for i in by_edge[lowest]:
             chosen.append(i)
-            got = recurse(covered | catalog.supports[i], robots_left - 1, chosen)
+            got = recurse(covered | supports[i], robots_left - 1, chosen)
             if got is not None:
                 return got
             chosen.pop()
@@ -249,25 +271,50 @@ def _farthest_edge_bound(g: Multigraph, v_init: int) -> int:
     return bound
 
 
-def _traversal_lower_bound(inst: ExplorationInstance) -> int:
-    """ceil(total forced traversals / k): every independent vertex needs even
-    degree per robot, so its incident edges cost the parity-corrected count;
-    cover-internal edges cost one each.  Rounded up to even when the graph is
-    bipartite (every closed walk is even there).
+_PAIRING_LIMIT = 16  # odd vertices paired exactly; at 16 the DP takes about 8 ms
+
+
+def _min_pairing(dist: list[list[int]]) -> int:
+    """Least total distance of a perfect pairing of the t vertices of `dist`.
+
+    A DP over the set of unpaired vertices that always pairs the lowest one:
+    O(2^t * t).
+    """
+    best = {0: 0}
+
+    def cost(mask: int) -> int:
+        if mask not in best:
+            low = (mask & -mask).bit_length() - 1
+            rest, row = mask ^ 1 << low, dist[low]
+            best[mask] = min(row[j] + cost(rest ^ 1 << j)
+                             for j in range(low + 1, len(dist)) if rest >> j & 1)
+        return best[mask]
+
+    return cost((1 << len(dist)) - 1)
+
+
+def _postman_bound(inst: ExplorationInstance) -> int:
+    """ceil(CPP(G) / k), CPP(G) = |E| plus a minimum T-join on the odd-degree
+    vertices T (Edmonds & Johnson, "Matching, Euler tours and the Chinese
+    postman", Math. Programming 5, 1973).
+
+    The robots' walks together form a connected even multigraph holding
+    every edge, so they traverse at least CPP(G) edges.  A minimum T-join
+    is a minimum pairing of T by BFS distance.  Above `_PAIRING_LIMIT` odd
+    vertices the bound takes half the sum of each odd vertex's distance to
+    its nearest other odd vertex instead, which every pairing pays at least.
+    Rounded up to even when the graph is bipartite (every closed walk is
+    even there).
     """
     g = inst.graph
-    vcp = connect_cover(g, vertex_cover_2approx(g), inst.v_init)
-    cset = vcp.as_set()
-    total = 0
-    for (u, v) in g.distinct_edges():
-        if u in cset and v in cset:
-            total += 1
-    for u in range(g.n):
-        if u in cset:
-            continue
-        d = g.degree(u)
-        total += d + (d % 2)
-    lb = -(-total // inst.k)
+    odd = [v for v in range(g.n) if g.degree(v) % 2]
+    dist = [[row[w] for w in odd] for row in map(g.bfs_distances, odd)]
+    if len(odd) <= _PAIRING_LIMIT:
+        join = _min_pairing(dist)
+    else:
+        nearest = (min(d for j, d in enumerate(row) if j != i) for i, row in enumerate(dist))
+        join = -(-sum(nearest) // 2)
+    lb = -(-(g.num_edges + join) // inst.k)
     if g.is_bipartite() and lb % 2 == 1:
         lb += 1
     return lb
@@ -302,15 +349,16 @@ def exact_optimum(
 ) -> tuple[int, Solution] | None:
     """Smallest budget with a solution, plus a witness.
 
-    Tries budgets upward from the lower bound, extending one walk search a
-    round at a time, and stops at the first that has a solution.  Budget
-    2|E| always has one: a single robot walks every edge twice.  Returns None
-    when cfg.max_budget is below the optimum (a proven "no" within it).
+    Tries budgets upward from the larger of the Chinese-postman bound and
+    the farthest-edge bound, extending one walk search a round at a time,
+    and stops at the first that has a solution.  Budget 2|E| always has
+    one: a single robot walks every edge twice.  Returns None when
+    cfg.max_budget is below the optimum (a proven "no" within it).
     """
     g = inst.graph
     if g.num_edges == 0:
         return 0, solution_from_multisets(g.n, inst.v_init, (), inst.k)
-    lb = max(_traversal_lower_bound(inst), _farthest_edge_bound(g, inst.v_init))
+    lb = max(_postman_bound(inst), _farthest_edge_bound(g, inst.v_init))
     ceiling = 2 * g.num_distinct_edges
     if cfg.max_budget is not None:
         ceiling = min(ceiling, cfg.max_budget)

@@ -12,6 +12,13 @@ support S (edges used once or twice) is a closed walk from the start exactly
 when S is connected through the start vertex, and its shortest such walk has
 length |S| + |D| for the smallest D inside S whose degree parities equal S's
 (D being the edges used twice).
+
+`reference_assign_robots` is the robot assignment before the edge index grew
+with the catalog and the last robot's walk became a lookup; the solver must
+spend exactly its nodes and choose exactly its entries.  The solver's start
+budget, the Chinese-postman bound, must dominate `reference_traversal_bound`,
+the start budget it replaced, and for one robot equal the optimum, checked
+against a minimum-weight matching from networkx.
 """
 
 from __future__ import annotations
@@ -22,8 +29,9 @@ from dataclasses import dataclass
 
 import pytest
 
+from cge import exact
 from cge.approx import approx_solve
-from cge.cover import vertex_cover_2approx
+from cge.cover import connect_cover, vertex_cover_2approx
 from cge.errors import SearchBudgetExceeded
 from cge.exact import (
     SearchConfig,
@@ -32,12 +40,12 @@ from cge.exact import (
     _farthest_edge_bound,
     _Frontier,
     _NodeBudget,
-    _traversal_lower_bound,
+    _postman_bound,
     _walk_catalog,
     exact_decide,
     exact_optimum,
 )
-from cge.graphs import ExplorationInstance
+from cge.graphs import ExplorationInstance, Multigraph
 
 from conftest import random_connected_graph
 
@@ -50,6 +58,8 @@ class RefCatalog:
     supports: list
     lengths: list
     usages: list  # per-edge usage tuples
+    by_edge: list  # the edge index `_assign_robots` extends, empty lists at first
+    indexed: int = 0
 
 
 def reference_walk_catalog(g, v_init, cap, cfg, nodes):
@@ -101,7 +111,64 @@ def reference_walk_catalog(g, v_init, cap, cfg, nodes):
     usages = []
     for _, (_, usage) in order:
         usages.append(tuple((usage >> (2 * i)) & 3 for i in range(m)))
-    return RefCatalog(edges=edges, supports=supports, lengths=lengths, usages=usages)
+    return RefCatalog(edges=edges, supports=supports, lengths=lengths, usages=usages,
+                      by_edge=[[] for _ in range(m)])
+
+
+def reference_assign_robots(catalog, k, budget, full_mask, nodes):
+    """The robot assignment verbatim from before the edge index and the
+    last-robot lookup: a fresh index per call, one call per last-robot walk."""
+    usable = [i for i in range(len(catalog.supports)) if catalog.lengths[i] <= budget]
+    reachable = 0
+    for i in usable:
+        reachable |= catalog.supports[i]
+    if full_mask & ~reachable:
+        return None
+    by_edge: dict[int, list[int]] = {}
+    m = len(catalog.edges)
+    for e_bit in range(m):
+        by_edge[e_bit] = [i for i in usable if catalog.supports[i] >> e_bit & 1]
+
+    def recurse(covered: int, robots_left: int, chosen: list[int]):
+        if covered == full_mask:
+            return list(chosen)
+        if robots_left == 0:
+            return None
+        nodes.spend()
+        remaining = ~covered & full_mask
+        lowest = (remaining & -remaining).bit_length() - 1
+        for i in by_edge[lowest]:
+            chosen.append(i)
+            got = recurse(covered | catalog.supports[i], robots_left - 1, chosen)
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
+
+    return recurse(0, k, [])
+
+
+def reference_traversal_bound(inst):
+    """The solver's former start bound, verbatim: ceil(total forced
+    traversals / k), where every independent vertex of a connected vertex
+    cover costs its degree rounded up to even and cover-internal edges cost
+    one each; rounded up to even when the graph is bipartite."""
+    g = inst.graph
+    vcp = connect_cover(g, vertex_cover_2approx(g), inst.v_init)
+    cset = vcp.as_set()
+    total = 0
+    for (u, v) in g.distinct_edges():
+        if u in cset and v in cset:
+            total += 1
+    for u in range(g.n):
+        if u in cset:
+            continue
+        d = g.degree(u)
+        total += d + (d % 2)
+    lb = -(-total // inst.k)
+    if g.is_bipartite() and lb % 2 == 1:
+        lb += 1
+    return lb
 
 
 def entries(catalog, max_length):
@@ -117,7 +184,8 @@ def entries(catalog, max_length):
 
 
 def lower_bound(inst):
-    return max(_traversal_lower_bound(inst), _farthest_edge_bound(inst.graph, inst.v_init))
+    """The budget `exact_optimum` starts at."""
+    return max(_postman_bound(inst), _farthest_edge_bound(inst.graph, inst.v_init))
 
 
 def spent(nodes):
@@ -153,6 +221,7 @@ def test_resumed_catalog_matches_single_pass_bfs(inst):
     lb = lower_bound(inst)
     ub = approx_solve(inst, vertex_cover_2approx(g)).value
     assert lb <= opt <= ub
+    assert reference_traversal_bound(inst) <= _postman_bound(inst)
     ref = reference_walk_catalog(g, v, ub, None, _NodeBudget(UNLIMITED))
 
     frontier = _Frontier(g, v)
@@ -173,7 +242,7 @@ def test_resumed_catalog_matches_single_pass_bfs(inst):
     ref_nodes = _NodeBudget(UNLIMITED)
     reference_walk_catalog(g, v, ub, None, ref_nodes)
     for budget in range(lb, opt + 1):
-        _assign_robots(ref, inst.k, budget, _edge_mask(g), ref_nodes)
+        reference_assign_robots(ref, inst.k, budget, _edge_mask(g), ref_nodes)
     assert spent(opt_nodes) <= spent(ref_nodes)
     assert exact_optimum(inst, SearchConfig(node_limit=spent(opt_nodes)))[0] == opt
     with pytest.raises(SearchBudgetExceeded):
@@ -187,11 +256,90 @@ def test_decide_node_limit_is_the_single_pass_spend(inst):
     for budget in {lower_bound(inst), opt}:
         ref = _NodeBudget(UNLIMITED)
         catalog = reference_walk_catalog(g, v, budget, None, ref)
-        _assign_robots(catalog, inst.k, budget, _edge_mask(g), ref)
+        reference_assign_robots(catalog, inst.k, budget, _edge_mask(g), ref)
         decided = inst.with_budget(budget)
         assert exact_decide(decided, SearchConfig(node_limit=spent(ref)))[0] == (budget == opt)
         with pytest.raises(SearchBudgetExceeded):
             exact_decide(decided, SearchConfig(node_limit=spent(ref) - 1))
+
+
+@pytest.mark.parametrize("inst", CASES, ids=case_id)
+def test_assignment_spends_the_reference_nodes(inst):
+    """From the former start bound to the optimum, on the resumed catalog and
+    on one holding walks longer than every budget tried (the cut-off path)."""
+    g, v = inst.graph, inst.v_init
+    opt, _ = exact_optimum(inst)
+    full = _edge_mask(g)
+    frontier = _Frontier(g, v)
+    longer = reference_walk_catalog(g, v, opt + 2, None, _NodeBudget(UNLIMITED))
+    start = max(reference_traversal_bound(inst), _farthest_edge_bound(g, v))
+    for budget in range(min(start, lower_bound(inst)), opt + 1):
+        catalog = _walk_catalog(g, v, budget, frontier, _NodeBudget(UNLIMITED))
+        old = _NodeBudget(UNLIMITED)
+        expected = reference_assign_robots(catalog, inst.k, budget, full, old)
+        assert (expected is not None) == (budget == opt)
+        for cat in (catalog, longer):
+            new = _NodeBudget(UNLIMITED)
+            assert _assign_robots(cat, inst.k, budget, full, new) == expected
+            assert spent(new) == spent(old), f"budget {budget}"
+
+
+def networkx_postman(g):
+    """CPP(G) = |E| plus a minimum-weight perfect matching of the odd-degree
+    vertices under shortest-path distance."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph(g.distinct_edges())
+    odd = [v for v in graph if graph.degree(v) % 2]
+    dist = dict(nx.all_pairs_shortest_path_length(graph))
+    pairs = nx.Graph()
+    for i, u in enumerate(odd):
+        for w in odd[i + 1:]:
+            pairs.add_edge(u, w, weight=g.n - dist[u][w])  # heaviest = shortest
+    matching = nx.max_weight_matching(pairs, maxcardinality=True)
+    assert 2 * len(matching) == len(odd)
+    return g.num_edges + sum(dist[u][w] for u, w in matching)
+
+
+def test_single_robot_optimum_is_the_postman_tour():
+    """k = 1: the optimum, and the start bound, equal CPP(G) on seeded
+    graphs with 6 to 14 edges."""
+    rng = random.Random(31)
+    checked = 0
+    while checked < 16:
+        g = random_connected_graph(rng, n_max=9, m_max=14)
+        if g.num_edges < 6:
+            continue
+        inst = ExplorationInstance(g, rng.randrange(g.n), 1)
+        cpp = networkx_postman(g)
+        assert _postman_bound(inst) == cpp
+        assert exact_optimum(inst)[0] == cpp
+        checked += 1
+
+
+def test_postman_fallback_above_the_pairing_limit(monkeypatch):
+    """Above `_PAIRING_LIMIT` odd vertices the T-join is bounded by half the
+    nearest-odd-vertex distances, never above the exact pairing."""
+    # 18 odd leaves, each 2 from the next: the fallback is exact, and the
+    # optimum is 2 per leaf
+    star = ExplorationInstance(
+        Multigraph.from_pairs(19, [(0, i) for i in range(1, 19)]), 0, 1)
+    # a 5-vertex spine with 3 leaves per vertex: 18 odd vertices in groups of
+    # three, so each group's third vertex pairs farther than its nearest
+    leaves = [(i, 5 + 3 * i + j) for i in range(5) for j in range(3)]
+    caterpillar = Multigraph.from_pairs(20, [(i, i + 1) for i in range(4)] + leaves)
+    spine = ExplorationInstance(caterpillar, 0, 1)
+    assert sum(caterpillar.degree(v) % 2 for v in range(caterpillar.n)) > exact._PAIRING_LIMIT
+    assert _postman_bound(star) == 36
+    assert _postman_bound(spine) == 32
+    monkeypatch.setattr(exact, "_PAIRING_LIMIT", 10**6)
+    assert _postman_bound(star) == 36
+    assert _postman_bound(spine) == 38  # CPP: 19 edges plus 19 of pairing
+    # and below the limit the fallback never exceeds the exact pairing
+    for inst in CASES:
+        monkeypatch.setattr(exact, "_PAIRING_LIMIT", 10**6)
+        paired = _postman_bound(inst)
+        monkeypatch.setattr(exact, "_PAIRING_LIMIT", 0)
+        assert _postman_bound(inst) <= paired
 
 
 def euler_catalog(g, v_init):
