@@ -12,8 +12,8 @@ twice the size of the connected cover actually used.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .cover import VertexCover, connect_cover
 from .errors import OddDegree, TreeNotSpanning
@@ -21,8 +21,7 @@ from .euler import Solution, solution_from_multisets
 from .graphs import EdgeMultiset, ExplorationInstance, Multigraph, norm_edge
 
 
-@dataclass
-class PartitionState:
+class PartitionState(NamedTuple):
     """Intermediate state of the balanced partition, exposed for testing.
 
     `e_i` holds only the robots dealt edges so far, always robots 0, 1, ...

@@ -14,14 +14,13 @@ host graph's range and record the mapping.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyGraph, NotACover, TypeSpaceTooLarge
 from .graphs import Multigraph
 
 
-@dataclass(frozen=True)
-class VertexCover:
+class VertexCover(NamedTuple):
     """A set of vertices touching every edge.
 
     `connected` records whether this cover was validated as an augmented
@@ -38,14 +37,12 @@ class VertexCover:
         return set(self.vertices)
 
 
-@dataclass(frozen=True)
-class EqClass:
+class EqClass(NamedTuple):
     neighborhood: tuple[int, ...]  # sorted, subset of the cover
     members: tuple[int, ...]  # sorted independent vertices
 
 
-@dataclass(frozen=True)
-class EquivalenceClasses:
+class EquivalenceClasses(NamedTuple):
     """Partition of the independent vertices by open neighborhood."""
 
     classes: tuple[EqClass, ...]
@@ -149,8 +146,7 @@ def equivalence_classes(g: Multigraph, vc: VertexCover) -> EquivalenceClasses:
     return EquivalenceClasses(classes)
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
+class QuotientGraph(NamedTuple):
     """The simple graph with one fresh vertex per equivalence class."""
 
     graph: Multigraph
@@ -182,8 +178,7 @@ def num_ver(class_size: int, neighborhood_size: int, cover_size: int) -> int:
     return min(class_size, 2 ** neighborhood_size + cover_size ** 2)
 
 
-@dataclass(frozen=True)
-class ExpandedGraph:
+class ExpandedGraph(NamedTuple):
     """The bounded multigraph expansion: NumVer copies per class, edges doubled."""
 
     graph: Multigraph

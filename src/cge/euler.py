@@ -13,9 +13,8 @@ only the per-robot text lines, written by `robot_lines`, cost one per robot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotEulerian, StartNotInGraph
 from .graphs import (
@@ -27,17 +26,21 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class RobotCycle:
-    """A closed walk (v_0, ..., v_l) with v_0 = v_l; length counts traversals."""
-
+class _RobotCycleFields(NamedTuple):
     walk: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.walk) == 0:
+
+class RobotCycle(_RobotCycleFields):
+    """A closed walk (v_0, ..., v_l) with v_0 = v_l; length counts traversals."""
+
+    __slots__ = ()
+
+    def __new__(cls, walk: tuple[int, ...]):
+        if len(walk) == 0:
             raise ValueError("walk must contain at least the start vertex")
-        if self.walk[0] != self.walk[-1]:
+        if walk[0] != walk[-1]:
             raise ValueError("walk must start and end at the same vertex")
+        return super().__new__(cls, walk)
 
     @property
     def start(self) -> int:
@@ -140,8 +143,7 @@ def find_eulerian_cycle(edges: EdgeMultiset, start: int) -> RobotCycle:
     return RobotCycle(tuple(path))
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """k robot cycles as runs: each run is a walk and the number of
     consecutive robots, at least one, that take it.  The value is the longest
     walk length.
@@ -208,8 +210,7 @@ def robot_lines(first: int, count: int, body: str) -> Iterator[str]:
         yield "\n".join([f"robot {i}: {body}" for i in range(lo, min(lo + _CHUNK, end))])
 
 
-@dataclass(frozen=True)
-class RobotReport:
+class RobotReport(NamedTuple):
     """The checks of one run: robots index .. index + count - 1 (0-based)
     take the same walk, so they share every flag."""
 
@@ -225,13 +226,16 @@ class RobotReport:
         return self.starts_at_init and self.ends_at_init and self.adjacency_ok
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class _VerificationFields(NamedTuple):
     run_reports: tuple[RobotReport, ...]
     uncovered: tuple[tuple[int, int], ...]
     value: int
     budget_ok: bool | None  # None when the instance carries no budget
     robot_count_ok: bool
+
+
+class VerificationReport(_VerificationFields):
+    # no __slots__: the cached `ok` lives in the instance __dict__
 
     @property
     def coverage_ok(self) -> bool:

@@ -45,15 +45,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SearchBudgetExceeded
 from .euler import Solution, solution_from_multisets
 from .graphs import ExplorationInstance, Multigraph
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     """Knobs for the exact search.
 
     max_budget caps the optimum search; when no budget up to it has a
@@ -66,7 +65,6 @@ class SearchConfig:
     node_limit: int = 5_000_000
 
 
-@dataclass
 class _Catalog:
     """All realizable robot walks up to a length cap.
 
@@ -77,12 +75,15 @@ class _Catalog:
     entries whose support holds edge j; `_assign_robots` extends it.
     """
 
-    edges: list[tuple[int, int]]
-    supports: list[int]
-    lengths: list[int]
-    usages: list[int]
-    by_edge: list[list[int]]
-    indexed: int = 0
+    __slots__ = ("edges", "supports", "lengths", "usages", "by_edge", "indexed")
+
+    def __init__(self, edges: list[tuple[int, int]]):
+        self.edges = edges
+        self.supports = [0]
+        self.lengths = [0]
+        self.usages = [0]
+        self.by_edge: list[list[int]] = [[] for _ in edges]
+        self.indexed = 0
 
 
 class _NodeBudget:
@@ -133,7 +134,7 @@ class _Frontier:
         self.rounds = 0
         self.pending: dict[tuple[int, int], dict[int, int]] = {(0, 0): {v_init: 0}}
         self.found = {0}  # supports in the catalog, one bit per used edge at 2j
-        self.catalog = _Catalog(edges, [0], [0], [0], [[] for _ in edges])
+        self.catalog = _Catalog(edges)
 
     def expand(self, p: int, l: int, nodes: _NodeBudget) -> None:
         bucket = self.pending.pop((p, l), None)

@@ -8,8 +8,8 @@ indexing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from ..cover import (
     EquivalenceClasses,
@@ -24,13 +24,16 @@ from ..errors import PreconditionViolated
 from ..graphs import ExplorationInstance
 
 
-@dataclass(frozen=True)
-class FptContext:
+class _ContextFields(NamedTuple):
     instance: ExplorationInstance
     vcp: VertexCover
     eq: EquivalenceClasses
     gstar: QuotientGraph
     gbar: ExpandedGraph
+
+
+class FptContext(_ContextFields):
+    # no __slots__: the cached properties live in the instance __dict__
 
     @classmethod
     def build(

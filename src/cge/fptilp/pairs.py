@@ -11,7 +11,7 @@ vertex so every independent occurrence sits strictly inside the sequence.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import OddDegree, PreconditionViolated
 from ..euler import Solution, closed_walk_faults
@@ -29,8 +29,7 @@ Cycle = tuple[int, ...]
 cycle_edges = walk_edges
 
 
-@dataclass(frozen=True)
-class ValidPair:
+class ValidPair(NamedTuple):
     """Skeleton edge multiset plus cycle multiset; together they rebuild the source."""
 
     cc: tuple[tuple[int, int], ...]  # sorted multiset expansion

@@ -24,7 +24,7 @@ the cycle types, each in index order.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import DomainMismatch, ParseError
 from .context import FptContext
@@ -42,8 +42,7 @@ from .typespace import (
 RELATIONS = ("<=", "=", ">=")
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     tag: str
     terms: tuple[tuple[int, int], ...]  # (coefficient, variable index)
     relation: str
@@ -58,8 +57,7 @@ class Constraint:
         return lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class IlpSystem:
+class IlpSystem(NamedTuple):
     variables: tuple[str, ...]
     constraints: tuple[Constraint, ...]
 
@@ -68,8 +66,7 @@ class IlpSystem:
         return len(self.variables)
 
 
-@dataclass(frozen=True)
-class IlpAssignment:
+class IlpAssignment(NamedTuple):
     values: tuple[tuple[str, int], ...]  # (variable, value), in variable order
 
     def as_dict(self) -> dict[str, int]:
@@ -127,7 +124,8 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
         by_length[(ri, 4)] = [(-cycbud, var)] if cycbud else []
 
     # The hosts of one (cycle, allocation) are consecutive cycle types with
-    # the same eq3 and eq4 terms, so those rows are looked up once per pair.
+    # the same eq3 and eq4 terms and the same length, so those are worked
+    # out once per pair.
     pair = None
     for ci, ct in enumerate(types.cycle_types):
         var = cyc_base + ci
@@ -135,9 +133,11 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
             pair = (ct.cycle, ct.pa_alloc)
             rows = [(eq3[key], count) for key, count in cycle_alloc_counts(ct).items()]
             rows += [(eq4[e], 1) for e in cycle_edges(ct.cycle) if e in eq4]
+            length = len(ct.cycle) - 1
+            coef = 4 if length == 4 else 1
         for row, count in rows:
             row.append((count, var))
-        by_length[(ct.host, ct.length)].append((4 if ct.length == 4 else 1, var))
+        by_length[(ct.host, length)].append((coef, var))
 
     eq1 = tuple((1, rob_base + ri) for ri in range(n_rob))
     constraints = [Constraint("eq1", eq1, "=", ctx.k)]

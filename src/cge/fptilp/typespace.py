@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ..errors import NotIndependent, PreconditionViolated, TypeSpaceTooLarge
 from ..euler import closed_walk_faults
@@ -29,15 +28,16 @@ from .pairs import Cycle, ValidPair, canonical_cycle, freeze_multiset
 
 NeiSub = tuple[int, ...]  # sorted multiset of cover vertices
 
+# Types compare and hash as their field tuples, so a sorted type table is the
+# canonical variable order of the equation system.
 
-@dataclass(frozen=True, order=True)
-class VertexType:
+
+class VertexType(NamedTuple):
     class_id: int
     nei_subsets: tuple[NeiSub, ...]
 
 
-@dataclass(frozen=True, order=True)
-class RobotType:
+class RobotType(NamedTuple):
     cc: tuple[tuple[int, int], ...]  # sorted multiset expansion over expansion ids
     alloc: tuple[tuple[int, VertexType], ...]  # (copy id, vertex type), by copy id
     num_of_cyc: tuple[int, ...]  # counts per context.cycle_length_slots
@@ -46,8 +46,7 @@ class RobotType:
         return Counter(self.cc)
 
 
-@dataclass(frozen=True, order=True)
-class CycleType:
+class CycleType(NamedTuple):
     cycle: Cycle  # canonical cycle in the quotient graph
     pa_alloc: tuple[tuple[NeiSub, VertexType], ...]  # (pair, vertex type), sorted
     host: int  # index of the host robot type in TypeSpace.robot_types
@@ -57,8 +56,7 @@ class CycleType:
         return len(self.cycle) - 1
 
 
-@dataclass(frozen=True)
-class TypeSpace:
+class TypeSpace(NamedTuple):
     vertex_types: tuple[VertexType, ...]
     robot_types: tuple[RobotType, ...]
     cycle_types: tuple[CycleType, ...]

@@ -9,8 +9,7 @@ to share across threads.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NotConnected, SelfLoop
 
@@ -220,33 +219,36 @@ def multiset_vertices(edges: EdgeMultiset) -> set[int]:
     return verts
 
 
-@dataclass(frozen=True)
-class ExplorationInstance:
-    """A collective exploration task: k robots at v_init must jointly traverse
-    every edge of a connected simple graph and return, minimizing the longest
-    closed walk.  `budget` turns the optimization task into a decision task.
-    """
-
+class _InstanceFields(NamedTuple):
     graph: Multigraph
     v_init: int
     k: int
     budget: int | None = None
 
-    def __post_init__(self):
-        g = self.graph
-        if not (0 <= self.v_init < g.n):
-            raise ValueError(f"v_init {self.v_init} out of range")
-        if self.k < 1:
+
+class ExplorationInstance(_InstanceFields):
+    """A collective exploration task: k robots at v_init must jointly traverse
+    every edge of a connected simple graph and return, minimizing the longest
+    closed walk.  `budget` turns the optimization task into a decision task.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, graph: Multigraph, v_init: int, k: int, budget: int | None = None):
+        if not (0 <= v_init < graph.n):
+            raise ValueError(f"v_init {v_init} out of range")
+        if k < 1:
             raise ValueError("robot count must be at least 1")
-        if self.budget is not None and self.budget < 0:
+        if budget is not None and budget < 0:
             raise ValueError("budget must be non-negative")
-        if not g.is_simple():
+        if not graph.is_simple():
             raise ValueError("instance graph must be simple")
         # every vertex must be reachable, not merely the edge-bearing ones
-        if g.n > 0:
-            comp = g._component_of(self.v_init)
-            if len(comp) != g.n:
+        if graph.n > 0:
+            comp = graph._component_of(v_init)
+            if len(comp) != graph.n:
                 raise NotConnected("instance graph is not connected")
+        return super().__new__(cls, graph, v_init, k, budget)
 
     def with_budget(self, budget: int | None) -> "ExplorationInstance":
         return ExplorationInstance(self.graph, self.v_init, self.k, budget)

@@ -9,26 +9,30 @@ budget twice the capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ImmediateNo, NotExact, TooLarge
 from .graphs import ExplorationInstance, Multigraph
 
 
-@dataclass(frozen=True)
-class BinPackingInstance:
+class _BinPackingFields(NamedTuple):
     sizes: tuple[int, ...]  # item order matters for the tree construction
     capacity: int
     bins: int
     exact: bool = False
 
-    def __post_init__(self):
-        if any(s < 1 for s in self.sizes):
+
+class BinPackingInstance(_BinPackingFields):
+    __slots__ = ()
+
+    def __new__(cls, sizes: tuple[int, ...], capacity: int, bins: int, exact: bool = False):
+        if any(s < 1 for s in sizes):
             raise ValueError("item sizes must be positive")
-        if self.capacity < 1 or self.bins < 1:
+        if capacity < 1 or bins < 1:
             raise ValueError("capacity and bin count must be positive")
-        if self.exact and sum(self.sizes) != self.capacity * self.bins:
+        if exact and sum(sizes) != capacity * bins:
             raise ValueError("exact instances require total size = capacity * bins")
+        return super().__new__(cls, sizes, capacity, bins, exact)
 
     @property
     def total(self) -> int:

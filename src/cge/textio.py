@@ -35,7 +35,7 @@ and formatting round-trip exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotConnected, ParseError
 from .euler import RobotCycle, Solution, robot_lines
@@ -43,8 +43,7 @@ from .graphs import ExplorationInstance, Multigraph, norm_edge
 from .hardness import BinPackingInstance
 
 
-@dataclass(frozen=True)
-class InstanceDocument:
+class InstanceDocument(NamedTuple):
     kind: str  # "cge" | "binpack"
     payload: object
 
