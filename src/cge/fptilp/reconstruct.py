@@ -120,21 +120,18 @@ def _allocate_cycles_to_robots(
     robots_by_type: dict[int, list[int]] = {}
     for i, ri in enumerate(robot_of):
         robots_by_type.setdefault(ri, []).append(i)
-    used: dict[int, list[tuple[int, CycleType]]] = {}  # host -> (index, type)
+    # (host, cycle length) -> (cycle type index, instance), ascending
+    hosted: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for ci, count in enumerate(cyc_counts):
         if count:
             ct = types.cycle_types[ci]
-            used.setdefault(ct.host, []).append((ci, ct))
+            hosted.setdefault((ct.host, len(ct.cycle) - 1), []).extend(
+                (ci, inst) for inst in range(1, count + 1)
+            )
     for ri, robots in robots_by_type.items():
         rt = types.robot_types[ri]
-        hosted = used.get(ri, [])
         for slot, j in enumerate(ctx.cycle_length_slots):
-            instances = [
-                (ci, inst)
-                for ci, ct in hosted
-                if ct.length == j
-                for inst in range(1, cyc_counts[ci] + 1)
-            ]
+            instances = hosted.get((ri, j), [])
             need = rt.num_of_cyc[slot]
             if len(instances) != need * len(robots):
                 raise InfeasibleAllocation(
@@ -143,13 +140,7 @@ def _allocate_cycles_to_robots(
                 )
             for q, inst in enumerate(instances):
                 out[inst] = robots[q // need] if need else robots[0]
-        quads = [
-            (ci, inst)
-            for ci, ct in hosted
-            if ct.length == 4
-            for inst in range(1, cyc_counts[ci] + 1)
-        ]
-        for q, inst in enumerate(quads):
+        for q, inst in enumerate(hosted.get((ri, 4), [])):
             out[inst] = robots[q % len(robots)]
     return out
 

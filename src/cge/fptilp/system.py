@@ -24,6 +24,7 @@ the cycle types, each in index order.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import zip_longest
 from typing import NamedTuple
 
 from ..errors import DomainMismatch, ParseError
@@ -202,145 +203,113 @@ def witness_from_solution(
 
 # ---------------------------------------------------------------------------
 # text formats
+#
+# Each format has one line generator.  The exporter joins its lines; the
+# parser reads its input leniently, renders what it read and accepts the text
+# only if it equals that rendering line for line.  The comparison rejects
+# stray whitespace, signs, leading zeros, '_' separators, non-ASCII digits,
+# wrong header counts and a missing final newline alike, so the parsers check
+# only what a rendering cannot show.  Nothing loops to a declared count.
 
 
-def _constraint_line(c: Constraint, variables: tuple[str, ...]) -> str:
-    parts = " + ".join(f"{coef} {variables[i]}" for coef, i in c.terms)
-    if parts:
-        return f"c {c.tag} : {parts} {c.relation} {c.rhs}"
-    return f"c {c.tag} : {c.relation} {c.rhs}"
+def _ilp_lines(system: IlpSystem) -> list[str]:
+    """The exported text split at its newlines, so the last item is empty."""
+    names = system.variables
+    lines = [f"ilp {len(names)} {len(system.constraints)}"]
+    lines += [f"var {name}" for name in names]
+    for c in system.constraints:
+        terms = " + ".join(f"{coef} {names[i]}" for coef, i in c.terms)
+        if terms:
+            lines.append(f"c {c.tag} : {terms} {c.relation} {c.rhs}")
+        else:
+            lines.append(f"c {c.tag} : {c.relation} {c.rhs}")
+    lines.append("")
+    return lines
+
+
+def _assignment_lines(assignment: IlpAssignment) -> list[str]:
+    """The formatted text split at its newlines, so the last item is empty."""
+    lines = [f"assign {len(assignment.values)}"]
+    lines += [f"{name} {value}" for name, value in assignment.values]
+    lines.append("")
+    return lines
+
+
+def _body(lines: list[str]) -> list[str]:
+    """The lines after the header, without the empty remainder after a final
+    newline."""
+    return lines[1:-1] if lines[-1] == "" else lines[1:]
+
+
+def _check_exported(lines: list[str], exported: list[str]) -> None:
+    """Raise ParseError at the first line that differs from the export."""
+    if lines != exported:
+        for no, (line, want) in enumerate(zip_longest(lines, exported), 1):
+            if line != want:
+                if want == "":  # the text ends on the line before
+                    raise ParseError(no - 1, "missing final newline")
+                raise ParseError(no, "line is not in exported form")
 
 
 def export_ilp(system: IlpSystem) -> str:
     """Deterministic text form; re-parsing reproduces the bytes exactly."""
-    lines = [f"ilp {system.num_variables} {len(system.constraints)}"]
-    for name in system.variables:
-        lines.append(f"var {name}")
-    for c in system.constraints:
-        lines.append(_constraint_line(c, system.variables))
-    return "\n".join(lines) + "\n"
-
-
-def _exported_lines(text: str, usage: str) -> tuple[list[str], list[int]]:
-    """Split an exported text into lines and read its header counts.
-
-    The two parsers below accept only what their formatter writes:
-    LF-terminated lines, each equal to the rendering of what was read from
-    it.  That one comparison per line rejects stray whitespace, signs,
-    leading zeros, '_' separators and non-ASCII digits alike.
-    """
-    lines = text.split("\n")
-    if lines.pop() != "":
-        raise ParseError(len(lines) + 1, "missing final newline")
-    keyword, *fields = usage.split()
-    head = lines[0].split(" ") if lines else []
-    try:
-        counts = [int(tok) for tok in head[1:]]
-    except ValueError:
-        counts = []
-    if (
-        len(counts) != len(fields)
-        or " ".join([keyword, *map(str, counts)]) != lines[0]
-        or min(counts, default=0) < 0
-    ):
-        raise ParseError(1, f"expected header '{usage}' with non-negative counts")
-    return lines, counts
+    return "\n".join(_ilp_lines(system))
 
 
 def parse_ilp(text: str) -> IlpSystem:
-    lines, (num_vars, num_cons) = _exported_lines(text, "ilp <numvars> <numconstraints>")
-    variables: list[str] = []
+    lines = text.split("\n")
+    body = _body(lines)
     var_index: dict[str, int] = {}
-    idx = 1
-    for _ in range(num_vars):
-        line = lines[idx] if idx < len(lines) else ""
+    for no, line in enumerate(body, 2):
+        if not line.startswith("var "):
+            break
         name = line[4:]
-        if not line.startswith("var ") or name.split() != [name]:
-            raise ParseError(idx + 1, "expected a 'var <name>' line")
+        if name.split() != [name]:
+            raise ParseError(no, "expected a 'var <name>' line")
         if name in var_index:
-            raise ParseError(idx + 1, f"duplicate variable {name!r}")
-        var_index[name] = len(variables)
-        variables.append(name)
-        idx += 1
-    names = tuple(variables)
+            raise ParseError(no, f"duplicate variable {name!r}")
+        var_index[name] = len(var_index)
     constraints = []
-    for _ in range(num_cons):
-        if idx >= len(lines):
-            raise ParseError(idx + 1, "missing constraint line")
-        line = lines[idx]
-        idx += 1
-        if not line.startswith("c "):
-            raise ParseError(idx, "expected a 'c <tag> : ...' line")
+    for no, line in enumerate(body[len(var_index):], len(var_index) + 2):
+        tag, _, rest = line[2:].partition(" : ")
+        tokens = rest.split()
+        # the first relation token ends the terms, so a term cannot name a
+        # variable that is called like a relation
+        rel = min((tokens.index(r) for r in RELATIONS if r in tokens), default=len(tokens))
+        if rel + 2 > len(tokens):
+            raise ParseError(no, "expected '<rel> <rhs>' after the terms")
         try:
-            header, body = line[2:].split(" : ", 1)
+            rhs = int(tokens[rel + 1])
+            terms = tuple(
+                (int(coef), var_index[name])
+                for coef, name in zip(tokens[0:rel:3], tokens[1:rel:3])
+            )
         except ValueError:
-            raise ParseError(idx, "missing ' : ' separator")
-        tokens = body.split()
-        rel_pos = next(
-            (p for p, tok in enumerate(tokens) if tok in RELATIONS), None
-        )
-        if rel_pos is None or rel_pos != len(tokens) - 2:
-            raise ParseError(idx, "expected '<rel> <rhs>' at the end")
-        relation = tokens[rel_pos]
-        try:
-            rhs = int(tokens[-1])
-        except ValueError:
-            raise ParseError(idx, "non-integer right-hand side")
-        term_tokens = tokens[:rel_pos]
-        terms = []
-        pos = 0
-        while pos < len(term_tokens):
-            if terms:
-                if term_tokens[pos] != "+":
-                    raise ParseError(idx, "expected '+' between terms")
-                pos += 1
-            if pos + 1 >= len(term_tokens):
-                raise ParseError(idx, "dangling term")
-            try:
-                coef = int(term_tokens[pos])
-            except ValueError:
-                raise ParseError(idx, f"non-integer coefficient {term_tokens[pos]!r}")
-            name = term_tokens[pos + 1]
-            if name not in var_index:
-                raise ParseError(idx, f"unknown variable {name!r}")
-            terms.append((coef, var_index[name]))
-            pos += 2
-        c = Constraint(header, tuple(terms), relation, rhs)
-        if _constraint_line(c, names) != line:
-            raise ParseError(idx, "constraint is not in exported form")
-        constraints.append(c)
-    if idx < len(lines):
-        raise ParseError(idx + 1, "text after the last declared constraint")
-    return IlpSystem(names, tuple(constraints))
+            raise ParseError(no, "non-integer coefficient or right-hand side")
+        except KeyError as exc:
+            raise ParseError(no, f"unknown variable {exc.args[0]!r}")
+        constraints.append(Constraint(tag, terms, tokens[rel], rhs))
+    system = IlpSystem(tuple(var_index), tuple(constraints))
+    _check_exported(lines, _ilp_lines(system))
+    return system
 
 
 def format_assignment(assignment: IlpAssignment) -> str:
-    lines = [f"assign {len(assignment.values)}"]
-    for name, value in assignment.values:
-        lines.append(f"{name} {value}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_assignment_lines(assignment))
 
 
 def parse_assignment(text: str) -> IlpAssignment:
-    lines, (count,) = _exported_lines(text, "assign <numvars>")
-    values = []
-    seen: set[str] = set()
-    for i in range(1, count + 1):
-        if i >= len(lines):
-            raise ParseError(i + 1, "missing assignment line")
-        parts = lines[i].split()
-        if len(parts) != 2:
-            raise ParseError(i + 1, "expected '<name> <value>'")
+    lines = text.split("\n")
+    values: dict[str, int] = {}
+    for no, line in enumerate(_body(lines), 2):
         try:
-            value = int(parts[1])
+            name, token = line.split()
+            value = int(token)
         except ValueError:
-            raise ParseError(i + 1, "non-integer value")
-        if lines[i] != f"{parts[0]} {value}":
-            raise ParseError(i + 1, "value is not in exported form")
-        if parts[0] in seen:
-            raise ParseError(i + 1, f"duplicate variable {parts[0]!r}")
-        seen.add(parts[0])
-        values.append((parts[0], value))
-    if count + 1 < len(lines):
-        raise ParseError(count + 2, "text after the last declared value")
-    return IlpAssignment(tuple(values))
+            raise ParseError(no, "expected '<name> <value>' with an integer value")
+        if name in values:
+            raise ParseError(no, f"duplicate variable {name!r}")
+        values[name] = value
+    assignment = IlpAssignment(tuple(values.items()))
+    _check_exported(lines, _assignment_lines(assignment))
+    return assignment

@@ -28,6 +28,8 @@ from .pairs import Cycle, ValidPair, canonical_cycle, freeze_multiset
 
 NeiSub = tuple[int, ...]  # sorted multiset of cover vertices
 
+MAX_TYPES = 200_000  # cap on robot, cycle and all types of one space
+
 # Types compare and hash as their field tuples, so a sorted type table is the
 # canonical variable order of the equation system.
 
@@ -382,9 +384,7 @@ def _num_of_cyc_vectors(ctx: FptContext, spare: int) -> list[tuple[int, ...]]:
     return vectors
 
 
-def _enumerate_robot_types(
-    ctx: FptContext, vertex_types: list[VertexType], max_types: int
-) -> list[RobotType]:
+def _enumerate_robot_types(ctx: FptContext, vertex_types: list[VertexType]) -> list[RobotType]:
     out = []
     for cc in _enumerate_skeletons(ctx):
         cc_frozen = freeze_multiset(cc)
@@ -396,9 +396,9 @@ def _enumerate_robot_types(
         for alloc in allocs:
             for vec in vectors:
                 out.append(RobotType(cc=cc_frozen, alloc=alloc, num_of_cyc=vec))
-                if len(out) > max_types:
+                if len(out) > MAX_TYPES:
                     raise TypeSpaceTooLarge(
-                        f"more than {max_types} robot types; shrink the instance"
+                        f"more than {MAX_TYPES} robot types; shrink the instance"
                     )
     return sorted(out)
 
@@ -450,7 +450,6 @@ def _enumerate_cycle_types(
     ctx: FptContext,
     robot_types: list[RobotType],
     vertex_types: list[VertexType],
-    max_types: int,
 ) -> list[CycleType]:
     """Cycle types in canonical order: the loops run over ascending cycles,
     allocations and host indices, and `robot_types` is sorted."""
@@ -466,14 +465,14 @@ def _enumerate_cycle_types(
         for pa in sorted(_allocations(labels, vertex_types)):
             for ri in hosts:
                 out.append(CycleType(cycle=cycle, pa_alloc=pa, host=ri))
-                if len(out) > max_types:
+                if len(out) > MAX_TYPES:
                     raise TypeSpaceTooLarge(
-                        f"more than {max_types} cycle types; shrink the instance"
+                        f"more than {MAX_TYPES} cycle types; shrink the instance"
                     )
     return out
 
 
-def enumerate_type_space(ctx: FptContext, max_types: int = 200_000) -> TypeSpace:
+def enumerate_type_space(ctx: FptContext) -> TypeSpace:
     """Exhaustive, budget-aware type enumeration behind hard desk-scale guards.
 
     Covers of size at most 2 and at most 3 classes are accepted; beyond that
@@ -489,13 +488,13 @@ def enumerate_type_space(ctx: FptContext, max_types: int = 200_000) -> TypeSpace
     if ctx.g.num_edges == 0:
         raise PreconditionViolated("the equation system needs at least one edge")
     vertex_types = _enumerate_vertex_types(ctx)
-    robot_types = _enumerate_robot_types(ctx, vertex_types, max_types)
-    cycle_types = _enumerate_cycle_types(ctx, robot_types, vertex_types, max_types)
+    robot_types = _enumerate_robot_types(ctx, vertex_types)
+    cycle_types = _enumerate_cycle_types(ctx, robot_types, vertex_types)
     space = TypeSpace(
         vertex_types=tuple(vertex_types),
         robot_types=tuple(robot_types),
         cycle_types=tuple(cycle_types),
     )
-    if space.total > max_types:
-        raise TypeSpaceTooLarge(f"{space.total} types exceed the cap {max_types}")
+    if space.total > MAX_TYPES:
+        raise TypeSpaceTooLarge(f"{space.total} types exceed the cap {MAX_TYPES}")
     return space

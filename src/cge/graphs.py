@@ -94,17 +94,6 @@ class Multigraph:
     def is_simple(self) -> bool:
         return all(m == 1 for m in self._edges.values())
 
-    def _component_of(self, start: int) -> set[int]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w, _ in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
-
     def components(self, vertices: Iterable[int] | None = None) -> list[list[int]]:
         """Connected components of the subgraph induced by `vertices` (default: all).
 
@@ -244,10 +233,8 @@ class ExplorationInstance(_InstanceFields):
         if not graph.is_simple():
             raise ValueError("instance graph must be simple")
         # every vertex must be reachable, not merely the edge-bearing ones
-        if graph.n > 0:
-            comp = graph._component_of(v_init)
-            if len(comp) != graph.n:
-                raise NotConnected("instance graph is not connected")
+        if -1 in graph.bfs_distances(v_init):
+            raise NotConnected("instance graph is not connected")
         return super().__new__(cls, graph, v_init, k, budget)
 
     def with_budget(self, budget: int | None) -> "ExplorationInstance":

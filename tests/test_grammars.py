@@ -3,7 +3,9 @@ or round-trips.
 
 Instance and solution texts may carry comments and blank lines, so for them
 formatting is a fixed point; equation-system and assignment texts have one
-exported form and re-export byte for byte.
+exported form and re-export byte for byte.  Those two parsers accept a text
+exactly when it equals the export of what was read from it; they must accept
+and read the same texts as the rule-by-rule parsers in ilp_text_reference.py.
 """
 
 from pathlib import Path
@@ -16,13 +18,20 @@ from cge.approx import approx_solve
 from cge.cover import vertex_cover_2approx
 from cge.errors import ParseError
 from cge.fptilp import (
+    FptContext,
     IlpAssignment,
+    build_ilp_system,
+    enumerate_type_space,
     export_ilp,
     format_assignment,
     parse_assignment,
     parse_ilp,
 )
+from cge.fptilp import system as system_module
 from cge.textio import format_instance, format_solution, parse_instance, parse_solution
+
+import ilp_text_reference as reference
+from corpus import corpus_cover
 
 DATA = Path(__file__).parent / "data"
 INSTANCE_TEXTS = [p.read_text() for p in sorted((DATA / "corpus").iterdir())]
@@ -32,6 +41,11 @@ SOLUTION_TEXTS = [
     for doc in map(parse_instance, INSTANCE_TEXTS[:8])
     if doc.kind == "cge"
 ]
+STAR5_K3 = parse_instance((DATA / "corpus" / "star5-k3.cge").read_text()).payload
+STAR5_K3_CTX = FptContext.build(STAR5_K3, corpus_cover(STAR5_K3))
+CORPUS_ILP_TEXT = export_ilp(
+    build_ilp_system(STAR5_K3_CTX, enumerate_type_space(STAR5_K3_CTX))
+)
 ASSIGNMENT_TEXT = format_assignment(
     IlpAssignment(tuple((n, i % 3) for i, n in enumerate(parse_ilp(ILP_TEXT).variables)))
 )
@@ -188,3 +202,79 @@ def test_mutated_ilp_texts_parse_or_reexport_exactly(text):
 @settings(max_examples=200, deadline=None)
 def test_mutated_assignments_parse_or_reexport_exactly(text):
     _byte_exact(parse_assignment, format_assignment, text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
+
+
+@given(mutated([ILP_TEXT, CORPUS_ILP_TEXT]))
+@settings(max_examples=400, deadline=None)
+def test_mutated_ilp_texts_parse_as_the_reference_does(text):
+    assert _outcome(parse_ilp, text) == _outcome(reference.parse_ilp, text)
+
+
+@given(mutated([ASSIGNMENT_TEXT]))
+@settings(max_examples=400, deadline=None)
+def test_mutated_assignments_parse_as_the_reference_does(text):
+    assert _outcome(parse_assignment, text) == _outcome(reference.parse_assignment, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ilp 1 1\nvar =\nc eq1 : 1 = = 2\n",  # a term may not be named like a relation
+        "ilp 1 0\nvar =\n",
+        "ilp 1 1\nvar +\nc eq1 : 1 + + 2 + = 2\n",
+        "ilp 1 1\nvar x\nc a b : 1 x = 2\n",  # the tag is everything before ' : '
+        "ilp 1 1\nvar x\nc  : 1 x = 2\n",
+        "ilp 1 1\nvar x\nc a : : 1 x = 2\n",
+        "ilp 0 1\nc eq1 : = 0\n",
+        "ilp 1 1\nvar 5\nc eq1 : 5 5 = 5\n",
+        "ilp 1 1\nvar x\nc eq1 : -1 x = -2\n",
+        "ilp 1 1\nvar x\nc eq1 : 1 x >= = 2\n",
+        "ilp 1 1\nvar x\nc eq1 : 1 x 1 x = 2\n",
+        "ilp 1 2\nvar x\nc eq1 : 1 x = 2\nvar y\n",
+        "ilp 0 0",
+        "",
+    ],
+)
+def test_edge_case_ilp_texts_parse_as_the_reference_does(text):
+    assert _outcome(parse_ilp, text) == _outcome(reference.parse_ilp, text)
+
+
+def test_parsers_do_not_call_the_traced_exporters(monkeypatch):
+    """A parser that called export_ilp or format_assignment would add spans to
+    the per-layer trace counts of every command that parses."""
+    def refuse(*args):
+        raise AssertionError("a parser called a traced exporter")
+
+    monkeypatch.setattr(system_module, "export_ilp", refuse)
+    monkeypatch.setattr(system_module, "format_assignment", refuse)
+    assert parse_ilp(ILP_TEXT).variables[0] == "x_ver_0"
+    assert parse_ilp(CORPUS_ILP_TEXT).num_variables == 121
+    assert parse_assignment(ASSIGNMENT_TEXT).values[1] == ("x_rob_0", 1)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("ilp 2 1\nvar x\nc eq1 : 1 x = 2\n", 1),
+        ("ilp 1 2\nvar x\nc eq1 : 1 x = 2\n", 1),
+        ("ilp 1 1\nvar x\nc eq1 :  1 x = 2\n", 3),
+        ("ilp 2 2\nvar x\nvar y\nc eq1 : 1 x = 2\nc eq2 : 1 x  + 1 y = 2\n", 5),
+        ("ilp 1 1\nvar x\nc eq1 : 1 y = 2\n", 3),
+        ("ilp 1 1\nvar x\nc eq1 : 1 x = 2", 3),
+        ("ilp 0 0", 1),
+        ("assign 2\nx 1\n", 1),
+        ("assign 1\nx 01\n", 2),
+    ],
+)
+def test_parse_errors_name_the_first_differing_line(text, line):
+    parse = parse_assignment if text.startswith("assign") else parse_ilp
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.line == line

@@ -4,7 +4,8 @@ Each record keeps its class name, fields, defaults, repr text and
 constructor errors; its hash is the hash of its field tuple; type tables
 sort by their field tuples, which is the variable numbering of the
 equation system.  `import cge.cli` leaves `dataclasses` and `inspect`
-unloaded, so a fresh process does not pay for them.
+unloaded, so a fresh process does not pay for them, and `import cge.textio`
+leaves the solvers and the compiler unloaded.
 """
 
 from __future__ import annotations
@@ -242,18 +243,29 @@ def test_verification_ok_is_computed_once(records):
     assert vars(report) == {"ok": True}
 
 
-def test_fresh_import_skips_dataclasses_and_inspect():
+def _fresh_import_loads(module: str, unwanted: set[str]) -> str:
+    """Which of `unwanted` a fresh interpreter loads to import `module`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     code = (
-        "import sys; before = set(sys.modules); import cge.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        f"import sys; before = set(sys.modules); import {module}; "
+        f"print(sorted({unwanted!r} & (set(sys.modules) - before)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_fresh_import_skips_dataclasses_and_inspect():
+    assert _fresh_import_loads("cge.cli", {"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_fresh_textio_import_skips_the_solvers():
+    """The package has no facade, so text I/O loads only what it uses."""
+    unwanted = {"cge.cover", "cge.exact", "cge.approx", "cge.fptilp"}
+    assert _fresh_import_loads("cge.textio", unwanted) == "[]\n"
