@@ -2,7 +2,7 @@
 
 Commands read instance files, run the requested computation, and print
 deterministic text.  Exit codes: 0 ok/yes, 1 no/violation, 2 usage or parse
-error, 3 resource guard tripped (search or type-space limits).
+error, 3 resource guard tripped (search, type-space or reduction size limits).
 
 `COMMANDS` describes each subcommand once, and a call builds only the parser
 of the subcommand it names; `tests/test_cli_usage.py` pins the help and usage
@@ -21,6 +21,7 @@ from .errors import (
     ImmediateNo,
     ParseError,
     SearchBudgetExceeded,
+    TooLarge,
     TypeSpaceTooLarge,
 )
 from .exact import SearchConfig, exact_decide, exact_optimum
@@ -292,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     except ImmediateNo as exc:
         sys.stdout.write(f"no: {exc}\n")
         return EXIT_NO
-    except (SearchBudgetExceeded, TypeSpaceTooLarge) as exc:
+    except (SearchBudgetExceeded, TypeSpaceTooLarge, TooLarge) as exc:
         sys.stderr.write(f"resource guard: {exc}\n")
         return EXIT_GUARD
     except (CgeError, ValueError, OSError) as exc:

@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
-Resource guards (SearchBudgetExceeded, TypeSpaceTooLarge) are distinct from
-"no" answers: they mean the computation was refused or aborted, not that the
-instance is infeasible.
+Resource guards (SearchBudgetExceeded, TypeSpaceTooLarge, TooLarge) are
+distinct from "no" answers: they mean the computation was refused or aborted,
+not that the instance is infeasible.
 """
 
 

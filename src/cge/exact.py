@@ -321,6 +321,25 @@ def _postman_bound(inst: ExplorationInstance) -> int:
     return lb
 
 
+def _search(
+    inst: ExplorationInstance, cfg: SearchConfig, budgets
+) -> tuple[int, Solution] | None:
+    """The first of the ascending `budgets` at which the robots can cover
+    every edge, with a witness, or None.  One walk search is extended a
+    round at a time across the budgets, under one node limit.
+    """
+    g = inst.graph
+    frontier = _Frontier(g, inst.v_init)
+    nodes = _NodeBudget(cfg.node_limit)
+    full = _edge_mask(g)
+    for budget in budgets:
+        catalog = _walk_catalog(g, inst.v_init, budget, frontier, nodes)
+        entries = _assign_robots(catalog, inst.k, budget, full, nodes)
+        if entries is not None:
+            return budget, _solution_from_entries(inst, catalog, entries)
+    return None
+
+
 def exact_decide(
     inst: ExplorationInstance, cfg: SearchConfig = SearchConfig()
 ) -> tuple[bool, Solution | None]:
@@ -337,12 +356,8 @@ def exact_decide(
         return True, solution_from_multisets(g.n, inst.v_init, (), inst.k)
     if _farthest_edge_bound(g, inst.v_init) > budget:
         return False, None
-    nodes = _NodeBudget(cfg.node_limit)
-    catalog = _walk_catalog(g, inst.v_init, budget, _Frontier(g, inst.v_init), nodes)
-    entries = _assign_robots(catalog, inst.k, budget, _edge_mask(g), nodes)
-    if entries is None:
-        return False, None
-    return True, _solution_from_entries(inst, catalog, entries)
+    found = _search(inst, cfg, (budget,))
+    return (False, None) if found is None else (True, found[1])
 
 
 def exact_optimum(
@@ -363,12 +378,4 @@ def exact_optimum(
     ceiling = 2 * g.num_distinct_edges
     if cfg.max_budget is not None:
         ceiling = min(ceiling, cfg.max_budget)
-    frontier = _Frontier(g, inst.v_init)
-    nodes = _NodeBudget(cfg.node_limit)
-    full = _edge_mask(g)
-    for budget in range(lb, ceiling + 1):
-        catalog = _walk_catalog(g, inst.v_init, budget, frontier, nodes)
-        entries = _assign_robots(catalog, inst.k, budget, full, nodes)
-        if entries is not None:
-            return budget, _solution_from_entries(inst, catalog, entries)
-    return None
+    return _search(inst, cfg, range(lb, ceiling + 1))

@@ -11,13 +11,13 @@ vertex so every independent occurrence sits strictly inside the sequence.
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from ..errors import OddDegree, PreconditionViolated
 from ..euler import Solution, closed_walk_faults
 from ..graphs import (
     EdgeMultiset,
-    multiset_degree,
+    incidence,
     multiset_vertices,
     norm_edge,
     odd_degree_vertices,
@@ -96,15 +96,13 @@ def extract_cycle_cover(
         if found is None:
             break  # cannot happen by the counting argument; fall through safely
         cycles.append(canonical_cycle(found, vc))
-        for i in range(4):
-            work[norm_edge(found[i], found[i + 1])] -= 1
+        work.subtract(cycle_edges(found))
         left -= 4
 
     while left > 0:
         cyc = _peel_simple_cycle(work)
         cycles.append(canonical_cycle(cyc, vc))
-        for i in range(len(cyc) - 1):
-            work[norm_edge(cyc[i], cyc[i + 1])] -= 1
+        work.subtract(cycle_edges(cyc))
         left -= len(cyc) - 1
 
     return sorted(cycles)
@@ -115,13 +113,8 @@ def _find_pigeonhole_square(work: EdgeMultiset, vc) -> Cycle | None:
     4-cycle (u, v, u', v', u).  Pairs are formed per vertex over the sorted
     incident multiset, consecutively.
     """
-    incident: dict[int, list[int]] = {}
-    for (a, b), m in sorted(work.items()):
-        if m:
-            incident.setdefault(a, []).extend([b] * m)
-            incident.setdefault(b, []).extend([a] * m)
     seen: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for u, nbrs in sorted(incident.items()):
+    for u, nbrs in sorted(incidence(work).items()):
         if u in vc:
             continue
         for i in range(0, len(nbrs) - 1, 2):
@@ -136,35 +129,45 @@ def _find_pigeonhole_square(work: EdgeMultiset, vc) -> Cycle | None:
     return None
 
 
+def _least_trail(
+    edges: EdgeMultiset, start: int
+) -> Iterator[tuple[list[int], Cycle | None]]:
+    """Walk from `start`, always to the least neighbour over an edge copy
+    not used yet, and cut each loop out of the path as soon as it closes.
+
+    After every step yields the path (a simple path from `start` to the
+    current vertex) and the loop just cut out, or None.  Ends at a vertex
+    with no copy left.
+    """
+    adj = incidence(edges)
+    path = [start]
+    pos = {start: 0}
+    while adj.get(path[-1]):
+        cur = path[-1]
+        x = adj[cur].pop(0)
+        adj[x].remove(cur)
+        loop = None
+        if x in pos:
+            loop = tuple(path[pos[x]:]) + (x,)
+            for y in path[pos[x] + 1:]:
+                del pos[y]
+            del path[pos[x] + 1:]
+        else:
+            pos[x] = len(path)
+            path.append(x)
+        yield path, loop
+
+
 def _peel_simple_cycle(work: EdgeMultiset) -> Cycle:
     """Walk from the lowest active vertex along least available neighbors
     until a vertex repeats; the enclosed portion is a simple cycle.
     """
-    adj: dict[int, Counter] = {}
-    for (a, b), m in work.items():
-        if m:
-            adj.setdefault(a, Counter())[b] += m
-            adj.setdefault(b, Counter())[a] += m
-    start = min(adj)
+    start = min(multiset_vertices(work))
     path = [start]
-    pos = {start: 0}
-    used: Counter = Counter()
-    while True:
-        cur = path[-1]
-        nxt = None
-        for w in sorted(adj.get(cur, ())):
-            e = norm_edge(cur, w)
-            if work[e] - used[e] > 0:
-                nxt = w
-                break
-        if nxt is None:
-            raise OddDegree(f"stuck at vertex {cur}; degrees not all even")
-        used[norm_edge(cur, nxt)] += 1
-        if nxt in pos:
-            cycle = path[pos[nxt]:] + [nxt]
-            return tuple(cycle)
-        pos[nxt] = len(path)
-        path.append(nxt)
+    for path, loop in _least_trail(work, start):
+        if loop:
+            return loop
+    raise OddDegree(f"stuck at vertex {path[-1]}; degrees not all even")
 
 
 def check_valid_pair(
@@ -252,12 +255,7 @@ def decompose_valid_pair(ctx: FptContext, source: EdgeMultiset) -> ValidPair:
         odd = [v for v in odd_degree_vertices(h) if v in vc]
         if not odd:
             break
-        v = odd[0]
-        leftovers = src - h
-        trail = _trail_to_odd_cover(ctx, leftovers, h, v)
-        simple = _simplify_path(trail)
-        for a, b in zip(simple, simple[1:]):
-            h[norm_edge(a, b)] += 1
+        h.update(walk_edges(_repair_path(src - h, odd[0], odd)))
 
     cc = +h
     remainder = src - cc
@@ -281,44 +279,14 @@ def solution_pairs(ctx: FptContext, sol: Solution) -> list[ValidPair]:
     return [decompose_valid_pair(ctx, pair_source(ctx, ms)) for ms in sol.multisets]
 
 
-def _trail_to_odd_cover(
-    ctx: FptContext, leftovers: EdgeMultiset, h: EdgeMultiset, v: int
-) -> list[int]:
-    """Trail through the unused edges from an odd cover vertex to another.
+def _repair_path(leftovers: EdgeMultiset, v: int, odd: list[int]) -> list[int]:
+    """Simple path through the unused edges from the odd cover vertex v to
+    another one of `odd`, along the least-neighbour trail.
 
-    The endpoint always has an unused incident edge while it is not a
-    stopping vertex, because total degrees are even.
+    The trail's endpoint always has an unused incident edge while it is not
+    a stopping vertex, because total degrees are even.
     """
-    vc = ctx.cover_set
-    avail = Counter(leftovers)
-    trail = [v]
-    cur = v
-    while True:
-        nxt = None
-        for (a, b) in sorted(avail):
-            if avail[(a, b)] and cur in (a, b):
-                nxt = b if a == cur else a
-                break
-        if nxt is None:
-            raise PreconditionViolated("parity repair ran out of edges")
-        avail[norm_edge(cur, nxt)] -= 1
-        trail.append(nxt)
-        cur = nxt
-        if cur in vc and cur != v and multiset_degree(h, cur) % 2 == 1:
-            return trail
-
-
-def _simplify_path(trail: list[int]) -> list[int]:
-    """Cut out loops so the path becomes simple while keeping the endpoints."""
-    simple: list[int] = []
-    pos: dict[int, int] = {}
-    for x in trail:
-        if x in pos:
-            cut = pos[x]
-            for y in simple[cut + 1:]:
-                del pos[y]
-            simple = simple[: cut + 1]
-        else:
-            pos[x] = len(simple)
-            simple.append(x)
-    return simple
+    for path, _ in _least_trail(leftovers, v):
+        if path[-1] != v and path[-1] in odd:
+            return path
+    raise PreconditionViolated("parity repair ran out of edges")

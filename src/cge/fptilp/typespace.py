@@ -22,7 +22,13 @@ from typing import Iterable, NamedTuple
 
 from ..errors import NotIndependent, PreconditionViolated, TypeSpaceTooLarge
 from ..euler import closed_walk_faults
-from ..graphs import EdgeMultiset, multiset_vertices, relabel_multiset
+from ..graphs import (
+    EdgeMultiset,
+    incidence,
+    multiset_vertices,
+    norm_edge,
+    relabel_multiset,
+)
 from .context import FptContext
 from .pairs import Cycle, ValidPair, canonical_cycle, freeze_multiset
 
@@ -82,15 +88,8 @@ def robot_cycbud(ctx: FptContext, rt: RobotType) -> int:
 
 def copy_neighborhoods(ctx: FptContext, cc: EdgeMultiset) -> dict[int, NeiSub]:
     """Neighbor multiset of every class copy present in a skeleton."""
-    out: dict[int, Counter] = {}
-    for (a, b), m in cc.items():
-        if not m:
-            continue
-        for v, w in ((a, b), (b, a)):
-            if v in ctx.class_of_copy:
-                out.setdefault(v, Counter())[w] += m
     return {
-        v: tuple(sorted(cnt.elements())) for v, cnt in out.items()
+        v: tuple(nbrs) for v, nbrs in incidence(cc).items() if v in ctx.class_of_copy
     }
 
 
@@ -142,15 +141,9 @@ def derive_vertex_type(
     cls = ctx.class_of[u]
     subs: set[NeiSub] = set()
     for pair in pairs:
-        cc = pair.cc_counter()
-        nbrs: Counter = Counter()
-        for (a, b), m in cc.items():
-            if a == u:
-                nbrs[b] += m
-            elif b == u:
-                nbrs[a] += m
+        nbrs = incidence(pair.cc_counter()).get(u)
         if nbrs:
-            subs.add(tuple(sorted(nbrs.elements())))
+            subs.add(tuple(nbrs))
         for cyc in pair.cycles:
             for i in range(1, len(cyc) - 1):
                 if cyc[i] == u:
@@ -261,50 +254,30 @@ def _enumerate_vertex_types(ctx: FptContext) -> list[VertexType]:
 def _even_subgraph_masks(edges: list[tuple[int, int]]) -> list[int]:
     """All subsets of the distinct edges whose subgraph has even degrees,
     generated as the span of the fundamental cycles of a spanning forest.
+
+    path[v] is the mask of the forest path from v's root to v, so edge
+    (u, v) closes the cycle path[u] ^ path[v] ^ its own bit, which is empty
+    for a forest edge.
     """
-    index = {e: i for i, e in enumerate(edges)}
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    adj: dict[int, list[tuple[int, int]]] = {}
-    tree_edges: set[tuple[int, int]] = set()
-    basis: list[int] = []
-    for (u, v) in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree_edges.add((u, v))
-            adj.setdefault(u, []).append((v, index[(u, v)]))
-            adj.setdefault(v, []).append((u, index[(u, v)]))
-    for (u, v) in edges:
-        if (u, v) in tree_edges:
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    adj = incidence(Counter(edges))
+    path: dict[int, int] = {}
+    for root in adj:
+        if root in path:
             continue
-        # tree path u -> v plus the chord forms a fundamental cycle
-        prev: dict[int, tuple[int, int] | None] = {u: None}
-        stack = [u]
+        path[root] = 0
+        stack = [root]
         while stack:
             x = stack.pop()
-            if x == v:
-                break
-            for y, ei in adj.get(x, ()):
-                if y not in prev:
-                    prev[y] = (x, ei)
+            for y in adj[x]:
+                if y not in path:
+                    path[y] = path[x] ^ bit[norm_edge(x, y)]
                     stack.append(y)
-        mask = 1 << index[(u, v)]
-        x = v
-        while prev[x] is not None:
-            px, ei = prev[x]
-            mask |= 1 << ei
-            x = px
-        basis.append(mask)
     masks = {0}
-    for b in basis:
-        masks |= {m ^ b for m in masks}
+    for (u, v), b in bit.items():
+        cycle = path[u] ^ path[v] ^ b
+        if cycle:
+            masks |= {m ^ cycle for m in masks}
     return sorted(masks)
 
 
@@ -416,33 +389,19 @@ def _enumerate_quotient_cycles(ctx: FptContext) -> list[Cycle]:
     max_len = ctx.max_cycle_length
     found: set[Cycle] = set()
 
-    def extend_simple(start: int, walk: list[int], on_path: set[int]):
-        cur = walk[-1]
-        for w in gs.neighbors(cur):
-            if w == start and len(walk) >= 2:
-                found.add(canonical_cycle(tuple(walk) + (start,), ctx.cover_set))
-            if w in on_path or len(walk) == max_len:
-                continue
-            on_path.add(w)
-            walk.append(w)
-            extend_simple(start, walk, on_path)
-            walk.pop()
-            on_path.discard(w)
-
-    def extend_walk4(start: int, walk: list[int]):
-        cur = walk[-1]
-        if len(walk) == 5:
-            if cur == start:
-                found.add(canonical_cycle(tuple(walk), ctx.cover_set))
-            return
-        for w in gs.neighbors(cur):
-            walk.append(w)
-            extend_walk4(start, walk)
-            walk.pop()
+    def extend(walk: list[int], simple: bool):
+        # a simple walk keeps growing up to max_len vertices, any walk up to 4
+        for w in gs.neighbors(walk[-1]):
+            if w == walk[0] and (simple and len(walk) >= 2 or len(walk) == 4):
+                found.add(canonical_cycle(tuple(walk) + (w,), ctx.cover_set))
+            still = simple and w not in walk
+            if len(walk) < (max_len if still else 4):
+                walk.append(w)
+                extend(walk, still)
+                walk.pop()
 
     for s in sorted(ctx.cover_set):
-        extend_simple(s, [s], {s})
-        extend_walk4(s, [s])
+        extend([s], True)
     return sorted(found)
 
 

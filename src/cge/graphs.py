@@ -139,21 +139,13 @@ class Multigraph:
         return dist
 
     def is_bipartite(self) -> bool:
-        color = [-1] * self.n
-        for s in range(self.n):
-            if color[s] >= 0 or not self._adj[s]:
-                continue
-            color[s] = 0
-            queue = deque([s])
-            while queue:
-                v = queue.popleft()
-                for w, _ in self._adj[v]:
-                    if color[w] < 0:
-                        color[w] = 1 - color[v]
-                        queue.append(w)
-                    elif color[w] == color[v]:
-                        return False
-        return True
+        """Whether the parity of BFS depth in each component 2-colours every edge."""
+        side = [0] * self.n
+        for comp in self.components():
+            dist = self.bfs_distances(comp[0])
+            for v in comp:
+                side[v] = dist[v] % 2
+        return all(side[u] != side[v] for u, v in self._edges)
 
     def __eq__(self, other) -> bool:
         return (
@@ -182,6 +174,20 @@ def relabel_multiset(edges: EdgeMultiset, mapping: Mapping[int, int]) -> EdgeMul
         if m:
             out[norm_edge(mapping.get(a, a), mapping.get(b, b))] += m
     return out
+
+
+def incidence(edges: EdgeMultiset) -> dict[int, list[int]]:
+    """Each vertex's neighbours in the multiset, one entry per edge copy.
+
+    Every list is ascending: sorted normalized edges list each (a, x) with
+    a < x before each (x, b).
+    """
+    adj: dict[int, list[int]] = {}
+    for (a, b), m in sorted(edges.items()):
+        if m > 0:
+            adj.setdefault(a, []).extend([b] * m)
+            adj.setdefault(b, []).extend([a] * m)
+    return adj
 
 
 def multiset_degree(edges: EdgeMultiset, v: int) -> int:

@@ -14,6 +14,8 @@ from typing import NamedTuple
 from .errors import ImmediateNo, NotExact, TooLarge
 from .graphs import ExplorationInstance, Multigraph
 
+MAX_REDUCTION_SIZE = 100_000  # padded items or tree vertices a reduction builds
+
 
 class _BinPackingFields(NamedTuple):
     sizes: tuple[int, ...]  # item order matters for the tree construction
@@ -39,6 +41,11 @@ class BinPackingInstance(_BinPackingFields):
         return sum(self.sizes)
 
 
+def _check_size(what: str, count: int) -> None:
+    if count > MAX_REDUCTION_SIZE:
+        raise TooLarge(f"reduction needs {count} {what}, limit {MAX_REDUCTION_SIZE}")
+
+
 def binpacking_to_exact(inst: BinPackingInstance) -> BinPackingInstance:
     """Pad with unit items until the total is exactly capacity * bins.
 
@@ -51,6 +58,7 @@ def binpacking_to_exact(inst: BinPackingInstance) -> BinPackingInstance:
         raise ImmediateNo(
             f"total size {inst.total} exceeds {inst.capacity} * {inst.bins}"
         )
+    _check_size("padded items", len(inst.sizes) + slack)
     return BinPackingInstance(
         sizes=inst.sizes + (1,) * slack,
         capacity=inst.capacity,
@@ -67,6 +75,7 @@ def bin_to_rob(inst: BinPackingInstance) -> ExplorationInstance:
     """
     if not inst.exact:
         raise NotExact("the tree reduction needs an exact instance")
+    _check_size("tree vertices", 1 + inst.total)
     centers = list(range(1, len(inst.sizes) + 1))
     pairs = [(0, c) for c in centers]
     nxt = len(inst.sizes) + 1
