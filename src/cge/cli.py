@@ -26,19 +26,19 @@ from .errors import (
 )
 from .exact import SearchConfig, exact_decide, exact_optimum
 from .euler import solution_from_multisets, verify_solution
-from .fptilp import (
-    FptContext,
+from .fptilp.context import FptContext
+from .fptilp.pairs import solution_pairs
+from .fptilp.reconstruct import reconstruct_solution
+from .fptilp.system import (
     build_ilp_system,
     check_assignment,
-    enumerate_type_space,
     export_ilp,
     format_assignment,
     parse_assignment,
     parse_ilp,
-    reconstruct_solution,
-    solution_pairs,
     witness_from_solution,
 )
+from .fptilp.typespace import enumerate_type_space
 from .graphs import ExplorationInstance
 from .hardness import bin_to_rob, binpacking_to_exact
 from .textio import (

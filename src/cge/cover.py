@@ -13,7 +13,6 @@ host graph's range and record the mapping.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .errors import EmptyGraph, NotACover, TypeSpaceTooLarge
@@ -153,24 +152,32 @@ class QuotientGraph(NamedTuple):
     class_vertex: tuple[int, ...]  # class index -> vertex id in `graph`
 
 
+def _class_graph(
+    g: Multigraph, vc: VertexCover, eq: EquivalenceClasses, counts: list[int], multiplicity: int
+) -> tuple[Multigraph, tuple[tuple[int, ...], ...]]:
+    """All cover-internal edges of the host plus `counts[i]` fresh vertices for
+    class i, numbered from `g.n` upward and each wired to the class
+    neighborhood; every edge gets `multiplicity`.
+    """
+    cset = vc.as_set()
+    edges = {(u, v): multiplicity for (u, v) in g.distinct_edges() if u in cset and v in cset}
+    ids = []
+    nxt = g.n
+    for cls, count in zip(eq.classes, counts):
+        ids.append(tuple(range(nxt, nxt + count)))
+        nxt += count
+        for cv in ids[-1]:
+            for w in cls.neighborhood:  # a host vertex, so below every fresh id
+                edges[(w, cv)] = multiplicity
+    return Multigraph(nxt, edges), tuple(ids)
+
+
 def build_equivalence_graph(g: Multigraph, vc: VertexCover, eq: EquivalenceClasses) -> QuotientGraph:
     """All cover-internal edges of the host plus one class vertex per class,
     wired to the class neighborhood; every multiplicity 1.
     """
-    cset = vc.as_set()
-    edges: dict[tuple[int, int], int] = {}
-    for (u, v) in g.distinct_edges():
-        if u in cset and v in cset:
-            edges[(u, v)] = 1
-    class_vertex = []
-    nxt = g.n
-    for cls in eq.classes:
-        cv = nxt
-        nxt += 1
-        class_vertex.append(cv)
-        for w in cls.neighborhood:
-            edges[(min(cv, w), max(cv, w))] = 1
-    return QuotientGraph(Multigraph(nxt, edges), tuple(class_vertex))
+    graph, ids = _class_graph(g, vc, eq, [1] * len(eq), 1)
+    return QuotientGraph(graph, tuple(cv for (cv,) in ids))
 
 
 def num_ver(class_size: int, neighborhood_size: int, cover_size: int) -> int:
@@ -203,19 +210,5 @@ def build_gbar(
         raise TypeSpaceTooLarge(
             f"cover of size {len(vc)} exceeds the expansion cap {max_cover}"
         )
-    cset = vc.as_set()
-    edges: Counter = Counter()
-    for (u, v) in g.distinct_edges():
-        if u in cset and v in cset:
-            edges[(u, v)] = 2
-    copies: list[tuple[int, ...]] = []
-    nxt = g.n
-    for cls in eq.classes:
-        count = num_ver(len(cls.members), len(cls.neighborhood), len(vc))
-        ids = tuple(range(nxt, nxt + count))
-        nxt += count
-        copies.append(ids)
-        for cv in ids:
-            for w in cls.neighborhood:
-                edges[(min(cv, w), max(cv, w))] = 2
-    return ExpandedGraph(Multigraph(nxt, edges), tuple(copies))
+    counts = [num_ver(len(c.members), len(c.neighborhood), len(vc)) for c in eq.classes]
+    return ExpandedGraph(*_class_graph(g, vc, eq, counts, 2))

@@ -1,71 +1,8 @@
-"""Vertex-cover-parameterized machinery: valid pairs, types, equations."""
+"""Vertex-cover-parameterized machinery: valid pairs, types, equations.
 
-from .context import FptContext
-from .pairs import (
-    ValidPair,
-    canonical_cycle,
-    check_valid_pair,
-    cycle_edges,
-    decompose_valid_pair,
-    extract_cycle_cover,
-    pair_source,
-    solution_pairs,
-)
-from .reconstruct import reconstruct_solution
-from .system import (
-    Constraint,
-    IlpAssignment,
-    IlpSystem,
-    build_ilp_system,
-    check_assignment,
-    export_ilp,
-    format_assignment,
-    parse_assignment,
-    parse_ilp,
-    witness_from_solution,
-)
-from .typespace import (
-    CycleType,
-    RobotType,
-    TypeSpace,
-    VertexType,
-    derive_cycle_type,
-    derive_robot_type,
-    derive_vertex_type,
-    enumerate_type_space,
-    robot_bud,
-    robot_cycbud,
-)
+Each name is imported from its defining submodule (`context`, `pairs`,
+`typespace`, `system`, `reconstruct`); only the two names the benchmark
+harness takes from the package are re-exported here.
+"""
 
-__all__ = [
-    "FptContext",
-    "ValidPair",
-    "canonical_cycle",
-    "check_valid_pair",
-    "cycle_edges",
-    "decompose_valid_pair",
-    "extract_cycle_cover",
-    "pair_source",
-    "solution_pairs",
-    "reconstruct_solution",
-    "Constraint",
-    "IlpAssignment",
-    "IlpSystem",
-    "build_ilp_system",
-    "check_assignment",
-    "export_ilp",
-    "format_assignment",
-    "parse_assignment",
-    "parse_ilp",
-    "witness_from_solution",
-    "CycleType",
-    "RobotType",
-    "TypeSpace",
-    "VertexType",
-    "derive_cycle_type",
-    "derive_robot_type",
-    "derive_vertex_type",
-    "enumerate_type_space",
-    "robot_bud",
-    "robot_cycbud",
-]
+from .system import export_ilp, parse_ilp

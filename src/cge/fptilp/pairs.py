@@ -26,7 +26,6 @@ from ..graphs import (
 from .context import FptContext
 
 Cycle = tuple[int, ...]
-cycle_edges = walk_edges
 
 
 class ValidPair(NamedTuple):
@@ -41,7 +40,7 @@ class ValidPair(NamedTuple):
     def union_counter(self) -> EdgeMultiset:
         total = Counter(self.cc)
         for cyc in self.cycles:
-            total += cycle_edges(cyc)
+            total += walk_edges(cyc)
         return total
 
 
@@ -96,13 +95,13 @@ def extract_cycle_cover(
         if found is None:
             break  # cannot happen by the counting argument; fall through safely
         cycles.append(canonical_cycle(found, vc))
-        work.subtract(cycle_edges(found))
+        work.subtract(walk_edges(found))
         left -= 4
 
     while left > 0:
         cyc = _peel_simple_cycle(work)
         cycles.append(canonical_cycle(cyc, vc))
-        work.subtract(cycle_edges(cyc))
+        work.subtract(walk_edges(cyc))
         left -= len(cyc) - 1
 
     return sorted(cycles)

@@ -125,7 +125,7 @@ def _allocate_cycles_to_robots(
     for ci, count in enumerate(cyc_counts):
         if count:
             ct = types.cycle_types[ci]
-            hosted.setdefault((ct.host, len(ct.cycle) - 1), []).extend(
+            hosted.setdefault((ct.host, ct.length), []).extend(
                 (ci, inst) for inst in range(1, count + 1)
             )
     for ri, robots in robots_by_type.items():

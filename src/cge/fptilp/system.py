@@ -28,8 +28,9 @@ from itertools import zip_longest
 from typing import NamedTuple
 
 from ..errors import DomainMismatch, ParseError
+from ..graphs import walk_edges
 from .context import FptContext
-from .pairs import ValidPair, cycle_edges
+from .pairs import ValidPair
 from .typespace import (
     TypeSpace,
     cycle_alloc_counts,
@@ -133,8 +134,8 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
         if (ct.cycle, ct.pa_alloc) != pair:
             pair = (ct.cycle, ct.pa_alloc)
             rows = [(eq3[key], count) for key, count in cycle_alloc_counts(ct).items()]
-            rows += [(eq4[e], 1) for e in cycle_edges(ct.cycle) if e in eq4]
-            length = len(ct.cycle) - 1
+            rows += [(eq4[e], 1) for e in walk_edges(ct.cycle) if e in eq4]
+            length = ct.length
             coef = 4 if length == 4 else 1
         for row, count in rows:
             row.append((count, var))

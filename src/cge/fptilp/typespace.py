@@ -289,6 +289,8 @@ def _enumerate_skeletons(ctx: FptContext) -> list[EdgeMultiset]:
     edges = ctx.gbar.graph.distinct_edges()
     budget = ctx.budget
     out: list[EdgeMultiset] = []
+    # Every skeleton has at most `budget` edges: the filter keeps at most
+    # `budget` single edges, and the doubles are capped at the rest halved.
     even_masks = [m for m in _even_subgraph_masks(edges) if bin(m).count("1") <= budget]
     n_edges = len(edges)
     for s1 in even_masks:
@@ -361,11 +363,8 @@ def _enumerate_robot_types(ctx: FptContext, vertex_types: list[VertexType]) -> l
     out = []
     for cc in _enumerate_skeletons(ctx):
         cc_frozen = freeze_multiset(cc)
-        spare = ctx.budget - len(cc_frozen)
-        if spare < 0:
-            continue
         allocs = _allocations(skeleton_slots(ctx, cc), vertex_types)
-        vectors = _num_of_cyc_vectors(ctx, spare)
+        vectors = _num_of_cyc_vectors(ctx, ctx.budget - len(cc_frozen))
         for alloc in allocs:
             for vec in vectors:
                 out.append(RobotType(cc=cc_frozen, alloc=alloc, num_of_cyc=vec))

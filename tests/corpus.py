@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from cge.cover import connect_cover, vertex_cover_2approx
-from cge.fptilp import FptContext, build_ilp_system, enumerate_type_space
+from cge.fptilp.context import FptContext
+from cge.fptilp.system import build_ilp_system
+from cge.fptilp.typespace import enumerate_type_space
 from cge.graphs import ExplorationInstance, Multigraph
 
 CORPUS = Path(__file__).parent / "data" / "corpus"

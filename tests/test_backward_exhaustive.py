@@ -12,16 +12,10 @@ import pytest
 
 from cge.cover import VertexCover, connect_cover
 from cge.euler import solution_from_multisets, verify_solution
-from cge.fptilp import (
-    FptContext,
-    IlpAssignment,
-    build_ilp_system,
-    check_assignment,
-    enumerate_type_space,
-    reconstruct_solution,
-    robot_bud,
-    robot_cycbud,
-)
+from cge.fptilp.context import FptContext
+from cge.fptilp.reconstruct import reconstruct_solution
+from cge.fptilp.system import IlpAssignment, build_ilp_system, check_assignment
+from cge.fptilp.typespace import enumerate_type_space, robot_bud, robot_cycbud
 from cge.graphs import ExplorationInstance, Multigraph
 
 from conftest import feasibility_conditions_hold

@@ -17,17 +17,17 @@ from hypothesis import strategies as st
 from cge.approx import approx_solve
 from cge.cover import vertex_cover_2approx
 from cge.errors import ParseError
-from cge.fptilp import (
-    FptContext,
+from cge.fptilp import system as system_module
+from cge.fptilp.context import FptContext
+from cge.fptilp.system import (
     IlpAssignment,
     build_ilp_system,
-    enumerate_type_space,
     export_ilp,
     format_assignment,
     parse_assignment,
     parse_ilp,
 )
-from cge.fptilp import system as system_module
+from cge.fptilp.typespace import enumerate_type_space
 from cge.textio import format_instance, format_solution, parse_instance, parse_solution
 
 import ilp_text_reference as reference

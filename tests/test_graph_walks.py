@@ -18,13 +18,9 @@ import pytest
 import graph_walks_reference as ref
 from cge.cover import VertexCover, connect_cover
 from cge.errors import CgeError
-from cge.fptilp import (
-    FptContext,
-    decompose_valid_pair,
-    extract_cycle_cover,
-    pairs,
-    typespace,
-)
+from cge.fptilp import pairs, typespace
+from cge.fptilp.context import FptContext
+from cge.fptilp.pairs import decompose_valid_pair, extract_cycle_cover
 from cge.graphs import ExplorationInstance, Multigraph, incidence, norm_edge
 
 from conftest import random_even_multigraph

@@ -7,20 +7,19 @@ import pytest
 from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
 from cge.errors import DomainMismatch
 from cge.exact import exact_optimum
-from cge.fptilp import (
-    FptContext,
+from cge.fptilp.context import FptContext
+from cge.fptilp.pairs import decompose_valid_pair, solution_pairs
+from cge.fptilp.system import (
     IlpAssignment,
     build_ilp_system,
     check_assignment,
-    decompose_valid_pair,
-    enumerate_type_space,
     export_ilp,
     format_assignment,
     parse_assignment,
     parse_ilp,
-    solution_pairs,
     witness_from_solution,
 )
+from cge.fptilp.typespace import enumerate_type_space
 from cge.graphs import ExplorationInstance, Multigraph
 
 GOLDEN = Path(__file__).parent / "data" / "path3.ilp"

@@ -18,7 +18,8 @@ from scipy.sparse import csr_array  # noqa: E402
 from cge.cover import VertexCover  # noqa: E402
 from cge.euler import solution_from_multisets, verify_solution  # noqa: E402
 from cge.exact import exact_optimum  # noqa: E402
-from cge.fptilp import IlpAssignment, reconstruct_solution  # noqa: E402
+from cge.fptilp.reconstruct import reconstruct_solution  # noqa: E402
+from cge.fptilp.system import IlpAssignment  # noqa: E402
 from cge.graphs import ExplorationInstance, Multigraph  # noqa: E402
 from cge.textio import parse_instance  # noqa: E402
 

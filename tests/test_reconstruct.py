@@ -7,19 +7,17 @@ from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
 from cge.errors import InfeasibleAllocation
 from cge.euler import solution_from_multisets, verify_solution
 from cge.exact import exact_optimum
-from cge.fptilp import (
-    FptContext,
+from cge.fptilp.context import FptContext
+from cge.fptilp.pairs import solution_pairs
+from cge.fptilp.reconstruct import _allocate_cycles_to_robots, reconstruct_solution
+from cge.fptilp.system import (
     IlpAssignment,
     IlpSystem,
     build_ilp_system,
     check_assignment,
-    enumerate_type_space,
-    reconstruct_solution,
-    solution_pairs,
+    type_counts,
     witness_from_solution,
 )
-from cge.fptilp.reconstruct import _allocate_cycles_to_robots
-from cge.fptilp.system import type_counts
 from cge.fptilp.typespace import (
     CycleType,
     RobotType,
@@ -27,6 +25,7 @@ from cge.fptilp.typespace import (
     VertexType,
     copy_neighborhoods,
     cycle_alloc_counts,
+    enumerate_type_space,
     robot_alloc_counts,
 )
 from cge.graphs import (

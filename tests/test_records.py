@@ -31,9 +31,10 @@ from cge.cover import (
 from cge.errors import NotConnected
 from cge.euler import RobotCycle, Solution, verify_solution
 from cge.exact import SearchConfig
-from cge.fptilp import FptContext, build_ilp_system, enumerate_type_space
+from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import ValidPair
-from cge.fptilp.system import IlpAssignment
+from cge.fptilp.system import IlpAssignment, build_ilp_system
+from cge.fptilp.typespace import enumerate_type_space
 from cge.graphs import ExplorationInstance, Multigraph
 from cge.hardness import BinPackingInstance
 from cge.textio import parse_instance

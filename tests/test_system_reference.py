@@ -15,19 +15,17 @@ import pytest
 from cge.cover import VertexCover
 from cge.euler import solution_from_multisets, verify_solution
 from cge.exact import exact_optimum
-from cge.fptilp import (
-    FptContext,
-    build_ilp_system,
-    check_assignment,
+from cge.fptilp.context import FptContext
+from cge.fptilp.pairs import solution_pairs
+from cge.fptilp.reconstruct import reconstruct_solution
+from cge.fptilp.system import build_ilp_system, check_assignment, witness_from_solution
+from cge.fptilp.typespace import (
+    cycle_alloc_counts,
     enumerate_type_space,
-    reconstruct_solution,
+    robot_alloc_counts,
     robot_cycbud,
-    solution_pairs,
-    witness_from_solution,
 )
-from cge.fptilp.pairs import cycle_edges
-from cge.fptilp.typespace import cycle_alloc_counts, robot_alloc_counts
-from cge.graphs import ExplorationInstance, Multigraph
+from cge.graphs import ExplorationInstance, Multigraph, walk_edges
 
 from corpus import random_instances
 
@@ -52,7 +50,7 @@ def naive_rows(ctx, types):
             terms += [
                 (1, n_ver + n_rob + ci)
                 for ci, ct in enumerate(types.cycle_types)
-                if e in cycle_edges(ct.cycle)
+                if e in walk_edges(ct.cycle)
             ]
             rows["eq4"].append(terms)
     for ri, rt in enumerate(types.robot_types):

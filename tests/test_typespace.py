@@ -6,16 +6,14 @@ import pytest
 from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
 from cge.errors import NotIndependent, PreconditionViolated, TypeSpaceTooLarge
 from cge.exact import exact_optimum
-from cge.fptilp import (
-    FptContext,
-    ValidPair,
-    decompose_valid_pair,
+from cge.fptilp.context import FptContext
+from cge.fptilp.pairs import ValidPair, decompose_valid_pair, solution_pairs
+from cge.fptilp.typespace import (
     derive_cycle_type,
     derive_robot_type,
     derive_vertex_type,
     enumerate_type_space,
     robot_bud,
-    solution_pairs,
 )
 from cge.graphs import ExplorationInstance, Multigraph
 

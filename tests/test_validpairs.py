@@ -5,15 +5,14 @@ import pytest
 
 from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
 from cge.errors import OddDegree, PreconditionViolated
-from cge.fptilp import (
-    FptContext,
+from cge.fptilp.context import FptContext
+from cge.fptilp.pairs import (
     ValidPair,
     check_valid_pair,
-    cycle_edges,
     decompose_valid_pair,
     extract_cycle_cover,
 )
-from cge.graphs import ExplorationInstance, Multigraph
+from cge.graphs import ExplorationInstance, Multigraph, walk_edges
 
 from conftest import random_even_multigraph
 
@@ -41,7 +40,7 @@ class TestExtractCycleCover:
         g = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         cycles = extract_cycle_cover(g.edge_counter(), {0, 2})
         assert len(cycles) == 1
-        assert cycle_edges(cycles[0]) == g.edge_counter()
+        assert walk_edges(cycles[0]) == g.edge_counter()
 
     def test_rejects_odd_degrees(self):
         with pytest.raises(OddDegree):
@@ -61,7 +60,7 @@ class TestExtractCycleCover:
         cycles = extract_cycle_cover(g.edge_counter(), {0, 1})
         union = Counter()
         for c in cycles:
-            union += cycle_edges(c)
+            union += walk_edges(c)
         assert union == g.edge_counter()
         # the two degree-2 independents close the pigeonhole square
         assert (0, 2, 1, 3, 0) in cycles
@@ -76,7 +75,7 @@ class TestExtractCycleCover:
             cycles = extract_cycle_cover(g.edge_counter(), vc)
             union = Counter()
             for c in cycles:
-                union += cycle_edges(c)
+                union += walk_edges(c)
                 assert c[0] == c[-1]
                 assert c[0] in vc
             assert union == g.edge_counter()
