@@ -18,16 +18,13 @@ from typing import NamedTuple
 from .errors import EmptyGraph, NotACover, TypeSpaceTooLarge
 from .graphs import Multigraph
 
+MAX_COVER = 6  # largest cover the bounded expansion is built for
+
 
 class VertexCover(NamedTuple):
-    """A set of vertices touching every edge.
-
-    `connected` records whether this cover was validated as an augmented
-    cover: induced subgraph connected and containing the start vertex.
-    """
+    """A set of vertices touching every edge."""
 
     vertices: tuple[int, ...]
-    connected: bool = False
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -76,7 +73,7 @@ def vertex_cover_2approx(g: Multigraph) -> VertexCover:
             matched[u] = matched[v] = True
             cover.append(u)
             cover.append(v)
-    return VertexCover(tuple(sorted(cover)), connected=False)
+    return VertexCover(tuple(sorted(cover)))
 
 
 def connect_cover(g: Multigraph, vc: VertexCover, v_init: int) -> VertexCover:
@@ -121,7 +118,7 @@ def connect_cover(g: Multigraph, vc: VertexCover, v_init: int) -> VertexCover:
             components -= len(touched) - 1
     if components > 1:
         raise NotACover("cannot connect cover: host graph is disconnected")
-    return VertexCover(tuple(sorted(current)), connected=True)
+    return VertexCover(tuple(sorted(current)))
 
 
 def equivalence_classes(g: Multigraph, vc: VertexCover) -> EquivalenceClasses:
@@ -195,20 +192,15 @@ class ExpandedGraph(NamedTuple):
         return {c: idx for idx, ids in enumerate(self.copies) for c in ids}
 
 
-def build_gbar(
-    g: Multigraph,
-    vc: VertexCover,
-    eq: EquivalenceClasses,
-    max_cover: int = 6,
-) -> ExpandedGraph:
+def build_gbar(g: Multigraph, vc: VertexCover, eq: EquivalenceClasses) -> ExpandedGraph:
     """Build the doubled expansion graph.
 
     The construction is exponential in the neighborhood sizes by design;
-    `max_cover` refuses covers large enough to leave desk scale.
+    `MAX_COVER` refuses covers large enough to leave desk scale.
     """
-    if len(vc) > max_cover:
+    if len(vc) > MAX_COVER:
         raise TypeSpaceTooLarge(
-            f"cover of size {len(vc)} exceeds the expansion cap {max_cover}"
+            f"cover of size {len(vc)} exceeds the expansion cap {MAX_COVER}"
         )
     counts = [num_ver(len(c.members), len(c.neighborhood), len(vc)) for c in eq.classes]
     return ExpandedGraph(*_class_graph(g, vc, eq, counts, 2))

@@ -46,10 +46,6 @@ class PreconditionViolated(CgeError):
     pass
 
 
-class NotIndependent(CgeError):
-    pass
-
-
 class TypeSpaceTooLarge(CgeError):
     """Raised when a construction would exceed the desk-scale guards."""
 

@@ -43,10 +43,6 @@ class RobotCycle(_RobotCycleFields):
         return super().__new__(cls, walk)
 
     @property
-    def start(self) -> int:
-        return self.walk[0]
-
-    @property
     def length(self) -> int:
         return len(self.walk) - 1
 
@@ -152,10 +148,6 @@ class Solution(NamedTuple):
     runs: tuple[tuple[RobotCycle, int], ...]
 
     @property
-    def k(self) -> int:
-        return sum(count for _, count in self.runs)
-
-    @property
     def value(self) -> int:
         return max(rc.length for rc, _ in self.runs)
 
@@ -163,11 +155,6 @@ class Solution(NamedTuple):
     def cycles(self) -> tuple[RobotCycle, ...]:
         """Every robot's cycle in robot order, built on each access: O(k)."""
         return tuple(rc for rc, count in self.runs for _ in range(count))
-
-    @property
-    def multisets(self) -> tuple[EdgeMultiset, ...]:
-        """Every robot's own edge multiset in robot order, built on each access: O(k)."""
-        return tuple(rc.edge_multiset() for rc in self.cycles)
 
 
 def solution_from_multisets(

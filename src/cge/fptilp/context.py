@@ -36,16 +36,14 @@ class FptContext(_ContextFields):
     # no __slots__: the cached properties live in the instance __dict__
 
     @classmethod
-    def build(
-        cls, inst: ExplorationInstance, vcp: VertexCover, max_cover: int = 6
-    ) -> "FptContext":
+    def build(cls, inst: ExplorationInstance, vcp: VertexCover) -> "FptContext":
         if inst.v_init not in vcp.as_set():
             raise PreconditionViolated("the cover must contain the start vertex")
         if inst.budget is None:
             raise PreconditionViolated("a budget is required to build the equations")
         eq = equivalence_classes(inst.graph, vcp)
         gstar = build_equivalence_graph(inst.graph, vcp, eq)
-        gbar = build_gbar(inst.graph, vcp, eq, max_cover=max_cover)
+        gbar = build_gbar(inst.graph, vcp, eq)
         return cls(inst, vcp, eq, gstar, gbar)
 
     @property

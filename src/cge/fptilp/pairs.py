@@ -273,9 +273,13 @@ def pair_source(ctx: FptContext, multiset: EdgeMultiset) -> EdgeMultiset:
     return Counter({e0: 2})
 
 
-def solution_pairs(ctx: FptContext, sol: Solution) -> list[ValidPair]:
-    """The valid pair of every robot of a solution, in robot order."""
-    return [decompose_valid_pair(ctx, pair_source(ctx, ms)) for ms in sol.multisets]
+def solution_pairs(ctx: FptContext, sol: Solution) -> list[tuple[ValidPair, int]]:
+    """The valid pair of every run of a solution with its robot count, in
+    run order: each run's walk is decomposed once."""
+    return [
+        (decompose_valid_pair(ctx, pair_source(ctx, rc.edge_multiset())), count)
+        for rc, count in sol.runs
+    ]
 
 
 def _repair_path(leftovers: EdgeMultiset, v: int, odd: list[int]) -> list[int]:

@@ -36,7 +36,7 @@ from .typespace import (
     cycle_alloc_counts,
     derive_cycle_type,
     derive_robot_type,
-    derive_vertex_type,
+    derive_vertex_types,
     robot_alloc_counts,
     robot_cycbud,
 )
@@ -62,10 +62,6 @@ class Constraint(NamedTuple):
 class IlpSystem(NamedTuple):
     variables: tuple[str, ...]
     constraints: tuple[Constraint, ...]
-
-    @property
-    def num_variables(self) -> int:
-        return len(self.variables)
 
 
 class IlpAssignment(NamedTuple):
@@ -179,25 +175,30 @@ def _position(table: tuple, item, missing: str) -> int:
 
 
 def witness_from_solution(
-    ctx: FptContext, types: TypeSpace, pairs: list[ValidPair]
+    ctx: FptContext, types: TypeSpace, runs: list[tuple[ValidPair, int]]
 ) -> IlpAssignment:
-    """Count the derived types of a concrete decomposition per robot."""
+    """Count the derived types of a concrete decomposition given as runs of
+    (valid pair, robot count): a run's robot and cycle types count once per
+    robot.  A type missing from the space is reported at the run's first
+    robot."""
     rob_base = len(types.vertex_types)
     cyc_base = rob_base + len(types.robot_types)
     counts = [0] * (types.total)
-    for u in sorted(set(range(ctx.g.n)) - set(ctx.cover_set)):
-        vt = derive_vertex_type(ctx, u, pairs)
+    vtypes = derive_vertex_types(ctx, (pair for pair, _ in runs))
+    for u, vt in vtypes.items():
         missing = f"derived vertex type of {u} missing from the space"
         counts[_position(types.vertex_types, vt, missing)] += 1
-    for i, pair in enumerate(pairs):
-        rt = derive_robot_type(ctx, i, pairs)
-        missing = f"derived robot type of robot {i} missing from the space"
+    first = 0  # index of the run's first robot
+    for pair, count in runs:
+        rt = derive_robot_type(ctx, pair, vtypes)
+        missing = f"derived robot type of robot {first} missing from the space"
         ri = _position(types.robot_types, rt, missing)
-        counts[rob_base + ri] += 1
+        counts[rob_base + ri] += count
         for cyc in pair.cycles:
-            ct = derive_cycle_type(ctx, ri, cyc, pairs)
-            missing = f"derived cycle type of robot {i} missing from the space"
-            counts[cyc_base + _position(types.cycle_types, ct, missing)] += 1
+            ct = derive_cycle_type(ctx, ri, cyc, vtypes)
+            missing = f"derived cycle type of robot {first} missing from the space"
+            counts[cyc_base + _position(types.cycle_types, ct, missing)] += count
+        first += count
     names = variable_names(types)
     return IlpAssignment(tuple(zip(names, counts)))
 

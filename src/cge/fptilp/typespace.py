@@ -12,15 +12,19 @@ Derivation (from a concrete decomposition) and enumeration are kept
 structurally aligned so every derived type is a member of the enumerated
 space.  Copies or positions with identical surroundings are interchangeable;
 allocations are stored sorted inside those groups to collapse the symmetry.
+
+Derivation makes one pass over a solution's valid pairs, one pair per run of
+robots that share a walk: every vertex type comes out of that pass, and
+robot and cycle types read them from its map.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from ..errors import NotIndependent, PreconditionViolated, TypeSpaceTooLarge
+from ..errors import PreconditionViolated, TypeSpaceTooLarge
 from ..euler import closed_walk_faults
 from ..graphs import (
     EdgeMultiset,
@@ -114,13 +118,19 @@ def skeleton_slots(
     return slots
 
 
+def _neighbour_pairs(cycle: Cycle) -> Iterator[tuple[int, NeiSub]]:
+    """(position, sorted pair of its two neighbours) for every inner position
+    of a cycle."""
+    for pos in range(1, len(cycle) - 1):
+        yield pos, tuple(sorted((cycle[pos - 1], cycle[pos + 1])))
+
+
 def cycle_slots(ctx: FptContext, cycle: Cycle) -> dict[tuple[int, NeiSub], list[int]]:
     """(class, neighbor pair) -> the quotient cycle's class positions, ascending."""
     slots: dict[tuple[int, NeiSub], list[int]] = {}
-    for pos in range(1, len(cycle) - 1):
+    for pos, ns in _neighbour_pairs(cycle):
         cls = ctx.class_of_star_vertex.get(cycle[pos])
         if cls is not None:
-            ns = tuple(sorted((cycle[pos - 1], cycle[pos + 1])))
             slots.setdefault((cls, ns), []).append(pos)
     return slots
 
@@ -129,26 +139,31 @@ def cycle_slots(ctx: FptContext, cycle: Cycle) -> dict[tuple[int, NeiSub], list[
 # derivation from a concrete decomposition
 
 
-def derive_vertex_type(
-    ctx: FptContext, u: int, pairs: Iterable[ValidPair]
-) -> VertexType:
-    """Collect the neighbor multisets covering u across all robots: its
-    skeleton neighborhoods plus the before/after pairs of its cycle
-    occurrences.
+def derive_vertex_types(
+    ctx: FptContext, pairs: Iterable[ValidPair]
+) -> dict[int, VertexType]:
+    """The type of every independent vertex, ascending: the neighbor
+    multisets covering it across all robots, that is its skeleton
+    neighborhoods plus the before/after pairs of its cycle occurrences.
+
+    One pass over the pairs; a pair that several robots share need only be
+    passed once.
     """
-    if u in ctx.cover_set:
-        raise NotIndependent(f"vertex {u} belongs to the cover")
-    cls = ctx.class_of[u]
-    subs: set[NeiSub] = set()
+    subs: dict[int, set[NeiSub]] = {
+        u: set() for u in range(ctx.g.n) if u not in ctx.cover_set
+    }
     for pair in pairs:
-        nbrs = incidence(pair.cc_counter()).get(u)
-        if nbrs:
-            subs.add(tuple(nbrs))
+        for v, nbrs in incidence(pair.cc_counter()).items():
+            if v in subs:
+                subs[v].add(tuple(nbrs))
         for cyc in pair.cycles:
-            for i in range(1, len(cyc) - 1):
-                if cyc[i] == u:
-                    subs.add(tuple(sorted((cyc[i - 1], cyc[i + 1]))))
-    return VertexType(class_id=cls, nei_subsets=tuple(sorted(subs)))
+            for pos, ns in _neighbour_pairs(cyc):
+                if cyc[pos] in subs:
+                    subs[cyc[pos]].add(ns)
+    return {
+        u: VertexType(class_id=ctx.class_of[u], nei_subsets=tuple(sorted(s)))
+        for u, s in subs.items()
+    }
 
 
 def relabel_skeleton(
@@ -176,13 +191,12 @@ def relabel_skeleton(
 
 
 def derive_robot_type(
-    ctx: FptContext, i: int, pairs: list[ValidPair]
+    ctx: FptContext, pair: ValidPair, vtypes: dict[int, VertexType]
 ) -> RobotType:
-    pair = pairs[i]
+    """The type of a robot with this valid pair; `vtypes` holds the vertex
+    types of `derive_vertex_types`."""
     cc_bar, mapping = relabel_skeleton(ctx, pair.cc_counter())
-    type_of = {
-        copy: derive_vertex_type(ctx, member, pairs) for member, copy in mapping.items()
-    }
+    type_of = {copy: vtypes[member] for member, copy in mapping.items()}
     # copies of one slot group are interchangeable: their types are sorted
     alloc = tuple(sorted(
         slot
@@ -204,18 +218,16 @@ def quotient_cycle(ctx: FptContext, cycle: Cycle) -> Cycle:
 
 
 def derive_cycle_type(
-    ctx: FptContext, host: int, cycle: Cycle, pairs: list[ValidPair]
+    ctx: FptContext, host: int, cycle: Cycle, vtypes: dict[int, VertexType]
 ) -> CycleType:
     """The type of one of a robot's cycles; `host` is the index of that
-    robot's type in the robot-type table."""
+    robot's type in the robot-type table, `vtypes` as for robot types."""
     mapped = quotient_cycle(ctx, cycle)
-    pa_entries: list[tuple[NeiSub, VertexType]] = []
-    for pos in range(1, len(cycle) - 1):
-        v = cycle[pos]
-        if v in ctx.cover_set:
-            continue
-        ns = tuple(sorted((cycle[pos - 1], cycle[pos + 1])))
-        pa_entries.append((ns, derive_vertex_type(ctx, v, pairs)))
+    pa_entries = [
+        (ns, vtypes[cycle[pos]])
+        for pos, ns in _neighbour_pairs(cycle)
+        if cycle[pos] not in ctx.cover_set
+    ]
     return CycleType(cycle=mapped, pa_alloc=tuple(sorted(pa_entries)), host=host)
 
 

@@ -65,10 +65,6 @@ class Multigraph:
     def has_edge(self, u: int, v: int) -> bool:
         return self.multiplicity(u, v) > 0
 
-    def edge_items(self) -> list[tuple[Edge, int]]:
-        """Distinct edges with multiplicities, in ascending (u, v) order."""
-        return sorted(self._edges.items())
-
     def distinct_edges(self) -> list[Edge]:
         return sorted(self._edges)
 
@@ -118,12 +114,6 @@ class Multigraph:
             seen |= comp
             out.append(sorted(comp))
         return out
-
-    def induced(self, vertices: Iterable[int]) -> "Multigraph":
-        """Induced submultigraph; keeps the original vertex ids and carrier size."""
-        vset = set(vertices)
-        edges = {e: m for e, m in self._edges.items() if e[0] in vset and e[1] in vset}
-        return Multigraph(self.n, edges)
 
     def bfs_distances(self, source: int) -> list[int]:
         """Hop distances from source; unreachable vertices get -1."""
@@ -190,10 +180,6 @@ def incidence(edges: EdgeMultiset) -> dict[int, list[int]]:
     return adj
 
 
-def multiset_degree(edges: EdgeMultiset, v: int) -> int:
-    return sum(m for (a, b), m in edges.items() if m and (a == v or b == v))
-
-
 def odd_degree_vertices(edges: EdgeMultiset) -> list[int]:
     """Vertices of odd degree in the multiset, ascending."""
     deg: Counter = Counter()
@@ -242,6 +228,3 @@ class ExplorationInstance(_InstanceFields):
         if -1 in graph.bfs_distances(v_init):
             raise NotConnected("instance graph is not connected")
         return super().__new__(cls, graph, v_init, k, budget)
-
-    def with_budget(self, budget: int | None) -> "ExplorationInstance":
-        return ExplorationInstance(self.graph, self.v_init, self.k, budget)

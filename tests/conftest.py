@@ -12,6 +12,28 @@ from collections import Counter
 from cge.graphs import ExplorationInstance, Multigraph, norm_edge
 
 
+# Helpers that only the tests need; the program itself never reads these.
+
+
+def multiset_degree(edges: Counter, v: int) -> int:
+    return sum(m for (a, b), m in edges.items() if m and (a == v or b == v))
+
+
+def edge_items(g: Multigraph) -> list[tuple[tuple[int, int], int]]:
+    """Distinct edges with multiplicities, in ascending (u, v) order."""
+    return sorted(g.edge_counter().items())
+
+
+def induced(g: Multigraph, vertices) -> Multigraph:
+    """Induced submultigraph; keeps the original vertex ids and carrier size."""
+    vset = set(vertices)
+    return Multigraph(g.n, {e: m for e, m in edge_items(g) if e[0] in vset and e[1] in vset})
+
+
+def with_budget(inst: ExplorationInstance, budget: int | None) -> ExplorationInstance:
+    return ExplorationInstance(inst.graph, inst.v_init, inst.k, budget)
+
+
 def random_connected_graph(rng: random.Random, n_max: int = 7, m_max: int = 10) -> Multigraph:
     """Random connected simple graph: random spanning tree plus extra edges."""
     n = rng.randint(2, n_max)

@@ -18,6 +18,8 @@ from cge.fptilp.system import build_ilp_system
 from cge.fptilp.typespace import enumerate_type_space
 from cge.graphs import ExplorationInstance, Multigraph
 
+from conftest import with_budget
+
 CORPUS = Path(__file__).parent / "data" / "corpus"
 # guard-* files trip the type-space guard by design: no system to solve
 BUILDABLE = sorted(
@@ -95,7 +97,7 @@ def corpus_cover(inst: ExplorationInstance):
 
 
 def budgeted_system(inst, vcp, budget):
-    ctx = FptContext.build(inst.with_budget(budget), vcp)
+    ctx = FptContext.build(with_budget(inst, budget), vcp)
     types = enumerate_type_space(ctx)
     return ctx, types, build_ilp_system(ctx, types)
 

@@ -16,7 +16,9 @@ from cge.errors import OddDegree, PreconditionViolated
 from cge.euler import closed_walk_faults
 from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import Cycle, ValidPair, canonical_cycle, freeze_multiset
-from cge.graphs import EdgeMultiset, multiset_degree, norm_edge, odd_degree_vertices
+from cge.graphs import EdgeMultiset, norm_edge, odd_degree_vertices
+
+from conftest import multiset_degree
 
 
 def extract_cycle_cover(

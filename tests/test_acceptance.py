@@ -28,7 +28,12 @@ from cge.fptilp.typespace import enumerate_type_space
 from cge.graphs import ExplorationInstance, Multigraph
 from cge.hardness import BinPackingInstance, bin_to_rob, binpacking_to_exact, brute_binpacking
 
-from conftest import feasibility_conditions_hold, random_connected_graph, random_even_multigraph
+from conftest import (
+    feasibility_conditions_hold,
+    random_connected_graph,
+    random_even_multigraph,
+    with_budget,
+)
 from corpus import corpus_cover, corpus_instances
 
 DATA = Path(__file__).parent / "data"
@@ -146,13 +151,14 @@ def corpus_artifacts():
     for name, inst in corpus_instances():
         vcp = corpus_cover(inst)
         opt, sol = exact_optimum(inst)
-        budgeted = inst.with_budget(opt)
+        budgeted = with_budget(inst, opt)
         ctx = FptContext.build(budgeted, vcp)
         types = enumerate_type_space(ctx)
         system = build_ilp_system(ctx, types)
         pairs = solution_pairs(ctx, sol)
-        for ms, pair in zip(sol.multisets, pairs):
-            assert check_valid_pair(ctx, pair, pair_source(ctx, ms)) == [], name
+        for (rc, _), (pair, _) in zip(sol.runs, pairs):
+            source = pair_source(ctx, rc.edge_multiset())
+            assert check_valid_pair(ctx, pair, source) == [], name
         artifacts.append((name, budgeted, ctx, types, system, pairs, opt))
     return artifacts
 

@@ -15,9 +15,9 @@ from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
 from cge.errors import OddDegree, TreeNotSpanning
 from cge.euler import verify_solution
 from cge.exact import exact_optimum
-from cge.graphs import ExplorationInstance, Multigraph, multiset_degree, norm_edge
+from cge.graphs import ExplorationInstance, Multigraph, norm_edge
 
-from conftest import random_connected_graph
+from conftest import multiset_degree, random_connected_graph
 
 
 def star(leaves):

@@ -6,8 +6,8 @@ cover and independent ids interleave) drive both versions; independent
 vertices draw their neighbourhoods from a few templates, so classes have
 several members and the expansion keeps more than one copy, sometimes fewer
 than the class has members.  The graphs must be equal down to the order in
-which their edges were inserted, and the guard above `max_cover` must raise
-the same message.
+which their edges were inserted, and the guard above `cover.MAX_COVER` must
+raise the same message as the reference's `max_cover` parameter.
 """
 
 import random
@@ -15,6 +15,7 @@ import random
 import pytest
 
 import class_graphs_reference as ref
+from cge import cover
 from cge.cover import (
     VertexCover,
     build_equivalence_graph,
@@ -81,12 +82,13 @@ def test_builders_agree_with_the_separate_loops():
 
 
 @pytest.mark.parametrize("max_cover", range(0, 7))
-def test_guard_above_max_cover_is_unchanged(max_cover):
+def test_guard_above_max_cover_is_unchanged(max_cover, monkeypatch):
+    monkeypatch.setattr(cover, "MAX_COVER", max_cover)
     rng = random.Random(max_cover)
     g, vc = random_host(rng, max_cover + 1)
     eq = equivalence_classes(g, vc)
     with pytest.raises(TypeSpaceTooLarge) as new:
-        build_gbar(g, vc, eq, max_cover=max_cover)
+        build_gbar(g, vc, eq)
     with pytest.raises(TypeSpaceTooLarge) as old:
         ref.build_gbar(g, vc, eq, max_cover=max_cover)
     assert str(new.value) == str(old.value)

@@ -16,7 +16,7 @@ from cge.euler import (
 )
 from cge.graphs import ExplorationInstance, Multigraph, walk_edges
 
-from conftest import random_even_multigraph
+from conftest import random_even_multigraph, with_budget
 
 
 def star3_instance(k=1):
@@ -41,7 +41,7 @@ class TestCycleToGraph:
 
     def test_walk_is_eulerian_in_own_graph(self):
         rc = RobotCycle((0, 3, 1, 0, 2, 1, 3, 0))
-        assert closed_walk_faults(rc.edge_multiset(), rc.start) == []
+        assert closed_walk_faults(rc.edge_multiset(), rc.walk[0]) == []
 
 
 class TestHasEulerianCycle:
@@ -156,7 +156,7 @@ def test_round_trip_property(steps):
     if walk[-1] != walk[0]:
         walk.append(walk[0])
     rc = RobotCycle(tuple(walk))
-    back = find_eulerian_cycle(rc.edge_multiset(), rc.start)
+    back = find_eulerian_cycle(rc.edge_multiset(), rc.walk[0])
     assert back.edge_multiset() == rc.edge_multiset()
 
 
@@ -184,7 +184,7 @@ class TestVerify:
         assert report.value == 3
 
     def test_budget_violation(self):
-        inst = star3_instance().with_budget(4)
+        inst = with_budget(star3_instance(), 4)
         sol = Solution(((RobotCycle((0, 1, 0, 2, 0, 3, 0)), 1),))
         report = verify_solution(inst, sol)
         assert report.budget_ok is False

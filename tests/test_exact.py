@@ -9,7 +9,7 @@ from cge.euler import verify_solution
 from cge.exact import SearchConfig, exact_decide, exact_optimum
 from cge.graphs import ExplorationInstance, Multigraph
 
-from conftest import feasibility_conditions_hold, random_connected_graph
+from conftest import feasibility_conditions_hold, random_connected_graph, with_budget
 
 
 def star(leaves):
@@ -59,9 +59,9 @@ class TestDecide:
             g = random_connected_graph(rng, n_max=6, m_max=8)
             inst = ExplorationInstance(g, rng.randrange(g.n), rng.randint(1, 3))
             opt, _ = exact_optimum(inst)
-            yes, witness = exact_decide(inst.with_budget(opt))
+            yes, witness = exact_decide(with_budget(inst, opt))
             assert yes
-            report = verify_solution(inst.with_budget(opt), witness)
+            report = verify_solution(with_budget(inst, opt), witness)
             assert report.ok
 
 
@@ -97,9 +97,9 @@ class TestOptimum:
             g = random_connected_graph(rng, n_max=6, m_max=8)
             inst = ExplorationInstance(g, rng.randrange(g.n), rng.randint(1, 3))
             opt, sol = exact_optimum(inst)
-            assert verify_solution(inst.with_budget(opt), sol).ok
+            assert verify_solution(with_budget(inst, opt), sol).ok
             if opt > 0:
-                yes, _ = exact_decide(inst.with_budget(opt - 1))
+                yes, _ = exact_decide(with_budget(inst, opt - 1))
                 assert not yes
 
     def test_deterministic(self):
@@ -152,5 +152,5 @@ class TestCrossCheck:
                 if feasibility_conditions_hold(inst, multisets, budget):
                     expected = True
                     break
-            got, _ = exact_decide(inst.with_budget(budget))
+            got, _ = exact_decide(with_budget(inst, budget))
             assert got == expected, f"budget {budget}: oracle {got}, enumeration {expected}"

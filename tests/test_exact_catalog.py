@@ -47,7 +47,7 @@ from cge.exact import (
 )
 from cge.graphs import ExplorationInstance, Multigraph
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, with_budget
 
 UNLIMITED = 10**12
 
@@ -257,7 +257,7 @@ def test_decide_node_limit_is_the_single_pass_spend(inst):
         ref = _NodeBudget(UNLIMITED)
         catalog = reference_walk_catalog(g, v, budget, None, ref)
         reference_assign_robots(catalog, inst.k, budget, _edge_mask(g), ref)
-        decided = inst.with_budget(budget)
+        decided = with_budget(inst, budget)
         assert exact_decide(decided, SearchConfig(node_limit=spent(ref)))[0] == (budget == opt)
         with pytest.raises(SearchBudgetExceeded):
             exact_decide(decided, SearchConfig(node_limit=spent(ref) - 1))

@@ -255,7 +255,7 @@ def test_parsers_do_not_call_the_traced_exporters(monkeypatch):
     monkeypatch.setattr(system_module, "export_ilp", refuse)
     monkeypatch.setattr(system_module, "format_assignment", refuse)
     assert parse_ilp(ILP_TEXT).variables[0] == "x_ver_0"
-    assert parse_ilp(CORPUS_ILP_TEXT).num_variables == 121
+    assert len(parse_ilp(CORPUS_ILP_TEXT).variables) == 121
     assert parse_assignment(ASSIGNMENT_TEXT).values[1] == ("x_rob_0", 1)
 
 

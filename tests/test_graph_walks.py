@@ -23,7 +23,7 @@ from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import decompose_valid_pair, extract_cycle_cover
 from cge.graphs import ExplorationInstance, Multigraph, incidence, norm_edge
 
-from conftest import random_even_multigraph
+from conftest import edge_items, random_even_multigraph
 
 
 def covered_graph(rng, c, n_ind_max=5, p_cover=0.4, nbhd_max=3):
@@ -103,7 +103,7 @@ def test_incidence_lists_every_copy_in_ascending_order():
     rng = random.Random(3)
     for _ in range(300):
         g = random_even_multigraph(rng, n_max=8, total_max=20)
-        items = g.edge_items()
+        items = edge_items(g)
         rng.shuffle(items)
         ms = Counter(dict(items))
         adj = incidence(ms)
@@ -145,7 +145,7 @@ def test_repair_paths_match_the_reference(branches):
     for _ in range(3000):
         g = random_even_multigraph(rng, n_max=8, total_max=22)
         h, leftovers = Counter(), Counter()
-        for e, m in g.edge_items():
+        for e, m in edge_items(g):
             kept = rng.randint(0, m)
             h[e], leftovers[e] = kept, m - kept
         vc = set(rng.sample(range(g.n), rng.randint(1, g.n)))

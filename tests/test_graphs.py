@@ -31,11 +31,6 @@ class TestMultigraph:
         g = Multigraph.from_pairs(4, [(0, 1)])
         assert g.components({0, 1, 3}) == [[0, 1], [3]]
 
-    def test_induced(self):
-        g = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
-        sub = g.induced({0, 1, 2})
-        assert sub.distinct_edges() == [(0, 1), (1, 2)]
-
     def test_bipartite(self):
         even = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         odd = Multigraph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])

@@ -11,6 +11,8 @@ from cge.hardness import (
     brute_binpacking,
 )
 
+from conftest import edge_items
+
 
 class TestToExact:
     def test_overfull_is_immediate_no(self):
@@ -54,13 +56,13 @@ class TestBinToRob:
         assert inst.budget == 4
         assert inst.k == 2
         assert inst.v_init == 0
-        assert inst.graph.edge_items() == [
+        assert edge_items(inst.graph) == [
             ((0, 1), 1), ((0, 2), 1), ((1, 3), 1), ((2, 4), 1),
         ]
 
     def test_single_unit_item(self):
         inst = bin_to_rob(BinPackingInstance((1,), 1, 1, exact=True))
-        assert inst.graph.edge_items() == [((0, 1), 1)]
+        assert edge_items(inst.graph) == [((0, 1), 1)]
         assert inst.budget == 2
 
     def test_requires_exact(self):

@@ -111,7 +111,7 @@ class TestWitness:
         types = enumerate_type_space(ctx)
         system = build_ilp_system(ctx, types)
         source = Counter({(0, 1): 2})
-        pairs = [decompose_valid_pair(ctx, source) for _ in range(2)]
+        pairs = [(decompose_valid_pair(ctx, source), 1) for _ in range(2)]
         witness = witness_from_solution(ctx, types, pairs)
         assert max(witness.as_dict().values()) == 2
         ok, _ = check_assignment(system, witness)

@@ -23,6 +23,7 @@ from cge.fptilp.system import IlpAssignment  # noqa: E402
 from cge.graphs import ExplorationInstance, Multigraph  # noqa: E402
 from cge.textio import parse_instance  # noqa: E402
 
+from conftest import with_budget  # noqa: E402
 from corpus import (  # noqa: E402
     BUILDABLE,
     budgeted_system,
@@ -36,7 +37,7 @@ BOUNDS = {"=": lambda rhs: (rhs, rhs), "<=": lambda rhs: (-np.inf, rhs),
 
 def solve(system):
     """A non-negative integer solution of the system, or None if there is none."""
-    n = system.num_variables
+    n = len(system.variables)
     if n == 0:
         return [] if all(c.evaluate([]) for c in system.constraints) else None
     rows, cols, coefs, lower, upper = [], [], [], [], []
@@ -75,7 +76,7 @@ def assert_tight(inst, vcp):
     g = inst.graph
     runs = [(ms, 1) for ms in multisets]
     report = verify_solution(
-        inst.with_budget(opt), solution_from_multisets(g.n, inst.v_init, runs, inst.k)
+        with_budget(inst, opt), solution_from_multisets(g.n, inst.v_init, runs, inst.k)
     )
     assert report.ok
     assert report.value <= opt

@@ -37,7 +37,7 @@ from cge.graphs import (
 )
 from cge.textio import parse_instance
 
-from conftest import feasibility_conditions_hold, random_connected_graph
+from conftest import feasibility_conditions_hold, random_connected_graph, with_budget
 from corpus import BUILDABLE, budgeted_system, corpus_cover, random_instances
 
 
@@ -157,7 +157,7 @@ class TestReconstruct:
             k = rng.randint(1, 2)
             inst = ExplorationInstance(g, v_init, k)
             opt, sol = exact_optimum(inst)
-            inst = inst.with_budget(opt)
+            inst = with_budget(inst, opt)
             ctx = FptContext.build(inst, vcp)
             types = enumerate_type_space(ctx)
             system = build_ilp_system(ctx, types)
@@ -383,7 +383,7 @@ def assert_matches_reference(inst, ctx, types, system, assignment):
     assert multisets == reference_reconstruct_solution(ctx, types, system, assignment)
     g = inst.graph
     report = verify_solution(
-        inst.with_budget(ctx.budget),
+        with_budget(inst, ctx.budget),
         solution_from_multisets(g.n, inst.v_init, [(ms, 1) for ms in multisets], inst.k),
     )
     assert report.ok
@@ -429,8 +429,8 @@ def test_milp_assignment_matches_reference(make, args, slack):
     inst, vcp = make(*args)
     opt, _ = exact_optimum(inst)
     ctx, types, system = budgeted_system(inst, vcp, opt + slack)
-    if system.num_variables > MAX_MILP_VARIABLES:
-        pytest.skip(f"{system.num_variables} variables exceed {MAX_MILP_VARIABLES}")
+    if len(system.variables) > MAX_MILP_VARIABLES:
+        pytest.skip(f"{len(system.variables)} variables exceed {MAX_MILP_VARIABLES}")
     values = solve(system)
     assert values is not None, f"infeasible at budget {opt + slack}"
     assignment = IlpAssignment(tuple(zip(system.variables, values)))

@@ -92,7 +92,7 @@ def _triangle_records() -> dict[str, object]:
 REPRS = {
     "InstanceDocument": f"InstanceDocument(kind='cge', payload={TRIANGLE})",
     "ExplorationInstance": TRIANGLE,
-    "VertexCover": "VertexCover(vertices=(0, 1), connected=True)",
+    "VertexCover": "VertexCover(vertices=(0, 1))",
     "EqClass": "EqClass(neighborhood=(0, 1), members=(2,))",
     "EquivalenceClasses": (
         "EquivalenceClasses(classes=(EqClass(neighborhood=(0, 1), members=(2,)),))"
@@ -136,7 +136,7 @@ REPRS = {
     "ValidPair": "ValidPair(cc=((0, 1), (0, 1)), cycles=((0, 1, 2, 0),))",
     "FptContext": (
         f"FptContext(instance={TRIANGLE},"
-        " vcp=VertexCover(vertices=(0, 1), connected=True),"
+        " vcp=VertexCover(vertices=(0, 1)),"
         " eq=EquivalenceClasses(classes=(EqClass(neighborhood=(0, 1), members=(2,)),)),"
         " gstar=QuotientGraph(graph=Multigraph(n=4, edges={(0, 1): 1, (0, 3): 1,"
         " (1, 3): 1}), class_vertex=(3,)),"
@@ -209,14 +209,12 @@ def test_constructor_errors():
 def test_defaults_and_keywords():
     path = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
     assert ExplorationInstance(graph=path, v_init=1, k=2).budget is None
-    assert ExplorationInstance(path, 1, 2).with_budget(4).budget == 4
     assert BinPackingInstance(sizes=(1,), capacity=1, bins=1).exact is False
-    assert VertexCover((0,)).connected is False
     assert SearchConfig(max_budget=3).node_limit == 5_000_000
 
 
 def test_len_counts_vertices_and_classes():
-    assert len(VertexCover((0, 2, 5), True)) == 3
+    assert len(VertexCover((0, 2, 5))) == 3
     assert not VertexCover(())
     eq = EquivalenceClasses((EqClass((0,), (1, 2)), EqClass((0, 3), (4,))))
     assert len(eq) == 2

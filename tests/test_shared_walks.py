@@ -41,7 +41,7 @@ from cge.euler import (
 from cge.graphs import ExplorationInstance, Multigraph, norm_edge, walk_edges
 from cge.textio import _int_field, _meaningful_lines, format_solution, parse_solution
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, with_budget
 
 # ---------------------------------------------------------------------------
 # Per-robot reference: the code the runs replaced, kept verbatim apart from
@@ -376,13 +376,13 @@ def test_text_and_verify_equal_per_robot_reference(seed):
             # one run per maximal group of equal consecutive walks
             assert len(parsed.runs) == len(list(itertools.groupby(rc.walk for rc in robots)))
             for budget in (None, candidate.value - 1):
-                checked = inst.with_budget(budget)
+                checked = with_budget(inst, budget)
                 expected = reference_verify_text(checked, RefSolution(robots))
                 assert verify_solution(checked, candidate).text() == expected, name
                 assert verify_solution(checked, parsed).text() == reference_verify_text(
                     checked, ref_parsed
                 ), name
-        wrong_count = inst.with_budget(None)
+        wrong_count = with_budget(inst, None)
         short = runs_of(cycles[:-1])
         assert verify_solution(wrong_count, short).text() == reference_verify_text(
             wrong_count, RefSolution(cycles[:-1])

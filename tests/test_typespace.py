@@ -1,29 +1,29 @@
 import random
-from collections import Counter
 
 import pytest
 
+from cge import cover
 from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
-from cge.errors import NotIndependent, PreconditionViolated, TypeSpaceTooLarge
+from cge.errors import PreconditionViolated, TypeSpaceTooLarge
 from cge.exact import exact_optimum
 from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import ValidPair, decompose_valid_pair, solution_pairs
 from cge.fptilp.typespace import (
     derive_cycle_type,
     derive_robot_type,
-    derive_vertex_type,
+    derive_vertex_types,
     enumerate_type_space,
     robot_bud,
 )
 from cge.graphs import ExplorationInstance, Multigraph
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, with_budget
 
 
-def make_ctx(g, v_init, k, budget, cover=None, max_cover=6):
+def make_ctx(g, v_init, k, budget, cover=None):
     inst = ExplorationInstance(g, v_init, k, budget)
     vcp = connect_cover(g, cover or vertex_cover_2approx(g), v_init)
-    return FptContext.build(inst, vcp, max_cover=max_cover)
+    return FptContext.build(inst, vcp)
 
 
 def path3_ctx(k=1, budget=4):
@@ -35,22 +35,21 @@ class TestDeriveVertexType:
     def test_skeleton_only_occurrence(self):
         ctx = path3_ctx()
         pair = ValidPair(cc=((0, 1), (0, 1), (1, 2), (1, 2)), cycles=())
-        vt = derive_vertex_type(ctx, 0, [pair])
+        vt = derive_vertex_types(ctx, [pair])[0]
         assert vt.class_id == 0
         assert vt.nei_subsets == ((1, 1),)
 
     def test_cycle_only_occurrence(self):
         ctx = path3_ctx()
         pair = ValidPair(cc=((0, 1), (0, 1)), cycles=((1, 2, 1),))
-        vt = derive_vertex_type(ctx, 2, [pair])
+        vt = derive_vertex_types(ctx, [pair])[2]
         assert vt.nei_subsets == ((1, 1),)
 
     def test_rejects_cover_vertex(self):
         ctx = path3_ctx()
-        with pytest.raises(NotIndependent):
-            derive_vertex_type(ctx, 1, [])
+        assert sorted(derive_vertex_types(ctx, [])) == [0, 2]  # not the cover vertex 1
 
-    def test_three_robot_scenario_around_one_vertex(self):
+    def test_three_robot_scenario_around_one_vertex(self, monkeypatch):
         """Independent vertex 0 adjacent to cover path 1..8; one robot covers
         it with neighborhood {1,6,8,8}, one with two cycles through {3,4} and
         {7,8}, one with {2,2,5,6}: four neighbor multisets, verbatim.
@@ -58,9 +57,8 @@ class TestDeriveVertexType:
         pairs = [(0, w) for w in range(1, 9)]
         pairs += [(i, i + 1) for i in range(1, 8)]
         g = Multigraph.from_pairs(9, pairs)
-        ctx = make_ctx(
-            g, 1, 3, 40, cover=VertexCover(tuple(range(1, 9))), max_cover=8
-        )
+        monkeypatch.setattr(cover, "MAX_COVER", 8)
+        ctx = make_ctx(g, 1, 3, 40, cover=VertexCover(tuple(range(1, 9))))
         red = ValidPair(
             cc=(
                 (0, 1), (0, 6), (0, 8), (0, 8),
@@ -76,7 +74,7 @@ class TestDeriveVertexType:
             cc=((0, 2), (0, 2), (0, 5), (0, 6), (5, 6), (1, 2), (1, 2)),
             cycles=(),
         )
-        vt = derive_vertex_type(ctx, 0, [red, blue, green])
+        vt = derive_vertex_types(ctx, [red, blue, green])[0]
         assert vt.nei_subsets == (
             (1, 6, 8, 8),
             (2, 2, 5, 6),
@@ -90,7 +88,7 @@ class TestDeriveRobotType:
         g = Multigraph.from_pairs(2, [(0, 1)])
         ctx = make_ctx(g, 0, 1, 2, cover=VertexCover((0, 1)))
         pair = ValidPair(cc=((0, 1), (0, 1)), cycles=())
-        rt = derive_robot_type(ctx, 0, [pair])
+        rt = derive_robot_type(ctx, pair, derive_vertex_types(ctx, [pair]))
         assert rt.cc == ((0, 1), (0, 1))
         assert rt.alloc == ()
         assert all(n == 0 for n in rt.num_of_cyc)
@@ -101,7 +99,7 @@ class TestDeriveRobotType:
         pair = ValidPair(
             cc=((0, 1), (0, 1)), cycles=((0, 1, 2, 0),)
         )
-        rt = derive_robot_type(ctx, 0, [pair])
+        rt = derive_robot_type(ctx, pair, derive_vertex_types(ctx, [pair]))
         # slots are lengths 2..6 without 4; the triangle sits in slot for 3
         slots = ctx.cycle_length_slots
         assert rt.num_of_cyc[slots.index(3)] == 1
@@ -114,7 +112,7 @@ class TestDeriveRobotType:
         g = Multigraph.from_pairs(3, [(1, 0), (1, 2)])  # center 1
         ctx = make_ctx(g, 1, 1, 6, cover=VertexCover((1,)))
         pair = ValidPair(cc=((0, 1), (0, 1)), cycles=())
-        rt = derive_robot_type(ctx, 0, [pair])
+        rt = derive_robot_type(ctx, pair, derive_vertex_types(ctx, [pair]))
         assert len(rt.alloc) == 1
         copy, vt = rt.alloc[0]
         assert copy in ctx.gbar.copies[0]
@@ -125,7 +123,7 @@ class TestDeriveRobotType:
         pair = ValidPair(
             cc=((0, 1), (0, 1), (1, 2), (1, 2)), cycles=()
         )
-        rt = derive_robot_type(ctx, 0, [pair])
+        rt = derive_robot_type(ctx, pair, derive_vertex_types(ctx, [pair]))
         copies = ctx.gbar.copies[0]
         assert rt.cc == (
             (1, copies[0]), (1, copies[0]), (1, copies[1]), (1, copies[1])
@@ -136,7 +134,7 @@ class TestDeriveCycleType:
     def test_two_cycle_through_independent(self):
         ctx = path3_ctx()
         pair = ValidPair(cc=((0, 1), (0, 1)), cycles=((1, 2, 1),))
-        ct = derive_cycle_type(ctx, 0, (1, 2, 1), [pair])
+        ct = derive_cycle_type(ctx, 0, (1, 2, 1), derive_vertex_types(ctx, [pair]))
         star_vertex = ctx.gstar.class_vertex[0]
         assert ct.cycle == (1, star_vertex, 1)
         assert len(ct.pa_alloc) == 1
@@ -148,7 +146,7 @@ class TestDeriveCycleType:
         pair = ValidPair(
             cc=((0, 3), (0, 3)), cycles=((0, 1, 2, 0),)
         )
-        ct = derive_cycle_type(ctx, 0, (0, 1, 2, 0), [pair])
+        ct = derive_cycle_type(ctx, 0, (0, 1, 2, 0), derive_vertex_types(ctx, [pair]))
         assert ct.pa_alloc == ()
         assert ct.cycle == (0, 1, 2, 0)
 
@@ -184,7 +182,7 @@ class TestEnumerate:
     def test_rejects_edgeless(self):
         g = Multigraph(1)
         inst = ExplorationInstance(g, 0, 1, 0)
-        ctx = FptContext.build(inst, VertexCover((0,), connected=True))
+        ctx = FptContext.build(inst, VertexCover((0,)))
         with pytest.raises(PreconditionViolated):
             enumerate_type_space(ctx)
 
@@ -200,12 +198,13 @@ class TestTypeClosure:
         inst = ExplorationInstance(g, 0, 1)
         opt, sol = exact_optimum(inst)
         vcp = connect_cover(g, VertexCover((0,)), 0)
-        ctx = FptContext.build(inst.with_budget(opt), vcp)
-        pair = decompose_valid_pair(ctx, Counter(sol.multisets[0]))
+        ctx = FptContext.build(with_budget(inst, opt), vcp)
+        pair = decompose_valid_pair(ctx, sol.runs[0][0].edge_multiset())
         assert (0, 2, 0, 3, 0) in pair.cycles
         space = enumerate_type_space(ctx)
-        host = space.robot_types.index(derive_robot_type(ctx, 0, [pair]))
-        ct = derive_cycle_type(ctx, host, (0, 2, 0, 3, 0), [pair])
+        vtypes = derive_vertex_types(ctx, [pair])
+        host = space.robot_types.index(derive_robot_type(ctx, pair, vtypes))
+        ct = derive_cycle_type(ctx, host, (0, 2, 0, 3, 0), vtypes)
         star_vertex = ctx.gstar.class_vertex[0]
         assert ct.cycle == (0, star_vertex, 0, star_vertex, 0)
         assert ct in set(space.cycle_types)
@@ -223,18 +222,19 @@ class TestTypeClosure:
         k = rng.randint(1, 2)
         inst = ExplorationInstance(g, v_init, k)
         opt, sol = exact_optimum(inst)
-        ctx = FptContext.build(inst.with_budget(opt), vcp)
+        ctx = FptContext.build(with_budget(inst, opt), vcp)
         space = enumerate_type_space(ctx)
         ver_set = set(space.vertex_types)
         rob_set = set(space.robot_types)
         cyc_set = set(space.cycle_types)
-        pairs = solution_pairs(ctx, sol)
+        runs = solution_pairs(ctx, sol)
+        vtypes = derive_vertex_types(ctx, [pair for pair, _ in runs])
         for u in range(g.n):
             if u not in ctx.cover_set:
-                assert derive_vertex_type(ctx, u, pairs) in ver_set
-        for i in range(k):
-            rt = derive_robot_type(ctx, i, pairs)
+                assert vtypes[u] in ver_set
+        for pair, _ in runs:
+            rt = derive_robot_type(ctx, pair, vtypes)
             assert rt in rob_set
             host = space.robot_types.index(rt)
-            for cyc in pairs[i].cycles:
-                assert derive_cycle_type(ctx, host, cyc, pairs) in cyc_set
+            for cyc in pair.cycles:
+                assert derive_cycle_type(ctx, host, cyc, vtypes) in cyc_set
