@@ -12,7 +12,7 @@ twice the size of the connected cover actually used.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import chain
+from itertools import chain, cycle
 from typing import NamedTuple
 
 from .cover import VertexCover, connect_cover
@@ -97,16 +97,11 @@ def deal_cover_edges(g: Multigraph, vcp: VertexCover, state: PartitionState) -> 
     cset = vcp.as_set()
     singles = [e for e in g.distinct_edges() if e[0] in cset and e[1] in cset]
     t = state.pairs_dealt % k
-    order = list(range(t, k))
-    idx = 0
-    for e in singles:
-        if idx == len(order):
-            order = list(range(k - 1, -1, -1))
-            idx = 0
-        if order[idx] == len(state.e_i):
+    robots = chain(range(t, k), cycle(range(k - 1, -1, -1)))
+    for e, robot in zip(singles, robots):
+        if robot == len(state.e_i):
             state.e_i.append(Counter())
-        state.e_i[order[idx]][e] += 1
-        idx += 1
+        state.e_i[robot][e] += 1
 
 
 def spanning_tree(g: Multigraph, vertices: set[int], root: int) -> EdgeMultiset:

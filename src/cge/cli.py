@@ -2,7 +2,8 @@
 
 Commands read instance files, run the requested computation, and print
 deterministic text.  Exit codes: 0 ok/yes, 1 no/violation, 2 usage or parse
-error, 3 resource guard tripped (search, type-space or reduction size limits).
+error, 3 resource guard tripped (search, type-space, reduction size or robot
+count limits).
 
 `COMMANDS` describes each subcommand once, and a call builds only the parser
 of the subcommand it names; `tests/test_cli_usage.py` pins the help and usage
@@ -54,6 +55,9 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
+# robots a solve or reconstruct may write: one text line, about 20 bytes, each
+MAX_ROBOTS = 10_000_000
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -70,6 +74,15 @@ def _load(path: str, kind: str):
     if doc.kind != kind:
         raise ParseError(1, f"{path}: expected a '{kind}' instance")
     return doc.payload
+
+
+def _load_robots(path: str) -> ExplorationInstance:
+    """A 'cge' instance whose solution text, one line per robot, stays
+    within `MAX_ROBOTS` lines."""
+    inst = _load(path, "cge")
+    if inst.k > MAX_ROBOTS:
+        raise TooLarge(f"solution needs {inst.k} robot lines, limit {MAX_ROBOTS}")
+    return inst
 
 
 def _cover_from_arg(inst: ExplorationInstance, arg: str | None) -> VertexCover:
@@ -96,7 +109,7 @@ def _fpt_pipeline(inst: ExplorationInstance, vc_arg: str | None):
 
 
 def cmd_solve_approx(args) -> int:
-    inst = _load(args.instance, "cge")
+    inst = _load_robots(args.instance)
     sol = approx_solve(inst, _cover_from_arg(inst, args.vc))
     sys.stdout.write(format_solution(sol))
     return EXIT_OK
@@ -107,7 +120,7 @@ def cmd_solve_exact(args) -> int:
         raise ParseError(1, f"--max-budget must be non-negative, got {args.max_budget}")
     if args.node_limit < 1:
         raise ParseError(1, f"--node-limit must be positive, got {args.node_limit}")
-    inst = _load(args.instance, "cge")
+    inst = _load_robots(args.instance)
     cfg = SearchConfig(max_budget=args.max_budget, node_limit=args.node_limit)
     if inst.budget is not None:
         yes, witness = exact_decide(inst, cfg)
@@ -190,7 +203,7 @@ def cmd_check_witness(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    inst = _load(args.instance, "cge")
+    inst = _load_robots(args.instance)
     system_text = _read(args.ilp)
     assignment = parse_assignment(_read(args.assignment))
     ctx, types, system = _fpt_pipeline(inst, args.vc)
@@ -200,8 +213,7 @@ def cmd_reconstruct(args) -> int:
     if not ok:
         sys.stdout.write("assignment does not satisfy the system\n")
         return EXIT_NO
-    multisets = reconstruct_solution(ctx, types, system, assignment)
-    runs = ((ms, 1) for ms in multisets)
+    runs = reconstruct_solution(ctx, types, system, assignment)
     sol = solution_from_multisets(inst.graph.n, inst.v_init, runs, inst.k)
     sys.stdout.write(format_solution(sol))
     return EXIT_OK

@@ -151,11 +151,6 @@ class Solution(NamedTuple):
     def value(self) -> int:
         return max(rc.length for rc, _ in self.runs)
 
-    @property
-    def cycles(self) -> tuple[RobotCycle, ...]:
-        """Every robot's cycle in robot order, built on each access: O(k)."""
-        return tuple(rc for rc, count in self.runs for _ in range(count))
-
 
 def solution_from_multisets(
     n: int, start: int, runs: Iterable[tuple[EdgeMultiset, int]], k: int

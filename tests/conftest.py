@@ -6,13 +6,31 @@ Random corpora use fixed seeds so every run sees the same instances.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import sys
 from collections import Counter
 
-from cge.graphs import ExplorationInstance, Multigraph, norm_edge
+# Importing `cge` below must not leave bytecode under src/: a cached checkout
+# starts faster than a clean one.  Subprocesses inherit the setting.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+from cge.graphs import ExplorationInstance, Multigraph, norm_edge  # noqa: E402
 
 
 # Helpers that only the tests need; the program itself never reads these.
+
+
+def robot_cycles(sol) -> tuple:
+    """Every robot's cycle in robot order, one object per run: O(k)."""
+    return tuple(rc for rc, count in sol.runs for _ in range(count))
+
+
+def robot_multisets(runs) -> list[Counter]:
+    """Every robot's edge multiset in robot order, from (multiset, count)
+    runs: O(k)."""
+    return [ms for ms, count in runs for _ in range(count)]
 
 
 def multiset_degree(edges: Counter, v: int) -> int:

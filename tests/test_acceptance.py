@@ -32,6 +32,7 @@ from conftest import (
     feasibility_conditions_hold,
     random_connected_graph,
     random_even_multigraph,
+    robot_multisets,
     with_budget,
 )
 from corpus import corpus_cover, corpus_instances
@@ -178,9 +179,9 @@ def test_criterion_7_backward_direction(corpus_artifacts):
     """Reconstruction from each witness yields feasible multisets within budget."""
     for name, inst, ctx, types, system, pairs, opt in corpus_artifacts:
         witness = witness_from_solution(ctx, types, pairs)
-        multisets = reconstruct_solution(ctx, types, system, witness)
+        runs = reconstruct_solution(ctx, types, system, witness)
+        multisets = robot_multisets(runs)
         assert feasibility_conditions_hold(inst, multisets, opt), name
-        runs = [(ms, 1) for ms in multisets]
         rebuilt = solution_from_multisets(inst.graph.n, inst.v_init, runs, inst.k)
         rep = verify_solution(inst, rebuilt)
         assert rep.ok and rebuilt.value <= opt, name

@@ -17,7 +17,7 @@ from cge.euler import verify_solution
 from cge.exact import exact_optimum
 from cge.graphs import ExplorationInstance, Multigraph, norm_edge
 
-from conftest import multiset_degree, random_connected_graph
+from conftest import multiset_degree, random_connected_graph, robot_cycles
 
 
 def star(leaves):
@@ -218,7 +218,7 @@ class TestApproxSolve:
         sol = approx_solve(inst, VertexCover((0,)))
         assert verify_solution(inst, sol).ok
         assert sol.value == 2
-        lengths = sorted(rc.length for rc in sol.cycles)
+        lengths = sorted(rc.length for rc in robot_cycles(sol))
         assert lengths == [0, 2]
 
     def test_nine_vertex_staged_trace(self):
@@ -273,7 +273,7 @@ class TestApproxSolve:
             k = rng.randint(1, 3)
             inst = ExplorationInstance(g, rng.randrange(g.n), k)
             sol = approx_solve(inst, vertex_cover_2approx(g))
-            for rc in sol.cycles:
+            for rc in robot_cycles(sol):
                 if rc.length:
                     assert rc.walk[0] == inst.v_init
                     verts = set(rc.walk)

@@ -18,7 +18,7 @@ from cge.fptilp.system import IlpAssignment, build_ilp_system, check_assignment
 from cge.fptilp.typespace import enumerate_type_space, robot_bud, robot_cycbud
 from cge.graphs import ExplorationInstance, Multigraph
 
-from conftest import feasibility_conditions_hold
+from conftest import feasibility_conditions_hold, robot_multisets
 
 
 def compositions(total, parts):
@@ -117,13 +117,14 @@ def test_every_satisfying_assignment_reconstructs(name, g, v_init, k, budget, co
     system = build_ilp_system(ctx, types)
     found = 0
     for assignment in satisfying_assignments(ctx, types, system):
-        multisets = reconstruct_solution(ctx, types, system, assignment)
+        runs = reconstruct_solution(ctx, types, system, assignment)
+        multisets = robot_multisets(runs)
         assert feasibility_conditions_hold(inst, multisets, budget), (
             name,
             assignment.values,
             [dict(m) for m in multisets],
         )
-        sol = solution_from_multisets(g.n, v_init, [(ms, 1) for ms in multisets], k)
+        sol = solution_from_multisets(g.n, v_init, runs, k)
         report = verify_solution(inst, sol)
         assert report.ok, name
         found += 1

@@ -16,7 +16,7 @@ from cge.euler import (
 )
 from cge.graphs import ExplorationInstance, Multigraph, walk_edges
 
-from conftest import random_even_multigraph, with_budget
+from conftest import random_even_multigraph, robot_cycles, with_budget
 
 
 def star3_instance(k=1):
@@ -211,8 +211,9 @@ class TestSolutionFromMultisets:
     def test_idle_robots_pad_to_k_and_share_one_walk(self):
         g = Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
         sol = solution_from_multisets(3, 0, [(Counter(), 1), (g.edge_counter(), 1)], 4)
-        assert [rc.walk for rc in sol.cycles] == [(0,), (0, 1, 2, 0), (0,), (0,)]
-        assert sol.cycles[0] is sol.cycles[2] is sol.cycles[3]
+        cycles = robot_cycles(sol)
+        assert [rc.walk for rc in cycles] == [(0,), (0, 1, 2, 0), (0,), (0,)]
+        assert cycles[0] is cycles[2] is cycles[3]
 
     def test_vertex_outside_the_graph_is_refused(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,12 @@ from cge.euler import verify_solution
 from cge.exact import SearchConfig, exact_decide, exact_optimum
 from cge.graphs import ExplorationInstance, Multigraph
 
-from conftest import feasibility_conditions_hold, random_connected_graph, with_budget
+from conftest import (
+    feasibility_conditions_hold,
+    random_connected_graph,
+    robot_cycles,
+    with_budget,
+)
 
 
 def star(leaves):
@@ -33,7 +38,7 @@ class TestDecide:
         inst = ExplorationInstance(triangle(), 0, 1, budget=3)
         yes, witness = exact_decide(inst)
         assert yes
-        assert witness.cycles[0].walk == (0, 1, 2, 0)
+        assert robot_cycles(witness)[0].walk == (0, 1, 2, 0)
         assert verify_solution(inst, witness).ok
 
     def test_triangle_budget_two(self):
@@ -45,7 +50,7 @@ class TestDecide:
         inst = ExplorationInstance(Multigraph(1), 0, 2, budget=0)
         yes, witness = exact_decide(inst)
         assert yes
-        assert all(rc.walk == (0,) for rc in witness.cycles)
+        assert all(rc.walk == (0,) for rc in robot_cycles(witness))
 
     def test_node_limit_raises(self):
         g = cycle(6)
@@ -108,7 +113,9 @@ class TestOptimum:
         first = exact_optimum(inst)
         second = exact_optimum(inst)
         assert first[0] == second[0]
-        assert [rc.walk for rc in first[1].cycles] == [rc.walk for rc in second[1].cycles]
+        assert [rc.walk for rc in robot_cycles(first[1])] == [
+            rc.walk for rc in robot_cycles(second[1])
+        ]
 
 
 def enumerate_multiset_tuples(g, k, budget):

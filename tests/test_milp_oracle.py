@@ -72,9 +72,8 @@ def assert_tight(inst, vcp):
     values = solve(system)
     assert values is not None, f"infeasible at the optimum {opt}"
     assignment = IlpAssignment(tuple(zip(system.variables, values)))
-    multisets = reconstruct_solution(ctx, types, system, assignment)
+    runs = reconstruct_solution(ctx, types, system, assignment)
     g = inst.graph
-    runs = [(ms, 1) for ms in multisets]
     report = verify_solution(
         with_budget(inst, opt), solution_from_multisets(g.n, inst.v_init, runs, inst.k)
     )

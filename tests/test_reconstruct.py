@@ -3,10 +3,13 @@ from collections import Counter
 
 import pytest
 
+from cge import euler
+from cge.approx import approx_solve
 from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
 from cge.errors import InfeasibleAllocation
 from cge.euler import solution_from_multisets, verify_solution
 from cge.exact import exact_optimum
+from cge.fptilp import reconstruct
 from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import solution_pairs
 from cge.fptilp.reconstruct import _allocate_cycles_to_robots, reconstruct_solution
@@ -15,6 +18,7 @@ from cge.fptilp.system import (
     IlpSystem,
     build_ilp_system,
     check_assignment,
+    parse_assignment,
     type_counts,
     witness_from_solution,
 )
@@ -35,10 +39,17 @@ from cge.graphs import (
     relabel_multiset,
     walk_edges,
 )
-from cge.textio import parse_instance
+from cge.textio import parse_instance, parse_solution
 
-from conftest import feasibility_conditions_hold, random_connected_graph, with_budget
+import reconstruct_reference as per_robot
+from conftest import (
+    feasibility_conditions_hold,
+    random_connected_graph,
+    robot_multisets,
+    with_budget,
+)
 from corpus import BUILDABLE, budgeted_system, corpus_cover, random_instances
+from test_robot_guard import run_cli, star
 
 
 def pipeline(g, v_init, k, budget, cover=None):
@@ -56,7 +67,7 @@ class TestReconstruct:
         inst, ctx, types, system = pipeline(g, 0, 1, 2, cover=VertexCover((0, 1)))
         opt, sol = exact_optimum(inst)
         witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
-        multisets = reconstruct_solution(ctx, types, system, witness)
+        multisets = robot_multisets(reconstruct_solution(ctx, types, system, witness))
         assert multisets == [Counter({(0, 1): 2})]
 
     def test_rejects_unsatisfying_assignment(self):
@@ -98,9 +109,9 @@ class TestReconstruct:
         ct = types.cycle_types[chosen_cyc]
         assignment = IlpAssignment(tuple(values.items()))
         owners = Counter()
-        robot_of = [chosen_rob, chosen_rob]
+        robots_by_type = {chosen_rob: range(2)}
         alloc = _allocate_cycles_to_robots(
-            ctx, types, type_counts(types, assignment)[2], robot_of
+            ctx, types, type_counts(types, assignment)[2], robots_by_type
         )
         for (ci, inst_idx), robot in alloc.items():
             owners[robot] += 1
@@ -136,7 +147,7 @@ class TestReconstruct:
         assignment = IlpAssignment(tuple(values.items()))
         ok, violated = check_assignment(system, assignment)
         assert ok, [system.constraints[i] for i in violated]
-        multisets = reconstruct_solution(ctx, types, system, assignment)
+        multisets = robot_multisets(reconstruct_solution(ctx, types, system, assignment))
         assert multisets == [Counter({(0, 1): 2, (1, 2): 2})]
         assert feasibility_conditions_hold(inst, multisets, 4)
 
@@ -164,9 +175,10 @@ class TestReconstruct:
             witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
             ok, violated = check_assignment(system, witness)
             assert ok, [system.constraints[i] for i in violated]
-            multisets = reconstruct_solution(ctx, types, system, witness)
+            runs = reconstruct_solution(ctx, types, system, witness)
+            multisets = robot_multisets(runs)
             assert feasibility_conditions_hold(inst, multisets, opt)
-            sol = solution_from_multisets(g.n, v_init, [(ms, 1) for ms in multisets], k)
+            sol = solution_from_multisets(g.n, v_init, runs, k)
             report = verify_solution(inst, sol)
             assert report.ok
             assert report.value <= opt
@@ -359,7 +371,7 @@ def reference_reconstruct_solution(
         _transform_skeleton(ctx, i, types.robot_types[ri], sub_alloc)
         for i, ri in enumerate(robot_of)
     ]
-    cycle_owner = _allocate_cycles_to_robots(ctx, types, cyc_counts, robot_of)
+    cycle_owner = per_robot._allocate_cycles_to_robots(ctx, types, cyc_counts, robot_of)
     for ci, ct in enumerate(types.cycle_types):
         for inst in range(1, cyc_counts[ci] + 1):
             owner = cycle_owner.get((ci, inst))
@@ -376,15 +388,26 @@ def reference_reconstruct_solution(
 MAX_MILP_VARIABLES = 30_000
 
 
+def assert_runs_match_per_robot(runs, ctx, types, system, assignment):
+    """The runs expand robot by robot to the per-robot reconstruction, and
+    every run is maximal: no two consecutive runs hold equal multisets."""
+    expected = per_robot.reconstruct_solution(ctx, types, system, assignment)
+    assert robot_multisets(runs) == expected
+    assert all(count > 0 for _, count in runs)
+    assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+
+
 def assert_matches_reference(inst, ctx, types, system, assignment):
     """Both reconstructions agree, and the result is a verified solution
     within the system's budget."""
-    multisets = reconstruct_solution(ctx, types, system, assignment)
+    runs = reconstruct_solution(ctx, types, system, assignment)
+    multisets = robot_multisets(runs)
     assert multisets == reference_reconstruct_solution(ctx, types, system, assignment)
+    assert_runs_match_per_robot(runs, ctx, types, system, assignment)
     g = inst.graph
     report = verify_solution(
         with_budget(inst, ctx.budget),
-        solution_from_multisets(g.n, inst.v_init, [(ms, 1) for ms in multisets], inst.k),
+        solution_from_multisets(g.n, inst.v_init, runs, inst.k),
     )
     assert report.ok
     assert report.value <= ctx.budget
@@ -435,3 +458,113 @@ def test_milp_assignment_matches_reference(make, args, slack):
     assert values is not None, f"infeasible at budget {opt + slack}"
     assignment = IlpAssignment(tuple(zip(system.variables, values)))
     assert_matches_reference(inst, ctx, types, system, assignment)
+
+
+@pytest.mark.parametrize("path", BUILDABLE, ids=lambda p: p.stem)
+def test_approx_witness_matches_reference(path):
+    """The witness of the approximate solution at the file's budget, where
+    that solution verifies; elsewhere only the budget check fails."""
+    inst, vcp = corpus_instance(path)
+    sol = approx_solve(inst, vertex_cover_2approx(inst.graph))
+    checked = verify_solution(inst, sol)
+    if not checked.ok:
+        assert checked.budget_ok is False
+        assert verify_solution(with_budget(inst, None), sol).ok
+        return
+    ctx, types, system = budgeted_system(inst, vcp, inst.budget)
+    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+    assert check_assignment(system, witness)[0]
+    assert_matches_reference(inst, ctx, types, system, witness)
+
+
+def population_instance(seed):
+    """A seeded instance and a solution of it whose vertex types have at
+    most 3 members, often 2 or 3, so that robots of one type draw differing
+    members in turn.
+
+    Odd seeds give a star with 3 leaves, whose leaves form one type and whose
+    robots carry 2-cycles; even seeds give two adjacent centres sharing 2 or 3
+    leaves, whose leaves split into types by the walks through them.  Every
+    robot walks at most 4 edges and the walks cover the graph.
+    """
+    rng = random.Random(seed)
+    while True:
+        k = rng.randint(3, 6)
+        if seed % 2:
+            n, centres = 4, (0,)
+            edges = [(0, 1), (0, 2), (0, 3)]
+            shapes = [(0, "v", 0), (0, "v", 0, "w", 0), (0,)]
+        else:
+            n, centres = 2 + rng.randint(2, 3), (0, 1)
+            edges = [(0, 1)] + [(c, v) for v in range(2, n) for c in (0, 1)]
+            shapes = [(0, "v", 0), (0, "v", 1, 0), (0, 1, "v", 1, 0), (0, 1, 0),
+                      (0, "v", 1, "w", 0)]
+        leaves = range(len(centres), n)
+        walks = []
+        for _ in range(k):
+            v, w = rng.sample(leaves, 2)
+            shape = rng.choice(shapes)
+            walks.append(tuple({"v": v, "w": w}.get(x, x) for x in shape))
+        g = Multigraph.from_pairs(n, edges)
+        if {e for walk in walks for e in walk_edges(walk)} == set(g.distinct_edges()):
+            break
+    budget = max(len(walk) - 1 for walk in walks)
+    inst = ExplorationInstance(g, 0, k, budget)
+    sol = solution_from_multisets(n, 0, [(walk_edges(walk), 1) for walk in walks], k)
+    return inst, VertexCover(centres), sol
+
+
+POPULATION_SEEDS = range(12)
+
+
+@pytest.mark.parametrize("seed", POPULATION_SEEDS)
+def test_small_populations_match_reference(seed):
+    inst, cover, sol = population_instance(seed)
+    vcp = connect_cover(inst.graph, cover, inst.v_init)
+    ctx, types, system = budgeted_system(inst, vcp, inst.budget)
+    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+    assert check_assignment(system, witness)[0]
+    assert_matches_reference(inst, ctx, types, system, witness)
+
+
+def test_small_populations_both_differ_and_repeat():
+    """The seeds above rebuild robots of one type that share a run, robots
+    whose multisets differ, and equal multisets with another run between."""
+    shared = differ = apart = False
+    for seed in POPULATION_SEEDS:
+        inst, cover, sol = population_instance(seed)
+        vcp = connect_cover(inst.graph, cover, inst.v_init)
+        ctx, types, system = budgeted_system(inst, vcp, inst.budget)
+        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+        runs = reconstruct_solution(ctx, types, system, witness)
+        shared |= any(count > 1 for _, count in runs)
+        differ |= len(runs) > 1
+        apart |= any(a == b for i, (a, _) in enumerate(runs) for b, _ in runs[i + 2:])
+    assert shared and differ and apart
+
+
+def test_walks_once_per_run_and_builds_each_skeleton_once(tmp_path, monkeypatch):
+    """A 1000-robot star rebuilds as 2 runs: 2 Eulerian walks, and one
+    copy-neighbourhood pass per robot type in use."""
+    ilp, assign, inst = star(tmp_path, 1000)
+    in_use = sum(
+        1 for name, value in parse_assignment(assign.read_text()).values
+        if name.startswith("x_rob_") and value
+    )
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(euler, "find_eulerian_cycle")
+    counted(reconstruct, "copy_neighborhoods")
+    code, out, err = run_cli("reconstruct", ilp, assign, inst)
+    assert code == 0, err
+    assert len(parse_solution(out).runs) == 2
+    assert calls == {"find_eulerian_cycle": 2, "copy_neighborhoods": in_use}

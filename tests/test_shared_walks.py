@@ -41,7 +41,7 @@ from cge.euler import (
 from cge.graphs import ExplorationInstance, Multigraph, norm_edge, walk_edges
 from cge.textio import _int_field, _meaningful_lines, format_solution, parse_solution
 
-from conftest import random_connected_graph, with_budget
+from conftest import random_connected_graph, robot_cycles, with_budget
 
 # ---------------------------------------------------------------------------
 # Per-robot reference: the code the runs replaced, kept verbatim apart from
@@ -364,7 +364,7 @@ def test_approx_equals_per_robot_reference(seed):
 def test_text_and_verify_equal_per_robot_reference(seed):
     rng = random.Random(seed)
     for name, inst in instances(seed):
-        cycles = approx_solve(inst, vertex_cover_2approx(inst.graph)).cycles
+        cycles = robot_cycles(approx_solve(inst, vertex_cover_2approx(inst.graph)))
         for robots in (cycles, mixed_cycles(rng, inst, cycles)):
             candidate = runs_of(robots)
             text = format_solution(candidate)
@@ -372,7 +372,7 @@ def test_text_and_verify_equal_per_robot_reference(seed):
             parsed = parse_solution(text)
             assert format_solution(parsed) == text, name
             ref_parsed = reference_parse_solution(text)
-            assert parsed.cycles == ref_parsed.cycles, name
+            assert robot_cycles(parsed) == ref_parsed.cycles, name
             # one run per maximal group of equal consecutive walks
             assert len(parsed.runs) == len(list(itertools.groupby(rc.walk for rc in robots)))
             for budget in (None, candidate.value - 1):
@@ -393,10 +393,11 @@ def test_single_edge_idle_robots_share_one_cycle():
     g = Multigraph.from_pairs(2, [(0, 1)])
     sol = approx_solve(ExplorationInstance(g, 0, 10_000), vertex_cover_2approx(g))
     assert [(rc.walk, count) for rc, count in sol.runs] == [((0, 1, 0), 1), ((0, 1, 0), 9_999)]
-    assert sol.cycles[0].walk == (0, 1, 0)  # the robot dealt the edge itself
-    idle = sol.cycles[1]
+    cycles = robot_cycles(sol)
+    assert cycles[0].walk == (0, 1, 0)  # the robot dealt the edge itself
+    idle = cycles[1]
     assert idle.walk == (0, 1, 0)
-    assert all(rc is idle for rc in sol.cycles[1:])
+    assert all(rc is idle for rc in cycles[1:])
     parsed = parse_solution(format_solution(sol))
     assert [(rc.walk, count) for rc, count in parsed.runs] == [((0, 1, 0), 10_000)]
 
@@ -407,5 +408,5 @@ def test_fresh_multisets_each_get_their_own_walk():
     g = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     walks = [(0, 1, 0), (0, 2, 0), (0, 1, 2, 0), (0, 3, 0), (0, 1, 2, 0, 3, 0)] * 40
     sol = solution_from_multisets(g.n, 0, ((Counter(walk_edges(w)), 1) for w in walks), 250)
-    assert [rc.walk for rc in sol.cycles] == walks + [(0,)] * 50
+    assert [rc.walk for rc in robot_cycles(sol)] == walks + [(0,)] * 50
     assert sol.runs[-1] == (RobotCycle((0,)), 50)

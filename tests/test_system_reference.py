@@ -93,8 +93,7 @@ def test_builder_and_host_table_match_naive_scans(n, edges, start, k, cover):
     witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
     ok, violated = check_assignment(system, witness)
     assert ok, [system.constraints[i] for i in violated]
-    multisets = reconstruct_solution(ctx, types, system, witness)
-    runs = [(ms, 1) for ms in multisets]
+    runs = reconstruct_solution(ctx, types, system, witness)
     report = verify_solution(inst, solution_from_multisets(n, start, runs, k))
     assert report.ok
     assert report.value <= opt
