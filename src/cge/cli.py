@@ -26,7 +26,7 @@ from .errors import (
     TypeSpaceTooLarge,
 )
 from .exact import SearchConfig, exact_decide, exact_optimum
-from .euler import solution_from_multisets, verify_solution
+from .euler import Solution, solution_from_multisets, verify_solution
 from .fptilp.context import FptContext
 from .fptilp.pairs import solution_pairs
 from .fptilp.reconstruct import reconstruct_solution
@@ -55,7 +55,9 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
-# robots a solve or reconstruct may write: one text line, about 20 bytes, each
+# robots a solve or reconstruct may write: one text line, about 20 bytes, each.
+# verify needs no cap: it reports the robots its solution file lists, so its
+# work and output are bounded by that file, whatever count the instance holds
 MAX_ROBOTS = 10_000_000
 
 
@@ -67,6 +69,11 @@ def _read(path: str) -> str:
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _read_solution(path: str) -> Solution:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_solution(fh)
 
 
 def _load(path: str, kind: str):
@@ -140,9 +147,9 @@ def cmd_solve_exact(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load(args.instance, "cge")
-    sol = parse_solution(_read(args.solution))
+    sol = _read_solution(args.solution)
     report = verify_solution(inst, sol)
-    sys.stdout.write(report.text())
+    sys.stdout.writelines(report.text())
     return EXIT_OK if report.ok else EXIT_NO
 
 
@@ -174,7 +181,7 @@ def cmd_build_ilp(args) -> int:
 
 def cmd_derive_witness(args) -> int:
     inst = _load(args.instance, "cge")
-    sol = parse_solution(_read(args.solution))
+    sol = _read_solution(args.solution)
     if not verify_solution(inst, sol).ok:
         sys.stdout.write("solution fails verification\n")
         return EXIT_NO

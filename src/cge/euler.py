@@ -69,9 +69,14 @@ def _neighbour_lists(edges: EdgeMultiset) -> dict[int, list[tuple[int, Edge]]]:
     return adj
 
 
-def _walk_faults(
-    edges: EdgeMultiset, adj: dict[int, list[tuple[int, Edge]]], start: int
-) -> list[str]:
+def closed_walk_faults(edges: EdgeMultiset, start: int) -> list[str]:
+    """Why an edge multiset is not one robot's closed walk from `start`.
+
+    A subset of "is empty", "is not connected", "misses the start vertex" and
+    "has an odd degree", in that order; an empty list means the multiset is
+    the traversal count of such a walk.
+    """
+    adj = _neighbour_lists(edges)
     if not adj:
         return ["is empty"]
     faults = []
@@ -91,14 +96,7 @@ def _walk_faults(
     return faults
 
 
-def closed_walk_faults(edges: EdgeMultiset, start: int) -> list[str]:
-    """Why an edge multiset is not one robot's closed walk from `start`.
-
-    A subset of "is empty", "is not connected", "misses the start vertex" and
-    "has an odd degree", in that order; an empty list means the multiset is
-    the traversal count of such a walk.
-    """
-    return _walk_faults(edges, _neighbour_lists(edges), start)
+_NOT_EULERIAN = "edge multiset is not connected with all degrees even"
 
 
 def find_eulerian_cycle(edges: EdgeMultiset, start: int) -> RobotCycle:
@@ -113,8 +111,8 @@ def find_eulerian_cycle(edges: EdgeMultiset, start: int) -> RobotCycle:
         return RobotCycle((start,))
     if start not in adj:
         raise StartNotInGraph(f"start vertex {start} is not on an edge")
-    if _walk_faults(edges, adj, start):
-        raise NotEulerian("edge multiset is not connected with all degrees even")
+    if odd_degree_vertices(edges):
+        raise NotEulerian(_NOT_EULERIAN)
 
     remaining = dict(edges)
     ptr = dict.fromkeys(adj, 0)
@@ -135,6 +133,10 @@ def find_eulerian_cycle(edges: EdgeMultiset, start: int) -> RobotCycle:
             stack.append(w)
         else:
             path.append(stack.pop())
+    # with every degree even the walk closes at the start after using every
+    # copy it can reach, so a copy left over lies outside start's component
+    if max(remaining.values()) > 0:
+        raise NotEulerian(_NOT_EULERIAN)
     path.reverse()
     return RobotCycle(tuple(path))
 
@@ -188,8 +190,10 @@ def robot_lines(first: int, count: int, body: str) -> Iterator[str]:
     a million robots never holds a million line objects at once.
     """
     end = first + count + 1
+    between = f": {body}\nrobot "  # the text between two robot numbers
     for lo in range(first + 1, end, _CHUNK):
-        yield "\n".join([f"robot {i}: {body}" for i in range(lo, min(lo + _CHUNK, end))])
+        numbers = between.join(map(str, range(lo, min(lo + _CHUNK, end))))
+        yield f"robot {numbers}: {body}"
 
 
 class RobotReport(NamedTuple):
@@ -233,10 +237,9 @@ class VerificationReport(_VerificationFields):
             and (self.budget_ok is not False)
         )
 
-    def text(self) -> str:
-        """The report as `verify` prints it: one line per robot, written run
-        by run, then the summary lines."""
-        out = []
+    def text(self) -> Iterator[str]:
+        """The report as `verify` prints it, in pieces to write as they come:
+        one line per robot, written run by run, then the summary lines."""
         for r in self.run_reports:
             body = (
                 f"start={'ok' if r.starts_at_init else 'BAD'}"
@@ -244,19 +247,19 @@ class VerificationReport(_VerificationFields):
                 f" edges={'ok' if r.adjacency_ok else 'BAD'}"
                 f" length={r.length}"
             )
-            out.extend(robot_lines(r.index, r.count, body))
+            for piece in robot_lines(r.index, r.count, body):
+                yield piece + "\n"
         if not self.robot_count_ok:
-            out.append("robot count: BAD")
+            yield "robot count: BAD\n"
         if self.uncovered:
             missing = " ".join(f"{u}-{v}" for u, v in self.uncovered)
-            out.append(f"uncovered: {missing}")
+            yield f"uncovered: {missing}\n"
         else:
-            out.append("uncovered: none")
-        out.append(f"value {self.value}")
+            yield "uncovered: none\n"
+        yield f"value {self.value}\n"
         if self.budget_ok is not None:
-            out.append(f"budget: {'ok' if self.budget_ok else 'exceeded'}")
-        out.append(f"result: {'ok' if self.ok else 'FAIL'}")
-        return "\n".join(out) + "\n"
+            yield f"budget: {'ok' if self.budget_ok else 'exceeded'}\n"
+        yield f"result: {'ok' if self.ok else 'FAIL'}\n"
 
 
 def verify_solution(inst: ExplorationInstance, sol: Solution) -> VerificationReport:

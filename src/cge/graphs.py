@@ -182,12 +182,13 @@ def incidence(edges: EdgeMultiset) -> dict[int, list[int]]:
 
 def odd_degree_vertices(edges: EdgeMultiset) -> list[int]:
     """Vertices of odd degree in the multiset, ascending."""
-    deg: Counter = Counter()
+    # a copy of an edge adds one to the degree of each end and a loop two to
+    # its vertex's, so only odd counts of non-loop edges flip a parity
+    odd: set[int] = set()
     for (a, b), m in edges.items():
-        if m > 0:
-            deg[a] += m
-            deg[b] += m
-    return sorted(v for v, d in deg.items() if d % 2)
+        if m > 0 and m % 2 and a != b:
+            odd ^= {a, b}
+    return sorted(odd)
 
 
 def multiset_vertices(edges: EdgeMultiset) -> set[int]:

@@ -23,8 +23,15 @@ Solutions:
     robot <i>: <v0> <v1> ... <v0>   # one line per robot, i = 1, 2, ... in order
 
 Consecutive robot lines with the same walk text form one run of the parsed
-solution, and each run's walk is written out once when formatting, so both
-directions cost one walk per run plus the per-robot lines.
+solution, and each run's walk is written out once when formatting.  The
+parser reads a run's first two lines through the line grammar.  Once the
+second has shown the run to go on, each later line that is exactly what
+`format_solution` writes for the run's next robot, `robot <i>: <walk>` and
+"\n", is compared as text in blocks of such lines and not parsed.  So
+parsing costs two grammar steps per run, and one per line written
+otherwise, plus a text compare per robot; a run of one robot costs no
+compare.  A solution file is read in pieces, so its text is never held
+whole.
 
 '#' starts a comment; blank lines are ignored; LF line endings.  Integers
 are ASCII digits with an optional sign: a line holding any other character
@@ -35,7 +42,8 @@ and formatting round-trip exactly.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import re
+from typing import Iterator, NamedTuple, TextIO
 
 from .errors import NotConnected, ParseError
 from .euler import RobotCycle, Solution, robot_lines
@@ -46,6 +54,12 @@ from .hardness import BinPackingInstance
 class InstanceDocument(NamedTuple):
     kind: str  # "cge" | "binpack"
     payload: object
+
+
+# the characters at which str.splitlines ends a line; "\r\n" ends one line
+_LINE_END = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_BLOCK = 1 << 10  # most robot lines compared at once
+_PIECE = 1 << 16  # characters read from a solution file at a time
 
 
 def _meaningful_lines(text: str):
@@ -195,41 +209,104 @@ def format_solution(sol: Solution) -> str:
     return "\n".join(pieces) + "\n"
 
 
-def parse_solution(text: str) -> Solution:
+def parse_solution(source: str | TextIO) -> Solution:
+    """The solution in `source`, its text or a text file.
+
+    A file is read in pieces that each end with a "\n", so no line is split
+    between pieces and the whole text is never held at once.
+    """
     cycles: list[RobotCycle] = []
     counts: list[int] = []  # robots per run, parallel to `cycles`
     robots = 0
     last = None  # walk text of the last robot line
     value_seen = False
-    for lineno, line in _meaningful_lines(text):
-        parts = line.split(None, 2)
-        if parts[0] == "value":
-            if value_seen:
-                raise ParseError(lineno, "repeated 'value'")
-            _int_field(lineno, line.split(), 1)
-            value_seen = True
-        elif parts[0] == "robot":
-            robots += 1
-            label = f"{robots}:"  # exactly what format_solution writes
-            if len(parts) < 3 or parts[1] != label:
-                raise ParseError(lineno, f"expected 'robot {label} v0 v1 ... v0'")
-            if parts[2] == last:
-                counts[-1] += 1
+    lineno = 0
+    for text in (source,) if isinstance(source, str) else _pieces(source):
+        pos = 0
+        while pos < len(text):
+            start = pos
+            end = text.find("\n", start)
+            if end < 0:
+                end = len(text)
+            raw = text[start:end]
+            pos = end + 1
+            # only a line with a character that is not printable can hold a
+            # line end other than "\n"
+            if not raw.isprintable():
+                eol = _LINE_END.search(raw)
+                if eol:
+                    if raw[eol.start():] != "\r":  # not the "\r" of a "\r\n"
+                        pos = start + eol.end()
+                    raw = raw[: eol.start()]
+            lineno += 1
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
-            try:
-                walk = tuple(int(p) for p in parts[2].split())
-            except ValueError:
-                raise ParseError(lineno, "non-integer vertex in walk")
-            try:
-                cycles.append(RobotCycle(walk))
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc))
-            counts.append(1)
-            last = parts[2]
-        else:
-            raise ParseError(lineno, f"unknown directive {parts[0]!r}")
+            if not line.isascii() or "_" in line:
+                raise ParseError(lineno, "only ASCII without '_' is allowed")
+            parts = line.split(None, 2)
+            if parts[0] == "value":
+                if value_seen:
+                    raise ParseError(lineno, "repeated 'value'")
+                _int_field(lineno, line.split(), 1)
+                value_seen = True
+            elif parts[0] == "robot":
+                robots += 1
+                label = f"{robots}:"  # exactly what format_solution writes
+                if len(parts) < 3 or parts[1] != label:
+                    raise ParseError(lineno, f"expected 'robot {label} v0 v1 ... v0'")
+                if parts[2] == last:
+                    counts[-1] += 1
+                    more, pos = _same_walk_lines(text, pos, robots, last)
+                    robots += more
+                    counts[-1] += more
+                    lineno += more
+                else:
+                    try:
+                        walk = tuple(int(p) for p in parts[2].split())
+                    except ValueError:
+                        raise ParseError(lineno, "non-integer vertex in walk")
+                    try:
+                        cycles.append(RobotCycle(walk))
+                    except ValueError as exc:
+                        raise ParseError(lineno, str(exc))
+                    counts.append(1)
+                    last = parts[2]
+            else:
+                raise ParseError(lineno, f"unknown directive {parts[0]!r}")
     if not value_seen:
         raise ParseError(1, "missing 'value'")
     if not cycles:
         raise ParseError(1, "missing robot walks")
     return Solution(tuple(zip(cycles, counts)))
+
+
+def _pieces(fh: TextIO) -> Iterator[str]:
+    while piece := fh.read(_PIECE):
+        yield piece + fh.readline()
+
+
+def _same_walk_lines(text: str, pos: int, robots: int, body: str) -> tuple[int, int]:
+    """How many lines from `pos` are exactly `robot i: <body>` followed by
+    "\n", for i = robots + 1, robots + 2, ..., and the position after them.
+
+    Such a line is what `format_solution` writes for one more robot of the
+    run; the grammar would read it as that, so it is compared, not parsed.
+    Blocks of lines double while they match and halve when one fails.  A
+    block is built only if its last line is where it would be were every
+    line of the block as long, so a block that runs past the run's end is
+    rarely built; where the robot numbers gain a digit, blocks shrink.
+    """
+    count, step = 0, 1
+    while step:
+        first = robots + count
+        last = f"robot {first + step}: {body}\n"
+        if text.startswith(last, pos + (step - 1) * len(last)) and text.startswith(
+            block := "\n".join(robot_lines(first, step, body)) + "\n", pos
+        ):
+            pos += len(block)
+            count += step
+            step = min(2 * step, _BLOCK)
+        else:
+            step //= 2
+    return count, pos

@@ -145,6 +145,38 @@ class TestFindEulerianCycle:
                 verdicts[True] += 1
         assert verdicts[True] > 200 and verdicts[False] > 200, verdicts
 
+    def test_rejections_are_those_of_the_full_check(self):
+        """Parity is checked before the walk and connectivity after it, by
+        the copies left unused; the error and its message are what the full
+        check, `closed_walk_faults`, calls for."""
+        rng = random.Random(78)
+        kinds = Counter()
+        for trial in range(600):
+            ms = random_even_multigraph(rng, n_max=7, total_max=16).edge_counter()
+            if trial % 4 == 1:  # an odd degree
+                ms[rng.choice(sorted(ms))] -= 1
+            elif trial % 4 == 2:  # another component, even
+                ms[(10, 11)] += 2
+            elif trial % 4 == 3:  # both
+                ms[(10, 11)] += 1
+            start = rng.choice(sorted({v for e in +ms for v in e} | {rng.randrange(12)}))
+            faults = closed_walk_faults(ms, start)
+            expected = None
+            if "misses the start vertex" in faults:
+                expected = (StartNotInGraph, f"start vertex {start} is not on an edge")
+            elif faults and faults != ["is empty"]:
+                expected = (NotEulerian, "edge multiset is not connected with all degrees even")
+            try:
+                find_eulerian_cycle(ms, start)
+                got = None
+            except (NotEulerian, StartNotInGraph) as exc:
+                got = (type(exc), str(exc))
+            assert got == expected, (ms, start, faults)
+            kinds[tuple(faults)] += 1
+        assert kinds[("is not connected",)] > 50, kinds
+        assert kinds[("has an odd degree",)] > 50, kinds
+        assert kinds[()] > 50, kinds
+
 
 @given(st.lists(st.integers(0, 4), min_size=0, max_size=12))
 @settings(max_examples=200)

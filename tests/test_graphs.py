@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cge.errors import NotConnected, SelfLoop
-from cge.graphs import ExplorationInstance, Multigraph, norm_edge
+from cge.graphs import ExplorationInstance, Multigraph, norm_edge, odd_degree_vertices
 from cge.textio import InstanceDocument, format_instance, parse_instance
 
 
@@ -86,3 +88,16 @@ def test_instance_text_round_trip(inst):
         inst.k,
         inst.budget,
     )
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(-2, 5)))
+@settings(max_examples=300)
+def test_odd_degree_vertices_sum_the_degrees(counts):
+    """Parity by flips equals parity of the summed degrees: a loop adds two to
+    its vertex, and counts at or below zero add nothing."""
+    deg = Counter()
+    for (a, b), m in counts.items():
+        if m > 0:
+            deg[a] += m
+            deg[b] += m
+    assert odd_degree_vertices(Counter(counts)) == sorted(v for v, d in deg.items() if d % 2)

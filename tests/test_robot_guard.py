@@ -3,7 +3,9 @@
 
 The subprocess size fails at once without the guard (`solve-approx` cannot
 allocate its per-robot tables); the boundary is checked against a lowered
-limit, so no test ever writes a large solution.
+limit, so no test ever writes a large solution.  `verify` has no cap: it
+reports the robots its solution file lists, so a huge count in the instance
+is only a count mismatch.
 """
 
 import contextlib
@@ -52,6 +54,25 @@ def test_a_trillion_robots_exit_3_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr == (
         "resource guard: solution needs 1000000000000 robot lines, limit 10000000\n"
+    )
+
+
+def test_verify_of_a_trillion_robots_is_a_count_mismatch(tmp_path):
+    inst = tmp_path / "wide.cge"
+    inst.write_text("cge 1\nnodes 2\ninit 0\nrobots 1000000000000\nedge 0 1\n")
+    sol = tmp_path / "one.sol"
+    sol.write_text("value 2\nrobot 1: 0 1 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cge.cli", "verify", str(inst), str(sol)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (
+        "robot 1: start=ok end=ok edges=ok length=2\n"
+        "robot count: BAD\n"
+        "uncovered: none\n"
+        "value 2\n"
+        "result: FAIL\n"
     )
 
 
