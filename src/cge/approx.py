@@ -3,10 +3,12 @@
 The algorithm works on edge multisets rather than walks: make the degree of
 every independent vertex even by duplicating one incident edge, deal the
 independent-incident edges to the robots in balanced pairs, deal the
-cover-internal edges one at a time, then give every robot a spanning tree of
-the induced cover graph, fix the cover parities against that tree, and read
-off an Eulerian cycle per robot.  The value exceeds the optimum by at most
-twice the size of the connected cover actually used.
+cover-internal edges one at a time, then give every robot the one BFS tree of
+the induced cover graph built per solve, fix the cover parities against that
+tree in one children-first pass, and read off an Eulerian cycle per robot.
+The fix is the tree's unique T-join, so it does not depend on where the tree
+is rooted.  The value exceeds the optimum by at most twice the size of the
+connected cover actually used.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from typing import NamedTuple
 from .cover import VertexCover, connect_cover
 from .errors import OddDegree, TreeNotSpanning
 from .euler import Solution, solution_from_multisets
-from .graphs import EdgeMultiset, ExplorationInstance, Multigraph, norm_edge
+from .graphs import (
+    EdgeMultiset,
+    ExplorationInstance,
+    Multigraph,
+    norm_edge,
+    odd_degree_vertices,
+)
 
 
 class PartitionState(NamedTuple):
@@ -28,7 +36,6 @@ class PartitionState(NamedTuple):
     in order; the other robots of the k hold nothing.
     """
 
-    e_ind: EdgeMultiset
     e_i: list[EdgeMultiset]
     pairs_dealt: int
     k: int
@@ -44,9 +51,7 @@ def even_independent_degrees(g: Multigraph, vcp: VertexCover) -> EdgeMultiset:
         if u not in cset or v not in cset:
             e_ind[(u, v)] += 1
     for u in range(g.n):
-        if u in cset:
-            continue
-        if g.degree(u) % 2 == 1:
+        if u not in cset and g.degree(u) % 2 == 1:
             e_ind[norm_edge(u, g.neighbors(u)[0])] += 1
     return e_ind
 
@@ -62,7 +67,6 @@ def partition_independent_edges(
     the robots dealt a pair are the first min(k, pairs).
     """
     cset = vcp.as_set()
-    work = Counter(e_ind)
     e_i: list[Counter] = []
     j = 0
     for u in range(g.n):
@@ -71,17 +75,15 @@ def partition_independent_edges(
         incident: list[tuple[int, int]] = []
         for w in g.neighbors(u):
             e = norm_edge(u, w)
-            incident.extend([e] * work[e])
+            incident.extend([e] * e_ind[e])
         for idx in range(0, len(incident) - 1, 2):
             if j < k:
                 e_i.append(Counter())
             robot = e_i[j % k]
             robot[incident[idx]] += 1
             robot[incident[idx + 1]] += 1
-            work[incident[idx]] -= 1
-            work[incident[idx + 1]] -= 1
             j += 1
-    return PartitionState(e_ind=work, e_i=e_i, pairs_dealt=j, k=k)
+    return PartitionState(e_i=e_i, pairs_dealt=j, k=k)
 
 
 def deal_cover_edges(g: Multigraph, vcp: VertexCover, state: PartitionState) -> None:
@@ -104,70 +106,45 @@ def deal_cover_edges(g: Multigraph, vcp: VertexCover, state: PartitionState) -> 
         state.e_i[robot][e] += 1
 
 
-def spanning_tree(g: Multigraph, vertices: set[int], root: int) -> EdgeMultiset:
-    """BFS tree of the induced subgraph, rooted at `root`, ascending neighbors."""
-    tree: Counter = Counter()
-    seen = {root}
+def spanning_tree(g: Multigraph, vertices: set[int], root: int) -> dict[int, int]:
+    """BFS tree of the induced subgraph from `root`, ascending neighbors, as
+    each other vertex's parent in the order the BFS reaches them."""
+    parent: dict[int, int] = {}
     queue = deque([root])
     while queue:
         v = queue.popleft()
         for w in g.neighbors(v):
-            if w in vertices and w not in seen:
-                seen.add(w)
-                tree[norm_edge(v, w)] += 1
+            if w in vertices and w not in parent and w != root:
+                parent[w] = v
                 queue.append(w)
-    if seen != vertices:
+    if parent.keys() | {root} != vertices:
         raise TreeNotSpanning(f"cover subgraph is not connected over {sorted(vertices)}")
-    return tree
+    return parent
 
 
 def make_vc_even_degree(
-    tree: EdgeMultiset, e: EdgeMultiset, vcp: VertexCover
+    parent: dict[int, int], e: EdgeMultiset, vcp: VertexCover
 ) -> EdgeMultiset:
     """Add at most |cover| - 1 tree edges so every degree becomes even.
 
-    `tree` must be a spanning tree of the cover contained in `e`, and every
-    vertex outside the cover must have even degree in `e`, so the odd cover
-    vertices are even in number.  Rooted at the lowest cover vertex, the edge
-    from v to its parent gets one extra copy exactly when v's subtree holds an
-    odd number of odd-degree vertices: the only fix that uses each tree edge
-    at most once.  One traversal of the tree, one pass over `e` and one pass
-    over the cover, children before parents, cost O(|e| + |cover|).
+    `parent` lists a spanning tree of the cover parents first, as
+    `spanning_tree` gives it, and `e` holds its edges; every vertex outside
+    the cover must have even degree in `e`.  The edge from v to its parent
+    gets one extra copy exactly when v's subtree holds an odd number of
+    odd-degree vertices: the tree's only T-join, whatever its root.  One pass
+    over `e` and one over the tree, children first, cost O(|e| + |cover|).
     """
     cset = vcp.as_set()
-    edges = [edge for edge, m in tree.items() if m]
-    if len(edges) != len(cset) - 1:
-        raise TreeNotSpanning(f"{len(edges)} tree edges cannot span {len(cset)} cover vertices")
-    tree_adj: dict[int, list[int]] = {v: [] for v in cset}
-    for (u, v) in edges:
-        if u not in cset or v not in cset:
-            raise TreeNotSpanning(f"tree edge {(u, v)} leaves the cover")
-        if e[(u, v)] < tree[(u, v)]:
-            raise TreeNotSpanning(f"tree edge {(u, v)} missing from the multiset")
-        tree_adj[u].append(v)
-        tree_adj[v].append(u)
-    root = min(cset)
-    parent = {root: root}
-    order = [root]
-    for v in order:
-        for w in tree_adj[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    if len(order) != len(cset):
-        raise TreeNotSpanning("tree does not span the cover")
-
-    odd: set[int] = set()
-    for (u, v), m in e.items():
-        if m % 2:
-            odd ^= {u, v}
+    if len(parent) != len(cset) - 1:
+        raise TreeNotSpanning(f"{len(parent)} tree edges cannot span {len(cset)} cover vertices")
+    odd = set(odd_degree_vertices(e))
     if odd - cset:
         raise OddDegree(f"vertex {min(odd - cset)} outside the cover has odd degree")
     result = Counter(e)
-    for v in order[:0:-1]:  # every vertex but the root, children first
+    for v, p in reversed(parent.items()):
         if v in odd:
-            result[norm_edge(v, parent[v])] += 1
-            odd ^= {parent[v]}
+            result[norm_edge(v, p)] += 1
+            odd ^= {p}
     return result
 
 
@@ -175,15 +152,13 @@ def approx_solve(inst: ExplorationInstance, vc: VertexCover) -> Solution:
     """Run the full approximation pipeline and return a verified-shape solution."""
     g = inst.graph
     vcp = connect_cover(g, vc, inst.v_init)
-    e_ind = even_independent_degrees(g, vcp)
-    state = partition_independent_edges(g, vcp, e_ind, inst.k)
+    state = partition_independent_edges(g, vcp, even_independent_degrees(g, vcp), inst.k)
     deal_cover_edges(g, vcp, state)
-    cset = vcp.as_set()
-    tree = spanning_tree(g, cset, inst.v_init) if len(cset) > 1 else Counter()
-    runs = ((make_vc_even_degree(tree, e_i + tree, vcp), 1) for e_i in state.e_i)
+    parent = spanning_tree(g, vcp.as_set(), inst.v_init)
+    tree = Counter(norm_edge(v, p) for v, p in parent.items())
+    runs = ((make_vc_even_degree(parent, e_i + tree, vcp), 1) for e_i in state.e_i)
     idle = inst.k - len(state.e_i)
     if idle:
-        # the robots past the dealt prefix hold no edges of their own: one
-        # run walks the parity-fixed tree
-        runs = chain(runs, [(make_vc_even_degree(tree, tree, vcp), idle)])
+        # robots past the dealt prefix hold no edges: one run walks the fixed tree
+        runs = chain(runs, [(make_vc_even_degree(parent, tree, vcp), idle)])
     return solution_from_multisets(g.n, inst.v_init, runs, inst.k)

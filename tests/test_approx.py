@@ -17,11 +17,22 @@ from cge.euler import verify_solution
 from cge.exact import exact_optimum
 from cge.graphs import ExplorationInstance, Multigraph, norm_edge
 
+import approx_reference as reference
 from conftest import multiset_degree, random_connected_graph, robot_cycles
 
 
 def star(leaves):
     return Multigraph.from_pairs(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def tree_edges(parent):
+    return Counter(norm_edge(v, p) for v, p in parent.items())
+
+
+def rerooted(parent, vertices, root):
+    """The same tree as a parent map rooted at `root`, in BFS order."""
+    tree = Multigraph(max(vertices) + 1, dict(tree_edges(parent)))
+    return spanning_tree(tree, vertices, root)
 
 
 def lowest_leaf_reference(tree, e, vcp):
@@ -51,17 +62,18 @@ def lowest_leaf_reference(tree, e, vcp):
 
 def random_tree_case(rng):
     """A random cover with a random spanning tree (attachment to any earlier
-    vertex, a path or a star) and a multiset containing the tree in which
-    every vertex outside the cover has even degree."""
+    vertex, a path or a star), as a parent map rooted at the first cover
+    vertex, and a multiset containing the tree in which every vertex outside
+    the cover has even degree."""
     n = rng.randint(1, 30)
     labels = rng.sample(range(n + 8), n + rng.randint(0, 8))
     cover, outside = labels[:n], labels[n:]
     shape = rng.choice(("attach", "path", "star"))
-    tree = Counter()
+    parent = {}
     for i in range(1, n):
         other = {"attach": rng.choice(cover[:i]), "path": cover[i - 1], "star": cover[0]}
-        tree[norm_edge(cover[i], other[shape])] += 1
-    e = Counter(tree)
+        parent[cover[i]] = other[shape]
+    e = tree_edges(parent)
     for _ in range(rng.randint(0, 3 * n)):
         u = rng.choice(cover)
         w = rng.choice(cover + outside)
@@ -70,7 +82,7 @@ def random_tree_case(rng):
     for w in outside:
         if multiset_degree(e, w) % 2:
             e[norm_edge(w, rng.choice(cover))] += 1
-    return tree, e, VertexCover(tuple(cover))
+    return parent, e, VertexCover(tuple(cover))
 
 
 class TestEvenIndependentDegrees:
@@ -99,7 +111,7 @@ class TestPartition:
             vcp = connect_cover(g, vertex_cover_2approx(g), 0)
             e_ind = even_independent_degrees(g, vcp)
             state = partition_independent_edges(g, vcp, e_ind, k)
-            assert sum(state.e_ind.values()) == 0
+            assert sum(state.e_i, Counter()) == e_ind
             cset = vcp.as_set()
             for ms in state.e_i:
                 for u in range(g.n):
@@ -121,25 +133,47 @@ class TestPartition:
             assert max(sizes) - min(sizes) <= 2
 
 
+class TestSpanningTree:
+    def test_parents_come_before_children(self):
+        rng = random.Random(39)
+        for _ in range(60):
+            g = random_connected_graph(rng, n_max=12, m_max=24)
+            start = rng.randrange(g.n)
+            cset = connect_cover(g, vertex_cover_2approx(g), start).as_set()
+            parent = spanning_tree(g, cset, start)
+            # every cover vertex but the root has one parent, adjacent to it
+            # and reached before it
+            assert set(parent) == cset - {start}
+            reached = {start}
+            for v, p in parent.items():
+                assert p in reached and g.has_edge(v, p)
+                reached.add(v)
+
+    def test_one_vertex_cover_has_no_edges(self):
+        assert spanning_tree(star(3), {0}, 0) == {}
+
+    def test_rejects_disconnected_cover(self):
+        g = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(TreeNotSpanning):
+            spanning_tree(g, {0, 1, 3}, 0)
+
+
 class TestMakeVcEvenDegree:
     def test_single_edge_tree_fixes_odd(self):
-        tree = Counter({(0, 1): 1})
         e = Counter({(0, 1): 1})  # both endpoints odd
-        out = make_vc_even_degree(tree, e, VertexCover((0, 1)))
+        out = make_vc_even_degree({1: 0}, e, VertexCover((0, 1)))
         assert out == Counter({(0, 1): 2})
 
     def test_identity_when_even(self):
-        tree = Counter({(0, 1): 1})
         e = Counter({(0, 1): 2})
-        out = make_vc_even_degree(tree, e, VertexCover((0, 1)))
+        out = make_vc_even_degree({1: 0}, e, VertexCover((0, 1)))
         assert out == e
 
     def test_path_tree_trace(self):
         # degrees: 0 odd, 1 even, 2 odd; rooted at 0, the subtrees of 1 and 2
         # each hold one odd vertex, so both tree edges get a copy
-        tree = Counter({(0, 1): 1, (1, 2): 1})
         e = Counter({(0, 1): 1, (1, 2): 1})
-        out = make_vc_even_degree(tree, e, VertexCover((0, 1, 2)))
+        out = make_vc_even_degree({1: 0, 2: 1}, e, VertexCover((0, 1, 2)))
         assert out == Counter({(0, 1): 2, (1, 2): 2})
         assert out - e == Counter({(0, 1): 1, (1, 2): 1})
 
@@ -149,60 +183,71 @@ class TestMakeVcEvenDegree:
             g = random_connected_graph(rng)
             vcp = connect_cover(g, vertex_cover_2approx(g), 0)
             cset = vcp.as_set()
-            tree = (
-                spanning_tree(g, cset, 0) if len(cset) > 1 else Counter()
-            )
-            e = Counter(tree)
+            parent = spanning_tree(g, cset, 0)
+            e = tree_edges(parent)
             for (u, v) in g.distinct_edges():
                 if u in cset and v in cset and rng.random() < 0.5:
                     e[(u, v)] += 1
-            out = make_vc_even_degree(tree, e, vcp)
+            out = make_vc_even_degree(parent, e, vcp)
             assert sum(out.values()) - sum(e.values()) <= len(vcp)
             for v in cset:
                 assert multiset_degree(out, v) % 2 == 0
 
     def test_rejects_non_spanning_tree(self):
         with pytest.raises(TreeNotSpanning):
-            make_vc_even_degree(Counter(), Counter({(0, 1): 1}), VertexCover((0, 1)))
-
-    def test_rejects_tree_with_cycle(self):
-        triangle = Counter({(0, 1): 1, (0, 2): 1, (1, 2): 1})
-        with pytest.raises(TreeNotSpanning):
-            make_vc_even_degree(triangle, Counter(triangle), VertexCover((0, 1, 2)))
+            make_vc_even_degree({}, Counter({(0, 1): 1}), VertexCover((0, 1)))
+        e = Counter({(0, 1): 1, (1, 2): 1, (2, 3): 2})
+        with pytest.raises(TreeNotSpanning, match="2 tree edges cannot span 4"):
+            make_vc_even_degree({1: 0, 2: 1}, e, VertexCover((0, 1, 2, 3)))
 
     def test_rejects_odd_vertex_outside_cover(self):
-        tree = Counter({(0, 1): 1, (1, 2): 1})
         e = Counter({(0, 1): 1, (1, 2): 1, (0, 3): 1})
         with pytest.raises(OddDegree, match="vertex 3"):
-            make_vc_even_degree(tree, e, VertexCover((0, 1, 2)))
+            make_vc_even_degree({1: 0, 2: 1}, e, VertexCover((0, 1, 2)))
 
     def test_matches_lowest_leaf_elimination_on_random_trees(self):
         rng = random.Random(41)
         for _ in range(300):
-            tree, e, vcp = random_tree_case(rng)
-            out = make_vc_even_degree(tree, e, vcp)
-            ref = lowest_leaf_reference(tree, e, vcp)
+            parent, e, vcp = random_tree_case(rng)
+            out = make_vc_even_degree(parent, e, vcp)
+            ref = lowest_leaf_reference(tree_edges(parent), e, vcp)
             assert list(out.items()) == list(ref.items())
 
     def test_matches_lowest_leaf_elimination_on_robot_multisets(self):
-        rng = random.Random(42)
         cases = 0
-        for _ in range(90):
-            g = random_connected_graph(rng, n_max=12, m_max=24)
-            start = rng.randrange(g.n)
-            vcp = connect_cover(g, vertex_cover_2approx(g), start)
-            state = partition_independent_edges(
-                g, vcp, even_independent_degrees(g, vcp), rng.randint(1, 4)
-            )
-            deal_cover_edges(g, vcp, state)
-            cset = vcp.as_set()
-            tree = spanning_tree(g, cset, start) if len(cset) > 1 else Counter()
-            for e_i in state.e_i:
-                out = make_vc_even_degree(tree, e_i + tree, vcp)
-                ref = lowest_leaf_reference(tree, e_i + tree, vcp)
-                assert list(out.items()) == list(ref.items())
-                cases += 1
+        for parent, e, vcp in robot_multiset_cases():
+            out = make_vc_even_degree(parent, e, vcp)
+            ref = lowest_leaf_reference(tree_edges(parent), e, vcp)
+            assert list(out.items()) == list(ref.items())
+            cases += 1
         assert cases >= 200
+
+    def test_any_root_gives_the_fix_of_the_tree_counter(self):
+        # a tree has one T-join, so the parent map may be rooted anywhere
+        rng = random.Random(41)
+        cases = [random_tree_case(rng) for _ in range(300)] + list(robot_multiset_cases())
+        for parent, e, vcp in cases:
+            ref = reference.make_vc_even_degree(tree_edges(parent), e, vcp)
+            for root in vcp.vertices:
+                out = make_vc_even_degree(rerooted(parent, vcp.as_set(), root), e, vcp)
+                assert list(out.items()) == list(ref.items())
+
+
+def robot_multiset_cases():
+    """(parent map, robot multiset plus tree, cover) as `approx_solve` fixes
+    them, over seeded graphs and robot counts."""
+    rng = random.Random(42)
+    for _ in range(90):
+        g = random_connected_graph(rng, n_max=12, m_max=24)
+        start = rng.randrange(g.n)
+        vcp = connect_cover(g, vertex_cover_2approx(g), start)
+        state = partition_independent_edges(
+            g, vcp, even_independent_degrees(g, vcp), rng.randint(1, 4)
+        )
+        deal_cover_edges(g, vcp, state)
+        parent = spanning_tree(g, vcp.as_set(), start)
+        for e_i in state.e_i:
+            yield parent, e_i + tree_edges(parent), vcp
 
 
 class TestApproxSolve:

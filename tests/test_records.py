@@ -106,8 +106,7 @@ REPRS = {
         " copies=((3,),))"
     ),
     "PartitionState": (
-        "PartitionState(e_ind=Counter({(0, 2): 0, (1, 2): 0}),"
-        " e_i=[Counter({(0, 2): 1, (1, 2): 1})], pairs_dealt=1, k=2)"
+        "PartitionState(e_i=[Counter({(0, 2): 1, (1, 2): 1})], pairs_dealt=1, k=2)"
     ),
     "RobotCycle": "RobotCycle(walk=(0, 1, 0))",
     "Solution": (
