@@ -36,9 +36,11 @@ uncovered set.  Pruning uses only coverage and remaining-budget
 reachability; closed walks may have odd length in non-bipartite graphs and
 no parity assumption is made.
 
-The optimum search starts at the Chinese-postman bound: together the robots
-walk a connected even multigraph through every edge, so at least CPP(G)
-edges, and the longest walk is at least ceil(CPP(G) / k).
+Both entry points start at one bound, the larger of the Chinese-postman
+bound and the farthest-edge bound: together the robots walk a connected even
+multigraph through every edge, so at least CPP(G) edges, and the longest
+walk is at least ceil(CPP(G) / k).  The optimum search starts there, and
+deciding a budget below it answers "no" without a search.
 """
 
 from __future__ import annotations
@@ -65,27 +67,6 @@ class SearchConfig(NamedTuple):
     node_limit: int = 5_000_000
 
 
-class _Catalog:
-    """All realizable robot walks up to a length cap.
-
-    supports[i] is a bitmask of distinct edges covered, lengths[i] the walk
-    length, usages[i] the per-edge usage packed 2 bits per edge (edge j in
-    bits 2j, 2j+1).  Entries are sorted by (length, support mask); index 0 is
-    always the empty walk.  by_edge[j] lists, ascending, the first `indexed`
-    entries whose support holds edge j; `_assign_robots` extends it.
-    """
-
-    __slots__ = ("edges", "supports", "lengths", "usages", "by_edge", "indexed")
-
-    def __init__(self, edges: list[tuple[int, int]]):
-        self.edges = edges
-        self.supports = [0]
-        self.lengths = [0]
-        self.usages = [0]
-        self.by_edge: list[list[int]] = [[] for _ in edges]
-        self.indexed = 0
-
-
 class _NodeBudget:
     __slots__ = ("left",)
 
@@ -102,6 +83,13 @@ class _Frontier:
     """The walk search between two caps: the states not expanded yet and the
     catalog of the rounds run so far.
 
+    The catalog holds every realizable robot walk up to the last cap.
+    supports[i] is a bitmask of distinct edges covered, lengths[i] the walk
+    length, usages[i] the per-edge usage packed 2 bits per edge (edge j in
+    bits 2j, 2j+1).  Entries are sorted by (length, support mask); index 0 is
+    always the empty walk.  by_edge[j] lists, ascending, the first `indexed`
+    entries whose support holds edge j; `_assign_robots` extends it.
+
     A state packs `usage << vbits | vertex`.  pending[(p, l)] maps each
     state of potential p and length l to its rank: the smallest
     `parent_rank * base + position` over its parents, `position` being the
@@ -113,8 +101,8 @@ class _Frontier:
     state delta, potential delta, position).
     """
 
-    __slots__ = ("steps", "vbits", "vmask", "base", "low", "rounds", "pending",
-                 "found", "catalog")
+    __slots__ = ("steps", "vbits", "vmask", "base", "low", "rounds", "pending", "found",
+                 "edges", "supports", "lengths", "usages", "by_edge", "indexed")
 
     def __init__(self, g: Multigraph, v_init: int):
         edges = g.distinct_edges()
@@ -134,7 +122,12 @@ class _Frontier:
         self.rounds = 0
         self.pending: dict[tuple[int, int], dict[int, int]] = {(0, 0): {v_init: 0}}
         self.found = {0}  # supports in the catalog, one bit per used edge at 2j
-        self.catalog = _Catalog(edges)
+        self.edges = edges
+        self.supports = [0]
+        self.lengths = [0]
+        self.usages = [0]
+        self.by_edge: list[list[int]] = [[] for _ in edges]
+        self.indexed = 0
 
     def expand(self, p: int, l: int, nodes: _NodeBudget) -> None:
         bucket = self.pending.pop((p, l), None)
@@ -165,18 +158,18 @@ class _Frontier:
             old = best.get(spread)
             if old is None or rank < old[0]:
                 best[spread] = (rank, usage)
-        cat = self.catalog
         for spread in sorted(best):  # the same order as the compact supports
             self.found.add(spread)
-            cat.supports.append(int(f"{spread:b}"[::-2][::-1], 2))  # bits 0, 2, 4, ...
-            cat.lengths.append(p)
-            cat.usages.append(best[spread][1])
+            self.supports.append(int(f"{spread:b}"[::-2][::-1], 2))  # bits 0, 2, 4, ...
+            self.lengths.append(p)
+            self.usages.append(best[spread][1])
 
 
 def _walk_catalog(
     g: Multigraph, v_init: int, cap: int, frontier: _Frontier, nodes: _NodeBudget
-) -> _Catalog:
-    """Extend `frontier`'s catalog to every walk of length <= `cap`.
+) -> _Frontier:
+    """Extend `frontier`'s catalog to every walk of length <= `cap` and return
+    the frontier, which is the catalog.
 
     Round p expands the start-vertex states of length p - 1 (all their
     children have potential p + 1), then the other states of potential p in
@@ -192,11 +185,11 @@ def _walk_catalog(
         for l in range(p):
             frontier.expand(p, l, nodes)
         frontier.record(p)
-    return frontier.catalog
+    return frontier
 
 
 def _assign_robots(
-    catalog: _Catalog, k: int, budget: int, full_mask: int, nodes: _NodeBudget
+    catalog: _Frontier, k: int, budget: int, full_mask: int, nodes: _NodeBudget
 ) -> list[int] | None:
     """Assign catalog walks of length <= `budget` to robots so every edge is
     covered.
@@ -248,7 +241,7 @@ def _assign_robots(
 
 
 def _solution_from_entries(
-    inst: ExplorationInstance, catalog: _Catalog, entries: list[int]
+    inst: ExplorationInstance, catalog: _Frontier, entries: list[int]
 ) -> Solution:
     edges = catalog.edges
     multisets = (
@@ -340,23 +333,26 @@ def _search(
     return None
 
 
+def _lower_bound(inst: ExplorationInstance) -> int:
+    """The least budget worth searching: the larger of the Chinese-postman
+    bound and the farthest-edge bound.  No budget below it has a solution."""
+    return max(_postman_bound(inst), _farthest_edge_bound(inst.graph, inst.v_init))
+
+
 def exact_decide(
     inst: ExplorationInstance, cfg: SearchConfig = SearchConfig()
 ) -> tuple[bool, Solution | None]:
     """Decide whether a solution of value <= inst.budget exists.
 
-    Returns (True, witness) or (False, None).  Raises SearchBudgetExceeded
-    when the node limit is hit before an answer is certain.
+    Returns (True, witness) or (False, None); a budget below `_lower_bound`
+    is a "no" without a search.  Raises SearchBudgetExceeded when the node
+    limit is hit before an answer is certain.
     """
     if inst.budget is None:
         raise ValueError("exact_decide requires an instance with a budget")
-    g = inst.graph
-    budget = inst.budget
-    if g.num_edges == 0:
-        return True, solution_from_multisets(g.n, inst.v_init, (), inst.k)
-    if _farthest_edge_bound(g, inst.v_init) > budget:
+    if inst.budget < _lower_bound(inst):
         return False, None
-    found = _search(inst, cfg, (budget,))
+    found = _search(inst, cfg, (inst.budget,))
     return (False, None) if found is None else (True, found[1])
 
 
@@ -365,17 +361,12 @@ def exact_optimum(
 ) -> tuple[int, Solution] | None:
     """Smallest budget with a solution, plus a witness.
 
-    Tries budgets upward from the larger of the Chinese-postman bound and
-    the farthest-edge bound, extending one walk search a round at a time,
-    and stops at the first that has a solution.  Budget 2|E| always has
-    one: a single robot walks every edge twice.  Returns None when
-    cfg.max_budget is below the optimum (a proven "no" within it).
+    Tries budgets upward from `_lower_bound`, extending one walk search a
+    round at a time, and stops at the first that has a solution.  Budget
+    2|E| always has one: a single robot walks every edge twice.  Returns
+    None when cfg.max_budget is below the optimum (a proven "no" within it).
     """
-    g = inst.graph
-    if g.num_edges == 0:
-        return 0, solution_from_multisets(g.n, inst.v_init, (), inst.k)
-    lb = max(_postman_bound(inst), _farthest_edge_bound(g, inst.v_init))
-    ceiling = 2 * g.num_distinct_edges
+    ceiling = 2 * inst.graph.num_distinct_edges
     if cfg.max_budget is not None:
         ceiling = min(ceiling, cfg.max_budget)
-    return _search(inst, cfg, range(lb, ceiling + 1))
+    return _search(inst, cfg, range(_lower_bound(inst), ceiling + 1))

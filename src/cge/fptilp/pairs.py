@@ -37,12 +37,6 @@ class ValidPair(NamedTuple):
     def cc_counter(self) -> EdgeMultiset:
         return Counter(self.cc)
 
-    def union_counter(self) -> EdgeMultiset:
-        total = Counter(self.cc)
-        for cyc in self.cycles:
-            total += walk_edges(cyc)
-        return total
-
 
 def canonical_cycle(cycle: Cycle, anchor_vertices) -> Cycle:
     """Least sequence over all rotations starting at an anchor vertex, in
@@ -167,51 +161,6 @@ def _peel_simple_cycle(work: EdgeMultiset) -> Cycle:
         if loop:
             return loop
     raise OddDegree(f"stuck at vertex {path[-1]}; degrees not all even")
-
-
-def check_valid_pair(
-    ctx: FptContext, pair: ValidPair, source: EdgeMultiset
-) -> list[str]:
-    """Return the violated conditions (empty list when the pair is valid)."""
-    problems: list[str] = []
-    cc = pair.cc_counter()
-    g = ctx.g
-    vc = ctx.cover_set
-
-    per_class: Counter = Counter()
-    for v in multiset_vertices(cc):
-        if v not in vc:
-            cls = ctx.class_of.get(v)
-            if cls is None:
-                problems.append("skeleton uses a vertex outside graph and cover")
-            else:
-                per_class[cls] += 1
-    for cls, count in per_class.items():
-        if count > len(ctx.gbar.copies[cls]):
-            problems.append(f"class {cls} exceeds its copy budget in the skeleton")
-    if any(m > 2 for m in cc.values()):
-        problems.append("skeleton edge multiplicity exceeds 2")
-
-    problems.extend(f"skeleton {f}" for f in closed_walk_faults(cc, ctx.v_init))
-
-    if (multiset_vertices(cc) & vc) != (multiset_vertices(source) & vc):
-        problems.append("skeleton covers different cover vertices than the source")
-
-    non4 = [c for c in pair.cycles if len(c) - 1 != 4]
-    if len(non4) > 2 * len(vc) ** 2:
-        problems.append("too many cycles of length other than 4")
-    for c in non4:
-        if len(set(c[:-1])) != len(c) - 1:
-            problems.append(f"non-4 cycle {c} is not simple")
-    for c in pair.cycles:
-        for i in range(len(c) - 1):
-            if not g.has_edge(c[i], c[i + 1]):
-                problems.append(f"cycle {c} uses a non-edge")
-                break
-
-    if pair.union_counter() != +Counter(source):
-        problems.append("skeleton plus cycles do not rebuild the source multiset")
-    return problems
 
 
 def decompose_valid_pair(ctx: FptContext, source: EdgeMultiset) -> ValidPair:

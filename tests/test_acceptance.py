@@ -21,7 +21,7 @@ from cge.cover import connect_cover, vertex_cover_2approx
 from cge.euler import find_eulerian_cycle, solution_from_multisets, verify_solution
 from cge.exact import exact_decide, exact_optimum
 from cge.fptilp.context import FptContext
-from cge.fptilp.pairs import check_valid_pair, pair_source, solution_pairs
+from cge.fptilp.pairs import pair_source, solution_pairs
 from cge.fptilp.reconstruct import reconstruct_solution
 from cge.fptilp.system import build_ilp_system, check_assignment, witness_from_solution
 from cge.fptilp.typespace import enumerate_type_space
@@ -29,6 +29,7 @@ from cge.graphs import ExplorationInstance, Multigraph
 from cge.hardness import BinPackingInstance, bin_to_rob, binpacking_to_exact, brute_binpacking
 
 from conftest import (
+    check_valid_pair,
     feasibility_conditions_hold,
     random_connected_graph,
     random_even_multigraph,

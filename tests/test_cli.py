@@ -112,6 +112,12 @@ class TestCommands:
         f.write_text(TRIANGLE)
         assert run_cli("solve-exact", str(f), "--node-limit", "1") == (3, "")
 
+    def test_solve_exact_decide_below_the_postman_bound_searches_nothing(self, tmp_path):
+        # the 3-leaf star from its centre: farthest-edge bound 2, postman bound 6
+        f = tmp_path / "star.cge"
+        f.write_text("cge 1\nnodes 4\ninit 0\nrobots 1\nbudget 4\nedge 0 1\nedge 0 2\nedge 0 3\n")
+        assert run_cli("solve-exact", str(f), "--node-limit", "1") == (1, "no\n")
+
     @pytest.mark.parametrize(
         "flags", [("--max-budget", "-1"), ("--node-limit", "0"), ("--node-limit", "-5")]
     )

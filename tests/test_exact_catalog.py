@@ -18,7 +18,8 @@ with the catalog and the last robot's walk became a lookup; the solver must
 spend exactly its nodes and choose exactly its entries.  The solver's start
 budget, the Chinese-postman bound, must dominate `reference_traversal_bound`,
 the start budget it replaced, and for one robot equal the optimum, checked
-against a minimum-weight matching from networkx.
+against a minimum-weight matching from networkx.  Below the start budget the
+reference finds no assignment, and deciding answers "no" without a node.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from cge import exact
 from cge.approx import approx_solve
 from cge.cover import connect_cover, vertex_cover_2approx
 from cge.errors import SearchBudgetExceeded
+from cge.euler import solution_from_multisets
 from cge.exact import (
     SearchConfig,
     _assign_robots,
@@ -184,7 +186,7 @@ def entries(catalog, max_length):
 
 
 def lower_bound(inst):
-    """The budget `exact_optimum` starts at."""
+    """The budget both entry points start at."""
     return max(_postman_bound(inst), _farthest_edge_bound(inst.graph, inst.v_init))
 
 
@@ -282,6 +284,30 @@ def test_assignment_spends_the_reference_nodes(inst):
             new = _NodeBudget(UNLIMITED)
             assert _assign_robots(cat, inst.k, budget, full, new) == expected
             assert spent(new) == spent(old), f"budget {budget}"
+
+
+@pytest.mark.parametrize("inst", CASES, ids=case_id)
+def test_decide_below_the_lower_bound_is_a_no_without_a_search(inst):
+    """Every budget below the shared start bound is a "no" under a one-node
+    limit, and the reference search finds no assignment there either."""
+    g, v = inst.graph, inst.v_init
+    lb = lower_bound(inst)
+    catalog = reference_walk_catalog(g, v, lb - 1, None, _NodeBudget(UNLIMITED))
+    for budget in range(lb):
+        assert exact_decide(with_budget(inst, budget), SearchConfig(node_limit=1)) == (False, None)
+        ref = reference_assign_robots(catalog, inst.k, budget, _edge_mask(g),
+                                      _NodeBudget(UNLIMITED))
+        assert ref is None, f"budget {budget}"
+
+
+def test_one_vertex_graph_is_idle_at_every_budget():
+    inst = ExplorationInstance(Multigraph(1), 0, 2)
+    idle = solution_from_multisets(1, 0, (), 2)
+    cfg = SearchConfig(node_limit=1)
+    assert lower_bound(inst) == 0
+    for budget in range(4):
+        assert exact_decide(with_budget(inst, budget), cfg) == (True, idle)
+    assert exact_optimum(inst, cfg) == (0, idle)
 
 
 def networkx_postman(g):

@@ -6,15 +6,10 @@ import pytest
 from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
 from cge.errors import OddDegree, PreconditionViolated
 from cge.fptilp.context import FptContext
-from cge.fptilp.pairs import (
-    ValidPair,
-    check_valid_pair,
-    decompose_valid_pair,
-    extract_cycle_cover,
-)
+from cge.fptilp.pairs import ValidPair, decompose_valid_pair, extract_cycle_cover
 from cge.graphs import ExplorationInstance, Multigraph, walk_edges
 
-from conftest import random_even_multigraph
+from conftest import check_valid_pair, random_even_multigraph
 
 
 def make_ctx(g, v_init, k, budget, cover=None):
