@@ -30,11 +30,12 @@ optimum search pays for the rounds up to the optimum only.
 
 Each robot in turn takes a walk covering the lowest edge still uncovered, so
 a set of walks is tried in one order only; no order between the robots'
-walks is enforced otherwise.  The last robot needs no search: it takes the
-first usable walk that covers every edge still uncovered, looked up once per
-uncovered set.  Pruning uses only coverage and remaining-budget
-reachability; closed walks may have odd length in non-bipartite graphs and
-no parity assumption is made.
+walks is enforced otherwise.  The catalog keeps, per edge, the bitset of the
+walks that cover it, so the last robot's candidates are the AND of the
+bitsets of the edges still uncovered and the first of them ends the search.
+Pruning uses only coverage and remaining-budget reachability; closed walks
+may have odd length in non-bipartite graphs and no parity assumption is
+made.
 
 Both entry points start at one bound, the larger of the Chinese-postman
 bound and the farthest-edge bound: together the robots walk a connected even
@@ -45,7 +46,7 @@ deciding a budget below it answers "no" without a search.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from typing import NamedTuple
 
@@ -87,8 +88,8 @@ class _Frontier:
     supports[i] is a bitmask of distinct edges covered, lengths[i] the walk
     length, usages[i] the per-edge usage packed 2 bits per edge (edge j in
     bits 2j, 2j+1).  Entries are sorted by (length, support mask); index 0 is
-    always the empty walk.  by_edge[j] lists, ascending, the first `indexed`
-    entries whose support holds edge j; `_assign_robots` extends it.
+    always the empty walk.  Bit i of covers[j] is set when supports[i] holds
+    edge j.
 
     A state packs `usage << vbits | vertex`.  pending[(p, l)] maps each
     state of potential p and length l to its rank: the smallest
@@ -102,7 +103,7 @@ class _Frontier:
     """
 
     __slots__ = ("steps", "vbits", "vmask", "base", "low", "rounds", "pending", "found",
-                 "edges", "supports", "lengths", "usages", "by_edge", "indexed")
+                 "edges", "supports", "lengths", "usages", "covers")
 
     def __init__(self, g: Multigraph, v_init: int):
         edges = g.distinct_edges()
@@ -126,8 +127,7 @@ class _Frontier:
         self.supports = [0]
         self.lengths = [0]
         self.usages = [0]
-        self.by_edge: list[list[int]] = [[] for _ in edges]
-        self.indexed = 0
+        self.covers = [0] * len(edges)
 
     def expand(self, p: int, l: int, nodes: _NodeBudget) -> None:
         bucket = self.pending.pop((p, l), None)
@@ -158,11 +158,18 @@ class _Frontier:
             old = best.get(spread)
             if old is None or rank < old[0]:
                 best[spread] = (rank, usage)
-        for spread in sorted(best):  # the same order as the compact supports
-            self.found.add(spread)
-            self.supports.append(int(f"{spread:b}"[::-2][::-1], 2))  # bits 0, 2, 4, ...
-            self.lengths.append(p)
-            self.usages.append(best[spread][1])
+        if not best:
+            return
+        new = sorted(best)  # the same order as the compact supports
+        self.found.update(new)
+        m, first = len(self.covers), len(self.supports)
+        rows = [f"{spread:0{2 * m}b}"[1::2] for spread in new]  # m digits, edge 0 last
+        self.supports += [int(row, 2) for row in rows]
+        self.lengths += [p] * len(new)
+        self.usages += [best[spread][1] for spread in new]
+        columns = "".join(reversed(rows))  # column m-1-j: edge j's bits, last entry first
+        for j in range(m):
+            self.covers[j] |= int(columns[m - 1 - j::m], 2) << first
 
 
 def _walk_catalog(
@@ -195,25 +202,17 @@ def _assign_robots(
     covered.
 
     Each recursion level spends one node and commits one robot to an entry
-    covering the lowest uncovered edge.  The last robot's entry is the first
-    one there whose support holds every uncovered edge, memoized per
-    uncovered mask.  `catalog.by_edge` is extended over the entries added
-    since the last call; entries are sorted by length, so the usable ones
-    are a prefix of each list.  Returns chosen entry indices (possibly fewer
-    than k; the rest stay at the start vertex), or None.
+    covering the lowest uncovered edge, in index order; the last robot's
+    first entry covering every uncovered edge ends the search.  Entries are
+    sorted by length, so one mask cuts the usable prefix from each of
+    `catalog.covers`.  Returns chosen entry indices (possibly fewer than k;
+    the rest stay at the start vertex), or None.
     """
     supports = catalog.supports
-    new = range(catalog.indexed, len(supports))
-    for e_bit, covering in enumerate(catalog.by_edge):
-        covering += [i for i in new if supports[i] >> e_bit & 1]
-    catalog.indexed = len(supports)
-    usable = bisect_right(catalog.lengths, budget)
-    by_edge = [c if not c or c[-1] < usable else c[:bisect_left(c, usable)]
-               for c in catalog.by_edge]
-    reachable = sum(1 << e_bit for e_bit, c in enumerate(by_edge) if c)
-    if full_mask & ~reachable:
+    usable = (1 << bisect_right(catalog.lengths, budget)) - 1
+    covers = [c & usable for c in catalog.covers]
+    if not all(covers):
         return None
-    last: dict[int, int | None] = {}  # uncovered mask -> the last robot's entry
 
     def recurse(covered: int, robots_left: int, chosen: list[int]):
         if covered == full_mask:
@@ -223,13 +222,15 @@ def _assign_robots(
         nodes.spend()
         remaining = ~covered & full_mask
         lowest = (remaining & -remaining).bit_length() - 1
-        if robots_left == 1:
-            if remaining not in last:
-                last[remaining] = next(
-                    (i for i in by_edge[lowest] if supports[i] & remaining == remaining), None)
-            i = last[remaining]
-            return None if i is None else chosen + [i]
-        for i in by_edge[lowest]:
+        candidates = covers[lowest]
+        if robots_left == 1:  # only the entries covering every uncovered edge
+            for j in range(lowest + 1, len(covers)):
+                if remaining >> j & 1:
+                    candidates &= covers[j]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
             chosen.append(i)
             got = recurse(covered | supports[i], robots_left - 1, chosen)
             if got is not None:
@@ -259,10 +260,7 @@ def _edge_mask(g: Multigraph) -> int:
 def _farthest_edge_bound(g: Multigraph, v_init: int) -> int:
     """Minimum budget needed to cover the hardest single edge."""
     dist = g.bfs_distances(v_init)
-    bound = 0
-    for (u, v) in g.distinct_edges():
-        bound = max(bound, dist[u] + 1 + dist[v], dist[v] + 1 + dist[u])
-    return bound
+    return max((dist[u] + 1 + dist[v] for u, v in g.distinct_edges()), default=0)
 
 
 _PAIRING_LIMIT = 16  # odd vertices paired exactly; at 16 the DP takes about 8 ms

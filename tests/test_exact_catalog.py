@@ -13,18 +13,21 @@ when S is connected through the start vertex, and its shortest such walk has
 length |S| + |D| for the smallest D inside S whose degree parities equal S's
 (D being the edges used twice).
 
-`reference_assign_robots` is the robot assignment before the edge index grew
-with the catalog and the last robot's walk became a lookup; the solver must
-spend exactly its nodes and choose exactly its entries.  The solver's start
-budget, the Chinese-postman bound, must dominate `reference_traversal_bound`,
-the start budget it replaced, and for one robot equal the optimum, checked
-against a minimum-weight matching from networkx.  Below the start budget the
-reference finds no assignment, and deciding answers "no" without a node.
+`reference_assign_robots` is the robot assignment before the catalog kept a
+bitset of covering entries per edge and the last robot took the first entry
+in the AND of the uncovered edges' bitsets; the solver must spend exactly
+its nodes and choose exactly its entries, and that first entry must be the
+one a linear scan finds.  The solver's start budget, the Chinese-postman
+bound, must dominate `reference_traversal_bound`, the start budget it
+replaced, and for one robot equal the optimum, checked against a
+minimum-weight matching from networkx.  Below the start budget the reference
+finds no assignment, and deciding answers "no" without a node.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -60,8 +63,7 @@ class RefCatalog:
     supports: list
     lengths: list
     usages: list  # per-edge usage tuples
-    by_edge: list  # the edge index `_assign_robots` extends, empty lists at first
-    indexed: int = 0
+    covers: list  # per edge, the bitset of the entries whose support holds it
 
 
 def reference_walk_catalog(g, v_init, cap, cfg, nodes):
@@ -113,13 +115,14 @@ def reference_walk_catalog(g, v_init, cap, cfg, nodes):
     usages = []
     for _, (_, usage) in order:
         usages.append(tuple((usage >> (2 * i)) & 3 for i in range(m)))
+    covers = [sum(1 << i for i, s in enumerate(supports) if s >> j & 1) for j in range(m)]
     return RefCatalog(edges=edges, supports=supports, lengths=lengths, usages=usages,
-                      by_edge=[[] for _ in range(m)])
+                      covers=covers)
 
 
 def reference_assign_robots(catalog, k, budget, full_mask, nodes):
-    """The robot assignment verbatim from before the edge index and the
-    last-robot lookup: a fresh index per call, one call per last-robot walk."""
+    """The robot assignment verbatim from before the per-edge bitsets: a
+    fresh index per call, one call per last-robot walk."""
     usable = [i for i in range(len(catalog.supports)) if catalog.lengths[i] <= budget]
     reachable = 0
     for i in usable:
@@ -284,6 +287,34 @@ def test_assignment_spends_the_reference_nodes(inst):
             new = _NodeBudget(UNLIMITED)
             assert _assign_robots(cat, inst.k, budget, full, new) == expected
             assert spent(new) == spent(old), f"budget {budget}"
+
+
+@pytest.mark.parametrize("inst", CASES[::2], ids=case_id)
+def test_edge_bitsets_answer_the_linear_scan(inst):
+    """After every round `covers` is the transpose of `supports`, and for
+    random budgets and uncovered sets the lowest usable entry in the AND of
+    the uncovered edges' bitsets is the first entry a linear scan finds."""
+    g, v = inst.graph, inst.v_init
+    m = g.num_distinct_edges
+    rng = random.Random(case_id(inst))
+    frontier = _Frontier(g, v)
+    for cap in range(2 * m + 1):
+        catalog = _walk_catalog(g, v, cap, frontier, _NodeBudget(UNLIMITED))
+        supports, lengths = catalog.supports, catalog.lengths
+        assert catalog.covers == [sum(1 << i for i, s in enumerate(supports) if s >> j & 1)
+                                  for j in range(m)], f"cap {cap}"
+        for _ in range(30):
+            budget = rng.randint(0, cap)
+            density = rng.random()
+            mask = sum(1 << j for j in range(m) if rng.random() < density) or 1 << rng.randrange(m)
+            scan = next((i for i, (s, length) in enumerate(zip(supports, lengths))
+                         if length <= budget and s & mask == mask), None)
+            both = (1 << bisect_right(lengths, budget)) - 1
+            for j in range(m):
+                if mask >> j & 1:
+                    both &= catalog.covers[j]
+            lookup = (both & -both).bit_length() - 1 if both else None
+            assert lookup == scan, f"cap {cap}, budget {budget}, mask {mask:b}"
 
 
 @pytest.mark.parametrize("inst", CASES, ids=case_id)
