@@ -185,8 +185,14 @@ def _walk_catalog(
     c expands, so a single call spends exactly its nodes.  `g` and `v_init`
     are the ones `frontier` was built for; the node budget stays the fifth
     positional argument, where perfbench/tracing.py reads it.
+
+    No round runs past 2|E|.  A state's once-used edges join the start to
+    its vertex, so its length is at most 2|E| minus its distance home and
+    its potential at most 2|E|: later rounds would find every bucket empty
+    but the start state of length 2|E|, which walks every edge twice and
+    has no step left.
     """
-    while frontier.rounds < cap:
+    while frontier.rounds < min(cap, 2 * len(frontier.edges)):
         p = frontier.rounds = frontier.rounds + 1
         frontier.expand(p - 1, p - 1, nodes)
         for l in range(p):
@@ -296,16 +302,21 @@ def _postman_bound(inst: ExplorationInstance) -> int:
     vertices the bound takes half the sum of each odd vertex's distance to
     its nearest other odd vertex instead, which every pairing pays at least.
     Rounded up to even when the graph is bipartite (every closed walk is
-    even there).
+    even there).  A tree's T-join is all of its edges, since every edge cuts
+    off an odd number of odd vertices, so a tree needs no distances.
     """
     g = inst.graph
-    odd = [v for v in range(g.n) if g.degree(v) % 2]
-    dist = [[row[w] for w in odd] for row in map(g.bfs_distances, odd)]
-    if len(odd) <= _PAIRING_LIMIT:
-        join = _min_pairing(dist)
+    if g.num_edges == g.n - 1:  # the instance graph is connected: a tree
+        join = g.num_edges
     else:
-        nearest = (min(d for j, d in enumerate(row) if j != i) for i, row in enumerate(dist))
-        join = -(-sum(nearest) // 2)
+        odd = [v for v in range(g.n) if g.degree(v) % 2]
+        dist = [[row[w] for w in odd] for row in map(g.bfs_distances, odd)]
+        if len(odd) <= _PAIRING_LIMIT:
+            join = _min_pairing(dist)
+        else:
+            nearest = (min(d for j, d in enumerate(row) if j != i)
+                       for i, row in enumerate(dist))
+            join = -(-sum(nearest) // 2)
     lb = -(-(g.num_edges + join) // inst.k)
     if g.is_bipartite() and lb % 2 == 1:
         lb += 1

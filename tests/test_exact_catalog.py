@@ -341,6 +341,27 @@ def test_one_vertex_graph_is_idle_at_every_budget():
     assert exact_optimum(inst, cfg) == (0, idle)
 
 
+@pytest.mark.parametrize("inst", CASES[::8], ids=case_id)
+def test_decide_far_above_twice_the_edges_stops_at_2m_rounds(inst, monkeypatch):
+    """No walk state has potential above 2|E|, so deciding a budget far above
+    it runs 2|E| rounds, at most (2m + 1)^2 bucket expansions, and answers
+    as deciding 2|E| does; one round per unit of budget took O(budget^2)."""
+    m = inst.graph.num_distinct_edges
+    calls = 0
+    expand = _Frontier.expand
+
+    def counted(frontier, p, l, nodes):
+        nonlocal calls
+        calls += 1
+        expand(frontier, p, l, nodes)
+
+    monkeypatch.setattr(_Frontier, "expand", counted)
+    at_2m = exact_decide(with_budget(inst, 2 * m))
+    calls = 0
+    assert exact_decide(with_budget(inst, 100 * m + 100)) == at_2m
+    assert at_2m[0] and calls <= (2 * m + 1) ** 2
+
+
 def networkx_postman(g):
     """CPP(G) = |E| plus a minimum-weight perfect matching of the odd-degree
     vertices under shortest-path distance."""
@@ -375,9 +396,9 @@ def test_single_robot_optimum_is_the_postman_tour():
 
 def test_postman_fallback_above_the_pairing_limit(monkeypatch):
     """Above `_PAIRING_LIMIT` odd vertices the T-join is bounded by half the
-    nearest-odd-vertex distances, never above the exact pairing."""
-    # 18 odd leaves, each 2 from the next: the fallback is exact, and the
-    # optimum is 2 per leaf
+    nearest-odd-vertex distances, never above the exact pairing; a tree's
+    T-join is all of its edges, whatever the limit."""
+    # 18 odd leaves, each 2 from the next: the optimum is 2 per leaf
     star = ExplorationInstance(
         Multigraph.from_pairs(19, [(0, i) for i in range(1, 19)]), 0, 1)
     # a 5-vertex spine with 3 leaves per vertex: 18 odd vertices in groups of
@@ -385,12 +406,18 @@ def test_postman_fallback_above_the_pairing_limit(monkeypatch):
     leaves = [(i, 5 + 3 * i + j) for i in range(5) for j in range(3)]
     caterpillar = Multigraph.from_pairs(20, [(i, i + 1) for i in range(4)] + leaves)
     spine = ExplorationInstance(caterpillar, 0, 1)
+    # the spine closed into a 5-cycle: every vertex odd, and not a tree
+    closed = Multigraph.from_pairs(20, [(i, i + 1) for i in range(4)] + [(0, 4)] + leaves)
+    ring = ExplorationInstance(closed, 0, 1)
     assert sum(caterpillar.degree(v) % 2 for v in range(caterpillar.n)) > exact._PAIRING_LIMIT
-    assert _postman_bound(star) == 36
-    assert _postman_bound(spine) == 32
-    monkeypatch.setattr(exact, "_PAIRING_LIMIT", 10**6)
+    assert sum(closed.degree(v) % 2 for v in range(closed.n)) == 20
     assert _postman_bound(star) == 36
     assert _postman_bound(spine) == 38  # CPP: 19 edges plus 19 of pairing
+    assert _postman_bound(ring) == 30  # the fallback: 20 edges plus 10
+    monkeypatch.setattr(exact, "_PAIRING_LIMIT", 10**6)
+    assert _postman_bound(star) == 36
+    assert _postman_bound(spine) == 38
+    assert _postman_bound(ring) == 35  # CPP: 20 edges plus 15 of pairing
     # and below the limit the fallback never exceeds the exact pairing
     for inst in CASES:
         monkeypatch.setattr(exact, "_PAIRING_LIMIT", 10**6)

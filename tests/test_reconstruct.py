@@ -12,7 +12,7 @@ from cge.exact import exact_optimum
 from cge.fptilp import reconstruct
 from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import solution_pairs
-from cge.fptilp.reconstruct import _allocate_cycles_to_robots, reconstruct_solution
+from cge.fptilp.reconstruct import reconstruct_solution
 from cge.fptilp.system import (
     IlpAssignment,
     IlpSystem,
@@ -61,6 +61,16 @@ def pipeline(g, v_init, k, budget, cover=None):
     return inst, ctx, types, system
 
 
+def star_witness():
+    """A 9-vertex star with 2 robots, budget 8 and cover {0}, and the witness
+    of its approximate solution: one robot type, 2 length-2 and 2 length-4
+    cycle instances."""
+    g = Multigraph.from_pairs(9, [(0, i) for i in range(1, 9)])
+    inst, ctx, types, system = pipeline(g, 0, 2, 8, cover=VertexCover((0,)))
+    sol = approx_solve(inst, VertexCover((0,)))
+    return inst, ctx, types, system, witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+
+
 class TestReconstruct:
     def test_single_robot_round_trip(self):
         g = Multigraph.from_pairs(2, [(0, 1)])
@@ -78,44 +88,59 @@ class TestReconstruct:
             reconstruct_solution(ctx, types, system, zero)
 
     def test_balanced_four_cycle_split(self):
-        """Two robots of one type hosting two length-4 cycle instances get
-        one each.
+        """Two robots of one type share two length-2 and two length-4 cycle
+        instances one of each: the length-2 instances go in blocks of the
+        type's count, the length-4 ones round-robin.
         """
-        g = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-        inst, ctx, types, system = pipeline(
-            g, 0, 2, 6, cover=VertexCover((0, 1))
-        )
-        chosen_rob = None
-        chosen_cyc = None
-        for ri, rt in enumerate(types.robot_types):
-            if len(rt.cc) != 2 or ctx.v_init not in {v for e in rt.cc for v in e}:
-                continue
-            for ci, ct in enumerate(types.cycle_types):
-                if ct.host != ri or ct.length != 4:
-                    continue
-                counts = Counter()
-                for ns, vt in ct.pa_alloc:
-                    counts[(vt, ns)] += 1
-                if all(rt.num_of_cyc[s] == 0 for s in range(len(rt.num_of_cyc))):
-                    chosen_rob, chosen_cyc = ri, ci
-                    break
-            if chosen_cyc is not None:
-                break
-        assert chosen_cyc is not None
+        inst, ctx, types, system, witness = star_witness()
+        assert check_assignment(system, witness)[0]
+        _, rob_counts, cyc_counts = type_counts(types, witness)
+        assert rob_counts[1] == 2 == sum(rob_counts)
+        lengths = {types.cycle_types[ci].length: count
+                   for ci, count in enumerate(cyc_counts) if count}
+        assert lengths == {2: 2, 4: 2}
+        # leaves 1 and 2 go to the 2-cycles, 3 to 6 to the 4-cycles and 7
+        # and 8 to the skeletons, each in robot order
+        multisets = robot_multisets(reconstruct_solution(ctx, types, system, witness))
+        assert multisets == [Counter({(0, v): 2 for v in leaves})
+                             for leaves in ((1, 3, 4, 7), (2, 5, 6, 8))]
+        assert feasibility_conditions_hold(inst, multisets, 8)
+
+    def test_tracked_length_instances_go_in_blocks(self):
+        """Two robots of a type with two 2-cycles each take the type's four
+        2-cycle instances in blocks of two, not round-robin."""
+        inst, ctx, types, system, _ = star_witness()
+        ri = next(i for i, rt in enumerate(types.robot_types)
+                  if len(rt.cc) == 4 and rt.num_of_cyc == (2,))
+        ci = next(i for i, ct in enumerate(types.cycle_types)
+                  if ct.host == ri and ct.length == 2)
         values = {n: 0 for n in system.variables}
-        values[f"x_rob_{chosen_rob}"] = 2
-        values[f"x_cyc_{chosen_cyc}"] = 2
-        # vertex types: give every class member the type the cycle allocates
-        ct = types.cycle_types[chosen_cyc]
+        values.update({"x_ver_0": 8, f"x_rob_{ri}": 2, f"x_cyc_{ci}": 4})
         assignment = IlpAssignment(tuple(values.items()))
-        owners = Counter()
-        robots_by_type = {chosen_rob: range(2)}
-        alloc = _allocate_cycles_to_robots(
-            ctx, types, type_counts(types, assignment)[2], robots_by_type
-        )
-        for (ci, inst_idx), robot in alloc.items():
-            owners[robot] += 1
-        assert sorted(owners.values()) == [1, 1]
+        assert check_assignment(system, assignment)[0]
+        # leaves 1 to 4 go to the 2-cycles, 5 to 8 to the skeletons
+        multisets = robot_multisets(reconstruct_solution(ctx, types, system, assignment))
+        assert multisets == [Counter({(0, v): 2 for v in leaves})
+                             for leaves in ((1, 2, 5, 6), (3, 4, 7, 8))]
+        assert feasibility_conditions_hold(inst, multisets, 8)
+
+    def test_unplaceable_instances_fail_the_check(self):
+        """A cycle instance hosted at a robot type without robots, one
+        instance of a tracked length too many and one length-4 instance too
+        many are refused by the checked rows (eq5, eq5 and eq6), never with
+        a KeyError or an IndexError from placing them."""
+        inst, ctx, types, system, witness = star_witness()
+        _, rob_counts, cyc_counts = type_counts(types, witness)
+        idle = next(ci for ci, ct in enumerate(types.cycle_types)
+                    if ct.length == 2 and not rob_counts[ct.host])
+        used = {types.cycle_types[ci].length: ci for ci, count in enumerate(cyc_counts) if count}
+        for ci, tag in ((idle, "eq5"), (used[2], "eq5"), (used[4], "eq6")):
+            name = f"x_cyc_{ci}"
+            changed = IlpAssignment(tuple((n, v + (n == name)) for n, v in witness.values))
+            violated = check_assignment(system, changed)[1]
+            assert tag in {system.constraints[i].tag for i in violated}, name
+            with pytest.raises(InfeasibleAllocation):
+                reconstruct_solution(ctx, types, system, changed)
 
     def test_hand_built_assignment_with_cycle_coverage(self):
         """A satisfying assignment never derived from a solution: one robot
