@@ -2,8 +2,8 @@
 
 Commands read instance files, run the requested computation, and print
 deterministic text.  Exit codes: 0 ok/yes, 1 no/violation, 2 usage or parse
-error, 3 resource guard tripped (search, type-space, reduction size or robot
-count limits).
+error, 3 resource guard tripped (search, type-space, reduction size, robot
+count or cycle-instance limits).
 
 `COMMANDS` describes each subcommand once, and a call builds only the parser
 of the subcommand it names; `tests/test_cli_usage.py` pins the help and usage
@@ -20,6 +20,7 @@ from .cover import VertexCover, connect_cover, vertex_cover_2approx
 from .errors import (
     CgeError,
     ImmediateNo,
+    InfeasibleAllocation,
     ParseError,
     SearchBudgetExceeded,
     TooLarge,
@@ -216,11 +217,11 @@ def cmd_reconstruct(args) -> int:
     ctx, types, system = _fpt_pipeline(inst, args.vc)
     if export_ilp(system) != system_text:
         raise ParseError(1, "ilp file does not match the instance's equation system")
-    ok, _ = check_assignment(system, assignment)
-    if not ok:
+    try:
+        runs = reconstruct_solution(ctx, types, system, assignment)
+    except InfeasibleAllocation:
         sys.stdout.write("assignment does not satisfy the system\n")
         return EXIT_NO
-    runs = reconstruct_solution(ctx, types, system, assignment)
     sol = solution_from_multisets(inst.graph.n, inst.v_init, runs, inst.k)
     sys.stdout.write(format_solution(sol))
     return EXIT_OK

@@ -59,7 +59,7 @@ class DomainMismatch(CgeError):
 
 
 class InfeasibleAllocation(CgeError):
-    """An allocation step failed although the assignment checked out; indicates a checker bug."""
+    """Reconstruction refused an assignment that fails the equation check."""
 
 
 class NotExact(CgeError):

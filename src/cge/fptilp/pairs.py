@@ -213,11 +213,14 @@ def decompose_valid_pair(ctx: FptContext, source: EdgeMultiset) -> ValidPair:
 
 
 def pair_source(ctx: FptContext, multiset: EdgeMultiset) -> EdgeMultiset:
-    """The multiset a robot's valid pair decomposes: its own edges, or for an
-    idle robot the doubled lowest edge at the start vertex.
+    """The multiset a robot's valid pair decomposes: its own edges with each
+    multiplicity m cut to 2 - m % 2, or for an idle robot the doubled lowest
+    edge at the start vertex.  Removing pairs of copies keeps the support and
+    every degree's parity, so the cut walk still covers the robot's edges,
+    and it is no longer, so it still fits the budget.
     """
     if multiset:
-        return multiset
+        return Counter({e: 2 - m % 2 for e, m in multiset.items()})
     e0 = min(e for e in ctx.g.distinct_edges() if ctx.v_init in e)
     return Counter({e0: 2})
 

@@ -1,6 +1,8 @@
 """Rebuilding robot edge multisets from a satisfying assignment.
 
-Every step that the existence proofs leave arbitrary is fixed to ascending
+`check_assignment` is the only proof reconstruction needs: the checked rows
+fix every count the drawing below relies on, so nothing is re-proved here.
+Every step the existence proofs leave arbitrary is fixed to ascending
 canonical order: class members take vertex types in canonical type order and
 robots take robot types likewise.  Each (vertex type, neighbor multiset) has
 one cursor over the members of that type, ascending (the whole class when the
@@ -24,7 +26,7 @@ from collections import Counter
 from collections.abc import Callable
 from itertools import accumulate
 
-from ..errors import InfeasibleAllocation
+from ..errors import InfeasibleAllocation, TooLarge
 from ..graphs import EdgeMultiset, relabel_multiset, walk_edges
 from .context import FptContext
 from .system import IlpAssignment, IlpSystem, check_assignment, type_counts
@@ -36,36 +38,27 @@ from .typespace import (
     cycle_slots,
 )
 
-
-def _members_by_type(
-    ctx: FptContext, types: TypeSpace, ver_counts: list[int]
-) -> dict[VertexType, list[int]]:
-    """The class members of every vertex type, ascending: inside a class the
-    members take the types in canonical order."""
-    by_type: dict[VertexType, list[int]] = {}
-    for cls_idx, cls in enumerate(ctx.eq.classes):
-        pool: list[VertexType] = []
-        for vt, count in zip(types.vertex_types, ver_counts):
-            if vt.class_id == cls_idx:
-                pool.extend([vt] * count)
-        if len(pool) != len(cls.members):
-            raise InfeasibleAllocation(
-                f"class {cls_idx}: {len(pool)} vertex types for {len(cls.members)} members"
-            )
-        for member, vt in zip(cls.members, pool):
-            by_type.setdefault(vt, []).append(member)
-    return by_type
+# cycle instances a reconstruction may draw; eq6 bounds the length-4 ones only by
+# the budget.  Of the order of `cli.MAX_ROBOTS`: each adds 2+ vertices to a line
+MAX_CYCLE_INSTANCES = 10_000_000
 
 
 def _member_cursors(
-    ctx: FptContext, by_type: dict[VertexType, list[int]]
+    ctx: FptContext, types: TypeSpace, ver_counts: list[int]
 ) -> Callable[[VertexType, NeiSub], int]:
     """`pick(vt, ns)` hands out the members of type vt round-robin, one
-    cursor per (vt, ns)."""
+    cursor per (vt, ns).  Inside a class the members, ascending, take the
+    types in canonical order; a type with none draws from the whole class."""
+    members: dict[VertexType, tuple[int, ...]] = {}
+    taken: Counter = Counter()  # class -> members its earlier types took
+    for vt, count in zip(types.vertex_types, ver_counts):
+        cls_members, first = ctx.eq.classes[vt.class_id].members, taken[vt.class_id]
+        members[vt] = cls_members[first:first + count] or cls_members
+        taken[vt.class_id] = first + count
     turns: Counter = Counter()
 
     def pick(vt: VertexType, ns: NeiSub) -> int:
-        population = by_type.get(vt) or ctx.eq.classes[vt.class_id].members
+        population = members[vt]
         q = turns[(vt, ns)]
         turns[(vt, ns)] = q + 1
         return population[q % len(population)]
@@ -74,22 +67,23 @@ def _member_cursors(
 
 
 def reconstruct_solution(
-    ctx: FptContext,
-    types: TypeSpace,
-    system: IlpSystem,
-    assignment: IlpAssignment,
+    ctx: FptContext, types: TypeSpace, system: IlpSystem, assignment: IlpAssignment
 ) -> list[tuple[EdgeMultiset, int]]:
     """Turn a satisfying assignment into runs of (edge multiset, robot
     count), in robot order and with counts summing to k, whose robots meet
-    the feasibility conditions with value at most the budget.
-    """
+    the feasibility conditions with value at most the budget."""
     ok, violated = check_assignment(system, assignment)
     if not ok:
         raise InfeasibleAllocation(f"assignment violates constraints {violated}")
     ver_counts, rob_counts, cyc_counts = type_counts(types, assignment)
-    if sum(rob_counts) != ctx.k:
-        raise InfeasibleAllocation(f"{sum(rob_counts)} robot types for {ctx.k} robots")
-    pick = _member_cursors(ctx, _members_by_type(ctx, types, ver_counts))
+    instances = sum(cyc_counts)
+    if instances > MAX_CYCLE_INSTANCES:
+        raise TooLarge(
+            f"reconstruction needs {instances} cycle instances, limit {MAX_CYCLE_INSTANCES}")
+    # The checked rows leave no case open.  eq1 reads sum(x_rob) = k, so the
+    # robot ranges number robots 0 to k - 1; eq2 reads sum(x_ver) = |class|
+    # for each class, so the slices of a class's types split its members.
+    pick = _member_cursors(ctx, types, ver_counts)
     robots_by_type = {
         ri: range(end - count, end)
         for ri, (count, end) in enumerate(zip(rob_counts, accumulate(rob_counts)))
@@ -99,11 +93,10 @@ def reconstruct_solution(
     # a robot as it draws.  Counted per (host type, length) in (cycle type,
     # instance) order, the q-th instance goes to the host's robot q // n_j
     # for a tracked length j, n_j being the host's num_of_cyc entry, and to
-    # its robot q mod r for length 4, r being its robot count.  The checked
-    # rows leave no other case: eq6 reads -cycbud * x_rob + 4 * (length-4
-    # instances) <= 0 and eq5 reads -n_j * x_rob + (length-j instances) = 0,
-    # so a type without robots hosts no instance and a tracked length has
-    # exactly n_j instances per robot.
+    # its robot q mod r for length 4, r being its robot count.  eq6 reads
+    # -cycbud * x_rob + 4 * (length-4 instances) <= 0 and eq5 reads
+    # -n_j * x_rob + (length-j instances) = 0, so a type without robots
+    # hosts no instance and a tracked length has exactly n_j per robot.
     slot_of = {j: s for s, j in enumerate(ctx.cycle_length_slots)}
     placed: Counter = Counter()  # (host, length) -> instances placed so far
     cycles_of: dict[int, list[EdgeMultiset]] = {}  # robot -> its cycles, in draw order

@@ -18,6 +18,7 @@ from cge.fptilp.system import (
     IlpSystem,
     build_ilp_system,
     check_assignment,
+    format_assignment,
     parse_assignment,
     type_counts,
     witness_from_solution,
@@ -593,3 +594,31 @@ def test_walks_once_per_run_and_builds_each_skeleton_once(tmp_path, monkeypatch)
     assert code == 0, err
     assert len(parse_solution(out).runs) == 2
     assert calls == {"find_eulerian_cycle": 2, "copy_neighborhoods": in_use}
+
+
+def test_unsatisfying_assignment_is_a_no_through_the_cli(tmp_path):
+    """A well-formed assignment that fails the check prints one line and
+    exits 1; the check inside `reconstruct_solution` is the one that runs."""
+    ilp, assign, inst = star(tmp_path, 2)
+    names = [name for name, _ in parse_assignment(assign.read_text()).values]
+    assign.write_text(format_assignment(IlpAssignment(tuple((n, 0) for n in names))))
+    assert run_cli("reconstruct", ilp, assign, inst) == (
+        1, "assignment does not satisfy the system\n", "")
+
+
+def test_cycle_instance_guard_trips_through_the_cli(tmp_path, monkeypatch):
+    """The 9-vertex star's witness holds 4 cycle instances: at a limit of 4
+    `reconstruct` rebuilds it, at 3 it exits 3 before drawing any."""
+    inst = tmp_path / "star.cge"
+    inst.write_text("cge 1\nnodes 9\ninit 0\nrobots 2\nbudget 8\n"
+                    + "".join(f"edge 0 {i}\n" for i in range(1, 9)))
+    sol, ilp, assign = (tmp_path / f"star.{ext}" for ext in ("sol", "ilp", "assign"))
+    sol.write_text(run_cli("solve-approx", inst, "--vc", 0)[1])
+    assert run_cli("derive-witness", inst, sol, "-o", assign, "--vc", 0)[0] == 0
+    assert run_cli("build-ilp", inst, "-o", ilp, "--vc", 0)[0] == 0
+    monkeypatch.setattr(reconstruct, "MAX_CYCLE_INSTANCES", 4)
+    code, out, err = run_cli("reconstruct", ilp, assign, inst, "--vc", 0)
+    assert (code, err) == (0, "") and len(parse_solution(out).runs) == 2
+    monkeypatch.setattr(reconstruct, "MAX_CYCLE_INSTANCES", 3)
+    assert run_cli("reconstruct", ilp, assign, inst, "--vc", 0) == (
+        3, "", "resource guard: reconstruction needs 4 cycle instances, limit 3\n")

@@ -11,6 +11,7 @@ vertex between a greater and a lesser neighbour on a cycle, so random pairs,
 which do, check the three derivations on their own.
 """
 
+import itertools
 import random
 
 import pytest
@@ -18,12 +19,13 @@ import pytest
 import witness_reference as ref
 from cge.approx import approx_solve
 from cge.cover import VertexCover, vertex_cover_2approx
-from cge.errors import CgeError
-from cge.euler import RobotCycle, Solution, verify_solution
+from cge.errors import CgeError, TypeSpaceTooLarge
+from cge.euler import RobotCycle, Solution, solution_from_multisets, verify_solution
 from cge.exact import exact_optimum
 from cge.fptilp import pairs
 from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import ValidPair, canonical_cycle, freeze_multiset, solution_pairs
+from cge.fptilp.reconstruct import reconstruct_solution
 from cge.fptilp.system import check_assignment, witness_from_solution
 from cge.fptilp.typespace import derive_cycle_type, derive_robot_type, derive_vertex_types
 from cge.graphs import ExplorationInstance, Multigraph
@@ -200,3 +202,38 @@ def test_random_samplederive_as_reference():
                         for pos in range(1, len(cyc) - 1)
                     )
     assert descending >= 20
+
+
+def connected_graphs(n):
+    """Every connected simple graph on vertices 0..n-1, labelled."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for size in range(n - 1, len(pairs) + 1):
+        for edges in itertools.combinations(pairs, size):
+            g = Multigraph.from_pairs(n, edges)
+            if len(g.components()) == 1:
+                yield g
+
+
+def test_approx_solutions_of_small_graphs_round_trip():
+    """Every connected graph on 2 to 4 vertices, every start, 1 to 3 robots,
+    budget the approximate value: the approximate solution derives a
+    satisfying witness, and the witness rebuilds a solution that verifies.
+    Some approximate walks take an edge three or more times; their pairs
+    decompose the walk with each multiplicity cut to 1 or 2."""
+    built = heavy = 0
+    for n in range(2, 5):
+        for g, start, k in itertools.product(connected_graphs(n), range(n), range(1, 4)):
+            sol = approx_solve(ExplorationInstance(g, start, k), vertex_cover_2approx(g))
+            inst = ExplorationInstance(g, start, k, sol.value)
+            try:
+                ctx, types, system = budgeted_system(inst, corpus_cover(inst), sol.value)
+            except TypeSpaceTooLarge:
+                continue
+            built += 1
+            heavy += any(m > 2 for rc, _ in sol.runs for m in rc.edge_multiset().values())
+            witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+            assert check_assignment(system, witness)[0], (g, start, k)
+            runs = reconstruct_solution(ctx, types, system, witness)
+            rebuilt = solution_from_multisets(n, start, runs, k)
+            assert verify_solution(inst, rebuilt).ok, (g, start, k)
+    assert (built, heavy) == (108, 18)
