@@ -156,17 +156,17 @@ def cmd_verify(args) -> int:
 
 def cmd_reduce_bin(args) -> int:
     bp = _load(args.instance, "binpack")
+    if args.to_exact == args.to_cge:
+        raise ParseError(1, "choose --to-exact or --to-cge")
     if args.to_exact:
         bp = binpacking_to_exact(bp)
         sys.stdout.write(format_instance(InstanceDocument("binpack", bp)))
         return EXIT_OK
-    if args.to_cge:
-        if not bp.exact:
-            bp = binpacking_to_exact(bp)
-        inst = bin_to_rob(bp)
-        sys.stdout.write(format_instance(InstanceDocument("cge", inst)))
-        return EXIT_OK
-    raise ParseError(1, "choose --to-exact or --to-cge")
+    if not bp.exact:
+        bp = binpacking_to_exact(bp)
+    inst = bin_to_rob(bp)
+    sys.stdout.write(format_instance(InstanceDocument("cge", inst)))
+    return EXIT_OK
 
 
 def cmd_build_ilp(args) -> int:
@@ -241,7 +241,7 @@ COMMANDS = {
         _arg("instance"),
         _arg("--max-budget", type=int, default=None,
              help="largest budget the optimum search tries; 'no' if none suffices"),
-        _arg("--node-limit", type=int, default=5_000_000,
+        _arg("--node-limit", type=int, default=SearchConfig().node_limit,
              help="search nodes before giving up (exit 3); a node is one expanded "
                   "walk state or one robot-assignment step"),
     )),

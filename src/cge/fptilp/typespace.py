@@ -38,7 +38,7 @@ from .pairs import Cycle, ValidPair, canonical_cycle, freeze_multiset
 
 NeiSub = tuple[int, ...]  # sorted multiset of cover vertices
 
-MAX_TYPES = 200_000  # cap on robot, cycle and all types of one space
+MAX_TYPES = 200_000  # cap on all types of one space: vertex, robot and cycle together
 
 # Types compare and hash as their field tuples, so a sorted type table is the
 # canonical variable order of the equation system.
@@ -255,12 +255,16 @@ def _enumerate_vertex_types(ctx: FptContext) -> list[VertexType]:
         needed = set(cls.neighborhood)
         for r in range(1, len(options) + 1):
             for combo in itertools.combinations(options, r):
-                union = set()
-                for sub in combo:
-                    union.update(sub)
-                if needed <= union:
-                    types.append(VertexType(cls_idx, tuple(sorted(combo))))
+                if needed <= set().union(*combo):
+                    types.append(VertexType(cls_idx, combo))
     return sorted(types)
+
+
+def _past_cap(kind: str) -> TypeSpaceTooLarge:
+    """The one cap on the types of all kinds together, passed counting `kind`."""
+    return TypeSpaceTooLarge(
+        f"more than {MAX_TYPES} types once the {kind} types are counted; shrink the instance"
+    )
 
 
 def _even_subgraph_masks(edges: list[tuple[int, int]]) -> list[int]:
@@ -293,14 +297,12 @@ def _even_subgraph_masks(edges: list[tuple[int, int]]) -> list[int]:
     return sorted(masks)
 
 
-def _enumerate_skeletons(ctx: FptContext) -> list[EdgeMultiset]:
-    """Connected even submultisets of the expansion containing the start,
-    within the budget.  Single-copy edges must form an even subgraph; doubled
-    edges are free, so candidates are (even subset) + (disjoint doubles).
-    """
+def _enumerate_skeletons(ctx: FptContext) -> Iterator[EdgeMultiset]:
+    """Yield the connected even submultisets of the expansion containing the
+    start, within the budget.  Single-copy edges must form an even subgraph;
+    doubled edges are free: an even subset plus disjoint doubles."""
     edges = ctx.gbar.graph.distinct_edges()
     budget = ctx.budget
-    out: list[EdgeMultiset] = []
     # Every skeleton has at most `budget` edges: the filter keeps at most
     # `budget` single edges, and the doubles are capped at the rest halved.
     even_masks = [m for m in _even_subgraph_masks(edges) if bin(m).count("1") <= budget]
@@ -317,14 +319,13 @@ def _enumerate_skeletons(ctx: FptContext) -> list[EdgeMultiset]:
                 for i in doubles:
                     cc[edges[i]] = 2
                 if not closed_walk_faults(cc, ctx.v_init):
-                    out.append(cc)
-    return out
+                    yield cc
 
 
 def _allocations(
     groups: dict[tuple[int, NeiSub], list], vertex_types: list[VertexType]
-) -> list[tuple]:
-    """Every allocation of labelled slots to vertex types.
+) -> Iterator[tuple]:
+    """A generator of every allocation of labelled slots to vertex types.
 
     `groups` maps (class, neighbor multiset) to the labels of its slots (copy
     ids or neighbor pairs).  A slot takes a type of its class that wants its
@@ -345,45 +346,35 @@ def _allocations(
                 )
             ]
         )
-    return [
+    return (
         tuple(sorted(itertools.chain.from_iterable(combo)))
         for combo in itertools.product(*per_group)
-    ]
+    )
 
 
 def _num_of_cyc_vectors(ctx: FptContext, spare: int) -> list[tuple[int, ...]]:
-    """Count vectors for the non-4 cycle lengths within the spare budget."""
+    """Count vectors for the non-4 cycle lengths, in lexicographic order:
+    at most 2|cover|^2 cycles of each length, within the spare budget."""
     cap = 2 * len(ctx.vcp) ** 2
     slots = ctx.cycle_length_slots
-    vectors: list[tuple[int, ...]] = []
-
-    def rec(idx: int, left: int, acc: list[int]):
-        if idx == len(slots):
-            vectors.append(tuple(acc))
-            return
-        j = slots[idx]
-        for count in range(0, min(cap, left // j) + 1):
-            acc.append(count)
-            rec(idx + 1, left - count * j, acc)
-            acc.pop()
-
-    rec(0, spare, [])
-    return vectors
+    return [
+        vec
+        for vec in itertools.product(*(range(min(cap, spare // j) + 1) for j in slots))
+        if sum(n * j for n, j in zip(vec, slots)) <= spare
+    ]
 
 
 def _enumerate_robot_types(ctx: FptContext, vertex_types: list[VertexType]) -> list[RobotType]:
     out = []
+    room = MAX_TYPES - len(vertex_types)  # robot types within the cap
     for cc in _enumerate_skeletons(ctx):
         cc_frozen = freeze_multiset(cc)
-        allocs = _allocations(skeleton_slots(ctx, cc), vertex_types)
         vectors = _num_of_cyc_vectors(ctx, ctx.budget - len(cc_frozen))
-        for alloc in allocs:
+        for alloc in _allocations(skeleton_slots(ctx, cc), vertex_types):
             for vec in vectors:
                 out.append(RobotType(cc=cc_frozen, alloc=alloc, num_of_cyc=vec))
-                if len(out) > MAX_TYPES:
-                    raise TypeSpaceTooLarge(
-                        f"more than {MAX_TYPES} robot types; shrink the instance"
-                    )
+                if len(out) > room:
+                    raise _past_cap("robot")
     return sorted(out)
 
 
@@ -424,6 +415,7 @@ def _enumerate_cycle_types(
     """Cycle types in canonical order: the loops run over ascending cycles,
     allocations and host indices, and `robot_types` is sorted."""
     out = []
+    room = MAX_TYPES - len(vertex_types) - len(robot_types)  # cycle types within the cap
     rob_cover = [multiset_vertices(rt.cc_counter()) & ctx.cover_set for rt in robot_types]
     for cycle in _enumerate_quotient_cycles(ctx):
         cyc_cover = set(cycle) & ctx.cover_set
@@ -435,10 +427,8 @@ def _enumerate_cycle_types(
         for pa in sorted(_allocations(labels, vertex_types)):
             for ri in hosts:
                 out.append(CycleType(cycle=cycle, pa_alloc=pa, host=ri))
-                if len(out) > MAX_TYPES:
-                    raise TypeSpaceTooLarge(
-                        f"more than {MAX_TYPES} cycle types; shrink the instance"
-                    )
+                if len(out) > room:
+                    raise _past_cap("cycle")
     return out
 
 
@@ -446,9 +436,10 @@ def enumerate_type_space(ctx: FptContext) -> TypeSpace:
     """Exhaustive, budget-aware type enumeration behind hard desk-scale guards.
 
     Covers of size at most 2 and at most 3 classes are accepted; beyond that
-    the space is out of desk scale by construction.  Robot types whose fixed
-    budget share already exceeds the instance budget are omitted: any
-    satisfying assignment forces their variables to zero.
+    the space is out of desk scale by construction.  Vertex, robot and cycle
+    types count against one running total as they are built, which trips
+    `MAX_TYPES` at once.  Robot types whose fixed budget share exceeds the
+    instance budget are omitted: satisfying assignments zero their variables.
     """
     if len(ctx.vcp) > 2 or len(ctx.eq) > 3:
         raise TypeSpaceTooLarge(
@@ -458,13 +449,12 @@ def enumerate_type_space(ctx: FptContext) -> TypeSpace:
     if ctx.g.num_edges == 0:
         raise PreconditionViolated("the equation system needs at least one edge")
     vertex_types = _enumerate_vertex_types(ctx)
+    if len(vertex_types) > MAX_TYPES:
+        raise _past_cap("vertex")
     robot_types = _enumerate_robot_types(ctx, vertex_types)
     cycle_types = _enumerate_cycle_types(ctx, robot_types, vertex_types)
-    space = TypeSpace(
+    return TypeSpace(
         vertex_types=tuple(vertex_types),
         robot_types=tuple(robot_types),
         cycle_types=tuple(cycle_types),
     )
-    if space.total > MAX_TYPES:
-        raise TypeSpaceTooLarge(f"{space.total} types exceed the cap {MAX_TYPES}")
-    return space

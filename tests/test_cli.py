@@ -175,6 +175,15 @@ class TestCommands:
         code, out = run_cli("reduce-bin", str(f), "--to-exact")
         assert code == 1
 
+    def test_reduce_bin_both_flags_is_a_usage_error(self, tmp_path):
+        f = tmp_path / "bp.binpack"
+        f.write_text("binpack 1\ncapacity 3\nbins 2\nexact 0\nitem 2\nitem 1\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            result = run_cli("reduce-bin", str(f), "--to-exact", "--to-cge")
+        assert result == (2, "")
+        assert err.getvalue() == "error: line 1: choose --to-exact or --to-cge\n"
+
     def test_parse_error_exit_code(self, tmp_path):
         f = tmp_path / "broken.cge"
         f.write_text("cge 1\nnodes 2\nrobots 1\n")

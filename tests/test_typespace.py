@@ -8,6 +8,7 @@ from cge.errors import PreconditionViolated, TypeSpaceTooLarge
 from cge.exact import exact_optimum
 from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import ValidPair, decompose_valid_pair, solution_pairs
+from cge.fptilp import typespace
 from cge.fptilp.typespace import (
     derive_cycle_type,
     derive_robot_type,
@@ -16,8 +17,10 @@ from cge.fptilp.typespace import (
     robot_bud,
 )
 from cge.graphs import ExplorationInstance, Multigraph
+from cge.textio import parse_instance
 
 from conftest import random_connected_graph, with_budget
+from corpus import CORPUS, corpus_cover
 
 
 def make_ctx(g, v_init, k, budget, cover=None):
@@ -178,6 +181,22 @@ class TestEnumerate:
         ctx = make_ctx(g, 0, 1, 8)  # connected cover of a 4-cycle has size 3
         with pytest.raises(TypeSpaceTooLarge):
             enumerate_type_space(ctx)
+
+    def test_star5_counts_every_kind_against_one_cap(self, monkeypatch):
+        """star5-k1 holds 1 vertex, 171 robot and 855 cycle types, 1027 in
+        all: the cap trips at the kind whose count passes it."""
+        inst = parse_instance((CORPUS / "star5-k1.cge").read_text()).payload
+        ctx = FptContext.build(inst, corpus_cover(inst))
+        for cap, kind in ((100, "robot"), (1000, "cycle"), (1026, "cycle")):
+            monkeypatch.setattr(typespace, "MAX_TYPES", cap)
+            with pytest.raises(TypeSpaceTooLarge) as exc:
+                enumerate_type_space(ctx)
+            assert str(exc.value) == (
+                f"more than {cap} types once the {kind} types are counted; "
+                "shrink the instance"
+            )
+        monkeypatch.setattr(typespace, "MAX_TYPES", 1027)
+        assert tuple(map(len, enumerate_type_space(ctx))) == (1, 171, 855)
 
     def test_rejects_edgeless(self):
         g = Multigraph(1)
