@@ -1,7 +1,9 @@
 """Exact minimum-budget solver for desk-scale instances.
 
-The search enumerates closed walks from the start vertex, then assigns them
-robot by robot.
+With two or more robots the search enumerates closed walks from the start
+vertex, then assigns them robot by robot.  One robot needs one closed walk
+through every edge, which a depth-first search finds without the catalog
+(below).
 
 A walk state is a current vertex plus a per-edge usage vector; since a
 state's length is the sum of its usages, permutations of the same traversal
@@ -23,10 +25,11 @@ with the walk a plain breadth-first search capped at any budget would
 complete first: minimum length, then smallest rank.  The catalog, usage
 vectors included, does not depend on how the caps were raised.
 
-One search node is one expanded walk state or one robot-assignment step.
-A search capped at c expands the states a breadth-first search pruned at c
-expands, so deciding a budget spends the same nodes either way, and the
-optimum search pays for the rounds up to the optimum only.
+With two or more robots one search node is one expanded walk state or one
+robot-assignment step.  A search capped at c expands the states a
+breadth-first search pruned at c expands, so deciding a budget spends the
+same nodes either way, and the optimum search pays for the rounds up to the
+optimum only.
 
 Each robot in turn takes a walk covering the lowest edge still uncovered, so
 a set of walks is tried in one order only; no order between the robots'
@@ -42,6 +45,24 @@ bound and the farthest-edge bound: together the robots walk a connected even
 multigraph through every edge, so at least CPP(G) edges, and the longest
 walk is at least ceil(CPP(G) / k).  The optimum search starts there, and
 deciding a budget below it answers "no" without a search.
+
+One robot (`_first_tour`) returns the walk the catalog would: the assignment
+takes the first entry whose support holds every edge, and all such entries
+share that support, so it is the one of least length and, among those, of
+least rank.  A rank is sum(pos_i * base^(L - i)) over the L steps with every
+position below base, so over one length L ranks order walks as their
+step-position sequences order lexicographically.  A depth-first search that
+steps in adjacency-position order therefore meets that walk first among the
+closed walks through every edge, once its cap is the least with one.  The
+caps run upward from the start bound, in decide mode too: capped at a larger
+budget alone, the search could meet a longer walk first.  A child is pruned
+when its length plus h exceeds the cap, h = max(dist, |X| + |T|/2), X being
+the edges not used yet and T the odd-degree vertices of X, symmetric
+difference {vertex, start}.  h is admissible: the rest of the walk runs from
+the vertex to the start and holds X, so it has at least dist edges, and the
+edges it adds to X must make its odd set {vertex, start}, which takes at
+least |T|/2 of them.  One node is one state pushed, and a state whose
+subtree failed is not pushed again under the same cap.
 """
 
 from __future__ import annotations
@@ -60,7 +81,8 @@ class SearchConfig(NamedTuple):
 
     max_budget caps the optimum search; when no budget up to it has a
     solution the answer is a proven "no".  node_limit bounds the search
-    nodes: one node is one expanded walk state or one robot-assignment step.
+    nodes: one node is one expanded walk state or one robot-assignment step,
+    and with one robot one walk state pushed by the tour search.
     Exhausting it raises SearchBudgetExceeded (answer unknown, not "no").
     """
 
@@ -78,6 +100,22 @@ class _NodeBudget:
         self.left -= amount
         if self.left < 0:
             raise SearchBudgetExceeded("search node limit exhausted")
+
+
+def _step_table(g: Multigraph, v_init: int):
+    """The distinct edges, the vertex bits of a state and, per vertex in
+    adjacency order, (high usage bit of the edge, state delta, potential
+    delta, position) of each step."""
+    edges = g.distinct_edges()
+    dist = g.bfs_distances(v_init)
+    vbits = (g.n - 1).bit_length()
+    steps: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(edges):
+        unit = 1 << (2 * i + vbits)
+        for a, b in ((u, v), (v, u)):
+            pos = len(steps[a])
+            steps[a].append((unit << 1, unit + b - a, 1 + dist[b] - dist[a], pos))
+    return edges, vbits, steps
 
 
 class _Frontier:
@@ -98,23 +136,14 @@ class _Frontier:
     degree.  Ranks order the states of one length as a breadth-first search
     discovers them.  A child never equals a state already expanded (it is
     longer than every expanded state of its potential), so no visited set is
-    kept.  steps[v] lists, in adjacency order, (high usage bit of the edge,
-    state delta, potential delta, position).
+    kept.  steps is `_step_table`'s.
     """
 
     __slots__ = ("steps", "vbits", "vmask", "base", "low", "rounds", "pending", "found",
                  "edges", "supports", "lengths", "usages", "covers")
 
     def __init__(self, g: Multigraph, v_init: int):
-        edges = g.distinct_edges()
-        dist = g.bfs_distances(v_init)
-        vbits = (g.n - 1).bit_length()
-        steps: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
-        for i, (u, v) in enumerate(edges):
-            unit = 1 << (2 * i + vbits)
-            for a, b in ((u, v), (v, u)):
-                pos = len(steps[a])
-                steps[a].append((unit << 1, unit + b - a, 1 + dist[b] - dist[a], pos))
+        edges, vbits, steps = _step_table(g, v_init)
         self.steps = steps
         self.vbits = vbits
         self.vmask = (1 << vbits) - 1
@@ -247,13 +276,61 @@ def _assign_robots(
     return recurse(0, k, [])
 
 
-def _solution_from_entries(
-    inst: ExplorationInstance, catalog: _Frontier, entries: list[int]
-) -> Solution:
-    edges = catalog.edges
+def _first_tour(
+    g: Multigraph, v_init: int, caps, nodes: _NodeBudget
+) -> tuple[int, int] | None:
+    """The first of the ascending `caps` at which one robot has a closed walk
+    through every edge, with the usage vector of the first such walk in
+    adjacency-position order, or None.
+
+    A depth-first search over the `_Frontier` states with one explicit
+    stack, since walks reach 2|E| steps.  A frame carries its state, length,
+    potential (length + dist), T as a vertex bitmask and c = length + |X| +
+    |T|/2, so the pruning bound h is max(potential, c) - length.  A step
+    over an unused edge keeps c and T; a step that doubles an edge toggles
+    both of its ends in T and adds 0, 1 or 2 to c.  c equals the length
+    exactly at a walk through every edge back at the start.
+    """
+    edges, vbits, steps = _step_table(g, v_init)
+    vmask = (1 << vbits) - 1
+    odd = 0
+    for u, w in edges:
+        odd ^= 1 << u | 1 << w
+    root = len(edges) + odd.bit_count() // 2
+    for cap in caps:
+        nodes.spend()
+        if root == 0:
+            return cap, 0
+        dead: set[int] = set()
+        stack = [(v_init, 0, 0, root, odd, iter(steps[v_init]))]
+        while stack:
+            state, length, p, c, t, it = stack[-1]
+            for high, delta, dp, _ in it:
+                if state & high or p + dp > cap:
+                    continue
+                child = state + delta
+                nc, nt = c, t
+                if state & high >> 1:  # the step doubles the edge
+                    v, w = state & vmask, child & vmask
+                    nc += 2 - (t >> v & 1) - (t >> w & 1)
+                    nt ^= 1 << v | 1 << w
+                if nc > cap or child in dead:
+                    continue
+                nodes.spend()
+                if nc == length + 1:
+                    return cap, child >> vbits
+                stack.append((child, length + 1, p + dp, nc, nt, iter(steps[child & vmask])))
+                break
+            else:
+                dead.add(state)
+                stack.pop()
+    return None
+
+
+def _solution_from_usages(inst: ExplorationInstance, edges, usages) -> Solution:
     multisets = (
-        Counter({e: u for j, e in enumerate(edges) if (u := catalog.usages[i] >> 2 * j & 3)})
-        for i in entries
+        Counter({e: u for j, e in enumerate(edges) if (u := usage >> 2 * j & 3)})
+        for usage in usages
     )
     runs = ((ms, 1) for ms in multisets)
     return solution_from_multisets(inst.graph.n, inst.v_init, runs, inst.k)
@@ -327,18 +404,26 @@ def _search(
     inst: ExplorationInstance, cfg: SearchConfig, budgets
 ) -> tuple[int, Solution] | None:
     """The first of the ascending `budgets` at which the robots can cover
-    every edge, with a witness, or None.  One walk search is extended a
-    round at a time across the budgets, under one node limit.
+    every edge, with a witness, or None.  One robot takes the tour search's
+    walk; more robots extend one walk search a round at a time across the
+    budgets.  Either runs under one node limit.
     """
     g = inst.graph
-    frontier = _Frontier(g, inst.v_init)
     nodes = _NodeBudget(cfg.node_limit)
+    if inst.k == 1:
+        found = _first_tour(g, inst.v_init, budgets, nodes)
+        if found is None:
+            return None
+        budget, usage = found
+        return budget, _solution_from_usages(inst, g.distinct_edges(), (usage,))
+    frontier = _Frontier(g, inst.v_init)
     full = _edge_mask(g)
     for budget in budgets:
         catalog = _walk_catalog(g, inst.v_init, budget, frontier, nodes)
         entries = _assign_robots(catalog, inst.k, budget, full, nodes)
         if entries is not None:
-            return budget, _solution_from_entries(inst, catalog, entries)
+            usages = (catalog.usages[i] for i in entries)
+            return budget, _solution_from_usages(inst, catalog.edges, usages)
     return None
 
 
@@ -359,9 +444,12 @@ def exact_decide(
     """
     if inst.budget is None:
         raise ValueError("exact_decide requires an instance with a budget")
-    if inst.budget < _lower_bound(inst):
+    lb = _lower_bound(inst)
+    if inst.budget < lb:
         return False, None
-    found = _search(inst, cfg, (inst.budget,))
+    # one robot's tour search runs every cap up to the budget: at the budget
+    # alone it could find a longer walk that comes first in position order
+    found = _search(inst, cfg, range(lb if inst.k == 1 else inst.budget, inst.budget + 1))
     return (False, None) if found is None else (True, found[1])
 
 
@@ -370,8 +458,8 @@ def exact_optimum(
 ) -> tuple[int, Solution] | None:
     """Smallest budget with a solution, plus a witness.
 
-    Tries budgets upward from `_lower_bound`, extending one walk search a
-    round at a time, and stops at the first that has a solution.  Budget
+    Tries budgets upward from `_lower_bound` and stops at the first that
+    has a solution.  Budget
     2|E| always has one: a single robot walks every edge twice.  Returns
     None when cfg.max_budget is below the optimum (a proven "no" within it).
     """

@@ -62,9 +62,6 @@ class Multigraph:
     def multiplicity(self, u: int, v: int) -> int:
         return self._edges.get(norm_edge(u, v), 0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.multiplicity(u, v) > 0
-
     def distinct_edges(self) -> list[Edge]:
         return sorted(self._edges)
 

@@ -44,6 +44,10 @@ def multiset_degree(edges: Counter, v: int) -> int:
     return sum(m for (a, b), m in edges.items() if m and (a == v or b == v))
 
 
+def has_edge(g: Multigraph, u: int, v: int) -> bool:
+    return g.multiplicity(u, v) > 0
+
+
 def edge_items(g: Multigraph) -> list[tuple[tuple[int, int], int]]:
     """Distinct edges with multiplicities, in ascending (u, v) order."""
     return sorted(g.edge_counter().items())
@@ -209,7 +213,7 @@ def check_valid_pair(ctx, pair, source: Counter) -> list[str]:
             problems.append(f"non-4 cycle {c} is not simple")
     for c in pair.cycles:
         for i in range(len(c) - 1):
-            if not g.has_edge(c[i], c[i + 1]):
+            if not has_edge(g, c[i], c[i + 1]):
                 problems.append(f"cycle {c} uses a non-edge")
                 break
 

@@ -18,7 +18,7 @@ from cge.exact import exact_optimum
 from cge.graphs import ExplorationInstance, Multigraph, norm_edge
 
 import approx_reference as reference
-from conftest import multiset_degree, random_connected_graph, robot_cycles
+from conftest import has_edge, multiset_degree, random_connected_graph, robot_cycles
 
 
 def star(leaves):
@@ -146,7 +146,7 @@ class TestSpanningTree:
             assert set(parent) == cset - {start}
             reached = {start}
             for v, p in parent.items():
-                assert p in reached and g.has_edge(v, p)
+                assert p in reached and has_edge(g, v, p)
                 reached.add(v)
 
     def test_one_vertex_cover_has_no_edges(self):

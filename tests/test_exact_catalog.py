@@ -22,13 +22,18 @@ bound, must dominate `reference_traversal_bound`, the start budget it
 replaced, and for one robot equal the optimum, checked against a
 minimum-weight matching from networkx.  Below the start budget the reference
 finds no assignment, and deciding answers "no" without a node.
+
+One robot runs `_first_tour` instead of the catalog.  Its walk must be the
+reference pick at the optimum and above it, in decide mode too, its spend
+at most the reference's, and its value CPP(G) on graphs past the catalog's
+reach.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import pytest
@@ -37,12 +42,13 @@ from cge import exact
 from cge.approx import approx_solve
 from cge.cover import connect_cover, vertex_cover_2approx
 from cge.errors import SearchBudgetExceeded
-from cge.euler import solution_from_multisets
+from cge.euler import solution_from_multisets, verify_solution
 from cge.exact import (
     SearchConfig,
     _assign_robots,
     _edge_mask,
     _farthest_edge_bound,
+    _first_tour,
     _Frontier,
     _NodeBudget,
     _postman_bound,
@@ -249,6 +255,10 @@ def test_resumed_catalog_matches_single_pass_bfs(inst):
     for budget in range(lb, opt + 1):
         reference_assign_robots(ref, inst.k, budget, _edge_mask(g), ref_nodes)
     assert spent(opt_nodes) <= spent(ref_nodes)
+    if inst.k == 1:  # one robot runs the tour search instead of the catalog
+        opt_nodes = _NodeBudget(UNLIMITED)
+        assert _first_tour(g, v, range(lb, opt + 1), opt_nodes)[0] == opt
+        assert spent(opt_nodes) <= spent(ref_nodes)
     assert exact_optimum(inst, SearchConfig(node_limit=spent(opt_nodes)))[0] == opt
     with pytest.raises(SearchBudgetExceeded):
         exact_optimum(inst, SearchConfig(node_limit=spent(opt_nodes) - 1))
@@ -258,14 +268,21 @@ def test_resumed_catalog_matches_single_pass_bfs(inst):
 def test_decide_node_limit_is_the_single_pass_spend(inst):
     g, v = inst.graph, inst.v_init
     opt, _ = exact_optimum(inst)
-    for budget in {lower_bound(inst), opt}:
+    lb = lower_bound(inst)
+    for budget in {lb, opt}:
         ref = _NodeBudget(UNLIMITED)
         catalog = reference_walk_catalog(g, v, budget, None, ref)
         reference_assign_robots(catalog, inst.k, budget, _edge_mask(g), ref)
+        limit = spent(ref)
+        if inst.k == 1:  # the tour search tries every cap from the bound up
+            tour = _NodeBudget(UNLIMITED)
+            _first_tour(g, v, range(lb, budget + 1), tour)
+            assert spent(tour) <= limit
+            limit = spent(tour)
         decided = with_budget(inst, budget)
-        assert exact_decide(decided, SearchConfig(node_limit=spent(ref)))[0] == (budget == opt)
+        assert exact_decide(decided, SearchConfig(node_limit=limit))[0] == (budget == opt)
         with pytest.raises(SearchBudgetExceeded):
-            exact_decide(decided, SearchConfig(node_limit=spent(ref) - 1))
+            exact_decide(decided, SearchConfig(node_limit=limit - 1))
 
 
 @pytest.mark.parametrize("inst", CASES, ids=case_id)
@@ -392,6 +409,73 @@ def test_single_robot_optimum_is_the_postman_tour():
         assert _postman_bound(inst) == cpp
         assert exact_optimum(inst)[0] == cpp
         checked += 1
+
+
+# perfbench's random_connected(Random(11), 12, 19) graph, whose one-robot
+# tour tripped the catalog's 5 000 000-node limit
+M19 = Multigraph.from_pairs(12, [
+    (0, 2), (0, 9), (0, 10), (1, 6), (1, 7), (1, 11), (2, 5), (2, 6), (2, 10), (2, 11),
+    (3, 6), (3, 8), (3, 10), (4, 7), (4, 10), (5, 7), (6, 8), (7, 9), (8, 9)])
+
+
+def postman_cases():
+    """The m = 19 graph from vertex 0, then 19 seeded graphs with 15 to 19
+    edges from random starts, all with one robot."""
+    rng = random.Random(19)
+    out = [ExplorationInstance(M19, 0, 1)]
+    while len(out) < 20:
+        g = random_connected_graph(rng, n_max=12, m_max=19)
+        if g.num_edges >= 15:
+            out.append(ExplorationInstance(g, rng.randrange(g.n), 1))
+    return out
+
+
+def test_single_robot_tour_is_the_postman_tour_at_15_to_19_edges(monkeypatch):
+    """k = 1 past the catalog's reach: the value equals CPP(G) from networkx
+    and the walk verifies, on 20 graphs.  With the pairing
+    limit at 0 the search starts at the weaker fallback bound, so on some
+    graphs it proves whole caps empty first, and it must still return the
+    same walk."""
+    solved = []
+    for inst in postman_cases():
+        value, sol = exact_optimum(inst)
+        assert value == networkx_postman(inst.graph)
+        assert verify_solution(with_budget(inst, value), sol).ok
+        solved.append((value, sol))
+    monkeypatch.setattr(exact, "_PAIRING_LIMIT", 0)
+    below = 0
+    for inst, found in zip(postman_cases(), solved):
+        below += lower_bound(inst) < found[0]
+        assert exact_optimum(inst) == found
+    assert below >= 2
+
+
+def reference_decide(inst):
+    """(answer, witness) of deciding inst.budget with the reference catalog
+    capped at the budget and the reference assignment."""
+    g, v, budget = inst.graph, inst.v_init, inst.budget
+    catalog = reference_walk_catalog(g, v, budget, None, _NodeBudget(UNLIMITED))
+    chosen = reference_assign_robots(catalog, inst.k, budget, _edge_mask(g),
+                                     _NodeBudget(UNLIMITED))
+    if chosen is None:
+        return False, None
+    runs = ((Counter({e: u for e, u in zip(catalog.edges, catalog.usages[i]) if u}), 1)
+            for i in chosen)
+    return True, solution_from_multisets(g.n, v, runs, inst.k)
+
+
+@pytest.mark.parametrize("inst", sample_instances(seed=26, count=100, n_max=8, m_max=11),
+                         ids=case_id)
+def test_decide_witness_above_the_optimum_is_the_reference_pick(inst):
+    """Deciding the optimum, one above it and three above it returns the
+    walks that the reference catalog capped at that budget and the reference
+    assignment pick.  Above the optimum the catalog holds longer walks too;
+    a search that tried only the budget itself could return a longer walk
+    that comes first in position order."""
+    opt, _ = exact_optimum(inst)
+    for budget in (opt, opt + 1, opt + 3):
+        decided = with_budget(inst, budget)
+        assert exact_decide(decided) == reference_decide(decided), f"budget {budget}"
 
 
 def test_postman_fallback_above_the_pairing_limit(monkeypatch):
