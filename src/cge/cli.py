@@ -5,15 +5,18 @@ deterministic text.  Exit codes: 0 ok/yes, 1 no/violation, 2 usage or parse
 error, 3 resource guard tripped (search, type-space, reduction size, robot
 count or cycle-instance limits).
 
-`COMMANDS` describes each subcommand once, and a call builds only the parser
-of the subcommand it names; `tests/test_cli_usage.py` pins the help and usage
-bytes to those of the full eight-subcommand parser.
+`COMMANDS` describes each subcommand once.  A well-formed argv is read
+straight from it, without argparse; anything else (help, a usage error, an
+abbreviation or another spelling argparse allows) goes to an argparse parser
+built for the subcommand it names alone, the only code that words help and
+errors.  `tests/test_cli_usage.py` pins both to the full eight-subcommand
+parser: the same namespaces, and the same help and usage bytes.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .approx import approx_solve
 from .cover import VertexCover, connect_cover, vertex_cover_2approx
@@ -99,10 +102,10 @@ def _cover_from_arg(inst: ExplorationInstance, arg: str | None) -> VertexCover:
     try:
         vertices = tuple(sorted({int(p) for p in arg.split(",") if p}))
     except ValueError:
-        raise ParseError(1, f"bad --vc value {arg!r}")
+        raise CgeError(f"bad --vc value {arg!r}")
     n = inst.graph.n
     if any(not 0 <= v < n for v in vertices):
-        raise ParseError(1, f"--vc vertices must lie in 0..{n - 1}, got {arg!r}")
+        raise CgeError(f"--vc vertices must lie in 0..{n - 1}, got {arg!r}")
     return VertexCover(vertices)
 
 
@@ -125,9 +128,9 @@ def cmd_solve_approx(args) -> int:
 
 def cmd_solve_exact(args) -> int:
     if args.max_budget is not None and args.max_budget < 0:
-        raise ParseError(1, f"--max-budget must be non-negative, got {args.max_budget}")
+        raise CgeError(f"--max-budget must be non-negative, got {args.max_budget}")
     if args.node_limit < 1:
-        raise ParseError(1, f"--node-limit must be positive, got {args.node_limit}")
+        raise CgeError(f"--node-limit must be positive, got {args.node_limit}")
     inst = _load_robots(args.instance)
     cfg = SearchConfig(max_budget=args.max_budget, node_limit=args.node_limit)
     if inst.budget is not None:
@@ -157,7 +160,7 @@ def cmd_verify(args) -> int:
 def cmd_reduce_bin(args) -> int:
     bp = _load(args.instance, "binpack")
     if args.to_exact == args.to_cge:
-        raise ParseError(1, "choose --to-exact or --to-cge")
+        raise CgeError("choose --to-exact or --to-cge")
     if args.to_exact:
         bp = binpacking_to_exact(bp)
         sys.stdout.write(format_instance(InstanceDocument("binpack", bp)))
@@ -278,12 +281,64 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `cge` parser: the top level plus the subparser of `command` alone
-    when it names one, else plus all of them.  A one-subparser parser still
-    shows every command name in its usage line, so its errors read the same;
-    the full parser leaves the metavar unset, since argparse words "required"
-    and "invalid choice" errors by it."""
+def _parse_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed `argv`, read straight from
+    `COMMANDS`; None for any other argv.  Well-formed means: a command name,
+    then that command's flags written exactly, each valued one followed by a
+    value that does not start with "-" and that its `type` converts, every
+    positional once and every required option.  Help, abbreviations,
+    "--flag=value", "-oFILE", "--" and negative numbers all give None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, specs = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    options, positionals, required = {}, [], set()
+    for flags, kwargs in specs:
+        if not flags[0].startswith("-"):
+            positionals.append(flags[0])
+            continue
+        # argparse's dest: the first long flag, "-" turned into "_"
+        dest = next(f for f in flags if f.startswith("--"))[2:].replace("-", "_")
+        switch = kwargs.get("action") == "store_true"
+        values[dest] = False if switch else kwargs.get("default")
+        for flag in flags:
+            options[flag] = dest, switch, kwargs.get("type")
+        if kwargs.get("required"):
+            required.add(dest)
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, switch, convert = options[token]
+        required.discard(dest)
+        if switch:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = value if convert is None else convert(value)
+        except ValueError:
+            return None
+    if required or len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
+
+
+def build_parser(command: str | None = None):
+    """The `cge` argparse parser: the top level plus the subparser of
+    `command` alone when it names one, else plus all of them.  A
+    one-subparser parser still shows every command name in its usage line, so
+    its errors read the same; the full parser leaves the metavar unset, since
+    argparse words "required" and "invalid choice" errors by it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cge",
         description="Solvers, verifiers and reductions for collective graph exploration.",
@@ -304,7 +359,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_argv(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -4,13 +4,17 @@ Every corpus `.cge` file goes through `build-ilp`, `solve-approx` and
 `solve-exact`, both solutions through `verify` and `derive-witness`, and every
 witness written through `check-witness` and `reconstruct`.  Every corpus
 `.binpack` file goes through both `reduce-bin` flags, and the reduced `cge`
-instance through `solve-exact`.  Three guard inputs close the run:
-`guard-c4.cge`, an instance past the type cap, and `reduce-bin` with both
-flags.  Seeded mid-size graphs and malformed inputs are not in it yet.
+instance through `solve-exact`.  Then come the flagged calls (`--vc`,
+`--max-budget`, `--output`), the guard trips (`guard-c4.cge`, an instance
+past the type cap, the search node limit and the robot cap) and the usage
+errors cge words itself (`reduce-bin` with both flags, and a `--node-limit`,
+`--max-budget` or `--vc` out of range).  Seeded mid-size graphs and malformed
+inputs are not in it yet.
 
 Each key is a command line with paths reduced to file names.  Its value holds
 the exit code, the sha256 of stdout and of stderr (the scratch directory
-replaced by a fixed placeholder), and the sha256 of every `-o` file written.
+replaced by a fixed placeholder), and the sha256 of every `-o` or `--output`
+file written.
 
     PYTHONPATH=src python tests/golden.py           # list the keys that differ
     PYTHONPATH=src python tests/golden.py --record  # rewrite data/golden.json
@@ -43,6 +47,10 @@ CAP_TRIP = (
     "edge 1 4\nedge 1 5\nedge 0 6\nedge 1 6\nedge 0 7\nedge 1 7\nedge 0 8\nedge 1 8\n"
 )
 BOTH_FLAGS = "binpack 1\ncapacity 3\nbins 2\nexact 0\nitem 2\nitem 1\n"
+# no budget line, so `--max-budget` bounds the optimum search; the optimum is 3
+NO_BUDGET = "cge 1\nnodes 3\ninit 0\nrobots 2\nedge 0 1\nedge 0 2\nedge 1 2\n"
+# one robot past cli.MAX_ROBOTS
+ROBOT_TRIP = "cge 1\nnodes 2\ninit 0\nrobots 10000001\nedge 0 1\n"
 
 
 def _sha(data: str | bytes) -> str:
@@ -57,7 +65,7 @@ def manifest(workdir: Path) -> dict[str, dict]:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main([str(a) for a in argv])
-        written = [Path(argv[i + 1]) for i, a in enumerate(argv) if a == "-o"]
+        written = [Path(argv[i + 1]) for i, a in enumerate(argv) if a in ("-o", "--output")]
         entries[" ".join(Path(a).name for a in argv)] = {
             "exit": code,
             "stdout": _sha(out.getvalue()),
@@ -104,6 +112,21 @@ def manifest(workdir: Path) -> dict[str, dict]:
     both = workdir / "both-flags.binpack"
     both.write_text(BOTH_FLAGS, encoding="utf-8")
     run("reduce-bin", both, "--to-exact", "--to-cge")
+
+    star = copy("star3-k2.cge")
+    run("solve-approx", star, "--vc", "0")
+    run("build-ilp", star, "--output", workdir / "star3-k2.vc0.ilp", "--vc", "0")
+    no_budget = workdir / "no-budget.cge"
+    no_budget.write_text(NO_BUDGET, encoding="utf-8")
+    run("solve-exact", no_budget, "--max-budget", "2")
+    run("solve-exact", no_budget, "--max-budget", "3")
+    run("solve-exact", copy("triangle-k2.cge"), "--node-limit", "1")
+    robot_trip = workdir / "robot-trip.cge"
+    robot_trip.write_text(ROBOT_TRIP, encoding="utf-8")
+    run("solve-approx", robot_trip)
+    run("solve-exact", star, "--node-limit", "0")
+    run("solve-exact", no_budget, "--max-budget", "-1")
+    run("solve-approx", star, "--vc", "9")
     return entries
 
 

@@ -182,7 +182,7 @@ class TestCommands:
         with contextlib.redirect_stderr(err):
             result = run_cli("reduce-bin", str(f), "--to-exact", "--to-cge")
         assert result == (2, "")
-        assert err.getvalue() == "error: line 1: choose --to-exact or --to-cge\n"
+        assert err.getvalue() == "error: choose --to-exact or --to-cge\n"
 
     def test_parse_error_exit_code(self, tmp_path):
         f = tmp_path / "broken.cge"
