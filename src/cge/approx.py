@@ -47,7 +47,7 @@ def even_independent_degrees(g: Multigraph, vcp: VertexCover) -> EdgeMultiset:
     """
     cset = vcp.as_set()
     e_ind: Counter = Counter()
-    for (u, v) in g.distinct_edges():
+    for (u, v) in g.edges:
         if u not in cset or v not in cset:
             e_ind[(u, v)] += 1
     for u in range(g.n):
@@ -97,7 +97,7 @@ def deal_cover_edges(g: Multigraph, vcp: VertexCover, state: PartitionState) -> 
     """
     k = state.k
     cset = vcp.as_set()
-    singles = [e for e in g.distinct_edges() if e[0] in cset and e[1] in cset]
+    singles = [e for e in g.edges if e[0] in cset and e[1] in cset]
     t = state.pairs_dealt % k
     robots = chain(range(t, k), cycle(range(k - 1, -1, -1)))
     for e, robot in zip(singles, robots):

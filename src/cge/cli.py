@@ -7,10 +7,10 @@ count or cycle-instance limits).
 
 `COMMANDS` describes each subcommand once.  A well-formed argv is read
 straight from it, without argparse; anything else (help, a usage error, an
-abbreviation or another spelling argparse allows) goes to an argparse parser
-built for the subcommand it names alone, the only code that words help and
-errors.  `tests/test_cli_usage.py` pins both to the full eight-subcommand
-parser: the same namespaces, and the same help and usage bytes.
+abbreviation or another spelling argparse allows) goes to the eight-subcommand
+argparse parser, the only code that words help and errors.
+`tests/test_cli_usage.py` pins both to the parser as first written: the same
+namespaces, and the same help and usage bytes.
 """
 
 from __future__ import annotations
@@ -331,25 +331,16 @@ def _parse_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def build_parser(command: str | None = None):
-    """The `cge` argparse parser: the top level plus the subparser of
-    `command` alone when it names one, else plus all of them.  A
-    one-subparser parser still shows every command name in its usage line, so
-    its errors read the same; the full parser leaves the metavar unset, since
-    argparse words "required" and "invalid choice" errors by it."""
+def build_parser():
+    """The `cge` argparse parser with every subcommand."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="cge",
         description="Solvers, verifiers and reductions for collective graph exploration.",
     )
-    one = command in COMMANDS
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(COMMANDS) + "}" if one else None,
-    )
-    for name in (command,) if one else COMMANDS:
-        help_text, func, specs = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, specs) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flags, kwargs in specs:
             p.add_argument(*flags, **kwargs)
@@ -359,7 +350,7 @@ def build_parser(command: str | None = None):
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_argv(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

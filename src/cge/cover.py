@@ -5,10 +5,11 @@ The quotient graph keeps one representative vertex per equivalence class of
 independent vertices (vertices outside the cover with identical
 neighborhoods).  The bounded expansion keeps NumVer copies per class, where
 
-    NumVer(class) = min(|class|, 2^|neighborhood| + |cover|^2),
+    NumVer(class) = min(|class|, 2^|neighborhood| + |cover|^2).
 
-and doubles every edge.  Both constructions assign fresh vertex ids above the
-host graph's range and record the mapping.
+Both are simple graphs.  The expansion's doubling is not stored: the skeleton
+enumeration takes each of its edges once or twice.  Both constructions assign
+fresh vertex ids above the host graph's range and record the mapping.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class EquivalenceClasses(NamedTuple):
 
 def is_cover(g: Multigraph, vertices) -> bool:
     vs = set(vertices)
-    return all(u in vs or v in vs for (u, v) in g.distinct_edges())
+    return all(u in vs or v in vs for (u, v) in g.edges)
 
 
 def vertex_cover_2approx(g: Multigraph) -> VertexCover:
@@ -68,7 +69,7 @@ def vertex_cover_2approx(g: Multigraph) -> VertexCover:
         raise EmptyGraph("graph has no vertices")
     matched = [False] * g.n
     cover: list[int] = []
-    for (u, v) in g.distinct_edges():
+    for (u, v) in g.edges:
         if not matched[u] and not matched[v]:
             matched[u] = matched[v] = True
             cover.append(u)
@@ -134,7 +135,7 @@ def equivalence_classes(g: Multigraph, vc: VertexCover) -> EquivalenceClasses:
     for u in range(g.n):
         if u in cset:
             continue
-        nb = tuple(g.neighbors(u))
+        nb = g.neighbors(u)
         groups.setdefault(nb, []).append(u)
     classes = tuple(
         EqClass(nb, tuple(sorted(members))) for nb, members in sorted(groups.items())
@@ -150,30 +151,28 @@ class QuotientGraph(NamedTuple):
 
 
 def _class_graph(
-    g: Multigraph, vc: VertexCover, eq: EquivalenceClasses, counts: list[int], multiplicity: int
+    g: Multigraph, vc: VertexCover, eq: EquivalenceClasses, counts: list[int]
 ) -> tuple[Multigraph, tuple[tuple[int, ...], ...]]:
     """All cover-internal edges of the host plus `counts[i]` fresh vertices for
     class i, numbered from `g.n` upward and each wired to the class
-    neighborhood; every edge gets `multiplicity`.
+    neighborhood.
     """
     cset = vc.as_set()
-    edges = {(u, v): multiplicity for (u, v) in g.distinct_edges() if u in cset and v in cset}
+    edges = [(u, v) for (u, v) in g.edges if u in cset and v in cset]
     ids = []
     nxt = g.n
     for cls, count in zip(eq.classes, counts):
         ids.append(tuple(range(nxt, nxt + count)))
         nxt += count
-        for cv in ids[-1]:
-            for w in cls.neighborhood:  # a host vertex, so below every fresh id
-                edges[(w, cv)] = multiplicity
+        edges += [(w, cv) for cv in ids[-1] for w in cls.neighborhood]
     return Multigraph(nxt, edges), tuple(ids)
 
 
 def build_equivalence_graph(g: Multigraph, vc: VertexCover, eq: EquivalenceClasses) -> QuotientGraph:
     """All cover-internal edges of the host plus one class vertex per class,
-    wired to the class neighborhood; every multiplicity 1.
+    wired to the class neighborhood.
     """
-    graph, ids = _class_graph(g, vc, eq, [1] * len(eq), 1)
+    graph, ids = _class_graph(g, vc, eq, [1] * len(eq))
     return QuotientGraph(graph, tuple(cv for (cv,) in ids))
 
 
@@ -183,7 +182,8 @@ def num_ver(class_size: int, neighborhood_size: int, cover_size: int) -> int:
 
 
 class ExpandedGraph(NamedTuple):
-    """The bounded multigraph expansion: NumVer copies per class, edges doubled."""
+    """The bounded expansion: NumVer copies per class.  Its graph is simple;
+    the skeleton enumeration takes every edge once or twice."""
 
     graph: Multigraph
     copies: tuple[tuple[int, ...], ...]  # class index -> copy vertex ids
@@ -193,7 +193,7 @@ class ExpandedGraph(NamedTuple):
 
 
 def build_gbar(g: Multigraph, vc: VertexCover, eq: EquivalenceClasses) -> ExpandedGraph:
-    """Build the doubled expansion graph.
+    """Build the expansion graph.
 
     The construction is exponential in the neighborhood sizes by design;
     `MAX_COVER` refuses covers large enough to leave desk scale.
@@ -203,4 +203,4 @@ def build_gbar(g: Multigraph, vc: VertexCover, eq: EquivalenceClasses) -> Expand
             f"cover of size {len(vc)} exceeds the expansion cap {MAX_COVER}"
         )
     counts = [num_ver(len(c.members), len(c.neighborhood), len(vc)) for c in eq.classes]
-    return ExpandedGraph(*_class_graph(g, vc, eq, counts, 2))
+    return ExpandedGraph(*_class_graph(g, vc, eq, counts))

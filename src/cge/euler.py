@@ -270,7 +270,7 @@ def verify_solution(inst: ExplorationInstance, sol: Solution) -> VerificationRep
     walk's edges count once toward coverage however many robots take it.
     """
     g = inst.graph
-    graph_edges = set(g.distinct_edges())
+    graph_edges = set(g.edges)
     covered: set = set()
     reports = []
     robots = 0
@@ -291,7 +291,7 @@ def verify_solution(inst: ExplorationInstance, sol: Solution) -> VerificationRep
             )
         )
         robots += count
-    uncovered = tuple(e for e in g.distinct_edges() if e not in covered)
+    uncovered = tuple(e for e in g.edges if e not in covered)
     value = max((r.length for r in reports), default=0)
     budget_ok = None if inst.budget is None else value <= inst.budget
     return VerificationReport(

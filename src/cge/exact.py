@@ -103,19 +103,18 @@ class _NodeBudget:
 
 
 def _step_table(g: Multigraph, v_init: int):
-    """The distinct edges, the vertex bits of a state and, per vertex in
-    adjacency order, (high usage bit of the edge, state delta, potential
-    delta, position) of each step."""
-    edges = g.distinct_edges()
+    """The vertex bits of a state and, per vertex in adjacency order, (high
+    usage bit of the edge, state delta, potential delta, position) of each
+    step."""
     dist = g.bfs_distances(v_init)
     vbits = (g.n - 1).bit_length()
     steps: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(edges):
+    for i, (u, v) in enumerate(g.edges):
         unit = 1 << (2 * i + vbits)
         for a, b in ((u, v), (v, u)):
             pos = len(steps[a])
             steps[a].append((unit << 1, unit + b - a, 1 + dist[b] - dist[a], pos))
-    return edges, vbits, steps
+    return vbits, steps
 
 
 class _Frontier:
@@ -123,7 +122,7 @@ class _Frontier:
     catalog of the rounds run so far.
 
     The catalog holds every realizable robot walk up to the last cap.
-    supports[i] is a bitmask of distinct edges covered, lengths[i] the walk
+    supports[i] is a bitmask of the edges covered, lengths[i] the walk
     length, usages[i] the per-edge usage packed 2 bits per edge (edge j in
     bits 2j, 2j+1).  Entries are sorted by (length, support mask); index 0 is
     always the empty walk.  Bit i of covers[j] is set when supports[i] holds
@@ -140,23 +139,22 @@ class _Frontier:
     """
 
     __slots__ = ("steps", "vbits", "vmask", "base", "low", "rounds", "pending", "found",
-                 "edges", "supports", "lengths", "usages", "covers")
+                 "supports", "lengths", "usages", "covers")
 
     def __init__(self, g: Multigraph, v_init: int):
-        edges, vbits, steps = _step_table(g, v_init)
+        vbits, steps = _step_table(g, v_init)
         self.steps = steps
         self.vbits = vbits
         self.vmask = (1 << vbits) - 1
         self.base = max(map(len, steps))
-        self.low = (4 ** len(edges) - 1) // 3  # the low bit of every usage field
+        self.low = (4 ** g.num_edges - 1) // 3  # the low bit of every usage field
         self.rounds = 0
         self.pending: dict[tuple[int, int], dict[int, int]] = {(0, 0): {v_init: 0}}
         self.found = {0}  # supports in the catalog, one bit per used edge at 2j
-        self.edges = edges
         self.supports = [0]
         self.lengths = [0]
         self.usages = [0]
-        self.covers = [0] * len(edges)
+        self.covers = [0] * g.num_edges
 
     def expand(self, p: int, l: int, nodes: _NodeBudget) -> None:
         bucket = self.pending.pop((p, l), None)
@@ -221,7 +219,7 @@ def _walk_catalog(
     but the start state of length 2|E|, which walks every edge twice and
     has no step left.
     """
-    while frontier.rounds < min(cap, 2 * len(frontier.edges)):
+    while frontier.rounds < min(cap, 2 * g.num_edges):
         p = frontier.rounds = frontier.rounds + 1
         frontier.expand(p - 1, p - 1, nodes)
         for l in range(p):
@@ -291,12 +289,12 @@ def _first_tour(
     both of its ends in T and adds 0, 1 or 2 to c.  c equals the length
     exactly at a walk through every edge back at the start.
     """
-    edges, vbits, steps = _step_table(g, v_init)
+    vbits, steps = _step_table(g, v_init)
     vmask = (1 << vbits) - 1
     odd = 0
-    for u, w in edges:
+    for u, w in g.edges:
         odd ^= 1 << u | 1 << w
-    root = len(edges) + odd.bit_count() // 2
+    root = g.num_edges + odd.bit_count() // 2
     for cap in caps:
         nodes.spend()
         if root == 0:
@@ -327,7 +325,8 @@ def _first_tour(
     return None
 
 
-def _solution_from_usages(inst: ExplorationInstance, edges, usages) -> Solution:
+def _solution_from_usages(inst: ExplorationInstance, usages) -> Solution:
+    edges = inst.graph.edges
     multisets = (
         Counter({e: u for j, e in enumerate(edges) if (u := usage >> 2 * j & 3)})
         for usage in usages
@@ -336,14 +335,10 @@ def _solution_from_usages(inst: ExplorationInstance, edges, usages) -> Solution:
     return solution_from_multisets(inst.graph.n, inst.v_init, runs, inst.k)
 
 
-def _edge_mask(g: Multigraph) -> int:
-    return (1 << g.num_distinct_edges) - 1
-
-
 def _farthest_edge_bound(g: Multigraph, v_init: int) -> int:
     """Minimum budget needed to cover the hardest single edge."""
     dist = g.bfs_distances(v_init)
-    return max((dist[u] + 1 + dist[v] for u, v in g.distinct_edges()), default=0)
+    return max((dist[u] + 1 + dist[v] for u, v in g.edges), default=0)
 
 
 _PAIRING_LIMIT = 16  # odd vertices paired exactly; at 16 the DP takes about 8 ms
@@ -415,15 +410,15 @@ def _search(
         if found is None:
             return None
         budget, usage = found
-        return budget, _solution_from_usages(inst, g.distinct_edges(), (usage,))
+        return budget, _solution_from_usages(inst, (usage,))
     frontier = _Frontier(g, inst.v_init)
-    full = _edge_mask(g)
+    full = (1 << g.num_edges) - 1
     for budget in budgets:
         catalog = _walk_catalog(g, inst.v_init, budget, frontier, nodes)
         entries = _assign_robots(catalog, inst.k, budget, full, nodes)
         if entries is not None:
             usages = (catalog.usages[i] for i in entries)
-            return budget, _solution_from_usages(inst, catalog.edges, usages)
+            return budget, _solution_from_usages(inst, usages)
     return None
 
 
@@ -463,7 +458,7 @@ def exact_optimum(
     2|E| always has one: a single robot walks every edge twice.  Returns
     None when cfg.max_budget is below the optimum (a proven "no" within it).
     """
-    ceiling = 2 * inst.graph.num_distinct_edges
+    ceiling = 2 * inst.graph.num_edges
     if cfg.max_budget is not None:
         ceiling = min(ceiling, cfg.max_budget)
     return _search(inst, cfg, range(_lower_bound(inst), ceiling + 1))

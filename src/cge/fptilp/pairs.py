@@ -172,7 +172,7 @@ def decompose_valid_pair(ctx: FptContext, source: EdgeMultiset) -> ValidPair:
     """
     src = +Counter(source)
     vc = ctx.cover_set
-    graph_edges = ctx.g.edge_counter()
+    graph_edges = set(ctx.g.edges)
     if any(e not in graph_edges for e in src):
         raise PreconditionViolated("source uses a non-edge")
     if any(m > 2 for m in src.values()):
@@ -221,7 +221,7 @@ def pair_source(ctx: FptContext, multiset: EdgeMultiset) -> EdgeMultiset:
     """
     if multiset:
         return Counter({e: 2 - m % 2 for e, m in multiset.items()})
-    e0 = min(e for e in ctx.g.distinct_edges() if ctx.v_init in e)
+    e0 = min(e for e in ctx.g.edges if ctx.v_init in e)
     return Counter({e0: 2})
 
 

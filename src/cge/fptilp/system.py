@@ -104,7 +104,7 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
             eq3[(vt, ns)] = [(-1, vi)]
     eq4: dict[tuple[int, int], list[tuple[int, int]]] = {
         e: []
-        for e in ctx.g.distinct_edges()
+        for e in ctx.g.edges
         if e[0] in ctx.cover_set and e[1] in ctx.cover_set
     }
     by_length: dict[tuple[int, int], list[tuple[int, int]]] = {}

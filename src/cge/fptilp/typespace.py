@@ -267,8 +267,8 @@ def _past_cap(kind: str) -> TypeSpaceTooLarge:
     )
 
 
-def _even_subgraph_masks(edges: list[tuple[int, int]]) -> list[int]:
-    """All subsets of the distinct edges whose subgraph has even degrees,
+def _even_subgraph_masks(edges: tuple[tuple[int, int], ...]) -> list[int]:
+    """All subsets of the edges whose subgraph has even degrees,
     generated as the span of the fundamental cycles of a spanning forest.
 
     path[v] is the mask of the forest path from v's root to v, so edge
@@ -299,9 +299,10 @@ def _even_subgraph_masks(edges: list[tuple[int, int]]) -> list[int]:
 
 def _enumerate_skeletons(ctx: FptContext) -> Iterator[EdgeMultiset]:
     """Yield the connected even submultisets of the expansion containing the
-    start, within the budget.  Single-copy edges must form an even subgraph;
-    doubled edges are free: an even subset plus disjoint doubles."""
-    edges = ctx.gbar.graph.distinct_edges()
+    start, within the budget, taking every edge of the simple expansion graph
+    once or twice.  Single-copy edges must form an even subgraph; doubled
+    edges are free: an even subset plus disjoint doubles."""
+    edges = ctx.gbar.graph.edges
     budget = ctx.budget
     # Every skeleton has at most `budget` edges: the filter keeps at most
     # `budget` single edges, and the doubles are capped at the rest halved.

@@ -1,9 +1,10 @@
-"""Multigraph representation and the exploration problem statement.
+"""The simple graph and the exploration problem statement.
 
-Vertices are dense integers 0..n-1.  Edges are stored as a mapping from the
-unordered pair (u, v) with u < v to a positive multiplicity; self-loops are
-rejected.  Instances of Multigraph are immutable after construction and safe
-to share across threads.
+Vertices are dense integers 0..n-1.  A graph is simple: its edges are the
+distinct unordered pairs (u, v) with u < v, kept once in ascending order, and
+self-loops are rejected.  Edge multisets, such as a robot's walk or the
+expansion's doubled skeletons, are `Counter`s over those pairs.  Instances of
+Multigraph are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -25,67 +26,53 @@ def norm_edge(u: int, v: int) -> Edge:
 
 
 class Multigraph:
-    """Undirected multigraph over vertices 0..n-1 without self-loops."""
+    """Undirected simple graph over vertices 0..n-1.
 
-    __slots__ = ("n", "_edges", "_adj")
+    The name predates the rule that every edge appears once; it stays because
+    perfbench/workloads.py imports it.  `edges` is the ascending tuple of
+    normalized pairs and `neighbors(v)` the ascending tuple of v's neighbours,
+    both built once from the constructor's pairs.
+    """
 
-    def __init__(self, n: int, edges: Mapping[Edge, int] | None = None):
+    __slots__ = ("n", "edges", "_adj")
+
+    def __init__(self, n: int, edges: Iterable[Edge] = ()):
+        """Read `edges` (any iterable of pairs; a dict by its keys) once.
+
+        Raises SelfLoop on a loop and ValueError on a repeated or
+        out-of-range edge.
+        """
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        store: dict[Edge, int] = {}
-        if edges:
-            for (u, v), mult in edges.items():
-                e = norm_edge(u, v)
-                if not (0 <= e[0] and e[1] < n):
-                    raise ValueError(f"edge {e} out of range for n={n}")
-                if mult <= 0:
-                    raise ValueError(f"multiplicity of {e} must be positive, got {mult}")
-                store[e] = store.get(e, 0) + mult
-        self._edges = store
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
-        for (u, v), mult in store.items():
-            adj[u].append((v, mult))
-            adj[v].append((u, mult))
-        for v in adj:
-            adj[v].sort()
-        self._adj = adj
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Multigraph":
-        """Build from an iterable of (u, v) pairs; repeats raise the multiplicity."""
-        cnt: Counter = Counter(norm_edge(u, v) for u, v in pairs)
-        return cls(n, cnt)
+        self.edges = tuple(sorted(norm_edge(u, v) for u, v in edges))
+        # sorted pairs list every (a, x) with a < x before every (x, b), so
+        # each neighbour list comes out ascending without a sort of its own
+        adj: list[list[int]] = [[] for _ in range(n)]
+        prev = None
+        for e in self.edges:
+            u, v = e
+            if u < 0 or v >= n:
+                raise ValueError(f"edge {e} out of range for n={n}")
+            if e == prev:
+                raise ValueError(f"repeated edge {e}; graphs are simple")
+            adj[u].append(v)
+            adj[v].append(u)
+            prev = e
+        self._adj = tuple(map(tuple, adj))
 
     # -- queries ---------------------------------------------------------
 
-    def multiplicity(self, u: int, v: int) -> int:
-        return self._edges.get(norm_edge(u, v), 0)
-
-    def distinct_edges(self) -> list[Edge]:
-        return sorted(self._edges)
-
-    def edge_counter(self) -> EdgeMultiset:
-        return Counter(self._edges)
-
     @property
     def num_edges(self) -> int:
-        """Total edge count including repetitions."""
-        return sum(self._edges.values())
-
-    @property
-    def num_distinct_edges(self) -> int:
-        return len(self._edges)
+        return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return sum(m for _, m in self._adj[v])
+        return len(self._adj[v])
 
-    def neighbors(self, v: int) -> list[int]:
-        """Distinct neighbors in ascending order."""
-        return [w for w, _ in self._adj[v]]
-
-    def is_simple(self) -> bool:
-        return all(m == 1 for m in self._edges.values())
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """Neighbors in ascending order."""
+        return self._adj[v]
 
     def components(self, vertices: Iterable[int] | None = None) -> list[list[int]]:
         """Connected components of the subgraph induced by `vertices` (default: all).
@@ -104,7 +91,7 @@ class Multigraph:
             queue = deque([s])
             while queue:
                 v = queue.popleft()
-                for w, _ in self._adj[v]:
+                for w in self._adj[v]:
                     if w in vset and w not in comp:
                         comp.add(w)
                         queue.append(w)
@@ -119,7 +106,7 @@ class Multigraph:
         queue = deque([source])
         while queue:
             v = queue.popleft()
-            for w, _ in self._adj[v]:
+            for w in self._adj[v]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)
@@ -132,20 +119,20 @@ class Multigraph:
             dist = self.bfs_distances(comp[0])
             for v in comp:
                 side[v] = dist[v] % 2
-        return all(side[u] != side[v] for u, v in self._edges)
+        return all(side[u] != side[v] for u, v in self.edges)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Multigraph)
             and self.n == other.n
-            and self._edges == other._edges
+            and self.edges == other.edges
         )
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self._edges.items()))))
+        return hash((self.n, self.edges))
 
     def __repr__(self):
-        return f"Multigraph(n={self.n}, edges={dict(sorted(self._edges.items()))})"
+        return f"Multigraph(n={self.n}, edges={self.edges})"
 
 
 def walk_edges(walk) -> EdgeMultiset:
@@ -220,8 +207,6 @@ class ExplorationInstance(_InstanceFields):
             raise ValueError("robot count must be at least 1")
         if budget is not None and budget < 0:
             raise ValueError("budget must be non-negative")
-        if not graph.is_simple():
-            raise ValueError("instance graph must be simple")
         # every vertex must be reachable, not merely the edge-bearing ones
         if -1 in graph.bfs_distances(v_init):
             raise NotConnected("instance graph is not connected")

@@ -83,7 +83,7 @@ def bin_to_rob(inst: BinPackingInstance) -> ExplorationInstance:
         for _ in range(size - 1):
             pairs.append((centers[item], nxt))
             nxt += 1
-    tree = Multigraph.from_pairs(nxt, pairs)
+    tree = Multigraph(nxt, pairs)
     return ExplorationInstance(tree, 0, inst.bins, budget=2 * inst.capacity)
 
 

@@ -184,7 +184,7 @@ def format_instance(doc: InstanceDocument) -> str:
         ]
         if inst.budget is not None:
             lines.append(f"budget {inst.budget}")
-        for (u, v) in inst.graph.distinct_edges():
+        for (u, v) in inst.graph.edges:
             lines.append(f"edge {u} {v}")
         return "\n".join(lines) + "\n"
     if doc.kind == "binpack":

@@ -1,10 +1,10 @@
 """The quotient graph and the bounded expansion as two separate loops, before
-they shared one builder: verbatim copies for differential tests.
+they shared one builder: copies for differential tests.  The graphs are
+simple, so the expansion's edges carry no doubled count; the skeleton
+enumeration takes each of them once or twice.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from cge.cover import (
     EquivalenceClasses,
@@ -19,11 +19,11 @@ from cge.graphs import Multigraph
 
 def build_equivalence_graph(g: Multigraph, vc: VertexCover, eq: EquivalenceClasses) -> QuotientGraph:
     """All cover-internal edges of the host plus one class vertex per class,
-    wired to the class neighborhood; every multiplicity 1.
+    wired to the class neighborhood.
     """
     cset = vc.as_set()
     edges: dict[tuple[int, int], int] = {}
-    for (u, v) in g.distinct_edges():
+    for (u, v) in g.edges:
         if u in cset and v in cset:
             edges[(u, v)] = 1
     class_vertex = []
@@ -43,7 +43,7 @@ def build_gbar(
     eq: EquivalenceClasses,
     max_cover: int = 6,
 ) -> ExpandedGraph:
-    """Build the doubled expansion graph.
+    """Build the expansion graph.
 
     The construction is exponential in the neighborhood sizes by design;
     `max_cover` refuses covers large enough to leave desk scale.
@@ -53,10 +53,10 @@ def build_gbar(
             f"cover of size {len(vc)} exceeds the expansion cap {max_cover}"
         )
     cset = vc.as_set()
-    edges: Counter = Counter()
-    for (u, v) in g.distinct_edges():
+    edges: dict[tuple[int, int], int] = {}
+    for (u, v) in g.edges:
         if u in cset and v in cset:
-            edges[(u, v)] = 2
+            edges[(u, v)] = 1
     copies: list[tuple[int, ...]] = []
     nxt = g.n
     for cls in eq.classes:
@@ -66,5 +66,5 @@ def build_gbar(
         copies.append(ids)
         for cv in ids:
             for w in cls.neighborhood:
-                edges[(min(cv, w), max(cv, w))] = 2
+                edges[(min(cv, w), max(cv, w))] = 1
     return ExpandedGraph(Multigraph(nxt, edges), tuple(copies))

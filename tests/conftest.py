@@ -22,6 +22,7 @@ from cge.graphs import (  # noqa: E402
     Multigraph,
     multiset_vertices,
     norm_edge,
+    odd_degree_vertices,
     walk_edges,
 )
 
@@ -45,18 +46,7 @@ def multiset_degree(edges: Counter, v: int) -> int:
 
 
 def has_edge(g: Multigraph, u: int, v: int) -> bool:
-    return g.multiplicity(u, v) > 0
-
-
-def edge_items(g: Multigraph) -> list[tuple[tuple[int, int], int]]:
-    """Distinct edges with multiplicities, in ascending (u, v) order."""
-    return sorted(g.edge_counter().items())
-
-
-def induced(g: Multigraph, vertices) -> Multigraph:
-    """Induced submultigraph; keeps the original vertex ids and carrier size."""
-    vset = set(vertices)
-    return Multigraph(g.n, {e: m for e, m in edge_items(g) if e[0] in vset and e[1] in vset})
+    return norm_edge(u, v) in g.edges
 
 
 def with_budget(inst: ExplorationInstance, budget: int | None) -> ExplorationInstance:
@@ -83,19 +73,20 @@ def random_connected_graph(rng: random.Random, n_max: int = 7, m_max: int = 10) 
     return Multigraph(n, {e: 1 for e in edges})
 
 
-def random_even_multigraph(
+def random_even_multiset(
     rng: random.Random, n_max: int = 8, total_max: int = 24
-) -> Multigraph:
-    """Random connected multigraph with all degrees even.
+) -> tuple[Multigraph, Counter]:
+    """Random connected simple graph and an edge multiset over all of its
+    edges with every degree even.
 
     Start from a random connected simple graph with multiplicities in {1, 2},
     then pair up odd-degree vertices and toggle multiplicities 1 <-> 2 along a
     connecting path; toggling flips exactly the endpoint parities and never
-    removes support edges.
+    removes support edges, so the graph is the multiset's support.
     """
     while True:
         base = random_connected_graph(rng, n_max, m_max=total_max // 2)
-        mult = {e: rng.choice((1, 2)) for e in base.distinct_edges()}
+        mult = Counter({e: rng.choice((1, 2)) for e in base.edges})
         deg = Counter()
         for (u, v), m in mult.items():
             deg[u] += m
@@ -114,9 +105,8 @@ def random_even_multigraph(
             for u, v in zip(path, path[1:]):
                 e = norm_edge(u, v)
                 mult[e] = 3 - mult[e]
-        g = Multigraph(base.n, mult)
-        if g.num_edges <= total_max and all(g.degree(v) % 2 == 0 for v in range(g.n)):
-            return g
+        if sum(mult.values()) <= total_max and not odd_degree_vertices(mult):
+            return base, mult
 
 
 def _bfs_parents(g: Multigraph, source: int) -> dict[int, int]:
@@ -133,7 +123,7 @@ def _bfs_parents(g: Multigraph, source: int) -> dict[int, int]:
 
 def brute_force_min_vertex_cover(g: Multigraph) -> int:
     """Exact vertex cover number by subset enumeration (n <= 8)."""
-    edges = g.distinct_edges()
+    edges = g.edges
     for size in range(g.n + 1):
         for cand in itertools.combinations(range(g.n), size):
             cs = set(cand)
@@ -151,24 +141,25 @@ def feasibility_conditions_hold(
     edge, and no multiset exceeds the budget.
     """
     g = inst.graph
+    graph_edges = set(g.edges)
     covered = set()
     for ms in multisets:
         support = {e for e, c in ms.items() if c}
-        if any(e not in g.edge_counter() for e in support):
+        if any(e not in graph_edges for e in support):
             return False
         covered |= support
         if sum(ms.values()) > budget:
             return False
         if not support:
             continue
-        sub = Multigraph(g.n, +ms)
-        if any(sub.degree(v) % 2 for v in range(g.n)):
+        if odd_degree_vertices(ms):
             return False
+        sub = Multigraph(g.n, support)
         if len(sub.components({v for e in support for v in e})) != 1:
             return False
         if sub.degree(inst.v_init) == 0:
             return False
-    return covered == set(g.distinct_edges())
+    return covered == graph_edges
 
 
 def pair_union(pair) -> Counter:

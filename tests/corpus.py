@@ -28,7 +28,7 @@ BUILDABLE = sorted(
 
 
 def _inst(n, edges, v_init, k):
-    return ExplorationInstance(Multigraph.from_pairs(n, edges), v_init, k)
+    return ExplorationInstance(Multigraph(n, edges), v_init, k)
 
 
 def _star(leaves):

@@ -124,7 +124,7 @@ def decompose_valid_pair(ctx: FptContext, source: EdgeMultiset) -> ValidPair:
     """
     src = +Counter(source)
     vc = ctx.cover_set
-    graph_edges = ctx.g.edge_counter()
+    graph_edges = set(ctx.g.edges)
     if any(e not in graph_edges for e in src):
         raise PreconditionViolated("source uses a non-edge")
     if any(m > 2 for m in src.values()):

@@ -32,7 +32,7 @@ from conftest import (
     check_valid_pair,
     feasibility_conditions_hold,
     random_connected_graph,
-    random_even_multigraph,
+    random_even_multiset,
     robot_multisets,
     with_budget,
 )
@@ -48,7 +48,7 @@ def report(criterion, text):
 
 
 def star(leaves):
-    return Multigraph.from_pairs(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Multigraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def test_criterion_1_closed_forms():
@@ -59,11 +59,11 @@ def test_criterion_1_closed_forms():
             opt, sol = exact_optimum(ExplorationInstance(star(leaves), 0, k))
             assert opt == 2 * -(-leaves // k), (leaves, k)
     for n in range(3, 7):
-        g = Multigraph.from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
+        g = Multigraph(n, [(i, (i + 1) % n) for i in range(n)])
         opt, _ = exact_optimum(ExplorationInstance(g, 0, 1))
         assert opt == n
     for n in range(2, 6):
-        g = Multigraph.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+        g = Multigraph(n, [(i, i + 1) for i in range(n - 1)])
         opt, _ = exact_optimum(ExplorationInstance(g, 0, 1))
         assert opt == 2 * (n - 1)
     elapsed = time.time() - t0
@@ -97,11 +97,11 @@ def test_criterion_3_eulerian_exactness():
     """500 random even multigraphs: every edge used exactly its multiplicity."""
     rng = random.Random(2024)
     for _ in range(500):
-        g = random_even_multigraph(rng, n_max=8, total_max=24)
-        start = g.distinct_edges()[0][0]
-        rc = find_eulerian_cycle(g.edge_counter(), start)
+        g, ms = random_even_multiset(rng, n_max=8, total_max=24)
+        start = g.edges[0][0]
+        rc = find_eulerian_cycle(ms, start)
         assert rc.walk[0] == rc.walk[-1] == start
-        assert rc.edge_multiset() == g.edge_counter()
+        assert rc.edge_multiset() == ms
     report(3, "500 even multigraphs traversed edge-exactly")
 
 

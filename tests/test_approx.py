@@ -22,7 +22,7 @@ from conftest import has_edge, multiset_degree, random_connected_graph, robot_cy
 
 
 def star(leaves):
-    return Multigraph.from_pairs(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Multigraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def tree_edges(parent):
@@ -87,12 +87,12 @@ def random_tree_case(rng):
 
 class TestEvenIndependentDegrees:
     def test_path_both_ends_duplicated(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+        g = Multigraph(3, [(0, 1), (1, 2)])
         e_ind = even_independent_degrees(g, VertexCover((1,)))
         assert e_ind == Counter({(0, 1): 2, (1, 2): 2})
 
     def test_c4_no_duplicates(self):
-        g = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        g = Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         e_ind = even_independent_degrees(g, VertexCover((0, 2)))
         assert e_ind == Counter({(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
 
@@ -153,7 +153,7 @@ class TestSpanningTree:
         assert spanning_tree(star(3), {0}, 0) == {}
 
     def test_rejects_disconnected_cover(self):
-        g = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+        g = Multigraph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(TreeNotSpanning):
             spanning_tree(g, {0, 1, 3}, 0)
 
@@ -185,7 +185,7 @@ class TestMakeVcEvenDegree:
             cset = vcp.as_set()
             parent = spanning_tree(g, cset, 0)
             e = tree_edges(parent)
-            for (u, v) in g.distinct_edges():
+            for (u, v) in g.edges:
                 if u in cset and v in cset and rng.random() < 0.5:
                     e[(u, v)] += 1
             out = make_vc_even_degree(parent, e, vcp)
@@ -258,7 +258,7 @@ class TestApproxSolve:
         assert sol.value == 6
 
     def test_single_edge_two_robots(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         inst = ExplorationInstance(g, 0, 2)
         sol = approx_solve(inst, VertexCover((0,)))
         assert verify_solution(inst, sol).ok
@@ -271,7 +271,7 @@ class TestApproxSolve:
         after the full pipeline each robot graph is connected, even, contains
         the start, and the union covers everything.
         """
-        g = Multigraph.from_pairs(
+        g = Multigraph(
             9,
             [
                 (0, 1), (1, 2), (0, 3), (1, 4), (2, 5),
@@ -292,9 +292,9 @@ class TestApproxSolve:
         for ms in state.e_i:
             covered |= {e for e, c in ms.items() if c}
         cover_internal = {
-            e for e in g.distinct_edges() if e[0] in cset and e[1] in cset
+            e for e in g.edges if e[0] in cset and e[1] in cset
         }
-        assert covered | cover_internal >= set(g.distinct_edges())
+        assert covered | cover_internal >= set(g.edges)
         sol = approx_solve(inst, vc)
         assert verify_solution(inst, sol).ok
 

@@ -98,13 +98,13 @@ def satisfying_assignments(ctx, types, system, cap=100_000):
 
 
 CASES = [
-    ("single-edge-k2", Multigraph.from_pairs(2, [(0, 1)]), 0, 2, 2, (0, 1)),
-    ("single-edge-k3-slack", Multigraph.from_pairs(2, [(0, 1)]), 0, 3, 4, (0, 1)),
-    ("path3-k1", Multigraph.from_pairs(3, [(0, 1), (1, 2)]), 1, 1, 4, (1,)),
-    ("path3-k1-slack", Multigraph.from_pairs(3, [(0, 1), (1, 2)]), 1, 1, 6, (1,)),
-    ("star2-single-cover", Multigraph.from_pairs(3, [(0, 1), (0, 2)]), 0, 1, 4, (0,)),
-    ("star2-k2-slack", Multigraph.from_pairs(3, [(0, 1), (0, 2)]), 0, 2, 6, (0,)),
-    ("triangle-k1", Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)]), 0, 1, 3, (0, 1)),
+    ("single-edge-k2", Multigraph(2, [(0, 1)]), 0, 2, 2, (0, 1)),
+    ("single-edge-k3-slack", Multigraph(2, [(0, 1)]), 0, 3, 4, (0, 1)),
+    ("path3-k1", Multigraph(3, [(0, 1), (1, 2)]), 1, 1, 4, (1,)),
+    ("path3-k1-slack", Multigraph(3, [(0, 1), (1, 2)]), 1, 1, 6, (1,)),
+    ("star2-single-cover", Multigraph(3, [(0, 1), (0, 2)]), 0, 1, 4, (0,)),
+    ("star2-k2-slack", Multigraph(3, [(0, 1), (0, 2)]), 0, 2, 6, (0,)),
+    ("triangle-k1", Multigraph(3, [(0, 1), (0, 2), (1, 2)]), 0, 1, 3, (0, 1)),
 ]
 
 

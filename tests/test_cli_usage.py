@@ -1,5 +1,5 @@
-"""`cge` reads a well-formed argv from its command table and builds argparse,
-for the named subcommand only, for anything else; its bytes must not move.
+"""`cge` reads a well-formed argv from its command table and builds the
+eight-subcommand argparse parser for anything else; its bytes must not move.
 
 `reference_parser` is the eight-subcommand parser exactly as it was written
 before the command table: every call built all eight subparsers.  Each argv
@@ -178,7 +178,7 @@ def run_both(monkeypatch, argv: list[str]) -> tuple[tuple, tuple]:
     now = run(argv)
     with monkeypatch.context() as m:
         m.setattr(cli, "_parse_argv", lambda argv: None)
-        m.setattr(cli, "build_parser", lambda command=None: reference_parser())
+        m.setattr(cli, "build_parser", reference_parser)
         before = run(argv)
     return now, before
 
@@ -203,7 +203,7 @@ def test_valid_argv_same_output_and_namespace(monkeypatch, tmp_path):
         assert now[0] == 0, (argv, now)
         want = reference_namespace(argv)
         assert vars(cli._parse_argv(argv)) == want, argv
-        got = vars(cli.build_parser(argv[0]).parse_args(argv))
+        got = vars(cli.build_parser().parse_args(argv))
         assert got.pop("func") is want.pop("func")
         assert got == want, argv
 

@@ -12,30 +12,32 @@ from cge.cover import (
     vertex_cover_2approx,
 )
 from cge.errors import EmptyGraph, NotACover, TypeSpaceTooLarge
-from cge.graphs import Multigraph
+from cge.fptilp.context import FptContext
+from cge.fptilp.typespace import _enumerate_skeletons
+from cge.graphs import ExplorationInstance, Multigraph
 
-from conftest import brute_force_min_vertex_cover, edge_items, induced, random_connected_graph
+from conftest import brute_force_min_vertex_cover, random_connected_graph
 
 
 def path3():
-    return Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+    return Multigraph(3, [(0, 1), (1, 2)])
 
 
 def triangle():
-    return Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
+    return Multigraph(3, [(0, 1), (0, 2), (1, 2)])
 
 
 def star(leaves):
-    return Multigraph.from_pairs(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Multigraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def c4():
-    return Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    return Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 class TestTwoApprox:
     def test_single_edge_keeps_both_endpoints(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         assert vertex_cover_2approx(g).vertices == (0, 1)
 
     def test_triangle(self):
@@ -46,7 +48,7 @@ class TestTwoApprox:
         vc = vertex_cover_2approx(g)
         assert vc.vertices == (0, 1)
         cs = set(vc.vertices)
-        assert all(u in cs or v in cs for u, v in g.distinct_edges())
+        assert all(u in cs or v in cs for u, v in g.edges)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyGraph):
@@ -58,7 +60,7 @@ class TestTwoApprox:
             g = random_connected_graph(rng, n_max=8, m_max=12)
             vc = vertex_cover_2approx(g)
             cs = set(vc.vertices)
-            assert all(u in cs or v in cs for u, v in g.distinct_edges())
+            assert all(u in cs or v in cs for u, v in g.edges)
             assert len(vc) <= 2 * brute_force_min_vertex_cover(g)
 
 
@@ -89,8 +91,7 @@ class TestConnectCover:
             assert v_init in vcp.as_set()
             assert set(base.vertices) <= vcp.as_set()
             assert len(vcp) <= 2 * max(1, len(base))
-            sub = induced(g, vcp.as_set())
-            assert len(sub.components(vcp.as_set())) == 1
+            assert len(g.components(vcp.as_set())) == 1
 
 
 def multi_round_connect(g, vc, v_init):
@@ -163,7 +164,7 @@ class TestConnectCoverMatchesMultiRound:
         assert checked >= 150
 
     def test_disconnected_host_is_not_connectable(self):
-        g = Multigraph.from_pairs(5, [(0, 1), (1, 2), (3, 4)])
+        g = Multigraph(5, [(0, 1), (1, 2), (3, 4)])
         for cover in ((1, 3), (0, 2, 3), (1, 4)):
             with pytest.raises(NotACover):
                 connect_cover(g, VertexCover(cover), 0)
@@ -212,7 +213,7 @@ class TestQuotientGraph:
         eq = equivalence_classes(g, vcp)
         res = build_equivalence_graph(g, vcp, eq)
         assert res.class_vertex == (3,)
-        assert edge_items(res.graph) == [((1, 3), 1)]
+        assert res.graph.edges == ((1, 3),)
 
     def test_c4(self):
         g = c4()
@@ -220,7 +221,7 @@ class TestQuotientGraph:
         eq = equivalence_classes(g, vcp)
         res = build_equivalence_graph(g, vcp, eq)
         assert res.class_vertex == (4,)
-        assert edge_items(res.graph) == [((0, 4), 1), ((2, 4), 1)]
+        assert res.graph.edges == ((0, 4), (2, 4))
 
     def test_vertex_count_identity(self):
         rng = random.Random(5)
@@ -229,7 +230,7 @@ class TestQuotientGraph:
             vcp = connect_cover(g, vertex_cover_2approx(g), 0)
             eq = equivalence_classes(g, vcp)
             res = build_equivalence_graph(g, vcp, eq)
-            active = {v for e in res.graph.distinct_edges() for v in e}
+            active = {v for e in res.graph.edges for v in e}
             if res.graph.num_edges:
                 assert active <= (vcp.as_set() | set(res.class_vertex))
             assert res.graph.n == g.n + len(eq)
@@ -242,7 +243,7 @@ class TestExpandedGraph:
         eq = equivalence_classes(g, vcp)
         res = build_gbar(g, vcp, eq)
         assert res.copies == ((3, 4),)
-        assert edge_items(res.graph) == [((1, 3), 2), ((1, 4), 2)]
+        assert res.graph.edges == ((1, 3), (1, 4))
 
     def test_c4_two_copies(self):
         g = c4()
@@ -250,8 +251,7 @@ class TestExpandedGraph:
         eq = equivalence_classes(g, vcp)
         res = build_gbar(g, vcp, eq)
         assert res.copies == ((4, 5),)
-        assert res.graph.num_distinct_edges == 4
-        assert all(m == 2 for _, m in edge_items(res.graph))
+        assert res.graph.edges == ((0, 4), (0, 5), (2, 4), (2, 5))
 
     def test_num_ver_formula(self):
         assert num_ver(10, 2, 2) == 8
@@ -265,13 +265,22 @@ class TestExpandedGraph:
         with pytest.raises(TypeSpaceTooLarge):
             build_gbar(g, vcp, eq)
 
-    def test_all_multiplicities_two(self):
+    def test_skeletons_take_each_edge_once_or_twice(self):
+        """The expansion stores each edge once; doubling is the skeleton
+        enumeration's rule, and it doubles every edge somewhere."""
         rng = random.Random(11)
         for _ in range(20):
             g = random_connected_graph(rng, n_max=6, m_max=8)
             vcp = connect_cover(g, vertex_cover_2approx(g), 0)
             if len(vcp) > 6:
                 continue
-            eq = equivalence_classes(g, vcp)
-            res = build_gbar(g, vcp, eq)
-            assert all(m == 2 for _, m in edge_items(res.graph))
+            budget = 2 * g.num_edges
+            ctx = FptContext.build(ExplorationInstance(g, 0, 1, budget), vcp)
+            edges = ctx.gbar.graph.edges
+            doubled = set()
+            for cc in _enumerate_skeletons(ctx):
+                assert set(cc) <= set(edges)
+                assert set(cc.values()) <= {1, 2}
+                doubled |= {e for e, m in cc.items() if m == 2}
+            # an edge at the start, doubled, is a skeleton on its own
+            assert {e for e in edges if 0 in e} <= doubled

@@ -16,11 +16,11 @@ from cge.euler import (
 )
 from cge.graphs import ExplorationInstance, Multigraph, walk_edges
 
-from conftest import random_even_multigraph, robot_cycles, with_budget
+from conftest import random_even_multiset, robot_cycles, with_budget
 
 
 def star3_instance(k=1):
-    g = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3)])
+    g = Multigraph(4, [(0, 1), (0, 2), (0, 3)])
     return ExplorationInstance(g, 0, k)
 
 
@@ -103,11 +103,11 @@ class TestFindEulerianCycle:
     def test_corpus_edge_exactness(self):
         rng = random.Random(2024)
         for _ in range(500):
-            g = random_even_multigraph(rng)
-            start = g.distinct_edges()[0][0]
-            rc = find_eulerian_cycle(g.edge_counter(), start)
+            g, ms = random_even_multiset(rng)
+            start = g.edges[0][0]
+            rc = find_eulerian_cycle(ms, start)
             assert rc.walk[0] == rc.walk[-1] == start
-            assert rc.edge_multiset() == g.edge_counter()
+            assert rc.edge_multiset() == ms
 
     def test_agrees_with_networkx(self):
         """Accept/reject equals networkx's Eulerian test plus "start is touched"."""
@@ -115,7 +115,7 @@ class TestFindEulerianCycle:
         rng = random.Random(77)
         verdicts = Counter()
         for trial in range(600):
-            ms = random_even_multigraph(rng, n_max=7, total_max=16).edge_counter()
+            _, ms = random_even_multiset(rng, n_max=7, total_max=16)
             # damage every other one: drop one copy of an edge or add a stray one
             if trial % 2:
                 if rng.random() < 0.5:
@@ -152,7 +152,7 @@ class TestFindEulerianCycle:
         rng = random.Random(78)
         kinds = Counter()
         for trial in range(600):
-            ms = random_even_multigraph(rng, n_max=7, total_max=16).edge_counter()
+            _, ms = random_even_multiset(rng, n_max=7, total_max=16)
             if trial % 4 == 1:  # an odd degree
                 ms[rng.choice(sorted(ms))] -= 1
             elif trial % 4 == 2:  # another component, even
@@ -208,7 +208,7 @@ class TestVerify:
         assert report.uncovered == ((0, 3),)
 
     def test_triangle_with_idle_robot(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
+        g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
         inst = ExplorationInstance(g, 0, 2)
         sol = Solution(((RobotCycle((0, 1, 2, 0)), 1), (RobotCycle((0,)), 1)))
         report = verify_solution(inst, sol)
@@ -241,8 +241,8 @@ class TestVerify:
 
 class TestSolutionFromMultisets:
     def test_idle_robots_pad_to_k_and_share_one_walk(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
-        sol = solution_from_multisets(3, 0, [(Counter(), 1), (g.edge_counter(), 1)], 4)
+        g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
+        sol = solution_from_multisets(3, 0, [(Counter(), 1), (Counter(g.edges), 1)], 4)
         cycles = robot_cycles(sol)
         assert [rc.walk for rc in cycles] == [(0,), (0, 1, 2, 0), (0,), (0,)]
         assert cycles[0] is cycles[2] is cycles[3]

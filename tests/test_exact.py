@@ -18,19 +18,19 @@ from conftest import (
 
 
 def star(leaves):
-    return Multigraph.from_pairs(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Multigraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def cycle(n):
-    return Multigraph.from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
+    return Multigraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n):
-    return Multigraph.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+    return Multigraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def triangle():
-    return Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
+    return Multigraph(3, [(0, 1), (0, 2), (1, 2)])
 
 
 class TestDecide:
@@ -122,7 +122,7 @@ def enumerate_multiset_tuples(g, k, budget):
     """Independent cross-check: all per-robot multiplicity vectors in {0,1,2}
     with size <= budget, combined as sorted k-tuples.
     """
-    edges = g.distinct_edges()
+    edges = g.edges
     singles = []
     for vec in itertools.product((0, 1, 2), repeat=len(edges)):
         if sum(vec) <= budget:
@@ -142,7 +142,7 @@ class TestCrossCheck:
         self._check_all_budgets(g, v_init, k)
 
     def test_agreement_three_robots(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
+        g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
         self._check_all_budgets(g, 0, 3)
 
     @staticmethod

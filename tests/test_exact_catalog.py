@@ -46,7 +46,6 @@ from cge.euler import solution_from_multisets, verify_solution
 from cge.exact import (
     SearchConfig,
     _assign_robots,
-    _edge_mask,
     _farthest_edge_bound,
     _first_tour,
     _Frontier,
@@ -75,7 +74,7 @@ class RefCatalog:
 def reference_walk_catalog(g, v_init, cap, cfg, nodes):
     """Breadth-first enumeration of closed-walk states up to length `cap`,
     verbatim from the search before it became resumable (`cfg` unused)."""
-    edges = g.distinct_edges()
+    edges = g.edges
     m = len(edges)
     eidx = {e: i for i, e in enumerate(edges)}
     dist = g.bfs_distances(v_init)
@@ -136,7 +135,7 @@ def reference_assign_robots(catalog, k, budget, full_mask, nodes):
     if full_mask & ~reachable:
         return None
     by_edge: dict[int, list[int]] = {}
-    m = len(catalog.edges)
+    m = len(catalog.covers)
     for e_bit in range(m):
         by_edge[e_bit] = [i for i in usable if catalog.supports[i] >> e_bit & 1]
 
@@ -168,7 +167,7 @@ def reference_traversal_bound(inst):
     vcp = connect_cover(g, vertex_cover_2approx(g), inst.v_init)
     cset = vcp.as_set()
     total = 0
-    for (u, v) in g.distinct_edges():
+    for (u, v) in g.edges:
         if u in cset and v in cset:
             total += 1
     for u in range(g.n):
@@ -184,7 +183,7 @@ def reference_traversal_bound(inst):
 
 def entries(catalog, max_length):
     """(support, length, usage tuple) of every entry no longer than max_length."""
-    m = len(catalog.edges)
+    m = len(catalog.covers)
     out = []
     for s, length, usage in zip(catalog.supports, catalog.lengths, catalog.usages):
         if length <= max_length:
@@ -192,6 +191,11 @@ def entries(catalog, max_length):
                 usage = tuple(usage >> 2 * j & 3 for j in range(m))
             out.append((s, length, usage))
     return out
+
+
+def all_edges_mask(g):
+    """One bit per edge: every edge covered."""
+    return (1 << g.num_edges) - 1
 
 
 def lower_bound(inst):
@@ -240,7 +244,7 @@ def test_resumed_catalog_matches_single_pass_bfs(inst):
     for budget in range(lb, opt + 1):
         catalog = _walk_catalog(g, v, budget, frontier, opt_nodes)
         assert entries(catalog, UNLIMITED) == entries(ref, budget), f"budget {budget}"
-        _assign_robots(catalog, inst.k, budget, _edge_mask(g), opt_nodes)
+        _assign_robots(catalog, inst.k, budget, all_edges_mask(g), opt_nodes)
 
     # decide mode: one fresh search per budget spends exactly the single pass's nodes
     for budget in {lb, opt}:
@@ -253,7 +257,7 @@ def test_resumed_catalog_matches_single_pass_bfs(inst):
     ref_nodes = _NodeBudget(UNLIMITED)
     reference_walk_catalog(g, v, ub, None, ref_nodes)
     for budget in range(lb, opt + 1):
-        reference_assign_robots(ref, inst.k, budget, _edge_mask(g), ref_nodes)
+        reference_assign_robots(ref, inst.k, budget, all_edges_mask(g), ref_nodes)
     assert spent(opt_nodes) <= spent(ref_nodes)
     if inst.k == 1:  # one robot runs the tour search instead of the catalog
         opt_nodes = _NodeBudget(UNLIMITED)
@@ -272,7 +276,7 @@ def test_decide_node_limit_is_the_single_pass_spend(inst):
     for budget in {lb, opt}:
         ref = _NodeBudget(UNLIMITED)
         catalog = reference_walk_catalog(g, v, budget, None, ref)
-        reference_assign_robots(catalog, inst.k, budget, _edge_mask(g), ref)
+        reference_assign_robots(catalog, inst.k, budget, all_edges_mask(g), ref)
         limit = spent(ref)
         if inst.k == 1:  # the tour search tries every cap from the bound up
             tour = _NodeBudget(UNLIMITED)
@@ -291,7 +295,7 @@ def test_assignment_spends_the_reference_nodes(inst):
     on one holding walks longer than every budget tried (the cut-off path)."""
     g, v = inst.graph, inst.v_init
     opt, _ = exact_optimum(inst)
-    full = _edge_mask(g)
+    full = all_edges_mask(g)
     frontier = _Frontier(g, v)
     longer = reference_walk_catalog(g, v, opt + 2, None, _NodeBudget(UNLIMITED))
     start = max(reference_traversal_bound(inst), _farthest_edge_bound(g, v))
@@ -312,7 +316,7 @@ def test_edge_bitsets_answer_the_linear_scan(inst):
     random budgets and uncovered sets the lowest usable entry in the AND of
     the uncovered edges' bitsets is the first entry a linear scan finds."""
     g, v = inst.graph, inst.v_init
-    m = g.num_distinct_edges
+    m = g.num_edges
     rng = random.Random(case_id(inst))
     frontier = _Frontier(g, v)
     for cap in range(2 * m + 1):
@@ -343,7 +347,7 @@ def test_decide_below_the_lower_bound_is_a_no_without_a_search(inst):
     catalog = reference_walk_catalog(g, v, lb - 1, None, _NodeBudget(UNLIMITED))
     for budget in range(lb):
         assert exact_decide(with_budget(inst, budget), SearchConfig(node_limit=1)) == (False, None)
-        ref = reference_assign_robots(catalog, inst.k, budget, _edge_mask(g),
+        ref = reference_assign_robots(catalog, inst.k, budget, all_edges_mask(g),
                                       _NodeBudget(UNLIMITED))
         assert ref is None, f"budget {budget}"
 
@@ -363,7 +367,7 @@ def test_decide_far_above_twice_the_edges_stops_at_2m_rounds(inst, monkeypatch):
     """No walk state has potential above 2|E|, so deciding a budget far above
     it runs 2|E| rounds, at most (2m + 1)^2 bucket expansions, and answers
     as deciding 2|E| does; one round per unit of budget took O(budget^2)."""
-    m = inst.graph.num_distinct_edges
+    m = inst.graph.num_edges
     calls = 0
     expand = _Frontier.expand
 
@@ -383,7 +387,7 @@ def networkx_postman(g):
     """CPP(G) = |E| plus a minimum-weight perfect matching of the odd-degree
     vertices under shortest-path distance."""
     nx = pytest.importorskip("networkx")
-    graph = nx.Graph(g.distinct_edges())
+    graph = nx.Graph(g.edges)
     odd = [v for v in graph if graph.degree(v) % 2]
     dist = dict(nx.all_pairs_shortest_path_length(graph))
     pairs = nx.Graph()
@@ -413,7 +417,7 @@ def test_single_robot_optimum_is_the_postman_tour():
 
 # perfbench's random_connected(Random(11), 12, 19) graph, whose one-robot
 # tour tripped the catalog's 5 000 000-node limit
-M19 = Multigraph.from_pairs(12, [
+M19 = Multigraph(12, [
     (0, 2), (0, 9), (0, 10), (1, 6), (1, 7), (1, 11), (2, 5), (2, 6), (2, 10), (2, 11),
     (3, 6), (3, 8), (3, 10), (4, 7), (4, 10), (5, 7), (6, 8), (7, 9), (8, 9)])
 
@@ -455,7 +459,7 @@ def reference_decide(inst):
     capped at the budget and the reference assignment."""
     g, v, budget = inst.graph, inst.v_init, inst.budget
     catalog = reference_walk_catalog(g, v, budget, None, _NodeBudget(UNLIMITED))
-    chosen = reference_assign_robots(catalog, inst.k, budget, _edge_mask(g),
+    chosen = reference_assign_robots(catalog, inst.k, budget, all_edges_mask(g),
                                      _NodeBudget(UNLIMITED))
     if chosen is None:
         return False, None
@@ -484,14 +488,14 @@ def test_postman_fallback_above_the_pairing_limit(monkeypatch):
     T-join is all of its edges, whatever the limit."""
     # 18 odd leaves, each 2 from the next: the optimum is 2 per leaf
     star = ExplorationInstance(
-        Multigraph.from_pairs(19, [(0, i) for i in range(1, 19)]), 0, 1)
+        Multigraph(19, [(0, i) for i in range(1, 19)]), 0, 1)
     # a 5-vertex spine with 3 leaves per vertex: 18 odd vertices in groups of
     # three, so each group's third vertex pairs farther than its nearest
     leaves = [(i, 5 + 3 * i + j) for i in range(5) for j in range(3)]
-    caterpillar = Multigraph.from_pairs(20, [(i, i + 1) for i in range(4)] + leaves)
+    caterpillar = Multigraph(20, [(i, i + 1) for i in range(4)] + leaves)
     spine = ExplorationInstance(caterpillar, 0, 1)
     # the spine closed into a 5-cycle: every vertex odd, and not a tree
-    closed = Multigraph.from_pairs(20, [(i, i + 1) for i in range(4)] + [(0, 4)] + leaves)
+    closed = Multigraph(20, [(i, i + 1) for i in range(4)] + [(0, 4)] + leaves)
     ring = ExplorationInstance(closed, 0, 1)
     assert sum(caterpillar.degree(v) % 2 for v in range(caterpillar.n)) > exact._PAIRING_LIMIT
     assert sum(closed.degree(v) % 2 for v in range(closed.n)) == 20
@@ -513,7 +517,7 @@ def test_postman_fallback_above_the_pairing_limit(monkeypatch):
 def euler_catalog(g, v_init):
     """(support, shortest length) of every closed-walk support, sorted the way
     the catalog is; a submask loop over 3^m (support, doubled set) pairs."""
-    edges = g.distinct_edges()
+    edges = g.edges
     m = len(edges)
     parity = [0] * (1 << m)  # vertex bitmask of odd degree, per edge subset
     for mask in range(1, 1 << m):

@@ -23,7 +23,7 @@ from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import decompose_valid_pair, extract_cycle_cover
 from cge.graphs import ExplorationInstance, Multigraph, incidence, norm_edge
 
-from conftest import edge_items, random_even_multigraph
+from conftest import random_even_multiset
 
 
 def covered_graph(rng, c, n_ind_max=5, p_cover=0.4, nbhd_max=3):
@@ -41,7 +41,7 @@ def covered_graph(rng, c, n_ind_max=5, p_cover=0.4, nbhd_max=3):
     for u in range(c, n):
         for a in rng.sample(range(c), rng.randint(1, min(c, nbhd_max))):
             edges.add((a, u))
-    return Multigraph.from_pairs(n, edges)
+    return Multigraph(n, edges)
 
 
 def context(g, start, c):
@@ -102,8 +102,8 @@ def outcome(f, *args):
 def test_incidence_lists_every_copy_in_ascending_order():
     rng = random.Random(3)
     for _ in range(300):
-        g = random_even_multigraph(rng, n_max=8, total_max=20)
-        items = edge_items(g)
+        g, ms = random_even_multiset(rng, n_max=8, total_max=20)
+        items = sorted(ms.items())
         rng.shuffle(items)
         ms = Counter(dict(items))
         adj = incidence(ms)
@@ -143,9 +143,9 @@ def test_repair_paths_match_the_reference(branches):
     rng = random.Random(99)
     runs = 0
     for _ in range(3000):
-        g = random_even_multigraph(rng, n_max=8, total_max=22)
+        g, ms = random_even_multiset(rng, n_max=8, total_max=22)
         h, leftovers = Counter(), Counter()
-        for e, m in edge_items(g):
+        for e, m in sorted(ms.items()):
             kept = rng.randint(0, m)
             h[e], leftovers[e] = kept, m - kept
         vc = set(rng.sample(range(g.n), rng.randint(1, g.n)))
@@ -164,8 +164,7 @@ def test_repair_paths_match_the_reference(branches):
 def test_cycle_covers_match_the_reference(branches):
     rng = random.Random(5)
     for _ in range(1500):
-        g = random_even_multigraph(rng, n_max=8, total_max=24)
-        work = g.edge_counter()
+        g, work = random_even_multiset(rng, n_max=8, total_max=24)
         vc = set(rng.sample(range(g.n), rng.randint(1, min(3, g.n))))
         assert pairs._peel_simple_cycle(Counter(work)) == ref._peel_simple_cycle(Counter(work))
         assert (pairs._find_pigeonhole_square(Counter(work), vc)
@@ -197,7 +196,7 @@ def test_even_subgraph_masks_match_the_reference(c):
         g = covered_graph(rng, c, n_ind_max=5, p_cover=0.3)
         ctx = context(g, rng.randrange(c), c)
         for graph in (g, ctx.gstar.graph, ctx.gbar.graph):
-            edges = graph.distinct_edges()
+            edges = graph.edges
             components = len([comp for comp in graph.components() if len(comp) > 1])
             if len(edges) - len({v for e in edges for v in e}) + components > 12:
                 continue

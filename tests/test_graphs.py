@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -10,39 +11,74 @@ from cge.textio import InstanceDocument, format_instance, parse_instance
 
 
 class TestMultigraph:
-    def test_normalization_and_multiplicity(self):
-        g = Multigraph.from_pairs(3, [(1, 0), (0, 1), (1, 2)])
-        assert g.multiplicity(0, 1) == 2
-        assert g.multiplicity(1, 2) == 1
-        assert g.degree(1) == 3
-        assert g.num_edges == 3
+    def test_normalization_and_repeats_refused(self):
+        g = Multigraph(3, [(1, 0), (2, 1)])
+        assert g.edges == ((0, 1), (1, 2))
+        assert g.degree(1) == 2
+        assert g.num_edges == 2
+        with pytest.raises(ValueError):
+            Multigraph(2, [(0, 1), (1, 0)])
 
     def test_rejects_self_loop(self):
         with pytest.raises(SelfLoop):
-            Multigraph(2, {(1, 1): 1})
+            Multigraph(2, [(1, 1)])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Multigraph(2, {(0, 5): 1})
+        for pair in ((0, 5), (-1, 0), (2, 1)):
+            with pytest.raises(ValueError):
+                Multigraph(2, [pair])
+
+    def test_reads_a_generator_once(self):
+        reads = []
+
+        def pairs():
+            for e in ((2, 3), (0, 1), (1, 2)):
+                reads.append(e)
+                yield e
+
+        g = Multigraph(4, pairs())
+        assert reads == [(2, 3), (0, 1), (1, 2)]
+        assert g.edges == ((0, 1), (1, 2), (2, 3))
+
+    def test_dict_argument_is_read_by_its_keys(self):
+        pairs = [(3, 0), (1, 2), (0, 1)]
+        assert Multigraph(4, {e: 1 for e in pairs}) == Multigraph(4, pairs)
 
     def test_neighbors_sorted(self):
-        g = Multigraph.from_pairs(4, [(2, 0), (2, 3), (1, 2)])
-        assert g.neighbors(2) == [0, 1, 3]
+        g = Multigraph(4, [(2, 0), (2, 3), (1, 2)])
+        assert g.neighbors(2) == (0, 1, 3)
+
+    def test_edges_and_neighbors_match_a_sorted_reference(self):
+        rng = random.Random(28)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            pairs = [(u, v) for u in range(n) for v in range(n) if u < v and rng.random() < 0.4]
+            pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+            rng.shuffle(pairs)
+            g = Multigraph(n, pairs)
+            assert g.edges == tuple(sorted({norm_edge(u, v) for u, v in pairs}))
+            adj = {v: set() for v in range(n)}
+            for u, v in pairs:
+                adj[u].add(v)
+                adj[v].add(u)
+            for v in range(n):
+                assert g.neighbors(v) == tuple(sorted(adj[v]))
+                assert g.degree(v) == len(adj[v])
 
     def test_components_with_isolated_member(self):
-        g = Multigraph.from_pairs(4, [(0, 1)])
+        g = Multigraph(4, [(0, 1)])
         assert g.components({0, 1, 3}) == [[0, 1], [3]]
 
     def test_bipartite(self):
-        even = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        odd = Multigraph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+        even = Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        odd = Multigraph(3, [(0, 1), (1, 2), (0, 2)])
         assert even.is_bipartite()
         assert not odd.is_bipartite()
 
 
 class TestInstance:
     def test_rejects_disconnected(self):
-        g = Multigraph.from_pairs(4, [(0, 1), (2, 3)])
+        g = Multigraph(4, [(0, 1), (2, 3)])
         with pytest.raises(NotConnected):
             ExplorationInstance(g, 0, 1)
 
@@ -52,9 +88,9 @@ class TestInstance:
             ExplorationInstance(g, 0, 1)
 
     def test_rejects_multigraph_input(self):
-        g = Multigraph(2, {(0, 1): 2})
+        # a repeated edge never reaches the instance: the graph refuses it
         with pytest.raises(ValueError):
-            ExplorationInstance(g, 0, 1)
+            ExplorationInstance(Multigraph(2, [(0, 1), (0, 1)]), 0, 1)
 
     def test_single_vertex_ok(self):
         inst = ExplorationInstance(Multigraph(1), 0, 1)

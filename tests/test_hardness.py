@@ -11,7 +11,6 @@ from cge.hardness import (
     brute_binpacking,
 )
 
-from conftest import edge_items
 
 
 class TestToExact:
@@ -56,13 +55,11 @@ class TestBinToRob:
         assert inst.budget == 4
         assert inst.k == 2
         assert inst.v_init == 0
-        assert edge_items(inst.graph) == [
-            ((0, 1), 1), ((0, 2), 1), ((1, 3), 1), ((2, 4), 1),
-        ]
+        assert inst.graph.edges == ((0, 1), (0, 2), (1, 3), (2, 4))
 
     def test_single_unit_item(self):
         inst = bin_to_rob(BinPackingInstance((1,), 1, 1, exact=True))
-        assert edge_items(inst.graph) == [((0, 1), 1)]
+        assert inst.graph.edges == ((0, 1),)
         assert inst.budget == 2
 
     def test_requires_exact(self):
@@ -76,7 +73,7 @@ class TestBinToRob:
         assert g.components() == [list(range(g.n))]
         # three-level elimination: root, centers, leaves
         centers = set(range(1, 4))
-        for (u, v) in g.distinct_edges():
+        for (u, v) in g.edges:
             assert u == 0 and v in centers or u in centers
         assert sum(inst.graph.degree(v) for v in range(g.n)) == 2 * (g.n - 1)
 

@@ -36,7 +36,7 @@ def build_all(g, v_init, k, budget, cover=None):
 
 class TestBuildSystem:
     def test_eq1_sums_robot_types_to_k(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
         eq1 = [c for c in system.constraints if c.tag == "eq1"]
         assert len(eq1) == 1
@@ -45,14 +45,14 @@ class TestBuildSystem:
         assert len(eq1[0].terms) == len(types.robot_types)
 
     def test_eq2_rhs_is_class_size(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+        g = Multigraph(3, [(0, 1), (1, 2)])
         ctx, types, system = build_all(g, 1, 1, 4, cover=VertexCover((1,)))
         eq2 = [c for c in system.constraints if c.tag == "eq2"]
         assert len(eq2) == 1
         assert eq2[0].rhs == 2
 
     def test_eq4_covers_internal_edge(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
+        g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
         ctx, types, system = build_all(g, 0, 1, 4, cover=VertexCover((0, 1)))
         eq4 = [c for c in system.constraints if c.tag == "eq4"]
         assert len(eq4) == 1
@@ -60,7 +60,7 @@ class TestBuildSystem:
         assert eq4[0].terms  # someone can carry the cover edge
 
     def test_constraint_group_counts(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+        g = Multigraph(3, [(0, 1), (1, 2)])
         ctx, types, system = build_all(g, 1, 2, 4, cover=VertexCover((1,)))
         tags = [c.tag for c in system.constraints]
         assert tags.count("eq1") == 1
@@ -76,7 +76,7 @@ class TestBuildSystem:
 
 class TestWitness:
     def test_all_zero_fails_eq1(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
         zero = IlpAssignment(tuple((n, 0) for n in system.variables))
         ok, violated = check_assignment(system, zero)
@@ -84,14 +84,14 @@ class TestWitness:
         assert any(system.constraints[i].tag == "eq1" for i in violated)
 
     def test_domain_mismatch_rejected(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
         bad = IlpAssignment((("x_nothing", 1),))
         with pytest.raises(DomainMismatch):
             check_assignment(system, bad)
 
     def test_single_robot_witness(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         inst = ExplorationInstance(g, 0, 1, 2)
         ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
         opt, sol = exact_optimum(inst)
@@ -104,7 +104,7 @@ class TestWitness:
         assert sum(rob_values) == 1
 
     def test_two_identical_robots_count_two(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         inst = ExplorationInstance(g, 0, 2, 2)
         vcp = VertexCover((0, 1))
         ctx = FptContext.build(inst, connect_cover(g, vcp, 0))
@@ -118,7 +118,7 @@ class TestWitness:
         assert ok
 
     def test_path3_oracle_witness_satisfies(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+        g = Multigraph(3, [(0, 1), (1, 2)])
         inst = ExplorationInstance(g, 1, 1, 4)
         opt, sol = exact_optimum(inst)
         assert opt == 4
@@ -128,7 +128,7 @@ class TestWitness:
         assert ok, [system.constraints[i] for i in violated]
 
     def test_perturbed_equality_fails(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+        g = Multigraph(3, [(0, 1), (1, 2)])
         inst = ExplorationInstance(g, 1, 1, 4)
         opt, sol = exact_optimum(inst)
         ctx, types, system = build_all(g, 1, 1, 4, cover=VertexCover((1,)))
@@ -156,18 +156,18 @@ class TestExport:
         assert export_ilp(system) == "ilp 1 1\nvar x_rob_0\nc eq1 : 1 x_rob_0 = 2\n"
 
     def test_round_trip_bytes(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+        g = Multigraph(3, [(0, 1), (1, 2)])
         _, _, system = build_all(g, 1, 1, 4, cover=VertexCover((1,)))
         text = export_ilp(system)
         assert export_ilp(parse_ilp(text)) == text
 
     def test_golden_file(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+        g = Multigraph(3, [(0, 1), (1, 2)])
         _, _, system = build_all(g, 1, 1, 4, cover=VertexCover((1,)))
         assert export_ilp(system) == GOLDEN.read_text()
 
     def test_assignment_round_trip(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         inst = ExplorationInstance(g, 0, 1, 2)
         ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
         opt, sol = exact_optimum(inst)

@@ -89,5 +89,5 @@ def test_system_is_tight_and_its_solutions_reconstruct(path):
 
 @pytest.mark.parametrize("n,edges,start,k,cover", random_instances(2917, 10))
 def test_random_star_systems_are_tight(n, edges, start, k, cover):
-    inst = ExplorationInstance(Multigraph.from_pairs(n, edges), start, k)
+    inst = ExplorationInstance(Multigraph(n, edges), start, k)
     assert_tight(inst, VertexCover(cover))

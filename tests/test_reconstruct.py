@@ -66,7 +66,7 @@ def star_witness():
     """A 9-vertex star with 2 robots, budget 8 and cover {0}, and the witness
     of its approximate solution: one robot type, 2 length-2 and 2 length-4
     cycle instances."""
-    g = Multigraph.from_pairs(9, [(0, i) for i in range(1, 9)])
+    g = Multigraph(9, [(0, i) for i in range(1, 9)])
     inst, ctx, types, system = pipeline(g, 0, 2, 8, cover=VertexCover((0,)))
     sol = approx_solve(inst, VertexCover((0,)))
     return inst, ctx, types, system, witness_from_solution(ctx, types, solution_pairs(ctx, sol))
@@ -74,7 +74,7 @@ def star_witness():
 
 class TestReconstruct:
     def test_single_robot_round_trip(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         inst, ctx, types, system = pipeline(g, 0, 1, 2, cover=VertexCover((0, 1)))
         opt, sol = exact_optimum(inst)
         witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
@@ -82,7 +82,7 @@ class TestReconstruct:
         assert multisets == [Counter({(0, 1): 2})]
 
     def test_rejects_unsatisfying_assignment(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         inst, ctx, types, system = pipeline(g, 0, 1, 2, cover=VertexCover((0, 1)))
         zero = IlpAssignment(tuple((n, 0) for n in system.variables))
         with pytest.raises(InfeasibleAllocation):
@@ -148,7 +148,7 @@ class TestReconstruct:
         whose skeleton doubles one leaf edge and whose single 2-cycle covers
         the other leaf through the class vertex.
         """
-        g = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+        g = Multigraph(3, [(0, 1), (1, 2)])
         inst, ctx, types, system = pipeline(g, 1, 1, 4, cover=VertexCover((1,)))
         vt = types.vertex_types[0]
         copies = ctx.gbar.copies[0]
@@ -445,7 +445,7 @@ def corpus_instance(path):
 
 
 def random_instance(n, edges, start, k, cover):
-    inst = ExplorationInstance(Multigraph.from_pairs(n, edges), start, k)
+    inst = ExplorationInstance(Multigraph(n, edges), start, k)
     return inst, VertexCover(cover)
 
 
@@ -531,8 +531,8 @@ def population_instance(seed):
             v, w = rng.sample(leaves, 2)
             shape = rng.choice(shapes)
             walks.append(tuple({"v": v, "w": w}.get(x, x) for x in shape))
-        g = Multigraph.from_pairs(n, edges)
-        if {e for walk in walks for e in walk_edges(walk)} == set(g.distinct_edges()):
+        g = Multigraph(n, edges)
+        if {e for walk in walks for e in walk_edges(walk)} == set(g.edges):
             break
     budget = max(len(walk) - 1 for walk in walks)
     inst = ExplorationInstance(g, 0, k, budget)

@@ -42,7 +42,7 @@ from cge.textio import parse_instance
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "data" / "corpus"
 
-TRIANGLE_GRAPH = "Multigraph(n=3, edges={(0, 1): 1, (0, 2): 1, (1, 2): 1})"
+TRIANGLE_GRAPH = "Multigraph(n=3, edges=((0, 1), (0, 2), (1, 2)))"
 TRIANGLE = f"ExplorationInstance(graph={TRIANGLE_GRAPH}, v_init=0, k=2, budget=3)"
 
 
@@ -98,11 +98,11 @@ REPRS = {
         "EquivalenceClasses(classes=(EqClass(neighborhood=(0, 1), members=(2,)),))"
     ),
     "QuotientGraph": (
-        "QuotientGraph(graph=Multigraph(n=4, edges={(0, 1): 1, (0, 3): 1, (1, 3): 1}),"
+        "QuotientGraph(graph=Multigraph(n=4, edges=((0, 1), (0, 3), (1, 3))),"
         " class_vertex=(3,))"
     ),
     "ExpandedGraph": (
-        "ExpandedGraph(graph=Multigraph(n=4, edges={(0, 1): 2, (0, 3): 2, (1, 3): 2}),"
+        "ExpandedGraph(graph=Multigraph(n=4, edges=((0, 1), (0, 3), (1, 3))),"
         " copies=((3,),))"
     ),
     "PartitionState": (
@@ -137,10 +137,10 @@ REPRS = {
         f"FptContext(instance={TRIANGLE},"
         " vcp=VertexCover(vertices=(0, 1)),"
         " eq=EquivalenceClasses(classes=(EqClass(neighborhood=(0, 1), members=(2,)),)),"
-        " gstar=QuotientGraph(graph=Multigraph(n=4, edges={(0, 1): 1, (0, 3): 1,"
-        " (1, 3): 1}), class_vertex=(3,)),"
-        " gbar=ExpandedGraph(graph=Multigraph(n=4, edges={(0, 1): 2, (0, 3): 2,"
-        " (1, 3): 2}), copies=((3,),)))"
+        " gstar=QuotientGraph(graph=Multigraph(n=4, edges=((0, 1), (0, 3),"
+        " (1, 3))), class_vertex=(3,)),"
+        " gbar=ExpandedGraph(graph=Multigraph(n=4, edges=((0, 1), (0, 3),"
+        " (1, 3))), copies=((3,),)))"
     ),
 }
 
@@ -188,7 +188,7 @@ def test_constructor_errors():
         RobotCycle(())
     with pytest.raises(ValueError, match="start and end at the same vertex"):
         RobotCycle((0, 1))
-    path = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+    path = Multigraph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="v_init 3 out of range"):
         ExplorationInstance(path, 3, 1)
     with pytest.raises(ValueError, match="robot count"):
@@ -196,7 +196,7 @@ def test_constructor_errors():
     with pytest.raises(ValueError, match="budget must be non-negative"):
         ExplorationInstance(path, 0, 1, budget=-1)
     with pytest.raises(NotConnected):
-        ExplorationInstance(Multigraph.from_pairs(4, [(0, 1), (2, 3)]), 0, 1)
+        ExplorationInstance(Multigraph(4, [(0, 1), (2, 3)]), 0, 1)
     with pytest.raises(ValueError, match="item sizes must be positive"):
         BinPackingInstance((2, 0), 2, 1)
     with pytest.raises(ValueError, match="capacity and bin count"):
@@ -206,7 +206,7 @@ def test_constructor_errors():
 
 
 def test_defaults_and_keywords():
-    path = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+    path = Multigraph(3, [(0, 1), (1, 2)])
     assert ExplorationInstance(graph=path, v_init=1, k=2).budget is None
     assert BinPackingInstance(sizes=(1,), capacity=1, bins=1).exact is False
     assert SearchConfig(max_budget=3).node_limit == 5_000_000

@@ -89,7 +89,7 @@ def reference_partition_independent_edges(g, vcp, e_ind, k):
 def reference_deal_cover_edges(g, vcp, state):
     k = len(state.e_i)
     cset = vcp.as_set()
-    singles = [e for e in g.distinct_edges() if e[0] in cset and e[1] in cset]
+    singles = [e for e in g.edges if e[0] in cset and e[1] in cset]
     t = state.pairs_dealt % k
     order = list(range(t, k))
     idx = 0
@@ -240,7 +240,7 @@ class RefVerificationReport:
 
 def reference_verify_solution(inst, sol):
     g = inst.graph
-    graph_edges = set(g.distinct_edges())
+    graph_edges = set(g.edges)
     covered: set = set()
     checked: dict[int, tuple[bool, bool, bool, int]] = {}  # sol.cycles keeps each id alive
     reports = []
@@ -257,7 +257,7 @@ def reference_verify_solution(inst, sol):
                 rc.length,
             )
         reports.append(RefRobotReport(i, *flags))
-    uncovered = tuple(e for e in g.distinct_edges() if e not in covered)
+    uncovered = tuple(e for e in g.edges if e not in covered)
     value = max((rc.length for rc in sol.cycles), default=0)
     budget_ok = None if inst.budget is None else value <= inst.budget
     return RefVerificationReport(
@@ -290,7 +290,7 @@ def seeded_graphs(seed):
     for name, (n, pairs) in SHAPES.items():
         label = list(range(n))
         rng.shuffle(label)
-        g = Multigraph.from_pairs(n, [(label[a], label[b]) for a, b in pairs])
+        g = Multigraph(n, [(label[a], label[b]) for a, b in pairs])
         yield name, g, rng.randrange(n)
     for i in range(3):
         g = random_connected_graph(rng, n_max=9, m_max=14)
@@ -303,7 +303,7 @@ def pieces(g, start):
     vcp = connect_cover(g, vertex_cover_2approx(g), start)
     cset = vcp.as_set()
     pairs = partition_independent_edges(g, vcp, even_independent_degrees(g, vcp), 1)
-    return pairs.pairs_dealt + sum(u in cset and v in cset for u, v in g.distinct_edges())
+    return pairs.pairs_dealt + sum(u in cset and v in cset for u, v in g.edges)
 
 
 def robot_counts(g, start):
@@ -390,7 +390,7 @@ def test_text_and_verify_equal_per_robot_reference(seed):
 
 
 def test_single_edge_idle_robots_share_one_cycle():
-    g = Multigraph.from_pairs(2, [(0, 1)])
+    g = Multigraph(2, [(0, 1)])
     sol = approx_solve(ExplorationInstance(g, 0, 10_000), vertex_cover_2approx(g))
     assert [(rc.walk, count) for rc, count in sol.runs] == [((0, 1, 0), 1), ((0, 1, 0), 9_999)]
     cycles = robot_cycles(sol)
@@ -405,7 +405,7 @@ def test_single_edge_idle_robots_share_one_cycle():
 def test_fresh_multisets_each_get_their_own_walk():
     # each (multiset, count) pair is walked on its own: a generator's Counters
     # die once walked, and nothing may hand a later pair an earlier walk
-    g = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+    g = Multigraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     walks = [(0, 1, 0), (0, 2, 0), (0, 1, 2, 0), (0, 3, 0), (0, 1, 2, 0, 3, 0)] * 40
     sol = solution_from_multisets(g.n, 0, ((Counter(walk_edges(w)), 1) for w in walks), 250)
     assert [rc.walk for rc in robot_cycles(sol)] == walks + [(0,)] * 50

@@ -44,7 +44,7 @@ def naive_rows(ctx, types):
                 (a[(vt, ns)], n_ver + n_rob + ci) for ci, a in enumerate(cyc_allocs) if a[(vt, ns)]
             ]
             rows["eq3"].append(terms)
-    for e in ctx.g.distinct_edges():
+    for e in ctx.g.edges:
         if e[0] in ctx.cover_set and e[1] in ctx.cover_set:
             terms = [(1, n_ver + ri) for ri, rt in enumerate(types.robot_types) if e in rt.cc]
             terms += [
@@ -68,7 +68,7 @@ def naive_rows(ctx, types):
 
 @pytest.mark.parametrize("n,edges,start,k,cover", random_instances(7309, 30))
 def test_builder_and_host_table_match_naive_scans(n, edges, start, k, cover):
-    g = Multigraph.from_pairs(n, edges)
+    g = Multigraph(n, edges)
     opt, sol = exact_optimum(ExplorationInstance(g, start, k))
     inst = ExplorationInstance(g, start, k, opt)
     ctx = FptContext.build(inst, VertexCover(cover))

@@ -30,7 +30,7 @@ def make_ctx(g, v_init, k, budget, cover=None):
 
 
 def path3_ctx(k=1, budget=4):
-    g = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+    g = Multigraph(3, [(0, 1), (1, 2)])
     return make_ctx(g, 1, k, budget, cover=VertexCover((1,)))
 
 
@@ -59,7 +59,7 @@ class TestDeriveVertexType:
         """
         pairs = [(0, w) for w in range(1, 9)]
         pairs += [(i, i + 1) for i in range(1, 8)]
-        g = Multigraph.from_pairs(9, pairs)
+        g = Multigraph(9, pairs)
         monkeypatch.setattr(cover, "MAX_COVER", 8)
         ctx = make_ctx(g, 1, 3, 40, cover=VertexCover(tuple(range(1, 9))))
         red = ValidPair(
@@ -88,7 +88,7 @@ class TestDeriveVertexType:
 
 class TestDeriveRobotType:
     def test_double_edge_at_start(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         ctx = make_ctx(g, 0, 1, 2, cover=VertexCover((0, 1)))
         pair = ValidPair(cc=((0, 1), (0, 1)), cycles=())
         rt = derive_robot_type(ctx, pair, derive_vertex_types(ctx, [pair]))
@@ -97,7 +97,7 @@ class TestDeriveRobotType:
         assert all(n == 0 for n in rt.num_of_cyc)
 
     def test_triangle_cycle_counts(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
+        g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
         ctx = make_ctx(g, 0, 1, 8, cover=VertexCover((0, 1, 2)))
         pair = ValidPair(
             cc=((0, 1), (0, 1)), cycles=((0, 1, 2, 0),)
@@ -112,7 +112,7 @@ class TestDeriveRobotType:
         """A skeleton whose class copy is doubled toward one cover vertex
         must allocate the pair (copy, {1, 1}).
         """
-        g = Multigraph.from_pairs(3, [(1, 0), (1, 2)])  # center 1
+        g = Multigraph(3, [(1, 0), (1, 2)])  # center 1
         ctx = make_ctx(g, 1, 1, 6, cover=VertexCover((1,)))
         pair = ValidPair(cc=((0, 1), (0, 1)), cycles=())
         rt = derive_robot_type(ctx, pair, derive_vertex_types(ctx, [pair]))
@@ -144,7 +144,7 @@ class TestDeriveCycleType:
         assert ct.pa_alloc[0][0] == (1, 1)
 
     def test_cover_only_cycle_has_empty_alloc(self):
-        g = Multigraph.from_pairs(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+        g = Multigraph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
         ctx = make_ctx(g, 0, 1, 10, cover=VertexCover((0, 1, 2)))
         pair = ValidPair(
             cc=((0, 3), (0, 3)), cycles=((0, 1, 2, 0),)
@@ -162,14 +162,14 @@ class TestEnumerate:
         assert space.vertex_types[0].nei_subsets == ((1, 1),)
 
     def test_no_independents_no_vertex_types(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         ctx = make_ctx(g, 0, 1, 2, cover=VertexCover((0, 1)))
         space = enumerate_type_space(ctx)
         assert space.vertex_types == ()
         assert all(ct.pa_alloc == () for ct in space.cycle_types)
 
     def test_doubled_edge_robot_type_present(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         ctx = make_ctx(g, 0, 1, 2, cover=VertexCover((0, 1)))
         space = enumerate_type_space(ctx)
         ccs = {rt.cc for rt in space.robot_types}
@@ -177,7 +177,7 @@ class TestEnumerate:
         assert all(robot_bud(ctx, rt) <= ctx.budget for rt in space.robot_types)
 
     def test_guard_rejects_large_cover(self):
-        g = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        g = Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         ctx = make_ctx(g, 0, 1, 8)  # connected cover of a 4-cycle has size 3
         with pytest.raises(TypeSpaceTooLarge):
             enumerate_type_space(ctx)
@@ -213,7 +213,7 @@ class TestTypeClosure:
         """With a size-1 cover, the square through two equivalent leaves maps
         to a quotient walk bouncing twice on one edge; it must be enumerated.
         """
-        g = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3)])
+        g = Multigraph(4, [(0, 1), (0, 2), (0, 3)])
         inst = ExplorationInstance(g, 0, 1)
         opt, sol = exact_optimum(inst)
         vcp = connect_cover(g, VertexCover((0,)), 0)

@@ -9,7 +9,7 @@ from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import ValidPair, decompose_valid_pair, extract_cycle_cover
 from cge.graphs import ExplorationInstance, Multigraph, walk_edges
 
-from conftest import check_valid_pair, random_even_multigraph
+from conftest import check_valid_pair, random_even_multiset
 
 
 def make_ctx(g, v_init, k, budget, cover=None):
@@ -18,7 +18,7 @@ def make_ctx(g, v_init, k, budget, cover=None):
     return FptContext.build(inst, vcp)
 
 
-C4_CHORD = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+C4_CHORD = Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 WALK_PROBLEMS = {
     "skeleton is empty",
     "skeleton is not connected",
@@ -32,10 +32,10 @@ class TestExtractCycleCover:
         assert extract_cycle_cover(Counter(), {0}) == []
 
     def test_c4_single_cycle(self):
-        g = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        cycles = extract_cycle_cover(g.edge_counter(), {0, 2})
+        ms = Counter({(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
+        cycles = extract_cycle_cover(ms, {0, 2})
         assert len(cycles) == 1
-        assert walk_edges(cycles[0]) == g.edge_counter()
+        assert walk_edges(cycles[0]) == ms
 
     def test_rejects_odd_degrees(self):
         with pytest.raises(OddDegree):
@@ -51,12 +51,11 @@ class TestExtractCycleCover:
         for u in (4, 5, 6):
             edges[(0, u)] = 2
             edges[(1, u)] = 2
-        g = Multigraph(7, edges)
-        cycles = extract_cycle_cover(g.edge_counter(), {0, 1})
+        cycles = extract_cycle_cover(edges, {0, 1})
         union = Counter()
         for c in cycles:
             union += walk_edges(c)
-        assert union == g.edge_counter()
+        assert union == edges
         # the two degree-2 independents close the pigeonhole square
         assert (0, 2, 1, 3, 0) in cycles
         non4 = [c for c in cycles if len(c) - 1 != 4]
@@ -65,15 +64,15 @@ class TestExtractCycleCover:
     def test_partition_and_bounds_on_corpus(self):
         rng = random.Random(17)
         for _ in range(200):
-            g = random_even_multigraph(rng, n_max=7, total_max=18)
+            g, ms = random_even_multiset(rng, n_max=7, total_max=18)
             vc = set(vertex_cover_2approx(g).vertices)
-            cycles = extract_cycle_cover(g.edge_counter(), vc)
+            cycles = extract_cycle_cover(ms, vc)
             union = Counter()
             for c in cycles:
                 union += walk_edges(c)
                 assert c[0] == c[-1]
                 assert c[0] in vc
-            assert union == g.edge_counter()
+            assert union == ms
             non4 = [c for c in cycles if len(c) - 1 != 4]
             assert len(non4) <= 2 * len(vc) ** 2
             for c in non4:
@@ -82,7 +81,7 @@ class TestExtractCycleCover:
 
 class TestDecompose:
     def test_double_edge(self):
-        g = Multigraph.from_pairs(2, [(0, 1)])
+        g = Multigraph(2, [(0, 1)])
         ctx = make_ctx(g, 0, 1, 2, cover=VertexCover((0,)))
         source = Counter({(0, 1): 2})
         pair = decompose_valid_pair(ctx, source)
@@ -91,7 +90,7 @@ class TestDecompose:
         assert check_valid_pair(ctx, pair, source) == []
 
     def test_triangle_all_in_skeleton(self):
-        g = Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
+        g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
         ctx = make_ctx(g, 0, 1, 3, cover=VertexCover((0, 1)))
         source = Counter({(0, 1): 1, (0, 2): 1, (1, 2): 1})
         pair = decompose_valid_pair(ctx, source)
@@ -102,7 +101,7 @@ class TestDecompose:
     def test_duplicate_class_members_collapse(self):
         # two equivalent leaves doubled at the single cover vertex: one stays
         # in the skeleton, the other peels off as a 2-cycle
-        g = Multigraph.from_pairs(3, [(0, 1), (0, 2)])
+        g = Multigraph(3, [(0, 1), (0, 2)])
         ctx = make_ctx(g, 0, 1, 4, cover=VertexCover((0,)))
         source = Counter({(0, 1): 2, (0, 2): 2})
         pair = decompose_valid_pair(ctx, source)
@@ -135,21 +134,12 @@ class TestDecompose:
         rng = random.Random(23)
         done = 0
         while done < 200:
-            g = random_even_multigraph(rng, n_max=6, total_max=16)
-            if g.num_edges == 0:
-                continue
-            simple_support = Multigraph(
-                g.n, {e: 1 for e in g.distinct_edges()}
-            )
-            if len(simple_support.components()) != 1:
-                continue
+            # g is connected and is the support of the multiset
+            g, source = random_even_multiset(rng, n_max=6, total_max=16)
             v_init = 0
-            vcp = connect_cover(
-                simple_support, vertex_cover_2approx(simple_support), v_init
-            )
-            inst = ExplorationInstance(simple_support, v_init, 1, 2 * g.num_edges)
+            vcp = connect_cover(g, vertex_cover_2approx(g), v_init)
+            inst = ExplorationInstance(g, v_init, 1, 2 * sum(source.values()))
             ctx = FptContext.build(inst, vcp)
-            source = g.edge_counter()
             pair = decompose_valid_pair(ctx, source)
             assert check_valid_pair(ctx, pair, source) == [], (
                 check_valid_pair(ctx, pair, source), source

@@ -54,7 +54,7 @@ def assert_same_witness(ctx, types, sol):
 
 
 def test_decompose_runs_once_per_run(monkeypatch):
-    g = Multigraph.from_pairs(3, [(0, 1), (0, 2)])
+    g = Multigraph(3, [(0, 1), (0, 2)])
     inst = ExplorationInstance(g, 0, 1000, 4)
     ctx, types, system = budgeted_system(inst, VertexCover((0,)), 4)
     sol = Solution(((RobotCycle((0, 1, 0)), 500), (RobotCycle((0, 2, 0)), 500)))
@@ -112,7 +112,7 @@ def test_seeded_runs_match_reference():
     apart = several = 0
     for param in random_instances(1701, 24):
         n, edges, start, k, cover = param.values
-        g = Multigraph.from_pairs(n, edges)
+        g = Multigraph(n, edges)
         opt, exact = exact_optimum(ExplorationInstance(g, start, k))
         sol = shuffled_runs(rng, exact, start)
         robots = sum(count for _, count in sol.runs)
@@ -140,7 +140,7 @@ def test_seeded_runs_match_reference():
 def test_missing_type_names_the_first_robot_of_its_run():
     """A walk above the budget has no robot type; the error names the run's
     first robot, as the per-robot version named that robot."""
-    g = Multigraph.from_pairs(3, [(0, 1), (0, 2)])
+    g = Multigraph(3, [(0, 1), (0, 2)])
     inst = ExplorationInstance(g, 0, 5, 2)
     ctx, types, _ = budgeted_system(inst, VertexCover((0,)), 2)
     sol = Solution(((RobotCycle((0, 1, 0)), 3), (RobotCycle((0, 1, 0, 2, 0)), 2)))
@@ -164,7 +164,7 @@ def random_pairs(rng, ctx):
     as the skeleton, and up to three random canonical cycles.  Derivation
     does not check that a pair is valid."""
     g, cover = ctx.g, sorted(ctx.cover_set)
-    at_start = [e for e in g.distinct_edges() if ctx.v_init in e]
+    at_start = [e for e in g.edges if ctx.v_init in e]
     out = []
     for _ in range(rng.randint(1, 4)):
         cc = {e: 2 for e in rng.sample(at_start, rng.randint(1, len(at_start)))}
@@ -181,7 +181,7 @@ def test_random_samplederive_as_reference():
     descending = 0
     for param in random_instances(1717, 30):
         n, edges, start, k, cover = param.values
-        inst = ExplorationInstance(Multigraph.from_pairs(n, edges), start, k, 8)
+        inst = ExplorationInstance(Multigraph(n, edges), start, k, 8)
         ctx = FptContext.build(inst, VertexCover(cover))
         for _ in range(5):
             sample = random_pairs(rng, ctx)
@@ -209,7 +209,7 @@ def connected_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for size in range(n - 1, len(pairs) + 1):
         for edges in itertools.combinations(pairs, size):
-            g = Multigraph.from_pairs(n, edges)
+            g = Multigraph(n, edges)
             if len(g.components()) == 1:
                 yield g
 
