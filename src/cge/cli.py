@@ -11,12 +11,20 @@ abbreviation or another spelling argparse allows) goes to the eight-subcommand
 argparse parser, the only code that words help and errors.
 `tests/test_cli_usage.py` pins both to the parser as first written: the same
 namespaces, and the same help and usage bytes.
+
+Only the commands that compile equation systems use `cge.fptilp`, so its
+five submodules are registered at import and run on first use (see
+`_lazy_import`); the handlers call them through the `fpt_*` module handles,
+since a `from` import would run the module at once.  The other layers,
+`exact` included, are imported as usual: `solve-exact` runs on small
+instances, where deferring its compile would only move it into the command.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import sys
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 from .approx import approx_solve
 from .cover import VertexCover, connect_cover, vertex_cover_2approx
@@ -31,19 +39,6 @@ from .errors import (
 )
 from .exact import SearchConfig, exact_decide, exact_optimum
 from .euler import Solution, solution_from_multisets, verify_solution
-from .fptilp.context import FptContext
-from .fptilp.pairs import solution_pairs
-from .fptilp.reconstruct import reconstruct_solution
-from .fptilp.system import (
-    build_ilp_system,
-    check_assignment,
-    export_ilp,
-    format_assignment,
-    parse_assignment,
-    parse_ilp,
-    witness_from_solution,
-)
-from .fptilp.typespace import enumerate_type_space
 from .graphs import ExplorationInstance
 from .hardness import bin_to_rob, binpacking_to_exact
 from .textio import (
@@ -53,6 +48,32 @@ from .textio import (
     parse_instance,
     parse_solution,
 )
+
+
+def _lazy_import(name: str) -> ModuleType:
+    """Module `name`, registered in `sys.modules` now and run on the first
+    read of one of its attributes (the standard library's `LazyLoader`
+    recipe).  A module imported before is returned as it is."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    # bound on its package too, as an import statement would bind it
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+# the equation-system compiler: only build-ilp, derive-witness, check-witness
+# and reconstruct run it
+fpt_context = _lazy_import("cge.fptilp.context")
+fpt_pairs = _lazy_import("cge.fptilp.pairs")
+fpt_typespace = _lazy_import("cge.fptilp.typespace")
+fpt_system = _lazy_import("cge.fptilp.system")
+fpt_reconstruct = _lazy_import("cge.fptilp.reconstruct")
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -113,9 +134,9 @@ def _fpt_pipeline(inst: ExplorationInstance, vc_arg: str | None):
     if inst.budget is None:
         raise ParseError(1, "instance needs a 'budget' line for equation building")
     vcp = connect_cover(inst.graph, _cover_from_arg(inst, vc_arg), inst.v_init)
-    ctx = FptContext.build(inst, vcp)
-    types = enumerate_type_space(ctx)
-    system = build_ilp_system(ctx, types)
+    ctx = fpt_context.FptContext.build(inst, vcp)
+    types = fpt_typespace.enumerate_type_space(ctx)
+    system = fpt_system.build_ilp_system(ctx, types)
     return ctx, types, system
 
 
@@ -175,7 +196,7 @@ def cmd_reduce_bin(args) -> int:
 def cmd_build_ilp(args) -> int:
     inst = _load(args.instance, "cge")
     ctx, types, system = _fpt_pipeline(inst, args.vc)
-    _write(args.output, export_ilp(system))
+    _write(args.output, fpt_system.export_ilp(system))
     sys.stdout.write(
         f"ilp written: {len(system.variables)} variables, "
         f"{len(system.constraints)} constraints\n"
@@ -190,9 +211,11 @@ def cmd_derive_witness(args) -> int:
         sys.stdout.write("solution fails verification\n")
         return EXIT_NO
     ctx, types, system = _fpt_pipeline(inst, args.vc)
-    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
-    ok, violated = check_assignment(system, witness)
-    _write(args.output, format_assignment(witness))
+    witness = fpt_system.witness_from_solution(
+        ctx, types, fpt_pairs.solution_pairs(ctx, sol)
+    )
+    ok, violated = fpt_system.check_assignment(system, witness)
+    _write(args.output, fpt_system.format_assignment(witness))
     if not ok:
         sys.stdout.write(f"witness written but violates {len(violated)} constraints\n")
         return EXIT_NO
@@ -201,9 +224,9 @@ def cmd_derive_witness(args) -> int:
 
 
 def cmd_check_witness(args) -> int:
-    system = parse_ilp(_read(args.ilp))
-    assignment = parse_assignment(_read(args.assignment))
-    ok, violated = check_assignment(system, assignment)
+    system = fpt_system.parse_ilp(_read(args.ilp))
+    assignment = fpt_system.parse_assignment(_read(args.assignment))
+    ok, violated = fpt_system.check_assignment(system, assignment)
     if ok:
         sys.stdout.write("satisfied\n")
         return EXIT_OK
@@ -216,12 +239,12 @@ def cmd_check_witness(args) -> int:
 def cmd_reconstruct(args) -> int:
     inst = _load_robots(args.instance)
     system_text = _read(args.ilp)
-    assignment = parse_assignment(_read(args.assignment))
+    assignment = fpt_system.parse_assignment(_read(args.assignment))
     ctx, types, system = _fpt_pipeline(inst, args.vc)
-    if export_ilp(system) != system_text:
+    if fpt_system.export_ilp(system) != system_text:
         raise ParseError(1, "ilp file does not match the instance's equation system")
     try:
-        runs = reconstruct_solution(ctx, types, system, assignment)
+        runs = fpt_reconstruct.reconstruct_solution(ctx, types, system, assignment)
     except InfeasibleAllocation:
         sys.stdout.write("assignment does not satisfy the system\n")
         return EXIT_NO

@@ -67,6 +67,11 @@ class FptContext(_ContextFields):
         return frozenset(self.vcp.vertices)
 
     @cached_property
+    def edge_set(self) -> frozenset[tuple[int, int]]:
+        """The graph's edges, for membership tests."""
+        return frozenset(self.g.edges)
+
+    @cached_property
     def class_of(self) -> dict[int, int]:
         """Independent vertex -> class index."""
         return self.eq.class_of()

@@ -172,7 +172,7 @@ def decompose_valid_pair(ctx: FptContext, source: EdgeMultiset) -> ValidPair:
     """
     src = +Counter(source)
     vc = ctx.cover_set
-    graph_edges = set(ctx.g.edges)
+    graph_edges = ctx.edge_set
     if any(e not in graph_edges for e in src):
         raise PreconditionViolated("source uses a non-edge")
     if any(m > 2 for m in src.values()):
@@ -183,20 +183,19 @@ def decompose_valid_pair(ctx: FptContext, source: EdgeMultiset) -> ValidPair:
 
     h = Counter(src)
 
-    # stage 1: per class, keep the least member of each distinct set-neighborhood
-    for cls in ctx.eq.classes:
-        seen_nbhd: set[tuple[int, ...]] = set()
-        for u in cls.members:
-            nbhd = tuple(
-                w for w in cls.neighborhood if h.get(norm_edge(u, w), 0) > 0
-            )
-            if not nbhd:
-                continue
-            if nbhd in seen_nbhd:
-                for w in nbhd:
-                    del h[norm_edge(u, w)]
-            else:
-                seen_nbhd.add(nbhd)
+    # stage 1: per class, keep the least member of each distinct set-neighborhood.
+    # Only the members the source touches have one; the incidence lists are
+    # ascending, so dropping repeated copies leaves the sorted set.
+    seen_nbhd: set[tuple[int, tuple[int, ...]]] = set()
+    for u, nbrs in sorted(incidence(src).items()):
+        if u in vc:
+            continue
+        key = (ctx.class_of[u], tuple(dict.fromkeys(nbrs)))
+        if key in seen_nbhd:
+            for w in key[1]:
+                del h[norm_edge(u, w)]
+        else:
+            seen_nbhd.add(key)
 
     # stage 2: fix odd cover degrees with simple paths from the leftovers
     while True:

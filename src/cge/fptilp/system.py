@@ -261,18 +261,10 @@ def export_ilp(system: IlpSystem) -> str:
 def parse_ilp(text: str) -> IlpSystem:
     lines = text.split("\n")
     body = _body(lines)
-    var_index: dict[str, int] = {}
-    for no, line in enumerate(body, 2):
-        if not line.startswith("var "):
-            break
-        name = line[4:]
-        if name.split() != [name]:
-            raise ParseError(no, "expected a 'var <name>' line")
-        if name in var_index:
-            raise ParseError(no, f"duplicate variable {name!r}")
-        var_index[name] = len(var_index)
+    var_index = _var_index(body)
+    n_var = len(var_index)
     constraints = []
-    for no, line in enumerate(body[len(var_index):], len(var_index) + 2):
+    for no, line in enumerate(body[n_var:], n_var + 2):
         tag, _, rest = line[2:].partition(" : ")
         tokens = rest.split()
         # the first relation token ends the terms, so a term cannot name a
@@ -282,10 +274,13 @@ def parse_ilp(text: str) -> IlpSystem:
             raise ParseError(no, "expected '<rel> <rhs>' after the terms")
         try:
             rhs = int(tokens[rel + 1])
-            terms = tuple(
-                (int(coef), var_index[name])
-                for coef, name in zip(tokens[0:rel:3], tokens[1:rel:3])
-            )
+            # as many coefficients as names: a coefficient left over after
+            # the last name is not read, so only the rendering rejects it
+            term_names = tokens[1:rel:3]
+            terms = tuple(zip(
+                map(int, tokens[0:3 * len(term_names):3]),
+                map(var_index.__getitem__, term_names),
+            ))
         except ValueError:
             raise ParseError(no, "non-integer coefficient or right-hand side")
         except KeyError as exc:
@@ -294,6 +289,28 @@ def parse_ilp(text: str) -> IlpSystem:
     system = IlpSystem(tuple(var_index), tuple(constraints))
     _check_exported(lines, _ilp_lines(system))
     return system
+
+
+def _var_index(body: list[str]) -> dict[str, int]:
+    """Name -> index of the variables on the var lines that open `body`.
+
+    The names split back from their join only if none is empty or holds
+    whitespace, so the lines are checked one by one only to name the first
+    bad one."""
+    n_var = next(
+        (i for i, line in enumerate(body) if not line.startswith("var ")), len(body)
+    )
+    names = [line[4:] for line in body[:n_var]]
+    var_index = dict(zip(names, range(n_var)))
+    if len(var_index) != n_var or " ".join(names).split() != names:
+        seen = set()
+        for no, name in enumerate(names, 2):
+            if name.split() != [name]:
+                raise ParseError(no, "expected a 'var <name>' line")
+            if name in seen:
+                raise ParseError(no, f"duplicate variable {name!r}")
+            seen.add(name)
+    return var_index
 
 
 def format_assignment(assignment: IlpAssignment) -> str:

@@ -267,6 +267,14 @@ def _past_cap(kind: str) -> TypeSpaceTooLarge:
     )
 
 
+def _records(record: type, fixed: tuple, last: Iterable) -> Iterator:
+    """One `record` per item of `last`, each led by the fields `fixed`.  The
+    columns are zipped straight into the tuple type, at about a third of the
+    cost of a keyword constructor per record."""
+    columns = map(itertools.repeat, fixed)
+    return map(tuple.__new__, itertools.repeat(record), zip(*columns, last))
+
+
 def _even_subgraph_masks(edges: tuple[tuple[int, int], ...]) -> list[int]:
     """All subsets of the edges whose subgraph has even degrees,
     generated as the span of the fundamental cycles of a spanning forest.
@@ -372,10 +380,9 @@ def _enumerate_robot_types(ctx: FptContext, vertex_types: list[VertexType]) -> l
         cc_frozen = freeze_multiset(cc)
         vectors = _num_of_cyc_vectors(ctx, ctx.budget - len(cc_frozen))
         for alloc in _allocations(skeleton_slots(ctx, cc), vertex_types):
-            for vec in vectors:
-                out.append(RobotType(cc=cc_frozen, alloc=alloc, num_of_cyc=vec))
-                if len(out) > room:
-                    raise _past_cap("robot")
+            out += _records(RobotType, (cc_frozen, alloc), vectors)
+            if len(out) > room:
+                raise _past_cap("robot")
     return sorted(out)
 
 
@@ -426,10 +433,9 @@ def _enumerate_cycle_types(
             key: [key[1]] * len(poss) for key, poss in cycle_slots(ctx, cycle).items()
         }
         for pa in sorted(_allocations(labels, vertex_types)):
-            for ri in hosts:
-                out.append(CycleType(cycle=cycle, pa_alloc=pa, host=ri))
-                if len(out) > room:
-                    raise _past_cap("cycle")
+            out += _records(CycleType, (cycle, pa), hosts)
+            if len(out) > room:
+                raise _past_cap("cycle")
     return out
 
 
