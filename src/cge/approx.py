@@ -138,13 +138,16 @@ def make_vc_even_degree(
     if len(parent) != len(cset) - 1:
         raise TreeNotSpanning(f"{len(parent)} tree edges cannot span {len(cset)} cover vertices")
     odd = set(odd_degree_vertices(e))
-    if odd - cset:
+    if not odd <= cset:
         raise OddDegree(f"vertex {min(odd - cset)} outside the cover has odd degree")
     result = Counter(e)
     for v, p in reversed(parent.items()):
         if v in odd:
-            result[norm_edge(v, p)] += 1
-            odd ^= {p}
+            result[(v, p) if v < p else (p, v)] += 1
+            if p in odd:
+                odd.remove(p)
+            else:
+                odd.add(p)
     return result
 
 
@@ -155,10 +158,19 @@ def approx_solve(inst: ExplorationInstance, vc: VertexCover) -> Solution:
     state = partition_independent_edges(g, vcp, even_independent_degrees(g, vcp), inst.k)
     deal_cover_edges(g, vcp, state)
     parent = spanning_tree(g, vcp.as_set(), inst.v_init)
-    tree = Counter(norm_edge(v, p) for v, p in parent.items())
-    runs = ((make_vc_even_degree(parent, e_i + tree, vcp), 1) for e_i in state.e_i)
+    # sorted, so the keys a robot's tour sorts arrive mostly in order
+    tree = sorted([(v, p) if v < p else (p, v) for v, p in parent.items()])
+
+    def fixed(e_i: EdgeMultiset) -> EdgeMultiset:
+        # one copy of the dealt edges plus the tree's keys, made when the
+        # robot's turn comes and dropped after its tour
+        ms = Counter(e_i)
+        ms.update(tree)
+        return make_vc_even_degree(parent, ms, vcp)
+
+    runs = ((fixed(e_i), 1) for e_i in state.e_i)
     idle = inst.k - len(state.e_i)
     if idle:
         # robots past the dealt prefix hold no edges: one run walks the fixed tree
-        runs = chain(runs, [(make_vc_even_degree(parent, tree, vcp), idle)])
+        runs = chain(runs, [(make_vc_even_degree(parent, Counter(tree), vcp), idle)])
     return solution_from_multisets(g.n, inst.v_init, runs, inst.k)

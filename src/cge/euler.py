@@ -6,6 +6,10 @@ cycle exactly when its spanned multigraph is connected, contains the start
 vertex, and has all degrees even; the conversion in both directions lives
 here.
 
+A tour and the fault test read a multiset once, in `_tour_lists`: one pass
+over the sorted support gives the neighbour lists, the counts and the degree
+parities together, so a tour costs a sort plus O(1) per edge copy.
+
 A solution is a sequence of runs, each a walk and the number of consecutive
 robots that take it.  Walking, verifying and reporting cost one step per run;
 only the per-robot text lines, written by `robot_lines`, cost one per robot.
@@ -17,13 +21,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotEulerian, StartNotInGraph
-from .graphs import (
-    Edge,
-    EdgeMultiset,
-    ExplorationInstance,
-    odd_degree_vertices,
-    walk_edges,
-)
+from .graphs import EdgeMultiset, ExplorationInstance, walk_edges
 
 
 class _RobotCycleFields(NamedTuple):
@@ -50,23 +48,54 @@ class RobotCycle(_RobotCycleFields):
         return walk_edges(self.walk)
 
 
-def _neighbour_lists(edges: EdgeMultiset) -> dict[int, list[tuple[int, Edge]]]:
-    """Ascending neighbour lists of the multiset's support; each entry carries
-    its edge's key.  Counts at or below zero are absent.
+def _tour_lists(
+    edges: EdgeMultiset,
+) -> tuple[dict[int, list[tuple[int, int]]], list[int], bool]:
+    """The multiset's support in the form a tour walks, built in one pass.
 
-    Keys must be normalized pairs (u < v): one pass over the sorted keys then
-    appends every vertex's lesser neighbours before its greater ones, each
-    group ascending.
+    Returns (adj, counts, odd).  `counts[j]` is the multiplicity of the j-th
+    support edge; `adj[v]` lists v's (neighbour, edge index) pairs in
+    descending neighbour order, so its least neighbour is at the end, where
+    a walk pops it; `odd` tells whether some degree is odd.  Counts at or
+    below zero are absent.
+
+    Keys must be normalized pairs (u < v): one pass over the keys sorted
+    descending appends every vertex's greater neighbours before its lesser
+    ones, each group descending.  The same pass lists the endpoints of the
+    odd-count edges; a vertex is odd when it occurs there an odd number of
+    times, which a sort and one comparison of the entries at even positions
+    with those at odd positions tell.  A
+    key that is not a normalized pair raises ValueError naming the least
+    such key, before anything else is checked.
     """
-    adj: dict[int, list[tuple[int, Edge]]] = {}
-    for e in sorted(edges):
-        if edges[e] > 0:
+    adj: dict[int, list[tuple[int, int]]] = {}
+    counts: list[int] = []
+    ends: list[int] = []  # both endpoints of every odd-count edge
+    bad = None
+    for e in sorted(edges, reverse=True):
+        m = edges[e]
+        if m > 0:
             a, b = e
             if not a < b:
-                raise ValueError(f"edge {e} is not a normalized pair")
-            adj.setdefault(a, []).append((b, e))
-            adj.setdefault(b, []).append((a, e))
-    return adj
+                bad = e  # the last one met is the least
+            j = len(counts)
+            counts.append(m)
+            if a in adj:
+                adj[a].append((b, j))
+            else:
+                adj[a] = [(b, j)]
+            if b in adj:
+                adj[b].append((a, j))
+            else:
+                adj[b] = [(a, j)]
+            if m & 1:
+                ends += e
+    if bad is not None:
+        raise ValueError(f"edge {bad} is not a normalized pair")
+    # sorted, the list pairs up equal neighbours exactly when every vertex
+    # occurs an even number of times
+    ends.sort()
+    return adj, counts, ends[::2] != ends[1::2]
 
 
 def closed_walk_faults(edges: EdgeMultiset, start: int) -> list[str]:
@@ -76,7 +105,7 @@ def closed_walk_faults(edges: EdgeMultiset, start: int) -> list[str]:
     "has an odd degree", in that order; an empty list means the multiset is
     the traversal count of such a walk.
     """
-    adj = _neighbour_lists(edges)
+    adj, _, odd = _tour_lists(edges)
     if not adj:
         return ["is empty"]
     faults = []
@@ -91,7 +120,7 @@ def closed_walk_faults(edges: EdgeMultiset, start: int) -> list[str]:
         faults.append("is not connected")
     if start not in adj:
         faults.append("misses the start vertex")
-    if odd_degree_vertices(edges):
+    if odd:
         faults.append("has an odd degree")
     return faults
 
@@ -104,38 +133,41 @@ def find_eulerian_cycle(edges: EdgeMultiset, start: int) -> RobotCycle:
 
     Hierholzer's algorithm with deterministic tie-breaking: from the current
     vertex the least-id neighbor with remaining multiplicity is consumed
-    first.  An empty multiset yields the trivial walk (start,).
+    first.  An empty multiset yields the trivial walk (start,).  The support
+    is read once, by `_tour_lists`; the walk then costs O(1) per traversal
+    plus one pop per exhausted list entry.
     """
-    adj = _neighbour_lists(edges)
+    adj, remaining, odd = _tour_lists(edges)
     if not adj:
         return RobotCycle((start,))
     if start not in adj:
         raise StartNotInGraph(f"start vertex {start} is not on an edge")
-    if odd_degree_vertices(edges):
+    if odd:
         raise NotEulerian(_NOT_EULERIAN)
 
-    remaining = dict(edges)
-    ptr = dict.fromkeys(adj, 0)
-    stack = [start]
+    # `trail` holds the open walk up to, not including, the current vertex v
+    trail: list[int] = []
     path: list[int] = []
-    while stack:
-        v = stack[-1]
+    v = start
+    while True:
         lst = adj[v]
-        i = ptr[v]
-        # advance past exhausted edges; pointers only move forward because
-        # multiplicities never grow back
-        while i < len(lst) and not remaining[lst[i][1]]:
-            i += 1
-        ptr[v] = i
-        if i < len(lst):
-            w, e = lst[i]
-            remaining[e] -= 1
-            stack.append(w)
+        while lst:
+            w, j = lst[-1]
+            if remaining[j]:
+                remaining[j] -= 1
+                trail.append(v)
+                v = w
+                break
+            # exhausted from either end; counts never grow back
+            lst.pop()
         else:
-            path.append(stack.pop())
+            path.append(v)
+            if not trail:
+                break
+            v = trail.pop()
     # with every degree even the walk closes at the start after using every
     # copy it can reach, so a copy left over lies outside start's component
-    if max(remaining.values()) > 0:
+    if any(remaining):
         raise NotEulerian(_NOT_EULERIAN)
     path.reverse()
     return RobotCycle(tuple(path))

@@ -10,6 +10,7 @@ vertex so every independent occurrence sits strictly inside the sequence.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from typing import Iterator, NamedTuple
 
@@ -84,8 +85,9 @@ def extract_cycle_cover(
     cycles: list[Cycle] = []
     left = sum(work.values())  # edges not yet in a cycle
 
+    squares = _pigeonhole_squares(work, vc)
     while left > limit:
-        found = _find_pigeonhole_square(work, vc)
+        found = next(squares, None)
         if found is None:
             break  # cannot happen by the counting argument; fall through safely
         cycles.append(canonical_cycle(found, vc))
@@ -101,25 +103,50 @@ def extract_cycle_cover(
     return sorted(cycles)
 
 
-def _find_pigeonhole_square(work: EdgeMultiset, vc) -> Cycle | None:
-    """Two independent vertices sharing an incident neighbor pair close a
-    4-cycle (u, v, u', v', u).  Pairs are formed per vertex over the sorted
-    incident multiset, consecutively.
+def _pigeonhole_squares(work: EdgeMultiset, vc) -> Iterator[Cycle]:
+    """The 4-cycles (u, v, u', v', u) that a search over `work` finds, one
+    per step, each removed from the search's own incidence map before the
+    next: two independent vertices sharing an incident neighbour pair.
+
+    A search scans the vertices outside `vc` in ascending order, pairing
+    each one's sorted incident multiset consecutively, and stops at the
+    first pair seen at an earlier vertex.  One incidence map serves every
+    search: a removed square changes the lists of its own four vertices
+    only, so the next search keeps what the last one saw before the least
+    of them and scans again from there.  The caller removes each square
+    from `work` before taking the next.
     """
+    adj = incidence(work)
+    order = sorted(u for u in adj if u not in vc)
     seen: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for u, nbrs in sorted(incidence(work).items()):
-        if u in vc:
-            continue
-        for i in range(0, len(nbrs) - 1, 2):
-            v, vp = nbrs[i], nbrs[i + 1]
+    keys_of: dict[int, list[tuple[int, int]]] = {}  # the keys each vertex put in `seen`
+    i = 0
+    while i < len(order):
+        u = order[i]
+        nbrs = adj[u]
+        keys_of[u] = mine = []
+        for t in range(0, len(nbrs) - 1, 2):
+            v, vp = nbrs[t], nbrs[t + 1]
             key = (v, vp) if v <= vp else (vp, v)
             if key in seen:
                 u0, v0, vp0 = seen[key]
                 if u0 != u:
-                    return (u0, v0, u, vp0, u0)
+                    break
             else:
                 seen[key] = (u, v, vp)
-    return None
+                mine.append(key)
+        else:
+            i += 1
+            continue
+        yield (u0, v0, u, vp0, u0)
+        for a, b in ((u0, v0), (v0, u), (u, vp0), (vp0, u0)):
+            adj[a].remove(b)
+            adj[b].remove(a)
+        restart = bisect_left(order, min(x for x in (u0, v0, u, vp0) if x not in vc))
+        for w in order[restart:i + 1]:
+            for key in keys_of.pop(w):
+                del seen[key]
+        i = restart
 
 
 def _least_trail(

@@ -45,7 +45,11 @@ class Multigraph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        self.edges = tuple(sorted(norm_edge(u, v) for u, v in edges))
+        # each pair is compared once; only a loop reaches norm_edge, which
+        # raises SelfLoop for the first loop in the order given
+        self.edges = tuple(sorted([
+            (u, v) if u < v else (v, u) if v < u else norm_edge(u, v) for u, v in edges
+        ]))
         # sorted pairs list every (a, x) with a < x before every (x, b), so
         # each neighbour list comes out ascending without a sort of its own
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -165,13 +169,24 @@ def incidence(edges: EdgeMultiset) -> dict[int, list[int]]:
 
 
 def odd_degree_vertices(edges: EdgeMultiset) -> list[int]:
-    """Vertices of odd degree in the multiset, ascending."""
-    # a copy of an edge adds one to the degree of each end and a loop two to
-    # its vertex's, so only odd counts of non-loop edges flip a parity
+    """Vertices of odd degree in the multiset, ascending.
+
+    One pass over the counts: a copy of an edge adds one to the degree of
+    each end and a loop two to its vertex's, so only odd counts of non-loop
+    edges flip a parity, and each flip adds its vertex to the odd set or
+    removes it, allocating nothing per edge.
+    """
     odd: set[int] = set()
     for (a, b), m in edges.items():
-        if m > 0 and m % 2 and a != b:
-            odd ^= {a, b}
+        if m % 2 and m > 0 and a != b:
+            if a in odd:
+                odd.remove(a)
+            else:
+                odd.add(a)
+            if b in odd:
+                odd.remove(b)
+            else:
+                odd.add(b)
     return sorted(odd)
 
 

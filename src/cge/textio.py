@@ -43,11 +43,12 @@ and formatting round-trip exactly.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterator, NamedTuple, TextIO
 
 from .errors import NotConnected, ParseError
 from .euler import RobotCycle, Solution, robot_lines
-from .graphs import ExplorationInstance, Multigraph, norm_edge
+from .graphs import ExplorationInstance, Multigraph
 from .hardness import BinPackingInstance
 
 
@@ -62,17 +63,32 @@ _BLOCK = 1 << 10  # most robot lines compared at once
 _PIECE = 1 << 16  # characters read from a solution file at a time
 
 
-def _meaningful_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
+def _meaningful_lines(text: str) -> list[tuple[int, str]]:
+    """The (line number, line) pairs of the text's non-blank lines, each
+    without its comment and surrounding whitespace.
+
+    The whole text is checked for ASCII and '_' at once, and comments are
+    split off only when the text holds a '#'.  Only a text that fails the
+    check has its lines checked one by one, which raises ParseError at the
+    first line whose meaningful part holds a character outside ASCII or a
+    '_' (a comment may hold either, and so may whitespace that `str.strip`
+    removes).
+    """
+    raws = text.splitlines()
+    body = text
+    if "#" in text:
+        raws = [raw.split("#", 1)[0] for raw in raws]
+        body = "".join(raws)
+    lines = list(filter(itemgetter(1), enumerate(map(str.strip, raws), start=1)))
+    if not body.isascii() or "_" in body:
+        for lineno, line in lines:
             if not line.isascii() or "_" in line:
                 raise ParseError(lineno, "only ASCII without '_' is allowed")
-            yield lineno, line
+    return lines
 
 
 def parse_instance(text: str) -> InstanceDocument:
-    lines = list(_meaningful_lines(text))
+    lines = _meaningful_lines(text)
     if not lines:
         raise ParseError(1, "empty input")
     first_no, first = lines[0]
@@ -109,30 +125,38 @@ def _require(scalars: dict[str, int], names: tuple[str, ...], lineno: int) -> No
             raise ParseError(lineno, f"missing {name!r}")
 
 
-def _parse_cge(lines) -> ExplorationInstance:
+def _parse_cge(lines: list[tuple[int, str]]) -> ExplorationInstance:
+    """The instance in the lines after the header.  Edge lines, nearly all
+    of a large file, are read here without a call per line."""
     scalars: dict[str, int] = {}
     edges: dict[tuple[int, int], int] = {}
-    last_line = 1
+    n = None  # the 'nodes' count once read
     for lineno, line in lines:
-        last_line = lineno
         parts = line.split()
-        if parts[0] in ("nodes", "init", "robots", "budget"):
-            _set_scalar(scalars, lineno, parts)
-        elif parts[0] == "edge":
-            u, v = _int_field(lineno, parts, 2)
-            n = scalars.get("nodes")
+        if parts[0] == "edge":
+            if len(parts) != 3:
+                raise ParseError(lineno, "expected 2 argument(s) for 'edge'")
+            try:
+                u = int(parts[1])
+                v = int(parts[2])
+            except ValueError:
+                raise ParseError(lineno, f"non-integer argument in {parts!r}")
             if n is None:
                 raise ParseError(lineno, "'nodes' must come before edges")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(lineno, f"edge ({u}, {v}) out of range")
             if u == v:
                 raise ParseError(lineno, f"self-loop at {u}")
-            e = norm_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in edges:
                 raise ParseError(lineno, f"duplicate edge {e}; input graphs are simple")
             edges[e] = 1
+        elif parts[0] in ("nodes", "init", "robots", "budget"):
+            _set_scalar(scalars, lineno, parts)
+            n = scalars.get("nodes")
         else:
             raise ParseError(lineno, f"unknown directive {parts[0]!r}")
+    last_line = lines[-1][0] if lines else 1
     _require(scalars, ("nodes", "init", "robots"), last_line)
     n = scalars["nodes"]
     # a connected graph has at most one vertex more than it has edges;

@@ -6,6 +6,9 @@ formatting is a fixed point; equation-system and assignment texts have one
 exported form and re-export byte for byte.  Those two parsers accept a text
 exactly when it equals the export of what was read from it; they must accept
 and read the same texts as the rule-by-rule parsers in ilp_text_reference.py.
+The instance reader must read every text as the line-by-line reader in
+instance_text_reference.py does, or raise ParseError at the same line with
+the same message.
 """
 
 from pathlib import Path
@@ -31,6 +34,7 @@ from cge.fptilp.typespace import enumerate_type_space
 from cge.textio import format_instance, format_solution, parse_instance, parse_solution
 
 import ilp_text_reference as reference
+import instance_text_reference
 from corpus import corpus_cover
 
 DATA = Path(__file__).parent / "data"
@@ -221,6 +225,69 @@ def test_mutated_ilp_texts_parse_as_the_reference_does(text):
 @settings(max_examples=400, deadline=None)
 def test_mutated_assignments_parse_as_the_reference_does(text):
     assert _outcome(parse_assignment, text) == _outcome(reference.parse_assignment, text)
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.line, exc.message
+
+
+@given(mutated(INSTANCE_TEXTS + [TRIANGLE, BINPACK]))
+@settings(max_examples=600, deadline=None)
+def test_mutated_instances_parse_as_the_reference_does(text):
+    assert _read(parse_instance, text) == _read(instance_text_reference.parse_instance, text)
+
+
+_LINE_ENDS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        TRIANGLE.replace("init 0", "init 0  # start at vertex \u0660, n\u00e4chst_e"),
+        "# \u00fcber_graph\n" + TRIANGLE,
+        TRIANGLE + "# trailing \u2603 comment_\n",
+        TRIANGLE.replace("robots 1", "robots 1_0"),
+        TRIANGLE.replace("edge 1 2", "edge 1 2 _"),
+        TRIANGLE.replace("init 0", "init 0 # ok_") + "edge 1_2\n",
+        TRIANGLE.replace("edge 0 1", "edge 0 \u00fc # fine_"),
+        TRIANGLE.replace("edge 0 2", "#edge 0 2 \u00fc"),
+        *(TRIANGLE.replace("\n", end) for end in _LINE_ENDS),
+        TRIANGLE.replace("\n", "\r\n").replace("init 0", "init 0 # \u00e9_"),
+        "cge 1\nnodes 3\u2028init 0 # a comment\u2028robots 1\nedge 0 1\nedge 0 2\n",
+        TRIANGLE.replace("edge 0 1", "edge +0 1"),
+        TRIANGLE.replace("edge 0 2", "edge -0 2"),
+        TRIANGLE.replace("edge 0 2", "edge +3 2"),
+        TRIANGLE.replace("edge 0 2", "edge \u0663 2"),
+        TRIANGLE.replace("nodes 3", "nodes +3"),
+        TRIANGLE.replace("edge 0 1", "edge\t0\t1"),
+        "\n\n" + TRIANGLE.replace("\n", "\n  \n\t\n"),
+        "\n  \ncge 1\n\n",
+        TRIANGLE.replace("edge 1 2", "\u00a0edge 1 2\u3000"),
+        "cge 1\nedge 0 1\nnodes 2\ninit 0\nrobots 1\n",
+        TRIANGLE + "edge 1 0\n",
+        TRIANGLE + "edge 2 0 # again\n",
+        TRIANGLE + "edge 1 1\n",
+        TRIANGLE + "edge 1\n",
+        TRIANGLE + "edge 1 2 3\n",
+        TRIANGLE + "edge 1 x\n",
+        TRIANGLE + "edge 0 3\n",
+        TRIANGLE + "edge -1 2\n",
+        TRIANGLE.replace("nodes 3", "nodes -1"),
+        TRIANGLE.replace("edge 1 2\n", ""),
+        "cge 1\nnodes 1\ninit 0\nrobots 1\n",
+        "cge 2\n",
+        "",
+        "   \n# only a comment \u00fc\n",
+        BINPACK.replace("bins 2", "bins 2 # two_ \u00fc"),
+        BINPACK.replace("\n", "\r\n"),
+        BINPACK + "item 1_0\n",
+    ],
+)
+def test_edge_case_instance_texts_parse_as_the_reference_does(text):
+    assert _read(parse_instance, text) == _read(instance_text_reference.parse_instance, text)
 
 
 @pytest.mark.parametrize(

@@ -167,12 +167,38 @@ def test_cycle_covers_match_the_reference(branches):
         g, work = random_even_multiset(rng, n_max=8, total_max=24)
         vc = set(rng.sample(range(g.n), rng.randint(1, min(3, g.n))))
         assert pairs._peel_simple_cycle(Counter(work)) == ref._peel_simple_cycle(Counter(work))
-        assert (pairs._find_pigeonhole_square(Counter(work), vc)
+        assert (next(pairs._pigeonhole_squares(Counter(work), vc), None)
                 == ref._find_pigeonhole_square(Counter(work), vc))
         assert outcome(extract_cycle_cover, work, vc) == outcome(
             ref.extract_cycle_cover, work, vc)
     print(f"\nsquares {branches['_find_pigeonhole_square']}")
     assert branches["_find_pigeonhole_square"] >= 300
+
+
+def test_square_runs_match_the_reference(branches):
+    """Many squares per cover: each search after the first starts from the
+    incidence map the last one left, so long runs of squares must still
+    come out as the reference's fresh searches find them."""
+    rng = random.Random(12)
+    longest = 0
+    for trial in range(240):
+        if trial % 3:
+            c = rng.randint(1, 3)
+            g = covered_graph(rng, c, n_ind_max=rng.choice([8, 30, 90]))
+            work = closed_walk(rng, g, rng.randrange(c), rng.randint(10, 300))
+            if work is None:
+                continue
+            vc = set(range(c))
+        else:  # a vertex set that need not cover the multiset
+            g, work = random_even_multiset(rng, n_max=14, total_max=70)
+            vc = set(rng.sample(range(g.n), rng.randint(1, 2)))
+        before = branches["_find_pigeonhole_square"]
+        assert outcome(extract_cycle_cover, work, vc) == outcome(
+            ref.extract_cycle_cover, work, vc)
+        longest = max(longest, branches["_find_pigeonhole_square"] - before)
+    print(f"\nsquares {branches['_find_pigeonhole_square']}, longest run {longest}")
+    assert branches["_find_pigeonhole_square"] >= 1200
+    assert longest >= 40
 
 
 @pytest.mark.parametrize("c", range(2, 7))

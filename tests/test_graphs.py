@@ -9,6 +9,8 @@ from cge.errors import NotConnected, SelfLoop
 from cge.graphs import ExplorationInstance, Multigraph, norm_edge, odd_degree_vertices
 from cge.textio import InstanceDocument, format_instance, parse_instance
 
+import instance_text_reference
+
 
 class TestMultigraph:
     def test_normalization_and_repeats_refused(self):
@@ -64,6 +66,28 @@ class TestMultigraph:
             for v in range(n):
                 assert g.neighbors(v) == tuple(sorted(adj[v]))
                 assert g.degree(v) == len(adj[v])
+
+    def test_bad_pairs_raise_as_the_old_constructor_did(self):
+        """Loops, repeats in either orientation and out-of-range ends raise
+        the exception and message the per-pair constructor raised: a loop
+        first, in the order given, then the least bad pair."""
+        rng = random.Random(30)
+        outcomes = Counter()
+        for _ in range(400):
+            n = rng.randint(0, 6)
+            pairs = [(rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 8))]
+            try:
+                expected = instance_text_reference.multigraph_parts(n, pairs)
+            except (SelfLoop, ValueError) as exc:
+                expected = type(exc), str(exc)
+            try:
+                g = Multigraph(n, pairs)
+                got = g.edges, tuple(map(g.neighbors, range(n)))
+            except (SelfLoop, ValueError) as exc:
+                got = type(exc), str(exc)
+            assert got == expected, (n, pairs)
+            outcomes[got[0] if isinstance(got[0], type) else "ok"] += 1
+        assert outcomes[SelfLoop] and outcomes[ValueError] and outcomes["ok"]
 
     def test_components_with_isolated_member(self):
         g = Multigraph(4, [(0, 1)])
