@@ -241,7 +241,7 @@ def cmd_reconstruct(args) -> int:
     system_text = _read(args.ilp)
     assignment = fpt_system.parse_assignment(_read(args.assignment))
     ctx, types, system = _fpt_pipeline(inst, args.vc)
-    if fpt_system.export_ilp(system) != system_text:
+    if not fpt_system.is_export(system, system_text):
         raise ParseError(1, "ilp file does not match the instance's equation system")
     try:
         runs = fpt_reconstruct.reconstruct_solution(ctx, types, system, assignment)

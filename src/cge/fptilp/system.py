@@ -15,16 +15,25 @@ emitted in this order:
   eq6  per robot type, length-4 cycles fit the leftover budget
 
 All coefficients are integers; the count-times-variable products are linear
-because the counts are fixed by the type.  Every row lists its terms in
-ascending variable order by construction: the builder opens each row with its
-vertex or robot term, then makes one pass over the robot types and one over
-the cycle types, each in index order.
+because the counts are fixed by the type.  A row holds its terms as runs
+(coefficient, first variable, count): `count` consecutive variables from
+`first` on, each with that coefficient.  The runs are maximal, so no run has
+the coefficient of the run before it and starts where that one ends, and a
+row has exactly one form.  Every row lists its terms in ascending variable
+order by construction: the builder opens each row with its vertex or robot
+term, then makes one pass over the robot types and one over the cycle types,
+each in index order.  The hosts of one (cycle, allocation) are consecutive
+cycle types, so they join each of that pair's eq3 and eq4 rows as one run.
+The text forms are rendered, parsed and checked one row at a time (see "text
+formats" below), and no text is compared with a whole second rendering.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import zip_longest
+from collections.abc import Iterator
+from itertools import chain, groupby
+from operator import attrgetter
 from typing import NamedTuple
 
 from ..errors import DomainMismatch, ParseError
@@ -46,12 +55,14 @@ RELATIONS = ("<=", "=", ">=")
 
 class Constraint(NamedTuple):
     tag: str
-    terms: tuple[tuple[int, int], ...]  # (coefficient, variable index)
+    terms: tuple[tuple[int, int, int], ...]  # runs (coefficient, first variable, count)
     relation: str
     rhs: int
 
     def evaluate(self, values: list[int]) -> bool:
-        lhs = sum(c * values[i] for c, i in self.terms)
+        lhs = sum(
+            c * values[i] if n == 1 else c * sum(values[i:i + n]) for c, i, n in self.terms
+        )
         if self.relation == "<=":
             return lhs <= self.rhs
         if self.relation == ">=":
@@ -67,9 +78,6 @@ class IlpSystem(NamedTuple):
 class IlpAssignment(NamedTuple):
     values: tuple[tuple[str, int], ...]  # (variable, value), in variable order
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.values)
-
 
 def variable_names(types: TypeSpace) -> tuple[str, ...]:
     names = [f"x_ver_{i}" for i in range(len(types.vertex_types))]
@@ -82,11 +90,23 @@ def type_counts(
     types: TypeSpace, assignment: IlpAssignment
 ) -> tuple[list[int], list[int], list[int]]:
     """The assignment's vertex-, robot- and cycle-type counts, each list in
-    canonical type order."""
-    value = assignment.as_dict()
-    counts = [value[name] for name in variable_names(types)]
+    canonical type order.  The assignment names the system's variables in
+    order, as `check_assignment` requires."""
+    counts = [value for _, value in assignment.values]
     n_ver, n_rob = len(types.vertex_types), len(types.robot_types)
     return counts[:n_ver], counts[n_ver:n_ver + n_rob], counts[n_ver + n_rob:]
+
+
+def _append_run(row: list[tuple[int, int, int]], coef: int, first: int, n: int) -> None:
+    """Append `n` terms with coefficient `coef` from variable `first` on,
+    merged into the row's last run where that run has the same coefficient
+    and ends at `first`."""
+    if row:
+        c, i, m = row[-1]
+        if c == coef and i + m == first:
+            row[-1] = (c, i, m + n)
+            return
+    row.append((coef, first, n))
 
 
 def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
@@ -96,48 +116,53 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
     # robot pass and the cycle pass append in index order, so every row stays
     # in ascending variable order.  Every allocation key names a multiset its
     # vertex type wants, and every cycle length is a tracked slot or 4.
-    eq2: list[list[tuple[int, int]]] = [[] for _ in ctx.eq.classes]
-    eq3: dict[tuple, list[tuple[int, int]]] = {}
+    eq2: list[list[tuple[int, int, int]]] = [[] for _ in ctx.eq.classes]
+    eq3: dict[tuple, list[tuple[int, int, int]]] = {}
     for vi, vt in enumerate(types.vertex_types):
-        eq2[vt.class_id].append((1, vi))
+        _append_run(eq2[vt.class_id], 1, vi, 1)
         for ns in vt.nei_subsets:
-            eq3[(vt, ns)] = [(-1, vi)]
-    eq4: dict[tuple[int, int], list[tuple[int, int]]] = {
+            eq3[(vt, ns)] = [(-1, vi, 1)]
+    eq4: dict[tuple[int, int], list[tuple[int, int, int]]] = {
         e: []
         for e in ctx.g.edges
         if e[0] in ctx.cover_set and e[1] in ctx.cover_set
     }
-    by_length: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    by_length: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
 
     for ri, rt in enumerate(types.robot_types):
         var = rob_base + ri
         for key, count in robot_alloc_counts(ctx, rt).items():
-            eq3[key].append((count, var))
+            _append_run(eq3[key], count, var, 1)
         for e in set(rt.cc):
             if e in eq4:
-                eq4[e].append((1, var))
+                _append_run(eq4[e], 1, var, 1)
         for n, j in zip(rt.num_of_cyc, ctx.cycle_length_slots):
-            by_length[(ri, j)] = [(-n, var)] if n else []
+            by_length[(ri, j)] = [(-n, var, 1)] if n else []
         cycbud = robot_cycbud(ctx, rt)
-        by_length[(ri, 4)] = [(-cycbud, var)] if cycbud else []
+        by_length[(ri, 4)] = [(-cycbud, var, 1)] if cycbud else []
 
     # The hosts of one (cycle, allocation) are consecutive cycle types with
-    # the same eq3 and eq4 terms and the same length, so those are worked
-    # out once per pair.
-    pair = None
-    for ci, ct in enumerate(types.cycle_types):
-        var = cyc_base + ci
-        if (ct.cycle, ct.pa_alloc) != pair:
-            pair = (ct.cycle, ct.pa_alloc)
-            rows = [(eq3[key], count) for key, count in cycle_alloc_counts(ct).items()]
-            rows += [(eq4[e], 1) for e in walk_edges(ct.cycle) if e in eq4]
-            length = ct.length
-            coef = 4 if length == 4 else 1
-        for row, count in rows:
-            row.append((count, var))
-        by_length[(ct.host, length)].append((coef, var))
+    # the same eq3 and eq4 terms and the same length, so those rows get one
+    # run per pair; each host's own eq5 or eq6 row gets one term.
+    first = cyc_base
+    for _, pair in groupby(types.cycle_types, attrgetter("cycle", "pa_alloc")):
+        pair = tuple(pair)
+        ct, n = pair[0], len(pair)
+        for key, count in cycle_alloc_counts(ct).items():
+            _append_run(eq3[key], count, first, n)
+        for e in walk_edges(ct.cycle):
+            if e in eq4:
+                _append_run(eq4[e], 1, first, n)
+        length = ct.length
+        coef = 4 if length == 4 else 1
+        # the hosts of a pair differ, so only its first type can extend the
+        # run that its host's row ends with
+        _append_run(by_length[(ct.host, length)], coef, first, 1)
+        for var, hosted in enumerate(pair[1:], first + 1):
+            by_length[(hosted.host, length)].append((coef, var, 1))
+        first += n
 
-    eq1 = tuple((1, rob_base + ri) for ri in range(n_rob))
+    eq1 = ((1, rob_base, n_rob),) if n_rob else ()
     constraints = [Constraint("eq1", eq1, "=", ctx.k)]
     for terms, cls in zip(eq2, ctx.eq.classes):
         constraints.append(Constraint("eq2", tuple(terms), "=", len(cls.members)))
@@ -206,65 +231,97 @@ def witness_from_solution(
 # ---------------------------------------------------------------------------
 # text formats
 #
-# Each format has one line generator.  The exporter joins its lines; the
-# parser reads its input leniently, renders what it read and accepts the text
-# only if it equals that rendering line for line.  The comparison rejects
-# stray whitespace, signs, leading zeros, '_' separators, non-ASCII digits,
-# wrong header counts and a missing final newline alike, so the parsers check
-# only what a rendering cannot show.  Nothing loops to a declared count.
+# Each format has one rendering.  The exporters join its pieces; the parsers
+# read their input leniently, one line at a time, and accept a line only if
+# it equals the rendering of what was read from it, so they never hold a
+# second copy of the text.  The comparison rejects stray whitespace, signs,
+# leading zeros, '_' separators, non-ASCII digits, wrong header counts and a
+# missing final newline alike, so the parsers check only what a rendering
+# cannot show.  A line that cannot be read raises at once.  A line that was
+# read but differs from its rendering raises once the whole text is read,
+# after the header, which holds the counts: the error names the first line
+# at which the text differs from the rendering of all that was read.
+# Nothing loops to a declared count.
 
 
-def _ilp_lines(system: IlpSystem) -> list[str]:
-    """The exported text split at its newlines, so the last item is empty."""
+def _row(c: Constraint, names: tuple[str, ...]) -> str:
+    """A constraint line without its newline; a run of more than one term
+    is one join over a slice of the names."""
+    terms = " + ".join(
+        f"{coef} {names[first]}" if n == 1
+        else f"{coef} " + f" + {coef} ".join(names[first:first + n])
+        for coef, first, n in c.terms
+    )
+    if terms:
+        return f"c {c.tag} : {terms} {c.relation} {c.rhs}"
+    return f"c {c.tag} : {c.relation} {c.rhs}"
+
+
+def _ilp_pieces(system: IlpSystem) -> Iterator[str]:
+    """The export in pieces that each end with a newline: the header line,
+    all var lines at once, then one constraint line at a time."""
     names = system.variables
-    lines = [f"ilp {len(names)} {len(system.constraints)}"]
-    lines += [f"var {name}" for name in names]
+    yield f"ilp {len(names)} {len(system.constraints)}\n"
+    if names:
+        yield "var " + "\nvar ".join(names) + "\n"
     for c in system.constraints:
-        terms = " + ".join(f"{coef} {names[i]}" for coef, i in c.terms)
-        if terms:
-            lines.append(f"c {c.tag} : {terms} {c.relation} {c.rhs}")
-        else:
-            lines.append(f"c {c.tag} : {c.relation} {c.rhs}")
-    lines.append("")
-    return lines
-
-
-def _assignment_lines(assignment: IlpAssignment) -> list[str]:
-    """The formatted text split at its newlines, so the last item is empty."""
-    lines = [f"assign {len(assignment.values)}"]
-    lines += [f"{name} {value}" for name, value in assignment.values]
-    lines.append("")
-    return lines
-
-
-def _body(lines: list[str]) -> list[str]:
-    """The lines after the header, without the empty remainder after a final
-    newline."""
-    return lines[1:-1] if lines[-1] == "" else lines[1:]
-
-
-def _check_exported(lines: list[str], exported: list[str]) -> None:
-    """Raise ParseError at the first line that differs from the export."""
-    if lines != exported:
-        for no, (line, want) in enumerate(zip_longest(lines, exported), 1):
-            if line != want:
-                if want == "":  # the text ends on the line before
-                    raise ParseError(no - 1, "missing final newline")
-                raise ParseError(no, "line is not in exported form")
+        yield f"{_row(c, names)}\n"
 
 
 def export_ilp(system: IlpSystem) -> str:
     """Deterministic text form; re-parsing reproduces the bytes exactly."""
-    return "\n".join(_ilp_lines(system))
+    return "".join(_ilp_pieces(system))
+
+
+def is_export(system: IlpSystem, text: str) -> bool:
+    """Whether `text` equals `export_ilp(system)`, compared a piece at a time
+    as the pieces are rendered."""
+    pos = 0
+    for piece in _ilp_pieces(system):
+        if not text.startswith(piece, pos):
+            return False
+        pos += len(piece)
+    return pos == len(text)
+
+
+def _after_header(text: str) -> int:
+    """The position of the text's second line; its length if it has one
+    line."""
+    return text.find("\n") + 1 or len(text)
+
+
+def _lines(text: str, start: int, no: int) -> Iterator[tuple[int, str]]:
+    """(number, line) of each line from position `start` on, numbered from
+    `no`, without its newline.  What follows the last newline is a line only
+    if it is not empty."""
+    end = text.find("\n", start)
+    while end >= 0:
+        yield no, text[start:end]
+        no, start = no + 1, end + 1
+        end = text.find("\n", start)
+    if start < len(text):
+        yield no, text[start:]
+
+
+def _check_rendered(text: str, header: str, first_bad: int | None) -> None:
+    """Raise ParseError at the first line of `text` that differs from the
+    rendering: the header, the line `first_bad` or the missing final
+    newline."""
+    if not text.startswith(f"{header}\n") and text != header:
+        raise ParseError(1, "line is not in exported form")
+    if first_bad is not None:
+        raise ParseError(first_bad, "line is not in exported form")
+    if text and not text.endswith("\n"):
+        raise ParseError(text.count("\n") + 1, "missing final newline")
 
 
 def parse_ilp(text: str) -> IlpSystem:
-    lines = text.split("\n")
-    body = _body(lines)
-    var_index = _var_index(body)
-    n_var = len(var_index)
+    names, start = _var_names(text)
+    var_index = _var_index(names)
+    names = tuple(var_index)
     constraints = []
-    for no, line in enumerate(body[n_var:], n_var + 2):
+    first_bad = None
+    for no, line in _lines(text, start, len(names) + 2):
         tag, _, rest = line[2:].partition(" : ")
         tokens = rest.split()
         # the first relation token ends the terms, so a term cannot name a
@@ -272,37 +329,72 @@ def parse_ilp(text: str) -> IlpSystem:
         rel = min((tokens.index(r) for r in RELATIONS if r in tokens), default=len(tokens))
         if rel + 2 > len(tokens):
             raise ParseError(no, "expected '<rel> <rhs>' after the terms")
+        runs = []
+        run_coef, first, n, after = None, None, 0, None  # the open run and its end
         try:
             rhs = int(tokens[rel + 1])
             # as many coefficients as names: a coefficient left over after
             # the last name is not read, so only the rendering rejects it
             term_names = tokens[1:rel:3]
-            terms = tuple(zip(
+            for coef, i in zip(
                 map(int, tokens[0:3 * len(term_names):3]),
                 map(var_index.__getitem__, term_names),
-            ))
+            ):
+                if i == after and coef == run_coef:
+                    n += 1
+                else:
+                    if n:
+                        runs.append((run_coef, first, n))
+                    run_coef, first, n = coef, i, 1
+                after = i + 1
         except ValueError:
             raise ParseError(no, "non-integer coefficient or right-hand side")
         except KeyError as exc:
             raise ParseError(no, f"unknown variable {exc.args[0]!r}")
-        constraints.append(Constraint(tag, terms, tokens[rel], rhs))
-    system = IlpSystem(tuple(var_index), tuple(constraints))
-    _check_exported(lines, _ilp_lines(system))
-    return system
+        if n:
+            runs.append((run_coef, first, n))
+        c = Constraint(tag, tuple(runs), tokens[rel], rhs)
+        if first_bad is None and _row(c, names) != line:
+            first_bad = no
+        constraints.append(c)
+    _check_rendered(text, f"ilp {len(names)} {len(constraints)}", first_bad)
+    return IlpSystem(names, tuple(constraints))
 
 
-def _var_index(body: list[str]) -> dict[str, int]:
-    """Name -> index of the variables on the var lines that open `body`.
+def _var_names(text: str) -> tuple[list[str], int]:
+    """The names on the var lines that follow the header, and the position
+    of the line after them.
+
+    The var lines end where the first constraint line begins, unless a line
+    before it is not a var line; only then are they read one by one."""
+    start = _after_header(text)
+    end = text.find("\nc ", start - 1)
+    if end < 0:
+        end = len(text) - text.endswith("\n")
+    block = text[start:end]
+    if block.startswith("var ") and block.count("\n") == block.count("\nvar "):
+        return block[4:].split("\nvar "), end + 1
+    names = []
+    for _, line in _lines(text, start, 2):
+        if not line.startswith("var "):
+            break
+        names.append(line[4:])
+        start += len(line) + 1
+    return names, start
+
+
+def _var_index(names: list[str]) -> dict[str, int]:
+    """Name -> index of the variables named on the var lines, which begin
+    at line 2.
 
     The names split back from their join only if none is empty or holds
-    whitespace, so the lines are checked one by one only to name the first
+    whitespace, so the names are checked one by one only to name the first
     bad one."""
-    n_var = next(
-        (i for i, line in enumerate(body) if not line.startswith("var ")), len(body)
-    )
-    names = [line[4:] for line in body[:n_var]]
-    var_index = dict(zip(names, range(n_var)))
-    if len(var_index) != n_var or " ".join(names).split() != names:
+    # checked before the dict exists, so that it and the split copy of the
+    # names are never held at once
+    well_formed = " ".join(names).split() == names
+    var_index = dict(zip(names, range(len(names))))
+    if not well_formed or len(var_index) != len(names):
         seen = set()
         for no, name in enumerate(names, 2):
             if name.split() != [name]:
@@ -314,13 +406,15 @@ def _var_index(body: list[str]) -> dict[str, int]:
 
 
 def format_assignment(assignment: IlpAssignment) -> str:
-    return "\n".join(_assignment_lines(assignment))
+    # one format over all the values holds no string per line
+    values = assignment.values
+    return ("assign %s\n" + "%s %s\n" * len(values)) % (len(values), *chain.from_iterable(values))
 
 
 def parse_assignment(text: str) -> IlpAssignment:
-    lines = text.split("\n")
     values: dict[str, int] = {}
-    for no, line in enumerate(_body(lines), 2):
+    first_bad = None
+    for no, line in _lines(text, _after_header(text), 2):
         try:
             name, token = line.split()
             value = int(token)
@@ -329,6 +423,7 @@ def parse_assignment(text: str) -> IlpAssignment:
         if name in values:
             raise ParseError(no, f"duplicate variable {name!r}")
         values[name] = value
-    assignment = IlpAssignment(tuple(values.items()))
-    _check_exported(lines, _assignment_lines(assignment))
-    return assignment
+        if first_bad is None and line != f"{name} {value}":
+            first_bad = no
+    _check_rendered(text, f"assign {len(values)}", first_bad)
+    return IlpAssignment(tuple(values.items()))

@@ -49,6 +49,12 @@ def has_edge(g: Multigraph, u: int, v: int) -> bool:
     return norm_edge(u, v) in g.edges
 
 
+def term_pairs(runs) -> tuple[tuple[int, int], ...]:
+    """A constraint's (coefficient, variable) terms, in order, from its runs
+    (coefficient, first variable, count)."""
+    return tuple((c, i) for c, first, n in runs for i in range(first, first + n))
+
+
 def with_budget(inst: ExplorationInstance, budget: int | None) -> ExplorationInstance:
     return ExplorationInstance(inst.graph, inst.v_init, inst.k, budget)
 

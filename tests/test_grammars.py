@@ -24,9 +24,11 @@ from cge.fptilp import system as system_module
 from cge.fptilp.context import FptContext
 from cge.fptilp.system import (
     IlpAssignment,
+    IlpSystem,
     build_ilp_system,
     export_ilp,
     format_assignment,
+    is_export,
     parse_assignment,
     parse_ilp,
 )
@@ -35,6 +37,7 @@ from cge.textio import format_instance, format_solution, parse_instance, parse_s
 
 import ilp_text_reference as reference
 import instance_text_reference
+from conftest import term_pairs
 from corpus import corpus_cover
 
 DATA = Path(__file__).parent / "data"
@@ -215,10 +218,19 @@ def _outcome(parse, text):
         return ParseError
 
 
+def _parse_ilp_pairs(text: str) -> IlpSystem:
+    """parse_ilp with every row's runs expanded to the (coefficient,
+    variable) pairs that the reference parser reads."""
+    system = parse_ilp(text)
+    return system._replace(constraints=tuple(
+        c._replace(terms=term_pairs(c.terms)) for c in system.constraints
+    ))
+
+
 @given(mutated([ILP_TEXT, CORPUS_ILP_TEXT]))
 @settings(max_examples=400, deadline=None)
 def test_mutated_ilp_texts_parse_as_the_reference_does(text):
-    assert _outcome(parse_ilp, text) == _outcome(reference.parse_ilp, text)
+    assert _outcome(_parse_ilp_pairs, text) == _outcome(reference.parse_ilp, text)
 
 
 @given(mutated([ASSIGNMENT_TEXT]))
@@ -310,12 +322,13 @@ def test_edge_case_instance_texts_parse_as_the_reference_does(text):
     ],
 )
 def test_edge_case_ilp_texts_parse_as_the_reference_does(text):
-    assert _outcome(parse_ilp, text) == _outcome(reference.parse_ilp, text)
+    assert _outcome(_parse_ilp_pairs, text) == _outcome(reference.parse_ilp, text)
 
 
 def test_parsers_do_not_call_the_traced_exporters(monkeypatch):
-    """A parser that called export_ilp or format_assignment would add spans to
-    the per-layer trace counts of every command that parses."""
+    """A parser, or the check that reconstruct makes of its system text, that
+    called export_ilp or format_assignment would add spans to the per-layer
+    trace counts of every command that parses."""
     def refuse(*args):
         raise AssertionError("a parser called a traced exporter")
 
@@ -324,6 +337,7 @@ def test_parsers_do_not_call_the_traced_exporters(monkeypatch):
     assert parse_ilp(ILP_TEXT).variables[0] == "x_ver_0"
     assert len(parse_ilp(CORPUS_ILP_TEXT).variables) == 121
     assert parse_assignment(ASSIGNMENT_TEXT).values[1] == ("x_rob_0", 1)
+    assert is_export(parse_ilp(CORPUS_ILP_TEXT), CORPUS_ILP_TEXT)
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,8 @@ from cge.fptilp.system import (
 from cge.fptilp.typespace import enumerate_type_space
 from cge.graphs import ExplorationInstance, Multigraph
 
+from conftest import term_pairs
+
 GOLDEN = Path(__file__).parent / "data" / "path3.ilp"
 
 
@@ -41,8 +43,8 @@ class TestBuildSystem:
         eq1 = [c for c in system.constraints if c.tag == "eq1"]
         assert len(eq1) == 1
         assert eq1[0].relation == "=" and eq1[0].rhs == 1
-        assert all(coef == 1 for coef, _ in eq1[0].terms)
-        assert len(eq1[0].terms) == len(types.robot_types)
+        assert all(coef == 1 for coef, _ in term_pairs(eq1[0].terms))
+        assert len(term_pairs(eq1[0].terms)) == len(types.robot_types)
 
     def test_eq2_rhs_is_class_size(self):
         g = Multigraph(3, [(0, 1), (1, 2)])
@@ -99,7 +101,7 @@ class TestWitness:
         witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
         ok, violated = check_assignment(system, witness)
         assert ok, violated
-        values = witness.as_dict()
+        values = dict(witness.values)
         rob_values = [v for n, v in values.items() if n.startswith("x_rob_")]
         assert sum(rob_values) == 1
 
@@ -113,7 +115,7 @@ class TestWitness:
         source = Counter({(0, 1): 2})
         pairs = [(decompose_valid_pair(ctx, source), 1) for _ in range(2)]
         witness = witness_from_solution(ctx, types, pairs)
-        assert max(witness.as_dict().values()) == 2
+        assert max(dict(witness.values).values()) == 2
         ok, _ = check_assignment(system, witness)
         assert ok
 
@@ -151,7 +153,7 @@ class TestExport:
         from cge.fptilp.system import Constraint, IlpSystem
 
         system = IlpSystem(
-            ("x_rob_0",), (Constraint("eq1", ((1, 0),), "=", 2),)
+            ("x_rob_0",), (Constraint("eq1", ((1, 0, 1),), "=", 2),)
         )
         assert export_ilp(system) == "ilp 1 1\nvar x_rob_0\nc eq1 : 1 x_rob_0 = 2\n"
 

@@ -23,7 +23,7 @@ from cge.fptilp.system import IlpAssignment  # noqa: E402
 from cge.graphs import ExplorationInstance, Multigraph  # noqa: E402
 from cge.textio import parse_instance  # noqa: E402
 
-from conftest import with_budget  # noqa: E402
+from conftest import term_pairs, with_budget  # noqa: E402
 from corpus import (  # noqa: E402
     BUILDABLE,
     budgeted_system,
@@ -42,7 +42,7 @@ def solve(system):
         return [] if all(c.evaluate([]) for c in system.constraints) else None
     rows, cols, coefs, lower, upper = [], [], [], [], []
     for r, c in enumerate(system.constraints):
-        for coef, var in c.terms:
+        for coef, var in term_pairs(c.terms):
             rows.append(r)
             cols.append(var)
             coefs.append(coef)

@@ -39,6 +39,8 @@ from cge.graphs import ExplorationInstance, Multigraph
 from cge.hardness import BinPackingInstance
 from cge.textio import parse_instance
 
+from conftest import term_pairs
+
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "data" / "corpus"
 
@@ -128,9 +130,7 @@ REPRS = {
     "VertexType": "VertexType(class_id=0, nei_subsets=((0, 0), (0, 0, 1, 1)))",
     "RobotType": "RobotType(cc=((0, 1), (0, 1)), alloc=(), num_of_cyc=(0, 0))",
     "CycleType": "CycleType(cycle=(0, 1, 0), pa_alloc=(), host=0)",
-    "Constraint": "Constraint(tag='eq2', terms=((1, 0), (1, 1), (1, 2), (1, 3), (1, 4),"
-    " (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 10), (1, 11), (1, 12)),"
-    " relation='=', rhs=1)",
+    "Constraint": "Constraint(tag='eq2', terms=((1, 0, 13),), relation='=', rhs=1)",
     "IlpAssignment": "IlpAssignment(values=(('x_ver_0', 2),))",
     "ValidPair": "ValidPair(cc=((0, 1), (0, 1)), cycles=((0, 1, 2, 0),))",
     "FptContext": (
@@ -155,6 +155,11 @@ def test_repr_text(records, kind):
     record = records[kind]
     assert type(record).__name__ == kind
     assert repr(record) == REPRS[kind]
+
+
+def test_constraint_runs_expand_to_its_terms(records):
+    """The eq2 row's one run stands for the terms 1 * x_0 to 1 * x_12."""
+    assert term_pairs(records["Constraint"].terms) == tuple((1, i) for i in range(13))
 
 
 # every kind whose fields are all hashable; PartitionState holds Counters

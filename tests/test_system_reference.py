@@ -27,6 +27,7 @@ from cge.fptilp.typespace import (
 )
 from cge.graphs import ExplorationInstance, Multigraph, walk_edges
 
+from conftest import term_pairs
 from corpus import random_instances
 
 
@@ -87,7 +88,7 @@ def test_builder_and_host_table_match_naive_scans(n, edges, start, k, cover):
     for table in (types.vertex_types, types.robot_types, types.cycle_types):
         assert all(a < b for a, b in zip(table, table[1:]))
     for tag, rows in naive_rows(ctx, types).items():
-        built = [list(c.terms) for c in system.constraints if c.tag == tag]
+        built = [list(term_pairs(c.terms)) for c in system.constraints if c.tag == tag]
         assert built == rows, tag
 
     witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
