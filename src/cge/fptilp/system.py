@@ -22,18 +22,22 @@ the coefficient of the run before it and starts where that one ends, and a
 row has exactly one form.  Every row lists its terms in ascending variable
 order by construction: the builder opens each row with its vertex or robot
 term, then makes one pass over the robot types and one over the cycle types,
-each in index order.  The hosts of one (cycle, allocation) are consecutive
-cycle types, so they join each of that pair's eq3 and eq4 rows as one run.
-The text forms are rendered, parsed and checked one row at a time (see "text
-formats" below), and no text is compared with a whole second rendering.
+each in index order.  Both passes go a group at a time: the types of one
+skeleton or one cycle are consecutive, and so are those of one allocation
+inside them, so each group joins each of its eq4 rows (skeleton, cycle) or
+eq3 rows (allocation) as one run and counts its terms once.  The text forms
+are rendered, parsed and checked a row or a chunk of rows at a time (see
+"text formats" below), and no text is compared with a whole second
+rendering.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterator
 from itertools import chain, groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from ..errors import DomainMismatch, ParseError
@@ -42,15 +46,17 @@ from .context import FptContext
 from .pairs import ValidPair
 from .typespace import (
     TypeSpace,
+    copy_neighborhoods,
     cycle_alloc_counts,
     derive_cycle_type,
     derive_robot_type,
     derive_vertex_types,
-    robot_alloc_counts,
     robot_cycbud,
 )
 
 RELATIONS = ("<=", "=", ">=")
+
+_CHUNK = 1 << 16  # bytes of assignment text read at once, up to the next newline
 
 
 class Constraint(NamedTuple):
@@ -92,7 +98,7 @@ def type_counts(
     """The assignment's vertex-, robot- and cycle-type counts, each list in
     canonical type order.  The assignment names the system's variables in
     order, as `check_assignment` requires."""
-    counts = [value for _, value in assignment.values]
+    counts = list(map(itemgetter(1), assignment.values))
     n_ver, n_rob = len(types.vertex_types), len(types.robot_types)
     return counts[:n_ver], counts[n_ver:n_ver + n_rob], counts[n_ver + n_rob:]
 
@@ -127,40 +133,55 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
         for e in ctx.g.edges
         if e[0] in ctx.cover_set and e[1] in ctx.cover_set
     }
-    by_length: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    # per robot type: its eq5 row of each tracked length, then its eq6 row
+    eq56: list[list[list[tuple[int, int, int]]]] = []
+    row_of_length = {j: s for s, j in enumerate(ctx.cycle_length_slots)}
+    row_of_length[4] = len(ctx.cycle_length_slots)
 
-    for ri, rt in enumerate(types.robot_types):
-        var = rob_base + ri
-        for key, count in robot_alloc_counts(ctx, rt).items():
-            _append_run(eq3[key], count, var, 1)
-        for e in set(rt.cc):
+    # The robot types of one skeleton are consecutive, since `cc` leads their
+    # sort key, and so are those of one (skeleton, allocation) inside them:
+    # a skeleton joins each of its eq4 rows as one run, an allocation each of
+    # its eq3 rows.
+    var = rob_base
+    for cc, same_cc in groupby(types.robot_types, attrgetter("cc")):
+        same_cc = tuple(same_cc)
+        for e in set(cc):
             if e in eq4:
-                _append_run(eq4[e], 1, var, 1)
-        for n, j in zip(rt.num_of_cyc, ctx.cycle_length_slots):
-            by_length[(ri, j)] = [(-n, var, 1)] if n else []
-        cycbud = robot_cycbud(ctx, rt)
-        by_length[(ri, 4)] = [(-cycbud, var, 1)] if cycbud else []
+                _append_run(eq4[e], 1, var, len(same_cc))
+        nbhds = copy_neighborhoods(ctx, Counter(cc))
+        for alloc, same in groupby(same_cc, attrgetter("alloc")):
+            same = tuple(same)
+            for key, count in Counter((vt, nbhds[copy]) for copy, vt in alloc).items():
+                _append_run(eq3[key], count, var, len(same))
+            for rt in same:
+                rows = [[(-n, var, 1)] if n else [] for n in rt.num_of_cyc]
+                cycbud = robot_cycbud(ctx, rt)
+                rows.append([(-cycbud, var, 1)] if cycbud else [])
+                eq56.append(rows)
+                var += 1
 
-    # The hosts of one (cycle, allocation) are consecutive cycle types with
-    # the same eq3 and eq4 terms and the same length, so those rows get one
-    # run per pair; each host's own eq5 or eq6 row gets one term.
+    # The types of one cycle are consecutive, and inside them the hosts of
+    # one (cycle, allocation): a cycle joins each of its eq4 rows as one run,
+    # a pair each of its eq3 rows.  Each host's own eq5 or eq6 row gets one
+    # term.
     first = cyc_base
-    for _, pair in groupby(types.cycle_types, attrgetter("cycle", "pa_alloc")):
-        pair = tuple(pair)
-        ct, n = pair[0], len(pair)
-        for key, count in cycle_alloc_counts(ct).items():
-            _append_run(eq3[key], count, first, n)
-        for e in walk_edges(ct.cycle):
+    for cycle, same_cycle in groupby(types.cycle_types, attrgetter("cycle")):
+        same_cycle = tuple(same_cycle)
+        for e in walk_edges(cycle):
             if e in eq4:
-                _append_run(eq4[e], 1, first, n)
-        length = ct.length
-        coef = 4 if length == 4 else 1
-        # the hosts of a pair differ, so only its first type can extend the
-        # run that its host's row ends with
-        _append_run(by_length[(ct.host, length)], coef, first, 1)
-        for var, hosted in enumerate(pair[1:], first + 1):
-            by_length[(hosted.host, length)].append((coef, var, 1))
-        first += n
+                _append_run(eq4[e], 1, first, len(same_cycle))
+        length = len(cycle) - 1
+        row, coef = row_of_length[length], 4 if length == 4 else 1
+        for _, pair in groupby(same_cycle, attrgetter("pa_alloc")):
+            pair = tuple(pair)
+            for key, count in cycle_alloc_counts(pair[0]).items():
+                _append_run(eq3[key], count, first, len(pair))
+            # the hosts of a pair differ, so only its first type can extend
+            # the run that its host's row ends with
+            _append_run(eq56[pair[0].host][row], coef, first, 1)
+            for var, (_, _, host) in enumerate(pair[1:], first + 1):
+                eq56[host][row].append((coef, var, 1))
+            first += len(pair)
 
     eq1 = ((1, rob_base, n_rob),) if n_rob else ()
     constraints = [Constraint("eq1", eq1, "=", ctx.k)]
@@ -168,11 +189,9 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
         constraints.append(Constraint("eq2", tuple(terms), "=", len(cls.members)))
     constraints += [Constraint("eq3", tuple(terms), ">=", 0) for terms in eq3.values()]
     constraints += [Constraint("eq4", tuple(terms), ">=", 1) for terms in eq4.values()]
-    for ri in range(n_rob):
-        for j in ctx.cycle_length_slots:
-            constraints.append(Constraint("eq5", tuple(by_length[(ri, j)]), "=", 0))
-    for ri in range(n_rob):
-        constraints.append(Constraint("eq6", tuple(by_length[(ri, 4)]), "<=", 0))
+    for rows in eq56:
+        constraints += [Constraint("eq5", tuple(terms), "=", 0) for terms in rows[:-1]]
+    constraints += [Constraint("eq6", tuple(rows[-1]), "<=", 0) for rows in eq56]
     return IlpSystem(variable_names(types), tuple(constraints))
 
 
@@ -180,10 +199,10 @@ def check_assignment(
     system: IlpSystem, assignment: IlpAssignment
 ) -> tuple[bool, list[int]]:
     """Evaluate every constraint; returns (ok, violated constraint indices)."""
-    if tuple(name for name, _ in assignment.values) != system.variables:
+    if tuple(map(itemgetter(0), assignment.values)) != system.variables:
         raise DomainMismatch("assignment domain differs from the system variables")
-    values = [value for _, value in assignment.values]
-    if any(v < 0 for v in values):
+    values = list(map(itemgetter(1), assignment.values))
+    if min(values, default=0) < 0:
         raise DomainMismatch("assignment values must be non-negative")
     violated = [
         idx for idx, c in enumerate(system.constraints) if not c.evaluate(values)
@@ -200,12 +219,16 @@ def _position(table: tuple, item, missing: str) -> int:
 
 
 def witness_from_solution(
-    ctx: FptContext, types: TypeSpace, runs: list[tuple[ValidPair, int]]
+    ctx: FptContext,
+    types: TypeSpace,
+    runs: list[tuple[ValidPair, int]],
+    names: tuple[str, ...],
 ) -> IlpAssignment:
     """Count the derived types of a concrete decomposition given as runs of
     (valid pair, robot count): a run's robot and cycle types count once per
     robot.  A type missing from the space is reported at the run's first
-    robot."""
+    robot.  `names` are the variables of the space's system, as
+    `variable_names` gives them."""
     rob_base = len(types.vertex_types)
     cyc_base = rob_base + len(types.robot_types)
     counts = [0] * (types.total)
@@ -224,7 +247,6 @@ def witness_from_solution(
             missing = f"derived cycle type of robot {first} missing from the space"
             counts[cyc_base + _position(types.cycle_types, ct, missing)] += count
         first += count
-    names = variable_names(types)
     return IlpAssignment(tuple(zip(names, counts)))
 
 
@@ -232,15 +254,18 @@ def witness_from_solution(
 # text formats
 #
 # Each format has one rendering.  The exporters join its pieces; the parsers
-# read their input leniently, one line at a time, and accept a line only if
-# it equals the rendering of what was read from it, so they never hold a
-# second copy of the text.  The comparison rejects stray whitespace, signs,
-# leading zeros, '_' separators, non-ASCII digits, wrong header counts and a
-# missing final newline alike, so the parsers check only what a rendering
-# cannot show.  A line that cannot be read raises at once.  A line that was
-# read but differs from its rendering raises once the whole text is read,
-# after the header, which holds the counts: the error names the first line
-# at which the text differs from the rendering of all that was read.
+# read their input leniently and accept a piece only if it equals the
+# rendering of what was read from it, so they never hold a second copy of the
+# text.  `parse_ilp` reads one line at a time.  `parse_assignment` reads whole
+# lines about `_CHUNK` bytes at a time and holds one chunk and its rendering;
+# a text it does not accept that way is read again one line at a time, which
+# words the error.  The comparison rejects stray whitespace, signs, leading
+# zeros, '_' separators, non-ASCII digits, wrong header counts and a missing
+# final newline alike, so the parsers check only what a rendering cannot
+# show.  A line that cannot be read raises at once.  A line that was read but
+# differs from its rendering raises once the whole text is read, after the
+# header, which holds the counts: the error names the first line at which the
+# text differs from the rendering of all that was read.
 # Nothing loops to a declared count.
 
 
@@ -412,6 +437,35 @@ def format_assignment(assignment: IlpAssignment) -> str:
 
 
 def parse_assignment(text: str) -> IlpAssignment:
+    """Read the text a chunk of whole lines at a time: a chunk is accepted
+    when it equals the rendering of its tokens read as names and values.  A
+    text with a chunk that is not, or with a name given twice, is read again
+    line by line, which words the error."""
+    values: dict[str, int] = {}
+    count = 0
+    start = _after_header(text)
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk = text[start:end]
+        tokens = chunk.split()
+        try:
+            tokens[1::2] = map(int, tokens[1::2])
+        except ValueError:
+            return _parse_assignment_lines(text)
+        if len(tokens) % 2 or "%s %s\n" * (len(tokens) // 2) % tuple(tokens) != chunk:
+            return _parse_assignment_lines(text)
+        values.update(zip(tokens[0::2], tokens[1::2]))
+        count += len(tokens) // 2
+        start = end
+    if len(values) != count:
+        return _parse_assignment_lines(text)
+    _check_rendered(text, f"assign {count}", None)
+    return IlpAssignment(tuple(values.items()))
+
+
+def _parse_assignment_lines(text: str) -> IlpAssignment:
+    """The line reader behind `parse_assignment`: it reads each text that
+    the chunk reader does not accept, and words the error."""
     values: dict[str, int] = {}
     first_bad = None
     for no, line in _lines(text, _after_header(text), 2):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from ..errors import PreconditionViolated, TypeSpaceTooLarge
@@ -424,10 +425,16 @@ def _enumerate_cycle_types(
     allocations and host indices, and `robot_types` is sorted."""
     out = []
     room = MAX_TYPES - len(vertex_types) - len(robot_types)  # cycle types within the cap
-    rob_cover = [multiset_vertices(rt.cc_counter()) & ctx.cover_set for rt in robot_types]
+    # `cc` leads the sort key, so the robot types of one skeleton are a range
+    skeletons = []  # (cover vertices of a skeleton, its robot-type indices)
+    first = 0
+    for cc, same in itertools.groupby(robot_types, attrgetter("cc")):
+        end = first + sum(1 for _ in same)
+        skeletons.append((ctx.cover_set.intersection(itertools.chain(*cc)), range(first, end)))
+        first = end
     for cycle in _enumerate_quotient_cycles(ctx):
-        cyc_cover = set(cycle) & ctx.cover_set
-        hosts = [ri for ri, cover in enumerate(rob_cover) if cover & cyc_cover]
+        cyc_cover = ctx.cover_set.intersection(cycle)
+        hosts = [ri for cover, rng in skeletons if not cover.isdisjoint(cyc_cover) for ri in rng]
         # every position of a slot group is labelled with its neighbor pair
         labels = {
             key: [key[1]] * len(poss) for key, poss in cycle_slots(ctx, cycle).items()

@@ -170,7 +170,7 @@ def test_criterion_6_forward_direction(corpus_artifacts):
     assert len(corpus_artifacts) == 30
     for name, inst, ctx, types, system, pairs, opt in corpus_artifacts:
         assert len(ctx.vcp) <= 2 and inst.graph.n <= 6, name
-        witness = witness_from_solution(ctx, types, pairs)
+        witness = witness_from_solution(ctx, types, pairs, system.variables)
         ok, violated = check_assignment(system, witness)
         assert ok, (name, [system.constraints[i] for i in violated])
     report(6, "30 corpus witnesses satisfy their systems")
@@ -179,7 +179,7 @@ def test_criterion_6_forward_direction(corpus_artifacts):
 def test_criterion_7_backward_direction(corpus_artifacts):
     """Reconstruction from each witness yields feasible multisets within budget."""
     for name, inst, ctx, types, system, pairs, opt in corpus_artifacts:
-        witness = witness_from_solution(ctx, types, pairs)
+        witness = witness_from_solution(ctx, types, pairs, system.variables)
         runs = reconstruct_solution(ctx, types, system, witness)
         multisets = robot_multisets(runs)
         assert feasibility_conditions_hold(inst, multisets, opt), name

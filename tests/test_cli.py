@@ -1,9 +1,11 @@
 import io
 import contextlib
+import gc
 from pathlib import Path
 
 import pytest
 
+from cge import cli
 from cge.cli import main
 from cge.errors import ParseError
 from cge.euler import solution_from_multisets
@@ -282,3 +284,53 @@ class TestCommands:
         a1 = run_cli("solve-approx", str(inst))
         a2 = run_cli("solve-approx", str(inst))
         assert a1 == a2
+
+
+# (instance text, argv after the command name, exit code) of every way out
+# of `main`; a usage error leaves by argparse's SystemExit
+EXITS = {
+    "ok": (TRIANGLE, ["solve-exact", "{inst}"], 0),
+    "no": ("binpack 1\ncapacity 2\nbins 1\nexact 0\nitem 2\nitem 2\n",
+           ["reduce-bin", "{inst}", "--to-exact"], 1),
+    "parse-error": (TRIANGLE + "edge 0 1\n", ["solve-exact", "{inst}"], 2),
+    "missing-file": (TRIANGLE, ["solve-exact", "{inst}.missing"], 2),
+    "guard": (C4_BUDGET, ["build-ilp", "{inst}", "-o", "{inst}.ilp"], 3),
+    "usage": (TRIANGLE, ["solve-exact", "{inst}", "--node-limit", "abc"], "usage"),
+}
+
+
+class TestCollector:
+    """`main` pauses the cyclic collector while a command runs and leaves it
+    as the caller had it, on every way out.  A running collector finds none
+    of the command's garbage left."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case", sorted(EXITS))
+    def test_main_restores_the_collector(self, tmp_path, monkeypatch, case, enabled):
+        text, argv, expected = EXITS[case]
+        inst = tmp_path / "inst.txt"
+        inst.write_text(text)
+        argv = [a.format(inst=inst) for a in argv]
+        during = []
+        read = cli._read
+
+        def recorded(path):
+            during.append(gc.isenabled())
+            return read(path)
+
+        monkeypatch.setattr(cli, "_read", recorded)
+        was = gc.isenabled()
+        gc.collect()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                if expected == "usage":
+                    with pytest.raises(SystemExit):
+                        run_cli(*argv)
+                else:
+                    assert run_cli(*argv)[0] == expected
+                    assert not enabled or gc.collect() == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == ([] if expected == "usage" else [False])

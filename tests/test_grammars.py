@@ -246,6 +246,54 @@ def _read(parse, text):
         return exc.line, exc.message
 
 
+# texts whose lines fall on both sides of a chunk boundary once the chunk is
+# a few bytes long
+CHUNK_TEXTS = {
+    "name-in-two-chunks": "assign 4\nx 1\ny 2\nz 3\nx 4\n",
+    "bad-value-opens-a-later-chunk": "assign 4\nx 1\ny 2\nz 03\nw 4\n",
+    "last-chunk-without-final-newline": "assign 3\nx 1\ny 2\nz 3",
+    "crlf-line": "assign 3\nx 1\ny 2\r\nz 3\n",
+    "line-longer-than-a-chunk": "assign 2\n" + "x" * 40 + " 12345678901234567890\ny 2\n",
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 6, 9])
+@pytest.mark.parametrize(
+    "text",
+    [ASSIGNMENT_TEXT, *CHUNK_TEXTS.values(), *ASSIGNMENT_REJECTS.values()],
+    ids=["exported", *CHUNK_TEXTS, *(f"reject-{k}" for k in ASSIGNMENT_REJECTS)],
+)
+def test_assignment_chunks_read_as_the_line_reader_does(monkeypatch, chunk, text):
+    """The chunked assignment reader accepts, reads and rejects what the
+    line reader does, with the same line and message, and as the reference
+    parser does, wherever the chunk boundaries fall."""
+    monkeypatch.setattr(system_module, "_CHUNK", chunk)
+    assert _read(parse_assignment, text) == _read(system_module._parse_assignment_lines, text)
+    assert _outcome(parse_assignment, text) == _outcome(reference.parse_assignment, text)
+
+
+@given(mutated([ASSIGNMENT_TEXT]), st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_mutated_assignments_read_by_small_chunks_as_by_lines(text, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(system_module, "_CHUNK", chunk)
+        assert _read(parse_assignment, text) == _read(system_module._parse_assignment_lines, text)
+        assert _outcome(parse_assignment, text) == _outcome(reference.parse_assignment, text)
+
+
+@pytest.mark.parametrize("chunk", [1, 6, 1 << 16])
+def test_exported_assignments_need_no_line_reader(monkeypatch, chunk):
+    """An exported text is read chunk by chunk alone."""
+    def refuse(text):
+        raise AssertionError("an exported assignment fell back to the line reader")
+
+    monkeypatch.setattr(system_module, "_CHUNK", chunk)
+    monkeypatch.setattr(system_module, "_parse_assignment_lines", refuse)
+    long_line = CHUNK_TEXTS["line-longer-than-a-chunk"]
+    for text in (ASSIGNMENT_TEXT, long_line, "assign 0\n"):
+        assert format_assignment(parse_assignment(text)) == text
+
+
 @given(mutated(INSTANCE_TEXTS + [TRIANGLE, BINPACK]))
 @settings(max_examples=600, deadline=None)
 def test_mutated_instances_parse_as_the_reference_does(text):

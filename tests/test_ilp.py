@@ -98,7 +98,7 @@ class TestWitness:
         ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
         opt, sol = exact_optimum(inst)
         assert opt == 2
-        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
         ok, violated = check_assignment(system, witness)
         assert ok, violated
         values = dict(witness.values)
@@ -114,7 +114,7 @@ class TestWitness:
         system = build_ilp_system(ctx, types)
         source = Counter({(0, 1): 2})
         pairs = [(decompose_valid_pair(ctx, source), 1) for _ in range(2)]
-        witness = witness_from_solution(ctx, types, pairs)
+        witness = witness_from_solution(ctx, types, pairs, system.variables)
         assert max(dict(witness.values).values()) == 2
         ok, _ = check_assignment(system, witness)
         assert ok
@@ -125,7 +125,7 @@ class TestWitness:
         opt, sol = exact_optimum(inst)
         assert opt == 4
         ctx, types, system = build_all(g, 1, 1, 4, cover=VertexCover((1,)))
-        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
         ok, violated = check_assignment(system, witness)
         assert ok, [system.constraints[i] for i in violated]
 
@@ -134,7 +134,7 @@ class TestWitness:
         inst = ExplorationInstance(g, 1, 1, 4)
         opt, sol = exact_optimum(inst)
         ctx, types, system = build_all(g, 1, 1, 4, cover=VertexCover((1,)))
-        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
         values = dict(witness.values)
         target = next(n for n, v in values.items() if n.startswith("x_ver_") and v)
         values[target] += 1
@@ -173,6 +173,6 @@ class TestExport:
         inst = ExplorationInstance(g, 0, 1, 2)
         ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
         opt, sol = exact_optimum(inst)
-        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
         text = format_assignment(witness)
         assert format_assignment(parse_assignment(text)) == text

@@ -69,7 +69,9 @@ def star_witness():
     g = Multigraph(9, [(0, i) for i in range(1, 9)])
     inst, ctx, types, system = pipeline(g, 0, 2, 8, cover=VertexCover((0,)))
     sol = approx_solve(inst, VertexCover((0,)))
-    return inst, ctx, types, system, witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+    return inst, ctx, types, system, witness_from_solution(
+        ctx, types, solution_pairs(ctx, sol), system.variables
+    )
 
 
 class TestReconstruct:
@@ -77,7 +79,7 @@ class TestReconstruct:
         g = Multigraph(2, [(0, 1)])
         inst, ctx, types, system = pipeline(g, 0, 1, 2, cover=VertexCover((0, 1)))
         opt, sol = exact_optimum(inst)
-        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
         multisets = robot_multisets(reconstruct_solution(ctx, types, system, witness))
         assert multisets == [Counter({(0, 1): 2})]
 
@@ -198,7 +200,7 @@ class TestReconstruct:
             ctx = FptContext.build(inst, vcp)
             types = enumerate_type_space(ctx)
             system = build_ilp_system(ctx, types)
-            witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+            witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
             ok, violated = check_assignment(system, witness)
             assert ok, [system.constraints[i] for i in violated]
             runs = reconstruct_solution(ctx, types, system, witness)
@@ -455,7 +457,7 @@ def test_witness_matches_reference(path):
     inst, vcp = corpus_instance(path)
     opt, sol = exact_optimum(inst)
     ctx, types, system = budgeted_system(inst, vcp, opt)
-    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
     assert_matches_reference(inst, ctx, types, system, witness)
 
 
@@ -498,7 +500,7 @@ def test_approx_witness_matches_reference(path):
         assert verify_solution(with_budget(inst, None), sol).ok
         return
     ctx, types, system = budgeted_system(inst, vcp, inst.budget)
-    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
     assert check_assignment(system, witness)[0]
     assert_matches_reference(inst, ctx, types, system, witness)
 
@@ -548,7 +550,7 @@ def test_small_populations_match_reference(seed):
     inst, cover, sol = population_instance(seed)
     vcp = connect_cover(inst.graph, cover, inst.v_init)
     ctx, types, system = budgeted_system(inst, vcp, inst.budget)
-    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
     assert check_assignment(system, witness)[0]
     assert_matches_reference(inst, ctx, types, system, witness)
 
@@ -561,7 +563,7 @@ def test_small_populations_both_differ_and_repeat():
         inst, cover, sol = population_instance(seed)
         vcp = connect_cover(inst.graph, cover, inst.v_init)
         ctx, types, system = budgeted_system(inst, vcp, inst.budget)
-        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+        witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
         runs = reconstruct_solution(ctx, types, system, witness)
         shared |= any(count > 1 for _, count in runs)
         differ |= len(runs) > 1

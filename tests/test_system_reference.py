@@ -1,13 +1,14 @@
 """The equation-system builder and the host relation against naive scans.
 
 Seeded random stars and double stars (cover at most 2) at budget = exact
-optimum.  Every eq3 to eq6 row is recomputed here by scanning all robot and
-cycle types per row, the way the equations are defined, and compared term
-for term with the built system.  The hosts of every (cycle, allocation) are
-exactly the robot types whose skeleton shares a cover vertex with the cycle,
-and the three type tables are strictly increasing, which the witness lookup
-relies on.  The witness of the exact solution must satisfy the system and
-reconstruct into a verified solution.
+optimum, optimum + 1 and optimum + 2.  Every eq3 to eq6 row is recomputed
+here by scanning all robot and cycle types per row, the way the equations
+are defined, and compared term for term with the built system.  The hosts of
+every (cycle, allocation) are exactly the robot types whose skeleton shares
+a cover vertex with the cycle, and the three type tables are strictly
+increasing, which the witness lookup relies on.  At the optimum, the witness
+of the exact solution must satisfy the system and reconstruct into a
+verified solution.
 """
 
 import pytest
@@ -67,15 +68,13 @@ def naive_rows(ctx, types):
     return rows
 
 
-@pytest.mark.parametrize("n,edges,start,k,cover", random_instances(7309, 30))
-def test_builder_and_host_table_match_naive_scans(n, edges, start, k, cover):
-    g = Multigraph(n, edges)
-    opt, sol = exact_optimum(ExplorationInstance(g, start, k))
-    inst = ExplorationInstance(g, start, k, opt)
-    ctx = FptContext.build(inst, VertexCover(cover))
+def built_system(g, start, k, budget, cover):
+    ctx = FptContext.build(ExplorationInstance(g, start, k, budget), VertexCover(cover))
     types = enumerate_type_space(ctx)
-    system = build_ilp_system(ctx, types)
+    return ctx, types, build_ilp_system(ctx, types)
 
+
+def assert_matches_naive_scans(ctx, types, system):
     hosts = {}
     for ct in types.cycle_types:
         hosts.setdefault((ct.cycle, ct.pa_alloc), []).append(ct.host)
@@ -91,10 +90,23 @@ def test_builder_and_host_table_match_naive_scans(n, edges, start, k, cover):
         built = [list(term_pairs(c.terms)) for c in system.constraints if c.tag == tag]
         assert built == rows, tag
 
-    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+
+@pytest.mark.parametrize("n,edges,start,k,cover", random_instances(7309, 30))
+def test_builder_and_host_table_match_naive_scans(n, edges, start, k, cover):
+    g = Multigraph(n, edges)
+    opt, sol = exact_optimum(ExplorationInstance(g, start, k))
+    # above the optimum, one skeleton can carry several allocations and
+    # cycle-count vectors, whose robot types join the rows as runs
+    for budget in (opt + 1, opt + 2):
+        assert_matches_naive_scans(*built_system(g, start, k, budget, cover))
+    ctx, types, system = built_system(g, start, k, opt, cover)
+    assert_matches_naive_scans(ctx, types, system)
+
+    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
     ok, violated = check_assignment(system, witness)
     assert ok, [system.constraints[i] for i in violated]
     runs = reconstruct_solution(ctx, types, system, witness)
+    inst = ExplorationInstance(g, start, k, opt)
     report = verify_solution(inst, solution_from_multisets(n, start, runs, k))
     assert report.ok
     assert report.value <= opt

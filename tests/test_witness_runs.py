@@ -26,7 +26,7 @@ from cge.fptilp import pairs
 from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import ValidPair, canonical_cycle, freeze_multiset, solution_pairs
 from cge.fptilp.reconstruct import reconstruct_solution
-from cge.fptilp.system import check_assignment, witness_from_solution
+from cge.fptilp.system import check_assignment, variable_names, witness_from_solution
 from cge.fptilp.typespace import derive_cycle_type, derive_robot_type, derive_vertex_types
 from cge.graphs import ExplorationInstance, Multigraph
 from cge.textio import parse_instance
@@ -43,7 +43,9 @@ def outcome(fn):
 
 
 def assert_same_witness(ctx, types, sol):
-    new = outcome(lambda: witness_from_solution(ctx, types, solution_pairs(ctx, sol)))
+    new = outcome(lambda: witness_from_solution(
+        ctx, types, solution_pairs(ctx, sol), variable_names(types)
+    ))
     old = outcome(
         lambda: ref.witness_from_solution(
             ctx, types, ref.solution_pairs(ctx, ref.Solution(sol.runs))
@@ -67,7 +69,7 @@ def test_decompose_runs_once_per_run(monkeypatch):
         return decompose(*args)
 
     monkeypatch.setattr(pairs, "decompose_valid_pair", counted)
-    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+    witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
     assert len(calls) == 2
     assert check_assignment(system, witness)[0]
     assert sum(v for name, v in witness.values if name.startswith("x_rob_")) == 1000
@@ -231,7 +233,7 @@ def test_approx_solutions_of_small_graphs_round_trip():
                 continue
             built += 1
             heavy += any(m > 2 for rc, _ in sol.runs for m in rc.edge_multiset().values())
-            witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol))
+            witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
             assert check_assignment(system, witness)[0], (g, start, k)
             runs = reconstruct_solution(ctx, types, system, witness)
             rebuilt = solution_from_multisets(n, start, runs, k)
