@@ -241,37 +241,40 @@ def _assign_robots(
     `catalog.covers`.  Returns chosen entry indices (possibly fewer than k;
     the rest stay at the start vertex), or None.
     """
-    supports = catalog.supports
     usable = (1 << bisect_right(catalog.lengths, budget)) - 1
     covers = [c & usable for c in catalog.covers]
     if not all(covers):
         return None
+    return _assign_from(covers, catalog.supports, full_mask, nodes, 0, k, [])
 
-    def recurse(covered: int, robots_left: int, chosen: list[int]):
-        if covered == full_mask:
-            return list(chosen)
-        if robots_left == 0:
-            return None
-        nodes.spend()
-        remaining = ~covered & full_mask
-        lowest = (remaining & -remaining).bit_length() - 1
-        candidates = covers[lowest]
-        if robots_left == 1:  # only the entries covering every uncovered edge
-            for j in range(lowest + 1, len(covers)):
-                if remaining >> j & 1:
-                    candidates &= covers[j]
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            i = low.bit_length() - 1
-            chosen.append(i)
-            got = recurse(covered | supports[i], robots_left - 1, chosen)
-            if got is not None:
-                return got
-            chosen.pop()
+
+def _assign_from(covers, supports, full_mask, nodes, covered, robots_left, chosen):
+    """The recursion of `_assign_robots` from the robots in `chosen` and the
+    edges they cover; a module function, so no closure refers to itself."""
+    if covered == full_mask:
+        return list(chosen)
+    if robots_left == 0:
         return None
-
-    return recurse(0, k, [])
+    nodes.spend()
+    remaining = ~covered & full_mask
+    lowest = (remaining & -remaining).bit_length() - 1
+    candidates = covers[lowest]
+    if robots_left == 1:  # only the entries covering every uncovered edge
+        for j in range(lowest + 1, len(covers)):
+            if remaining >> j & 1:
+                candidates &= covers[j]
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        i = low.bit_length() - 1
+        chosen.append(i)
+        got = _assign_from(
+            covers, supports, full_mask, nodes, covered | supports[i], robots_left - 1, chosen
+        )
+        if got is not None:
+            return got
+        chosen.pop()
+    return None
 
 
 def _first_tour(
@@ -350,17 +353,18 @@ def _min_pairing(dist: list[list[int]]) -> int:
     A DP over the set of unpaired vertices that always pairs the lowest one:
     O(2^t * t).
     """
-    best = {0: 0}
+    return _pairing_cost(dist, {0: 0}, (1 << len(dist)) - 1)
 
-    def cost(mask: int) -> int:
-        if mask not in best:
-            low = (mask & -mask).bit_length() - 1
-            rest, row = mask ^ 1 << low, dist[low]
-            best[mask] = min(row[j] + cost(rest ^ 1 << j)
-                             for j in range(low + 1, len(dist)) if rest >> j & 1)
-        return best[mask]
 
-    return cost((1 << len(dist)) - 1)
+def _pairing_cost(dist: list[list[int]], best: dict[int, int], mask: int) -> int:
+    """The DP of `_min_pairing` at the unpaired set `mask`, memoized in
+    `best`; a module function, so no closure refers to itself."""
+    if mask not in best:
+        low = (mask & -mask).bit_length() - 1
+        rest, row = mask ^ 1 << low, dist[low]
+        best[mask] = min(row[j] + _pairing_cost(dist, best, rest ^ 1 << j)
+                         for j in range(low + 1, len(dist)) if rest >> j & 1)
+    return best[mask]
 
 
 def _postman_bound(inst: ExplorationInstance) -> int:

@@ -399,20 +399,16 @@ def _enumerate_quotient_cycles(ctx: FptContext) -> list[Cycle]:
     gs = ctx.gstar.graph
     max_len = ctx.max_cycle_length
     found: set[Cycle] = set()
-
-    def extend(walk: list[int], simple: bool):
-        # a simple walk keeps growing up to max_len vertices, any walk up to 4
+    # a simple walk keeps growing up to max_len vertices, any walk up to 4
+    stack = [((s,), True) for s in sorted(ctx.cover_set)]
+    while stack:
+        walk, simple = stack.pop()
         for w in gs.neighbors(walk[-1]):
             if w == walk[0] and (simple and len(walk) >= 2 or len(walk) == 4):
-                found.add(canonical_cycle(tuple(walk) + (w,), ctx.cover_set))
+                found.add(canonical_cycle(walk + (w,), ctx.cover_set))
             still = simple and w not in walk
             if len(walk) < (max_len if still else 4):
-                walk.append(w)
-                extend(walk, still)
-                walk.pop()
-
-    for s in sorted(ctx.cover_set):
-        extend([s], True)
+                stack.append((walk + (w,), still))
     return sorted(found)
 
 

@@ -10,6 +10,8 @@ Multigraph are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import islice, starmap
+from operator import itemgetter, lt
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NotConnected, SelfLoop
@@ -25,6 +27,21 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _simple_edges(pairs: tuple, n: int) -> bool:
+    """Whether `pairs` is strictly ascending tuples (u, v) with
+    0 <= u < v < n, checked by loops in C with no Python call per pair."""
+    try:
+        return not pairs or (
+            type(pairs[0]) is tuple
+            and all(starmap(lt, pairs))
+            and all(map(lt, pairs, islice(pairs, 1, None)))
+            and pairs[0][0] >= 0
+            and max(map(itemgetter(1), pairs)) < n
+        )
+    except TypeError:  # not pairs of comparable numbers
+        return False
+
+
 class Multigraph:
     """Undirected simple graph over vertices 0..n-1.
 
@@ -32,6 +49,11 @@ class Multigraph:
     perfbench/workloads.py imports it.  `edges` is the ascending tuple of
     normalized pairs and `neighbors(v)` the ascending tuple of v's neighbours,
     both built once from the constructor's pairs.
+
+    Pairs that already are the `edges` of a graph, strictly ascending tuples
+    (u, v) with 0 <= u < v < n, are taken as given: `_simple_edges` checks
+    them with loops in C, and only the adjacency is built per pair.  Any
+    other input is normalized, sorted and checked pair by pair.
     """
 
     __slots__ = ("n", "edges", "_adj")
@@ -45,24 +67,27 @@ class Multigraph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        # each pair is compared once; only a loop reaches norm_edge, which
-        # raises SelfLoop for the first loop in the order given
-        self.edges = tuple(sorted([
-            (u, v) if u < v else (v, u) if v < u else norm_edge(u, v) for u, v in edges
-        ]))
+        pairs = tuple(edges)
+        if not _simple_edges(pairs, n):
+            # each pair is compared once; only a loop reaches norm_edge, which
+            # raises SelfLoop for the first loop in the order given
+            pairs = tuple(sorted([
+                (u, v) if u < v else (v, u) if v < u else norm_edge(u, v) for u, v in pairs
+            ]))
+            prev = None
+            for e in pairs:
+                if e[0] < 0 or e[1] >= n:
+                    raise ValueError(f"edge {e} out of range for n={n}")
+                if e == prev:
+                    raise ValueError(f"repeated edge {e}; graphs are simple")
+                prev = e
+        self.edges = pairs
         # sorted pairs list every (a, x) with a < x before every (x, b), so
         # each neighbour list comes out ascending without a sort of its own
         adj: list[list[int]] = [[] for _ in range(n)]
-        prev = None
-        for e in self.edges:
-            u, v = e
-            if u < 0 or v >= n:
-                raise ValueError(f"edge {e} out of range for n={n}")
-            if e == prev:
-                raise ValueError(f"repeated edge {e}; graphs are simple")
+        for u, v in pairs:
             adj[u].append(v)
             adj[v].append(u)
-            prev = e
         self._adj = tuple(map(tuple, adj))
 
     # -- queries ---------------------------------------------------------

@@ -38,15 +38,25 @@ are ASCII digits with an optional sign: a line holding any other character
 outside ASCII, or a '_', is rejected, so int() never reads a digit the
 formatter would not write.  Scalar directives appear at most once.  Parsing
 and formatting round-trip exactly.
+
+An instance text exactly as `format_instance` writes one, the form of every
+generated or converted instance, is read in bulk and its edges are checked
+once.  The text is split once and must equal its own rendering; each edge
+end is read by a look-up among the names of the vertices 0..n-1, which also
+checks its digits and range; and the pairs go to `Multigraph`, whose check
+in C of strictly ascending (u, v) with u < v lets it keep them as its edges.
+A text that fails any of these steps, or that the line reader would refuse,
+is read again by the line reader, which alone words errors, so every
+result and error is the line reader's.
 """
 
 from __future__ import annotations
 
 import re
-from operator import itemgetter
+from itertools import chain
 from typing import Iterator, NamedTuple, TextIO
 
-from .errors import NotConnected, ParseError
+from .errors import CgeError, NotConnected, ParseError
 from .euler import RobotCycle, Solution, robot_lines
 from .graphs import ExplorationInstance, Multigraph
 from .hardness import BinPackingInstance
@@ -65,29 +75,61 @@ _PIECE = 1 << 16  # characters read from a solution file at a time
 
 def _meaningful_lines(text: str) -> list[tuple[int, str]]:
     """The (line number, line) pairs of the text's non-blank lines, each
-    without its comment and surrounding whitespace.
-
-    The whole text is checked for ASCII and '_' at once, and comments are
-    split off only when the text holds a '#'.  Only a text that fails the
-    check has its lines checked one by one, which raises ParseError at the
-    first line whose meaningful part holds a character outside ASCII or a
-    '_' (a comment may hold either, and so may whitespace that `str.strip`
-    removes).
-    """
-    raws = text.splitlines()
-    body = text
-    if "#" in text:
-        raws = [raw.split("#", 1)[0] for raw in raws]
-        body = "".join(raws)
-    lines = list(filter(itemgetter(1), enumerate(map(str.strip, raws), start=1)))
-    if not body.isascii() or "_" in body:
-        for lineno, line in lines:
+    without its comment and surrounding whitespace.  Raises ParseError at
+    the first whose meaningful part holds a character outside ASCII or a
+    '_' (a comment may hold either)."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
             if not line.isascii() or "_" in line:
                 raise ParseError(lineno, "only ASCII without '_' is allowed")
+            lines.append((lineno, line))
     return lines
 
 
 def parse_instance(text: str) -> InstanceDocument:
+    """The instance in `text`: read in bulk when it is exactly as
+    `format_instance` writes an exploration instance with edges, else by
+    the line reader, which alone words errors."""
+    inst = _read_in_bulk(text)
+    return _parse_instance_lines(text) if inst is None else InstanceDocument("cge", inst)
+
+
+def _read_in_bulk(text: str) -> ExplorationInstance | None:
+    """The instance of a text exactly as `format_instance` writes one with
+    edges, or None for any other text and any the line reader refuses."""
+    start = text.find("\nedge ") + 1
+    try:
+        n, v_init, k, *budget = scalars = list(map(int, text[:start].split()[3::2]))
+    except ValueError:
+        return None
+    ends = text[start:].replace("edge ", "").split()
+    m = len(ends) // 2
+    # a 'nodes' count no m edges can connect is refused by the line reader,
+    # before anything is allocated per vertex
+    if len(budget) > 1 or 2 * m != len(ends) or not 0 < n <= m + 1:
+        return None
+    if _cge_form(len(budget), m) % (*scalars, *ends) != text:
+        return None
+    # each end is looked up among the names format_instance writes, which
+    # checks its digits and range as it reads it
+    vertex = {str(v): v for v in range(n)}
+    nums = map(vertex.__getitem__, ends)
+    try:
+        pairs = tuple(zip(nums, nums))
+        graph = Multigraph(n, pairs)
+        # the graph keeps the pairs as given only if they were its edges
+        if graph.edges == pairs:
+            return ExplorationInstance(graph, v_init, k, *budget)
+    except (KeyError, ValueError, CgeError):
+        pass
+    return None
+
+
+def _parse_instance_lines(text: str) -> InstanceDocument:
+    """The line reader behind `parse_instance`: it reads each text the bulk
+    read does not accept, and words the error."""
     lines = _meaningful_lines(text)
     if not lines:
         raise ParseError(1, "empty input")
@@ -126,21 +168,13 @@ def _require(scalars: dict[str, int], names: tuple[str, ...], lineno: int) -> No
 
 
 def _parse_cge(lines: list[tuple[int, str]]) -> ExplorationInstance:
-    """The instance in the lines after the header.  Edge lines, nearly all
-    of a large file, are read here without a call per line."""
     scalars: dict[str, int] = {}
     edges: dict[tuple[int, int], int] = {}
-    n = None  # the 'nodes' count once read
     for lineno, line in lines:
         parts = line.split()
         if parts[0] == "edge":
-            if len(parts) != 3:
-                raise ParseError(lineno, "expected 2 argument(s) for 'edge'")
-            try:
-                u = int(parts[1])
-                v = int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, f"non-integer argument in {parts!r}")
+            u, v = _int_field(lineno, parts, 2)
+            n = scalars.get("nodes")
             if n is None:
                 raise ParseError(lineno, "'nodes' must come before edges")
             if not (0 <= u < n and 0 <= v < n):
@@ -153,7 +187,6 @@ def _parse_cge(lines: list[tuple[int, str]]) -> ExplorationInstance:
             edges[e] = 1
         elif parts[0] in ("nodes", "init", "robots", "budget"):
             _set_scalar(scalars, lineno, parts)
-            n = scalars.get("nodes")
         else:
             raise ParseError(lineno, f"unknown directive {parts[0]!r}")
     last_line = lines[-1][0] if lines else 1
@@ -197,20 +230,21 @@ def _parse_binpack(lines) -> BinPackingInstance:
         raise ParseError(last_line, str(exc))
 
 
+def _cge_form(budgets: int, m: int) -> str:
+    """The text of an exploration instance with `budgets` budget lines and
+    m edges, with a %s for each number."""
+    head = "cge 1\nnodes %s\ninit %s\nrobots %s\n" + "budget %s\n" * budgets
+    return head + "edge %s %s\n" * m
+
+
 def format_instance(doc: InstanceDocument) -> str:
     if doc.kind == "cge":
         inst: ExplorationInstance = doc.payload
-        lines = [
-            "cge 1",
-            f"nodes {inst.graph.n}",
-            f"init {inst.v_init}",
-            f"robots {inst.k}",
-        ]
-        if inst.budget is not None:
-            lines.append(f"budget {inst.budget}")
-        for (u, v) in inst.graph.edges:
-            lines.append(f"edge {u} {v}")
-        return "\n".join(lines) + "\n"
+        g = inst.graph
+        budget = () if inst.budget is None else (inst.budget,)
+        return _cge_form(len(budget), g.num_edges) % (
+            g.n, inst.v_init, inst.k, *budget, *chain.from_iterable(g.edges)
+        )
     if doc.kind == "binpack":
         bp: BinPackingInstance = doc.payload
         lines = [
@@ -230,7 +264,8 @@ def format_solution(sol: Solution) -> str:
     for rc, count in sol.runs:
         pieces.extend(robot_lines(first, count, " ".join(map(str, rc.walk))))
         first += count
-    return "\n".join(pieces) + "\n"
+    pieces.append("")  # the text's last "\n", without a second copy of it
+    return "\n".join(pieces)
 
 
 def parse_solution(source: str | TextIO) -> Solution:
@@ -287,7 +322,7 @@ def parse_solution(source: str | TextIO) -> Solution:
                     lineno += more
                 else:
                     try:
-                        walk = tuple(int(p) for p in parts[2].split())
+                        walk = tuple(map(int, parts[2].split()))
                     except ValueError:
                         raise ParseError(lineno, "non-integer vertex in walk")
                     try:

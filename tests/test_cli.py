@@ -334,3 +334,52 @@ class TestCollector:
         finally:
             (gc.enable if was else gc.disable)()
         assert during == ([] if expected == "usage" else [False])
+
+
+CORPUS = Path(__file__).parent / "data" / "corpus"
+# every command kind, on corpus instances: star3-k2 takes the k >= 2 exact
+# search and the compiler, triangle-k2 the postman bound of a non-tree
+COMMAND_KINDS = {
+    "solve-exact-star": ["solve-exact", str(CORPUS / "star3-k2.cge")],
+    "solve-exact-triangle": ["solve-exact", str(CORPUS / "triangle-k2.cge")],
+    "solve-approx": ["solve-approx", str(CORPUS / "star3-k2.cge")],
+    "verify": ["verify", str(CORPUS / "star3-k2.cge"), "{d}/exact.sol"],
+    "build-ilp": ["build-ilp", str(CORPUS / "star3-k2.cge"), "-o", "{d}/out.ilp"],
+    "derive-witness": ["derive-witness", str(CORPUS / "star3-k2.cge"), "{d}/exact.sol",
+                       "-o", "{d}/out.assign"],
+    "check-witness": ["check-witness", "{d}/system.ilp", "{d}/witness.assign"],
+    "reconstruct": ["reconstruct", "{d}/system.ilp", "{d}/witness.assign",
+                    str(CORPUS / "star3-k2.cge")],
+    "reduce-bin-to-cge": ["reduce-bin", str(CORPUS / "bp-exact-2-2.binpack"), "--to-cge"],
+    "reduce-bin-to-exact": ["reduce-bin", str(CORPUS / "bp-plain-1.binpack"), "--to-exact"],
+    "guard": ["build-ilp", str(CORPUS / "guard-c4.cge"), "-o", "{d}/guard.ilp"],
+}
+
+
+@pytest.fixture(scope="module")
+def command_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("commands")
+    inst = str(CORPUS / "star3-k2.cge")
+    out = run_cli("solve-exact", inst)[1]
+    (d / "exact.sol").write_text(out.split("\n", 1)[1])
+    run_cli("build-ilp", inst, "-o", str(d / "system.ilp"))
+    run_cli("derive-witness", inst, str(d / "exact.sol"), "-o", str(d / "witness.assign"))
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_KINDS))
+def test_no_command_leaves_garbage_for_the_collector(command_files, name):
+    """With the collector off, a command's objects are all freed by their
+    reference counts: none is left in a reference cycle."""
+    argv = [a.format(d=command_files) for a in COMMAND_KINDS[name]]
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code, _ = run_cli(*argv)
+        assert code == (3 if name == "guard" else 0)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()

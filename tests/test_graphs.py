@@ -89,6 +89,53 @@ class TestMultigraph:
             outcomes[got[0] if isinstance(got[0], type) else "ok"] += 1
         assert outcomes[SelfLoop] and outcomes[ValueError] and outcomes["ok"]
 
+    def test_ascending_pairs_are_kept_as_given(self):
+        pairs = ((0, 1), (0, 3), (1, 2), (2, 3))
+        g = Multigraph(4, pairs)
+        assert g.edges is pairs
+        assert list(map(g.neighbors, range(4))) == [(1, 3), (0, 2), (1, 3), (0, 2)]
+        # pairs in order but not as tuples are read pair by pair
+        assert Multigraph(4, [list(e) for e in pairs]).edges == pairs
+
+    def test_ascending_pairs_with_a_fault_raise_as_the_old_constructor_did(self):
+        """Pairs in ascending order up to one fault (a repeat, a reversed or
+        looped pair, an end out of range, a pair out of order) give the
+        edges or the exception and message of the per-pair constructor."""
+        rng = random.Random(33)
+        faults = Counter()
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            draws = range(rng.randint(1, 9))
+            pairs = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in draws})
+            i = rng.randrange(len(pairs))
+            u, v = pairs[i]
+            fault = rng.choice(["repeat", "reverse", "loop", "high", "low", "swap", "none"])
+            if fault == "repeat":
+                pairs.insert(i, (u, v))
+            elif fault == "reverse":
+                pairs[i] = (v, u)
+            elif fault == "loop":
+                pairs[i] = (u, u)
+            elif fault == "high":
+                pairs[-1] = (pairs[-1][0], n)
+            elif fault == "low":
+                pairs[0] = (-1, pairs[0][1])
+            elif fault == "swap" and len(pairs) > 1:
+                pairs[i - 1], pairs[i] = pairs[i], pairs[i - 1]
+            pairs = tuple(pairs)
+            try:
+                expected = instance_text_reference.multigraph_parts(n, pairs)
+            except (SelfLoop, ValueError) as exc:
+                expected = type(exc), str(exc)
+            try:
+                g = Multigraph(n, pairs)
+                got = g.edges, tuple(map(g.neighbors, range(n)))
+            except (SelfLoop, ValueError) as exc:
+                got = type(exc), str(exc)
+            assert got == expected, (n, pairs)
+            faults[fault, got[0] if isinstance(got[0], type) else "ok"] += 1
+        assert faults["none", "ok"] and faults["loop", SelfLoop] and faults["high", ValueError]
+
     def test_components_with_isolated_member(self):
         g = Multigraph(4, [(0, 1)])
         assert g.components({0, 1, 3}) == [[0, 1], [3]]

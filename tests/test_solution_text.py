@@ -146,3 +146,13 @@ def test_lines_of_an_open_run_skip_the_grammar():
     sol = parse_solution(text)
     assert [(rc.walk, count) for rc, count in sol.runs] == [((0, 1, 0), 5000)]
     assert CountedText.searches == 3  # the value line, robot 1 and robot 2
+
+
+@pytest.mark.parametrize("token", ["+1", "01", "-0", "+0", "001", "1"])
+def test_walk_vertices_read_as_int_reads_them(token):
+    for text in (
+        f"value 2\nrobot 1: 0 {token} 0\n",
+        f"value 2\nrobot 1: {token} 2 {token}\nrobot 2: {token} 2 {token}\n",
+        f"value 2\nrobot 1: 0 1 0\nrobot 2: 0 {token} 0\nrobot 3: 0 {token} 0\n",
+    ):
+        assert assert_reads_as_reference(text) == reference.parse_solution(text)
