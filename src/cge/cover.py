@@ -156,15 +156,23 @@ def _class_graph(
     """All cover-internal edges of the host plus `counts[i]` fresh vertices for
     class i, numbered from `g.n` upward and each wired to the class
     neighborhood.
+
+    The pairs come in the ascending order `Multigraph` keeps as given: each
+    cover vertex's higher cover neighbours, then its copies, class by class.
     """
     cset = vc.as_set()
-    edges = [(u, v) for (u, v) in g.edges if u in cset and v in cset]
     ids = []
+    copies: dict[int, list[int]] = {w: [] for w in cset}
     nxt = g.n
     for cls, count in zip(eq.classes, counts):
         ids.append(tuple(range(nxt, nxt + count)))
         nxt += count
-        edges += [(w, cv) for cv in ids[-1] for w in cls.neighborhood]
+        for w in cls.neighborhood:
+            copies[w] += ids[-1]
+    edges = []
+    for w in sorted(cset):
+        edges += [(w, v) for v in g.neighbors(w) if v > w and v in cset]
+        edges += [(w, c) for c in copies[w]]
     return Multigraph(nxt, edges), tuple(ids)
 
 

@@ -33,6 +33,7 @@ rendering.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
@@ -57,6 +58,7 @@ from .typespace import (
 RELATIONS = ("<=", "=", ">=")
 
 _CHUNK = 1 << 16  # bytes of assignment text read at once, up to the next newline
+_NOT_VAR = re.compile(r"\n(?!var )")  # the end of a run of var lines
 
 
 class Constraint(NamedTuple):
@@ -388,24 +390,13 @@ def parse_ilp(text: str) -> IlpSystem:
 
 def _var_names(text: str) -> tuple[list[str], int]:
     """The names on the var lines that follow the header, and the position
-    of the line after them.
-
-    The var lines end where the first constraint line begins, unless a line
-    before it is not a var line; only then are they read one by one."""
+    of the line after them."""
     start = _after_header(text)
-    end = text.find("\nc ", start - 1)
-    if end < 0:
-        end = len(text) - text.endswith("\n")
-    block = text[start:end]
-    if block.startswith("var ") and block.count("\n") == block.count("\nvar "):
-        return block[4:].split("\nvar "), end + 1
-    names = []
-    for _, line in _lines(text, start, 2):
-        if not line.startswith("var "):
-            break
-        names.append(line[4:])
-        start += len(line) + 1
-    return names, start
+    if not text.startswith("var ", start):
+        return [], start
+    found = _NOT_VAR.search(text, start)
+    end = found.start() if found else len(text)
+    return text[start + 4:end].split("\nvar "), end + 1
 
 
 def _var_index(names: list[str]) -> dict[str, int]:

@@ -197,7 +197,7 @@ def _parse_cge(lines: list[tuple[int, str]]) -> ExplorationInstance:
     if n > len(edges) + 1:
         raise ParseError(last_line, f"{n} nodes cannot be connected by {len(edges)} edges")
     try:
-        graph = Multigraph(n, edges)
+        graph = Multigraph(n, sorted(edges))
         return ExplorationInstance(
             graph, scalars["init"], scalars["robots"], scalars.get("budget")
         )

@@ -8,8 +8,12 @@ instance through `solve-exact`.  Then come the flagged calls (`--vc`,
 `--max-budget`, `--output`), the guard trips (`guard-c4.cge`, an instance
 past the type cap, the search node limit and the robot cap) and the usage
 errors cge words itself (`reduce-bin` with both flags, and a `--node-limit`,
-`--max-budget` or `--vc` out of range).  Seeded mid-size graphs and malformed
-inputs are not in it yet.
+`--max-budget` or `--vc` out of range).  Last come the paths no other call
+reaches: a witness that violates a constraint and one with a negative value,
+`reconstruct` given another instance's system, `--vc a`, `build-ilp` without
+a budget, `verify` given a bin packing, bin packings with `exact 2` and
+`item 0`, and `solve-exact` on a single vertex.  Seeded mid-size graphs and
+other malformed inputs are not in it yet.
 
 Each key is a command line with paths reduced to file names.  Its value holds
 the exit code, the sha256 of stdout and of stderr (the scratch directory
@@ -51,6 +55,12 @@ BOTH_FLAGS = "binpack 1\ncapacity 3\nbins 2\nexact 0\nitem 2\nitem 1\n"
 NO_BUDGET = "cge 1\nnodes 3\ninit 0\nrobots 2\nedge 0 1\nedge 0 2\nedge 1 2\n"
 # one robot past cli.MAX_ROBOTS
 ROBOT_TRIP = "cge 1\nnodes 2\ninit 0\nrobots 10000001\nedge 0 1\n"
+BAD_BINPACKS = {
+    "exact-2": "binpack 1\ncapacity 3\nbins 1\nexact 2\nitem 1\n",
+    "item-0": "binpack 1\ncapacity 3\nbins 1\nexact 0\nitem 0\n",
+}
+# no edges: the optimum is 0 and the robot's walk is its start
+ONE_VERTEX = "cge 1\nnodes 1\ninit 0\nrobots 1\n"
 
 
 def _sha(data: str | bytes) -> str:
@@ -127,6 +137,25 @@ def manifest(workdir: Path) -> dict[str, dict]:
     run("solve-exact", star, "--node-limit", "0")
     run("solve-exact", no_budget, "--max-budget", "-1")
     run("solve-approx", star, "--vc", "9")
+
+    witness = (workdir / "star3-k2.exact.assign").read_text(encoding="utf-8").splitlines()
+    for name, value in (("rob-5", 5), ("rob-negative", -1)):
+        bad = workdir / f"star3-k2.{name}.assign"
+        bad.write_text("".join(
+            f"x_rob_0 {value}\n" if line.startswith("x_rob_0 ") else f"{line}\n" for line in witness
+        ), encoding="utf-8")
+        run("check-witness", workdir / "star3-k2.ilp", bad)
+    run("reconstruct", workdir / "star2-k1.ilp", workdir / "star3-k2.exact.assign", star)
+    run("solve-approx", star, "--vc", "a")
+    run("build-ilp", no_budget, "-o", workdir / "no-budget.ilp")
+    run("verify", copy("bp-plain-1.binpack"), workdir / "star3-k2.exact.sol")
+    for name, text in BAD_BINPACKS.items():
+        bp = workdir / f"{name}.binpack"
+        bp.write_text(text, encoding="utf-8")
+        run("reduce-bin", bp, "--to-cge")
+    one_vertex = workdir / "one-vertex.cge"
+    one_vertex.write_text(ONE_VERTEX, encoding="utf-8")
+    run("solve-exact", one_vertex)
     return entries
 
 

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cge import graphs
+from cge.cli import main
 from cge.errors import NotConnected, SelfLoop
 from cge.graphs import ExplorationInstance, Multigraph, norm_edge, odd_degree_vertices
-from cge.textio import InstanceDocument, format_instance, parse_instance
+from cge.textio import InstanceDocument, _parse_instance_lines, format_instance, parse_instance
 
 import instance_text_reference
+from corpus import BUILDABLE, CORPUS
 
 
 class TestMultigraph:
@@ -208,3 +211,29 @@ def test_odd_degree_vertices_sum_the_degrees(counts):
             deg[a] += m
             deg[b] += m
     assert odd_degree_vertices(Counter(counts)) == sorted(v for v, d in deg.items() if d % 2)
+
+
+def test_no_graph_the_program_builds_takes_the_sort_path(monkeypatch, tmp_path, capsys):
+    """Every graph `build-ilp` builds for a buildable corpus instance (the
+    instance, its quotient graph and its expansion), every tree `reduce-bin
+    --to-cge` builds and every graph the line reader builds (guard-c4 lists
+    edge 0-3 last) gets strictly ascending pairs, which `Multigraph` keeps as
+    given."""
+    accepted = []
+    simple_edges = graphs._simple_edges
+
+    def spy(pairs, n):
+        accepted.append(simple_edges(pairs, n))
+        return accepted[-1]
+
+    monkeypatch.setattr(graphs, "_simple_edges", spy)
+    for path in BUILDABLE:
+        assert main(["build-ilp", str(path), "-o", str(tmp_path / "system.ilp")]) == 0
+    for path in sorted(CORPUS.glob("*.binpack")):
+        assert main(["reduce-bin", str(path), "--to-cge"]) == 0
+    for path in sorted(CORPUS.glob("*.cge")):
+        _parse_instance_lines(path.read_text(encoding="utf-8"))
+    capsys.readouterr()
+    # each instance, its quotient graph and its expansion
+    assert len(accepted) >= 3 * len(BUILDABLE)
+    assert all(accepted)
