@@ -4,11 +4,12 @@ The algorithm works on edge multisets rather than walks: make the degree of
 every independent vertex even by duplicating one incident edge, deal the
 independent-incident edges to the robots in balanced pairs, deal the
 cover-internal edges one at a time, then give every robot the one BFS tree of
-the induced cover graph built per solve, fix the cover parities against that
-tree in one children-first pass, and read off an Eulerian cycle per robot.
-The fix is the tree's unique T-join, so it does not depend on where the tree
-is rooted.  The value exceeds the optimum by at most twice the size of the
-connected cover actually used.
+the induced cover graph, fix the cover parities against that tree in one
+children-first pass, and read off an Eulerian cycle per robot.  The tree's
+tour lists, counts and odd-degree set are built once per solve, and each
+robot adds only its own edges to them.  The fix is the tree's unique T-join,
+so it does not depend on where the tree is rooted.  The value exceeds the
+optimum by at most twice the size of the connected cover actually used.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 from .cover import VertexCover, connect_cover
 from .errors import OddDegree, TreeNotSpanning
-from .euler import Solution, solution_from_multisets
+from .euler import Solution, tour_walk
 from .graphs import (
     EdgeMultiset,
     ExplorationInstance,
@@ -122,6 +123,23 @@ def spanning_tree(g: Multigraph, vertices: set[int], root: int) -> dict[int, int
     return parent
 
 
+def _fix_parities(parent: dict[int, int], odd: set[int], counts, cset: set[int]) -> None:
+    """Add to `counts[v]` one copy of the edge from v to its parent exactly
+    when v's subtree holds an odd number of the `odd` vertices, all in the
+    tree `parent` lists parents first: the tree's only T-join, whatever its
+    root.  `odd` is left holding the vertices still odd."""
+    if not odd <= cset:
+        raise OddDegree(f"vertex {min(odd - cset)} outside the cover has odd degree")
+    for v, p in reversed(parent.items()):  # children first
+        if v in odd:
+            counts[v] += 1
+            odd.remove(v)
+            if p in odd:
+                odd.remove(p)
+            else:
+                odd.add(p)
+
+
 def make_vc_even_degree(
     parent: dict[int, int], e: EdgeMultiset, vcp: VertexCover
 ) -> EdgeMultiset:
@@ -129,25 +147,17 @@ def make_vc_even_degree(
 
     `parent` lists a spanning tree of the cover parents first, as
     `spanning_tree` gives it, and `e` holds its edges; every vertex outside
-    the cover must have even degree in `e`.  The edge from v to its parent
-    gets one extra copy exactly when v's subtree holds an odd number of
-    odd-degree vertices: the tree's only T-join, whatever its root.  One pass
-    over `e` and one over the tree, children first, cost O(|e| + |cover|).
+    the cover must have even degree in `e`.  The copies are `_fix_parities`'
+    T-join, added children first.  One pass over `e` and one over the tree
+    cost O(|e| + |cover|).
     """
     cset = vcp.as_set()
     if len(parent) != len(cset) - 1:
         raise TreeNotSpanning(f"{len(parent)} tree edges cannot span {len(cset)} cover vertices")
-    odd = set(odd_degree_vertices(e))
-    if not odd <= cset:
-        raise OddDegree(f"vertex {min(odd - cset)} outside the cover has odd degree")
+    fix = dict.fromkeys(parent, 0)
+    _fix_parities(parent, set(odd_degree_vertices(e)), fix, cset)
     result = Counter(e)
-    for v, p in reversed(parent.items()):
-        if v in odd:
-            result[(v, p) if v < p else (p, v)] += 1
-            if p in odd:
-                odd.remove(p)
-            else:
-                odd.add(p)
+    result.update((v, p) if v < p else (p, v) for v, p in reversed(parent.items()) if fix[v])
     return result
 
 
@@ -155,22 +165,47 @@ def approx_solve(inst: ExplorationInstance, vc: VertexCover) -> Solution:
     """Run the full approximation pipeline and return a verified-shape solution."""
     g = inst.graph
     vcp = connect_cover(g, vc, inst.v_init)
+    cset = vcp.as_set()
     state = partition_independent_edges(g, vcp, even_independent_degrees(g, vcp), inst.k)
     deal_cover_edges(g, vcp, state)
-    parent = spanning_tree(g, vcp.as_set(), inst.v_init)
-    # sorted, so the keys a robot's tour sorts arrive mostly in order
-    tree = sorted([(v, p) if v < p else (p, v) for v, p in parent.items()])
+    parent = spanning_tree(g, cset, inst.v_init)
+    # built once: the edge from tree vertex v to its parent has index v, and
+    # every tree vertex lists its (tree neighbour, index) pairs descending
+    ones = [int(v in parent) for v in range(g.n)]
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for v, p in parent.items():
+        adj.setdefault(v, []).append((p, v))
+        adj.setdefault(p, []).append((v, v))
+    tree_lists = [tuple(sorted(lst, reverse=True)) for lst in adj.values()]
+    tree_odd = {v for v, lst in adj.items() if len(lst) & 1}
+    for lst in adj.values():
+        lst.clear()  # refilled per robot; every walk empties it
 
-    def fixed(e_i: EdgeMultiset) -> EdgeMultiset:
-        # one copy of the dealt edges plus the tree's keys, made when the
-        # robot's turn comes and dropped after its tour
-        ms = Counter(e_i)
-        ms.update(tree)
-        return make_vc_even_degree(parent, ms, vcp)
+    def tour(e_i: EdgeMultiset):
+        counts = ones.copy()
+        for lst, tree_lst in zip(adj.values(), tree_lists):
+            lst += tree_lst
+        odd = set(tree_odd)
+        grown = set()
+        for (a, b), m in e_i.items():
+            if parent.get(b) == a:
+                counts[b] += m
+            elif parent.get(a) == b:
+                counts[a] += m
+            else:  # a new entry, merged into both lists by the sort below
+                adj.setdefault(a, []).append((b, len(counts)))
+                adj.setdefault(b, []).append((a, len(counts)))
+                counts.append(m)
+                grown.update((a, b))
+            if m & 1:
+                odd ^= {a, b}
+        for v in grown:
+            adj[v].sort(reverse=True)
+        _fix_parities(parent, odd, counts, cset)
+        return tour_walk(adj, counts, odd, inst.v_init)
 
-    runs = ((fixed(e_i), 1) for e_i in state.e_i)
-    idle = inst.k - len(state.e_i)
-    if idle:
+    runs = [(tour(e_i), 1) for e_i in state.e_i]
+    if inst.k > len(state.e_i):
         # robots past the dealt prefix hold no edges: one run walks the fixed tree
-        runs = chain(runs, [(make_vc_even_degree(parent, Counter(tree), vcp), idle)])
-    return solution_from_multisets(g.n, inst.v_init, runs, inst.k)
+        runs.append((tour({}), inst.k - len(state.e_i)))
+    return Solution(tuple(runs))

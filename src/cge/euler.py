@@ -8,7 +8,9 @@ here.
 
 A tour and the fault test read a multiset once, in `_tour_lists`: one pass
 over the sorted support gives the neighbour lists, the counts and the degree
-parities together, so a tour costs a sort plus O(1) per edge copy.
+parities together, so a tour costs a sort plus O(1) per edge copy.  The walk
+itself, `tour_walk`, takes lists built any way; the approximate solver
+builds its cover tree's lists once and adds each robot's own edges.
 
 A solution is a sequence of runs, each a walk and the number of consecutive
 robots that take it.  Walking, verifying and reporting cost one step per run;
@@ -129,15 +131,18 @@ _NOT_EULERIAN = "edge multiset is not connected with all degrees even"
 
 
 def find_eulerian_cycle(edges: EdgeMultiset, start: int) -> RobotCycle:
-    """The closed walk from `start` that traverses every edge exactly its count.
+    """The closed walk from `start` that traverses every edge exactly its
+    count: the multiset's `_tour_lists`, walked by `tour_walk`."""
+    return tour_walk(*_tour_lists(edges), start)
 
-    Hierholzer's algorithm with deterministic tie-breaking: from the current
-    vertex the least-id neighbor with remaining multiplicity is consumed
-    first.  An empty multiset yields the trivial walk (start,).  The support
-    is read once, by `_tour_lists`; the walk then costs O(1) per traversal
-    plus one pop per exhausted list entry.
-    """
-    adj, remaining, odd = _tour_lists(edges)
+
+def tour_walk(adj: dict, remaining: list[int], odd: object, start: int) -> RobotCycle:
+    """Hierholzer's algorithm over tour lists as `_tour_lists` gives them,
+    with deterministic tie-breaking: from the current vertex the least-id
+    neighbor with remaining count is consumed first.  `odd` is true when
+    some degree is odd; no lists yield the trivial walk (start,).  A walk
+    that returns has emptied every list, at O(1) per traversal and one pop
+    per exhausted list entry."""
     if not adj:
         return RobotCycle((start,))
     if start not in adj:

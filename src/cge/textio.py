@@ -58,7 +58,7 @@ from typing import Iterator, NamedTuple, TextIO
 
 from .errors import CgeError, NotConnected, ParseError
 from .euler import RobotCycle, Solution, robot_lines
-from .graphs import ExplorationInstance, Multigraph
+from .graphs import ExplorationInstance, Multigraph, _simple_edges
 from .hardness import BinPackingInstance
 
 
@@ -118,10 +118,9 @@ def _read_in_bulk(text: str) -> ExplorationInstance | None:
     nums = map(vertex.__getitem__, ends)
     try:
         pairs = tuple(zip(nums, nums))
-        graph = Multigraph(n, pairs)
-        # the graph keeps the pairs as given only if they were its edges
-        if graph.edges == pairs:
-            return ExplorationInstance(graph, v_init, k, *budget)
+        # pairs out of order go to the line reader, which builds the only graph
+        if _simple_edges(pairs, n):
+            return ExplorationInstance(Multigraph(n, pairs), v_init, k, *budget)
     except (KeyError, ValueError, CgeError):
         pass
     return None

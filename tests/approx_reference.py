@@ -1,82 +1,153 @@
-"""The spanning tree and parity fix before the fix read a BFS parent map:
-verbatim copies for differential tests.
+"""The approximate path before the cover tree's tour lists were built once
+per solve: verbatim copies for differential tests.
 
-`spanning_tree` returns the BFS tree as an edge `Counter`, and
-`make_vc_even_degree` re-validates that tree, rebuilds its adjacency and
-re-roots it at the lowest cover vertex on every call.
+`approx_solve` copies the tree into every robot's `Counter`;
+`make_vc_even_degree` re-reads that multiset's parities and copies it again;
+`find_eulerian_cycle` sorts and lists the whole multiset for its walk.
+`solution_from_multisets` is copied too, so that it calls this module's
+`find_eulerian_cycle`.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
+from itertools import chain
+from typing import Iterable
 
-from cge.cover import VertexCover
-from cge.errors import OddDegree, TreeNotSpanning
-from cge.graphs import EdgeMultiset, Multigraph, norm_edge
+from cge.approx import (
+    deal_cover_edges,
+    even_independent_degrees,
+    partition_independent_edges,
+    spanning_tree,
+)
+from cge.cover import VertexCover, connect_cover
+from cge.errors import NotEulerian, OddDegree, StartNotInGraph, TreeNotSpanning
+from cge.euler import RobotCycle, Solution, _tour_lists
+from cge.graphs import EdgeMultiset, ExplorationInstance, odd_degree_vertices
+
+_NOT_EULERIAN = "edge multiset is not connected with all degrees even"
 
 
-def spanning_tree(g: Multigraph, vertices: set[int], root: int) -> EdgeMultiset:
-    """BFS tree of the induced subgraph, rooted at `root`, ascending neighbors."""
-    tree: Counter = Counter()
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w in vertices and w not in seen:
-                seen.add(w)
-                tree[norm_edge(v, w)] += 1
-                queue.append(w)
-    if seen != vertices:
-        raise TreeNotSpanning(f"cover subgraph is not connected over {sorted(vertices)}")
-    return tree
+def find_eulerian_cycle(edges: EdgeMultiset, start: int) -> RobotCycle:
+    """The closed walk from `start` that traverses every edge exactly its count.
+
+    Hierholzer's algorithm with deterministic tie-breaking: from the current
+    vertex the least-id neighbor with remaining multiplicity is consumed
+    first.  An empty multiset yields the trivial walk (start,).  The support
+    is read once, by `_tour_lists`; the walk then costs O(1) per traversal
+    plus one pop per exhausted list entry.
+    """
+    adj, remaining, odd = _tour_lists(edges)
+    if not adj:
+        return RobotCycle((start,))
+    if start not in adj:
+        raise StartNotInGraph(f"start vertex {start} is not on an edge")
+    if odd:
+        raise NotEulerian(_NOT_EULERIAN)
+
+    # `trail` holds the open walk up to, not including, the current vertex v
+    trail: list[int] = []
+    path: list[int] = []
+    v = start
+    while True:
+        lst = adj[v]
+        while lst:
+            w, j = lst[-1]
+            if remaining[j]:
+                remaining[j] -= 1
+                trail.append(v)
+                v = w
+                break
+            # exhausted from either end; counts never grow back
+            lst.pop()
+        else:
+            path.append(v)
+            if not trail:
+                break
+            v = trail.pop()
+    # with every degree even the walk closes at the start after using every
+    # copy it can reach, so a copy left over lies outside start's component
+    if any(remaining):
+        raise NotEulerian(_NOT_EULERIAN)
+    path.reverse()
+    return RobotCycle(tuple(path))
+
+
+def solution_from_multisets(
+    n: int, start: int, runs: Iterable[tuple[EdgeMultiset, int]], k: int
+) -> Solution:
+    """One run per (multiset, count) pair: `count` consecutive robots take
+    the multiset's Eulerian cycle from `start`, walked once.
+
+    An empty multiset gives the trivial walk (start,); so do the robots left
+    beyond the pairs' counts up to k, as one last run.  A walk through a
+    vertex outside 0..n-1 raises ValueError.
+    """
+    idle = RobotCycle((start,))
+    out = []
+    robots = 0
+    for ms, count in runs:
+        rc = idle
+        if any(ms.values()):
+            rc = find_eulerian_cycle(ms, start)
+            if min(rc.walk) < 0 or max(rc.walk) >= n:
+                raise ValueError(f"walk leaves vertices 0..{n - 1}")
+        out.append((rc, count))
+        robots += count
+    if robots < k:
+        out.append((idle, k - robots))
+    return Solution(tuple(out))
 
 
 def make_vc_even_degree(
-    tree: EdgeMultiset, e: EdgeMultiset, vcp: VertexCover
+    parent: dict[int, int], e: EdgeMultiset, vcp: VertexCover
 ) -> EdgeMultiset:
     """Add at most |cover| - 1 tree edges so every degree becomes even.
 
-    `tree` must be a spanning tree of the cover contained in `e`, and every
-    vertex outside the cover must have even degree in `e`, so the odd cover
-    vertices are even in number.  Rooted at the lowest cover vertex, the edge
-    from v to its parent gets one extra copy exactly when v's subtree holds an
-    odd number of odd-degree vertices: the only fix that uses each tree edge
-    at most once.  One traversal of the tree, one pass over `e` and one pass
-    over the cover, children before parents, cost O(|e| + |cover|).
+    `parent` lists a spanning tree of the cover parents first, as
+    `spanning_tree` gives it, and `e` holds its edges; every vertex outside
+    the cover must have even degree in `e`.  The edge from v to its parent
+    gets one extra copy exactly when v's subtree holds an odd number of
+    odd-degree vertices: the tree's only T-join, whatever its root.  One pass
+    over `e` and one over the tree, children first, cost O(|e| + |cover|).
     """
     cset = vcp.as_set()
-    edges = [edge for edge, m in tree.items() if m]
-    if len(edges) != len(cset) - 1:
-        raise TreeNotSpanning(f"{len(edges)} tree edges cannot span {len(cset)} cover vertices")
-    tree_adj: dict[int, list[int]] = {v: [] for v in cset}
-    for (u, v) in edges:
-        if u not in cset or v not in cset:
-            raise TreeNotSpanning(f"tree edge {(u, v)} leaves the cover")
-        if e[(u, v)] < tree[(u, v)]:
-            raise TreeNotSpanning(f"tree edge {(u, v)} missing from the multiset")
-        tree_adj[u].append(v)
-        tree_adj[v].append(u)
-    root = min(cset)
-    parent = {root: root}
-    order = [root]
-    for v in order:
-        for w in tree_adj[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    if len(order) != len(cset):
-        raise TreeNotSpanning("tree does not span the cover")
-
-    odd: set[int] = set()
-    for (u, v), m in e.items():
-        if m % 2:
-            odd ^= {u, v}
-    if odd - cset:
+    if len(parent) != len(cset) - 1:
+        raise TreeNotSpanning(f"{len(parent)} tree edges cannot span {len(cset)} cover vertices")
+    odd = set(odd_degree_vertices(e))
+    if not odd <= cset:
         raise OddDegree(f"vertex {min(odd - cset)} outside the cover has odd degree")
     result = Counter(e)
-    for v in order[:0:-1]:  # every vertex but the root, children first
+    for v, p in reversed(parent.items()):
         if v in odd:
-            result[norm_edge(v, parent[v])] += 1
-            odd ^= {parent[v]}
+            result[(v, p) if v < p else (p, v)] += 1
+            if p in odd:
+                odd.remove(p)
+            else:
+                odd.add(p)
     return result
+
+
+def approx_solve(inst: ExplorationInstance, vc: VertexCover) -> Solution:
+    """Run the full approximation pipeline and return a verified-shape solution."""
+    g = inst.graph
+    vcp = connect_cover(g, vc, inst.v_init)
+    state = partition_independent_edges(g, vcp, even_independent_degrees(g, vcp), inst.k)
+    deal_cover_edges(g, vcp, state)
+    parent = spanning_tree(g, vcp.as_set(), inst.v_init)
+    # sorted, so the keys a robot's tour sorts arrive mostly in order
+    tree = sorted([(v, p) if v < p else (p, v) for v, p in parent.items()])
+
+    def fixed(e_i: EdgeMultiset) -> EdgeMultiset:
+        # one copy of the dealt edges plus the tree's keys, made when the
+        # robot's turn comes and dropped after its tour
+        ms = Counter(e_i)
+        ms.update(tree)
+        return make_vc_even_degree(parent, ms, vcp)
+
+    runs = ((fixed(e_i), 1) for e_i in state.e_i)
+    idle = inst.k - len(state.e_i)
+    if idle:
+        # robots past the dealt prefix hold no edges: one run walks the fixed tree
+        runs = chain(runs, [(make_vc_even_degree(parent, Counter(tree), vcp), idle)])
+    return solution_from_multisets(g.n, inst.v_init, runs, inst.k)

@@ -275,6 +275,20 @@ def check_approx_60000_edges() -> None:
           "verify.out": "0d0a235e01fae5e1fbb78ba46d15b799bf84154e4a80f770003ee925281a15ff"})
 
 
+def check_approx_200000_edges() -> None:
+    """The approximate path at 66 667 vertices and 200 000 edges, digests
+    recorded before the cover tree's tour lists were built once per solve.
+    That code peaked at 99.0 and 121.0 MB here and took about 6 s and 2 s
+    (2-vCPU host, CPython 3.11); the limits keep the tree lists' memory
+    bounded."""
+    inst = random_graph("big.cge", 200000, 66667, 200000)
+    cge("solve-approx", inst, out="approx.sol", timeout=60, limit=104)
+    cge("verify", inst, "approx.sol", out="verify.out", timeout=60, limit=128)
+    sums({"big.cge": "0e5a8957bef7f26246a2c7c8bd4c179b1aaf1a76a5cde79eedcd38a03931c8fb",
+          "approx.sol": "68f87d3e604bbf4601eb57530e9d2d19dddaab0fcca434ded4240aae248f7f74",
+          "verify.out": "daba9ce33147535eb71b11f0ad2101d2615df2fcd3e13e8d0b26112d6f92181c"})
+
+
 def check_huge_capacity() -> None:
     """Padding to 10^18 unit items is a guard trip, not a "no"."""
     write("huge.binpack", "binpack 1\ncapacity 1000000000000000000\nbins 1\nexact 0\nitem 1\n")

@@ -17,7 +17,7 @@ from cge.euler import verify_solution
 from cge.exact import exact_optimum
 from cge.graphs import ExplorationInstance, Multigraph, norm_edge
 
-import approx_reference as reference
+import tree_counter_reference as reference
 from conftest import has_edge, multiset_degree, random_connected_graph, robot_cycles
 
 

@@ -237,3 +237,20 @@ def test_no_graph_the_program_builds_takes_the_sort_path(monkeypatch, tmp_path, 
     # each instance, its quotient graph and its expansion
     assert len(accepted) >= 3 * len(BUILDABLE)
     assert all(accepted)
+
+
+def test_an_instance_text_with_edges_out_of_order_builds_one_graph(monkeypatch):
+    """guard-c4 is in `format_instance`'s form but lists edge 0-3 last, so
+    the bulk read declines it before building a graph and the line reader
+    builds the only one."""
+    built = []
+    init = Multigraph.__init__
+
+    def spy(self, n, edges=()):
+        built.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(Multigraph, "__init__", spy)
+    kind, inst = parse_instance((CORPUS / "guard-c4.cge").read_text(encoding="utf-8"))
+    assert (kind, inst.graph.edges) == ("cge", ((0, 1), (0, 3), (1, 2), (2, 3)))
+    assert built == [4]

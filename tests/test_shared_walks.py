@@ -8,7 +8,7 @@ walk once, `parse_solution` merges consecutive equal walk lines into one run
 and `verify_solution` checks each run once.  Each check here compares
 stdout-level bytes with verbatim copies of the per-robot code those replaced:
 k `Counter`s in the partition, one `RobotCycle` slot per robot, memos keyed
-by object id or walk text, and (from `approx_reference`) a spanning tree
+by object id or walk text, and (from `tree_counter_reference`) a spanning tree
 re-rooted for every robot's parity fix.
 """
 
@@ -40,7 +40,7 @@ from cge.euler import (
 from cge.graphs import ExplorationInstance, Multigraph, norm_edge, walk_edges
 from cge.textio import _int_field, _meaningful_lines, format_solution, parse_solution
 
-from approx_reference import make_vc_even_degree, spanning_tree
+from tree_counter_reference import make_vc_even_degree, spanning_tree
 from conftest import random_connected_graph, robot_cycles, with_budget
 
 # ---------------------------------------------------------------------------
