@@ -21,9 +21,9 @@ instances, where deferring its compile would only move it into the command.
 
 `main` runs every command with the cyclic garbage collector paused and
 gives the caller's setting back on every exit, a raised `SystemExit`
-included, so code that calls `main` in process keeps its own collector.  A
-caller whose collector runs gets one pass over the young objects as the
-command ends, which frees the command's few reference cycles.
+included, so code that calls `main` in process keeps its own collector.
+`main` runs no collection itself: no command leaves a reference cycle, so
+reference counts free everything a command made.
 """
 
 from __future__ import annotations

@@ -1,25 +1,16 @@
-"""Vertex covers, the independent-set equivalence classes, and the two
-derived graphs used by the parameterized machinery.
+"""Vertex covers: the check, the factor-2 matching cover, and the connector
+that makes a cover's induced subgraph connected and adds the start vertex.
 
-The quotient graph keeps one representative vertex per equivalence class of
-independent vertices (vertices outside the cover with identical
-neighborhoods).  The bounded expansion keeps NumVer copies per class, where
-
-    NumVer(class) = min(|class|, 2^|neighborhood| + |cover|^2).
-
-Both are simple graphs.  The expansion's doubling is not stored: the skeleton
-enumeration takes each of its edges once or twice.  Both constructions assign
-fresh vertex ids above the host graph's range and record the mapping.
+The independent-vertex classes and the two graphs built from them serve only
+the equation-system compiler; they live in `cge.fptilp.context`.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import EmptyGraph, NotACover, TypeSpaceTooLarge
+from .errors import EmptyGraph, NotACover
 from .graphs import Multigraph
-
-MAX_COVER = 6  # largest cover the bounded expansion is built for
 
 
 class VertexCover(NamedTuple):
@@ -32,27 +23,6 @@ class VertexCover(NamedTuple):
 
     def as_set(self) -> set[int]:
         return set(self.vertices)
-
-
-class EqClass(NamedTuple):
-    neighborhood: tuple[int, ...]  # sorted, subset of the cover
-    members: tuple[int, ...]  # sorted independent vertices
-
-
-class EquivalenceClasses(NamedTuple):
-    """Partition of the independent vertices by open neighborhood."""
-
-    classes: tuple[EqClass, ...]
-
-    def class_of(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for idx, cls in enumerate(self.classes):
-            for u in cls.members:
-                out[u] = idx
-        return out
-
-    def __len__(self) -> int:
-        return len(self.classes)
 
 
 def is_cover(g: Multigraph, vertices) -> bool:
@@ -120,95 +90,3 @@ def connect_cover(g: Multigraph, vc: VertexCover, v_init: int) -> VertexCover:
     if components > 1:
         raise NotACover("cannot connect cover: host graph is disconnected")
     return VertexCover(tuple(sorted(current)))
-
-
-def equivalence_classes(g: Multigraph, vc: VertexCover) -> EquivalenceClasses:
-    """Group the vertices outside the cover by open neighborhood.
-
-    Classes are sorted lexicographically by neighborhood.  The cover property
-    guarantees every neighborhood is a subset of the cover.
-    """
-    if not is_cover(g, vc.vertices):
-        raise NotACover(f"{vc.vertices} is not a vertex cover")
-    cset = vc.as_set()
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for u in range(g.n):
-        if u in cset:
-            continue
-        nb = g.neighbors(u)
-        groups.setdefault(nb, []).append(u)
-    classes = tuple(
-        EqClass(nb, tuple(sorted(members))) for nb, members in sorted(groups.items())
-    )
-    return EquivalenceClasses(classes)
-
-
-class QuotientGraph(NamedTuple):
-    """The simple graph with one fresh vertex per equivalence class."""
-
-    graph: Multigraph
-    class_vertex: tuple[int, ...]  # class index -> vertex id in `graph`
-
-
-def _class_graph(
-    g: Multigraph, vc: VertexCover, eq: EquivalenceClasses, counts: list[int]
-) -> tuple[Multigraph, tuple[tuple[int, ...], ...]]:
-    """All cover-internal edges of the host plus `counts[i]` fresh vertices for
-    class i, numbered from `g.n` upward and each wired to the class
-    neighborhood.
-
-    The pairs come in the ascending order `Multigraph` keeps as given: each
-    cover vertex's higher cover neighbours, then its copies, class by class.
-    """
-    cset = vc.as_set()
-    ids = []
-    copies: dict[int, list[int]] = {w: [] for w in cset}
-    nxt = g.n
-    for cls, count in zip(eq.classes, counts):
-        ids.append(tuple(range(nxt, nxt + count)))
-        nxt += count
-        for w in cls.neighborhood:
-            copies[w] += ids[-1]
-    edges = []
-    for w in sorted(cset):
-        edges += [(w, v) for v in g.neighbors(w) if v > w and v in cset]
-        edges += [(w, c) for c in copies[w]]
-    return Multigraph(nxt, edges), tuple(ids)
-
-
-def build_equivalence_graph(g: Multigraph, vc: VertexCover, eq: EquivalenceClasses) -> QuotientGraph:
-    """All cover-internal edges of the host plus one class vertex per class,
-    wired to the class neighborhood.
-    """
-    graph, ids = _class_graph(g, vc, eq, [1] * len(eq))
-    return QuotientGraph(graph, tuple(cv for (cv,) in ids))
-
-
-def num_ver(class_size: int, neighborhood_size: int, cover_size: int) -> int:
-    """Number of copies the bounded expansion keeps for one class."""
-    return min(class_size, 2 ** neighborhood_size + cover_size ** 2)
-
-
-class ExpandedGraph(NamedTuple):
-    """The bounded expansion: NumVer copies per class.  Its graph is simple;
-    the skeleton enumeration takes every edge once or twice."""
-
-    graph: Multigraph
-    copies: tuple[tuple[int, ...], ...]  # class index -> copy vertex ids
-
-    def class_of_copy(self) -> dict[int, int]:
-        return {c: idx for idx, ids in enumerate(self.copies) for c in ids}
-
-
-def build_gbar(g: Multigraph, vc: VertexCover, eq: EquivalenceClasses) -> ExpandedGraph:
-    """Build the expansion graph.
-
-    The construction is exponential in the neighborhood sizes by design;
-    `MAX_COVER` refuses covers large enough to leave desk scale.
-    """
-    if len(vc) > MAX_COVER:
-        raise TypeSpaceTooLarge(
-            f"cover of size {len(vc)} exceeds the expansion cap {MAX_COVER}"
-        )
-    counts = [num_ver(len(c.members), len(c.neighborhood), len(vc)) for c in eq.classes]
-    return ExpandedGraph(*_class_graph(g, vc, eq, counts))

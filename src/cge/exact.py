@@ -253,8 +253,7 @@ def _assign_from(covers, supports, full_mask, nodes, covered, robots_left, chose
     edges they cover; a module function, so no closure refers to itself."""
     if covered == full_mask:
         return list(chosen)
-    if robots_left == 0:
-        return None
+    # robots_left >= 1: the last robot tries only entries that cover the rest
     nodes.spend()
     remaining = ~covered & full_mask
     lowest = (remaining & -remaining).bit_length() - 1

@@ -72,10 +72,12 @@ def extract_cycle_cover(
 ) -> list[Cycle]:
     """Partition an all-even edge multiset into cycles, few of them non-4.
 
-    While more than 2|vc|^2 edges remain, two equal neighbor pairs around
-    independent vertices are guaranteed by counting; they close a length-4
-    cycle which is removed.  The remainder is peeled into simple cycles, at
-    most |vc|^2 of them.  Deterministic: pairs and walks scan ascending ids.
+    Precondition, as `decompose_valid_pair` passes it: every edge touches
+    `vc` and no multiplicity is above 2.  While more than 2|vc|^2 edges
+    remain, two equal neighbor pairs around independent vertices are then
+    guaranteed by counting; they close a length-4 cycle which is removed.
+    The remainder is peeled into simple cycles, at most |vc|^2 of them.
+    Deterministic: pairs and walks scan ascending ids.
     """
     odd = odd_degree_vertices(edges)
     if odd:
@@ -89,7 +91,9 @@ def extract_cycle_cover(
     while left > limit:
         found = next(squares, None)
         if found is None:
-            break  # cannot happen by the counting argument; fall through safely
+            # cannot happen under the precondition, by the counting argument;
+            # an input outside it falls through to the peeling
+            break
         cycles.append(canonical_cycle(found, vc))
         work.subtract(walk_edges(found))
         left -= 4

@@ -52,7 +52,7 @@ def _member_cursors(
     members: dict[VertexType, tuple[int, ...]] = {}
     taken: Counter = Counter()  # class -> members its earlier types took
     for vt, count in zip(types.vertex_types, ver_counts):
-        cls_members, first = ctx.eq.classes[vt.class_id].members, taken[vt.class_id]
+        cls_members, first = ctx.classes[vt.class_id].members, taken[vt.class_id]
         members[vt] = cls_members[first:first + count] or cls_members
         taken[vt.class_id] = first + count
     turns: Counter = Counter()

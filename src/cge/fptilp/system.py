@@ -124,7 +124,7 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
     # robot pass and the cycle pass append in index order, so every row stays
     # in ascending variable order.  Every allocation key names a multiset its
     # vertex type wants, and every cycle length is a tracked slot or 4.
-    eq2: list[list[tuple[int, int, int]]] = [[] for _ in ctx.eq.classes]
+    eq2: list[list[tuple[int, int, int]]] = [[] for _ in ctx.classes]
     eq3: dict[tuple, list[tuple[int, int, int]]] = {}
     for vi, vt in enumerate(types.vertex_types):
         _append_run(eq2[vt.class_id], 1, vi, 1)
@@ -187,7 +187,7 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
 
     eq1 = ((1, rob_base, n_rob),) if n_rob else ()
     constraints = [Constraint("eq1", eq1, "=", ctx.k)]
-    for terms, cls in zip(eq2, ctx.eq.classes):
+    for terms, cls in zip(eq2, ctx.classes):
         constraints.append(Constraint("eq2", tuple(terms), "=", len(cls.members)))
     constraints += [Constraint("eq3", tuple(terms), ">=", 0) for terms in eq3.values()]
     constraints += [Constraint("eq4", tuple(terms), ">=", 1) for terms in eq4.values()]

@@ -181,7 +181,7 @@ def relabel_skeleton(
             members_present.setdefault(ctx.class_of[v], []).append(v)
     mapping: dict[int, int] = {}
     for cls_idx, members in members_present.items():
-        copies = ctx.gbar.copies[cls_idx]
+        copies = ctx.copies[cls_idx]
         if len(members) > len(copies):
             raise PreconditionViolated(
                 f"class {cls_idx} exceeds its copy budget during relabeling"
@@ -212,7 +212,7 @@ def derive_robot_type(
 def quotient_cycle(ctx: FptContext, cycle: Cycle) -> Cycle:
     """Replace independent vertices by their class vertex and canonicalize."""
     mapped = tuple(
-        ctx.gstar.class_vertex[ctx.class_of[v]] if v not in ctx.cover_set else v
+        ctx.class_vertex[ctx.class_of[v]] if v not in ctx.cover_set else v
         for v in cycle
     )
     return canonical_cycle(mapped, ctx.cover_set)
@@ -251,7 +251,7 @@ def _even_submultisets(neighborhood: tuple[int, ...]) -> list[NeiSub]:
 
 def _enumerate_vertex_types(ctx: FptContext) -> list[VertexType]:
     types = []
-    for cls_idx, cls in enumerate(ctx.eq.classes):
+    for cls_idx, cls in enumerate(ctx.classes):
         options = _even_submultisets(cls.neighborhood)
         needed = set(cls.neighborhood)
         for r in range(1, len(options) + 1):
@@ -311,7 +311,7 @@ def _enumerate_skeletons(ctx: FptContext) -> Iterator[EdgeMultiset]:
     start, within the budget, taking every edge of the simple expansion graph
     once or twice.  Single-copy edges must form an even subgraph; doubled
     edges are free: an even subset plus disjoint doubles."""
-    edges = ctx.gbar.graph.edges
+    edges = ctx.gbar.edges
     budget = ctx.budget
     # Every skeleton has at most `budget` edges: the filter keeps at most
     # `budget` single edges, and the doubles are capped at the rest halved.
@@ -396,7 +396,7 @@ def _enumerate_quotient_cycles(ctx: FptContext) -> list[Cycle]:
     times (two independent vertices doubled toward the same cover vertex map
     to a length-4 walk bouncing on one quotient edge).
     """
-    gs = ctx.gstar.graph
+    gs = ctx.gstar
     max_len = ctx.max_cycle_length
     found: set[Cycle] = set()
     # a simple walk keeps growing up to max_len vertices, any walk up to 4
@@ -451,9 +451,9 @@ def enumerate_type_space(ctx: FptContext) -> TypeSpace:
     `MAX_TYPES` at once.  Robot types whose fixed budget share exceeds the
     instance budget are omitted: satisfying assignments zero their variables.
     """
-    if len(ctx.vcp) > 2 or len(ctx.eq) > 3:
+    if len(ctx.vcp) > 2 or len(ctx.classes) > 3:
         raise TypeSpaceTooLarge(
-            f"cover size {len(ctx.vcp)} / {len(ctx.eq)} classes exceed the "
+            f"cover size {len(ctx.vcp)} / {len(ctx.classes)} classes exceed the "
             "enumeration guard (cover <= 2, classes <= 3)"
         )
     if ctx.g.num_edges == 0:

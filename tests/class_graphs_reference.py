@@ -2,22 +2,36 @@
 they shared one builder: copies for differential tests.  The graphs are
 simple, so the expansion's edges carry no doubled count; the skeleton
 enumeration takes each of them once or twice.
+
+Both functions return the two records they returned then, defined here, and
+read the classes as `eq.classes`: any object with that field will do.
 """
 
 from __future__ import annotations
 
-from cge.cover import (
-    EquivalenceClasses,
-    ExpandedGraph,
-    QuotientGraph,
-    VertexCover,
-    num_ver,
-)
+from typing import NamedTuple
+
+from cge.cover import VertexCover
 from cge.errors import TypeSpaceTooLarge
+from cge.fptilp.context import num_ver
 from cge.graphs import Multigraph
 
 
-def build_equivalence_graph(g: Multigraph, vc: VertexCover, eq: EquivalenceClasses) -> QuotientGraph:
+class QuotientGraph(NamedTuple):
+    """The simple graph with one fresh vertex per equivalence class."""
+
+    graph: Multigraph
+    class_vertex: tuple[int, ...]  # class index -> vertex id in `graph`
+
+
+class ExpandedGraph(NamedTuple):
+    """The bounded expansion: NumVer copies per class."""
+
+    graph: Multigraph
+    copies: tuple[tuple[int, ...], ...]  # class index -> copy vertex ids
+
+
+def build_equivalence_graph(g: Multigraph, vc: VertexCover, eq) -> QuotientGraph:
     """All cover-internal edges of the host plus one class vertex per class,
     wired to the class neighborhood.
     """
@@ -40,7 +54,7 @@ def build_equivalence_graph(g: Multigraph, vc: VertexCover, eq: EquivalenceClass
 def build_gbar(
     g: Multigraph,
     vc: VertexCover,
-    eq: EquivalenceClasses,
+    eq,
     max_cover: int = 6,
 ) -> ExpandedGraph:
     """Build the expansion graph.

@@ -192,7 +192,7 @@ def check_valid_pair(ctx, pair, source: Counter) -> list[str]:
             else:
                 per_class[cls] += 1
     for cls, count in per_class.items():
-        if count > len(ctx.gbar.copies[cls]):
+        if count > len(ctx.copies[cls]):
             problems.append(f"class {cls} exceeds its copy budget in the skeleton")
     if any(m > 2 for m in cc.values()):
         problems.append("skeleton edge multiplicity exceeds 2")

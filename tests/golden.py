@@ -12,7 +12,9 @@ errors cge words itself (`reduce-bin` with both flags, and a `--node-limit`,
 reaches: a witness that violates a constraint and one with a negative value,
 `reconstruct` given another instance's system, `--vc a`, `build-ilp` without
 a budget, `verify` given a bin packing, bin packings with `exact 2` and
-`item 0`, and `solve-exact` on a single vertex.  Seeded mid-size graphs and
+`item 0`, `solve-exact` on a single vertex, and both solvers and `verify` on an
+instance whose 2-approximate cover is disconnected, so the connector path
+runs.  Seeded mid-size graphs and
 other malformed inputs are not in it yet.
 
 Each key is a command line with paths reduced to file names.  Its value holds
@@ -61,6 +63,8 @@ BAD_BINPACKS = {
 }
 # no edges: the optimum is 0 and the robot's walk is its start
 ONE_VERTEX = "cge 1\nnodes 1\ninit 0\nrobots 1\n"
+# the matching cover {0, 1, 2, 3} splits into {0, 1} and {2, 3}; connect_cover adds 4
+SPLIT_COVER = "cge 1\nnodes 5\ninit 0\nrobots 2\nedge 0 1\nedge 1 4\nedge 2 3\nedge 2 4\n"
 
 
 def _sha(data: str | bytes) -> str:
@@ -156,6 +160,13 @@ def manifest(workdir: Path) -> dict[str, dict]:
     one_vertex = workdir / "one-vertex.cge"
     one_vertex.write_text(ONE_VERTEX, encoding="utf-8")
     run("solve-exact", one_vertex)
+    split = workdir / "split-cover.cge"
+    split.write_text(SPLIT_COVER, encoding="utf-8")
+    for solver in ("approx", "exact"):
+        _, text = run(f"solve-{solver}", split)
+        sol = workdir / f"split-cover.{solver}.sol"
+        sol.write_text(text.removeprefix("yes\n"), encoding="utf-8")
+        run("verify", split, sol)
     return entries
 
 

@@ -136,7 +136,7 @@ def decompose_valid_pair(ctx: FptContext, source: EdgeMultiset) -> ValidPair:
     h = Counter(src)
 
     # stage 1: per class, keep the least member of each distinct set-neighborhood
-    for cls in ctx.eq.classes:
+    for cls in ctx.classes:
         seen_nbhd: set[tuple[int, ...]] = set()
         for u in cls.members:
             nbhd = tuple(
@@ -271,7 +271,7 @@ def _enumerate_quotient_cycles(ctx: FptContext) -> list[Cycle]:
     times (two independent vertices doubled toward the same cover vertex map
     to a length-4 walk bouncing on one quotient edge).
     """
-    gs = ctx.gstar.graph
+    gs = ctx.gstar
     max_len = ctx.max_cycle_length
     found: set[Cycle] = set()
 

@@ -33,7 +33,7 @@ def _members_by_type(
     """The class members of every vertex type, ascending: inside a class the
     members take the types in canonical order."""
     by_type: dict[VertexType, list[int]] = {}
-    for cls_idx, cls in enumerate(ctx.eq.classes):
+    for cls_idx, cls in enumerate(ctx.classes):
         pool: list[VertexType] = []
         for vt, count in zip(types.vertex_types, ver_counts):
             if vt.class_id == cls_idx:
@@ -67,7 +67,7 @@ def _member_cursors(
     turns: Counter = Counter()
 
     def pick(vt: VertexType, ns: NeiSub) -> int:
-        population = by_type.get(vt) or ctx.eq.classes[vt.class_id].members
+        population = by_type.get(vt) or ctx.classes[vt.class_id].members
         q = turns[(vt, ns)]
         turns[(vt, ns)] = q + 1
         return population[q % len(population)]

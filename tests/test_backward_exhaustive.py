@@ -40,7 +40,7 @@ def satisfying_assignments(ctx, types, system, cap=100_000):
     n_ver = len(types.vertex_types)
     n_rob = len(types.robot_types)
     ver_groups = []
-    for cls_idx, cls in enumerate(ctx.eq.classes):
+    for cls_idx, cls in enumerate(ctx.classes):
         idxs = [i for i, vt in enumerate(types.vertex_types) if vt.class_id == cls_idx]
         ver_groups.append((idxs, len(cls.members)))
     ver_parts = []

@@ -6,18 +6,19 @@ cover and independent ids interleave) drive both versions; independent
 vertices draw their neighbourhoods from a few templates, so classes have
 several members and the expansion keeps more than one copy, sometimes fewer
 than the class has members.  The graphs must be equal down to their edge
-tuples, and the guard above `cover.MAX_COVER` must
+tuples, and the guard above `context.MAX_COVER` must
 raise the same message as the reference's `max_cover` parameter.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import class_graphs_reference as ref
-from cge import cover
-from cge.cover import (
-    VertexCover,
+from cge.cover import VertexCover
+from cge.fptilp import context
+from cge.fptilp.context import (
     build_equivalence_graph,
     build_gbar,
     equivalence_classes,
@@ -59,19 +60,20 @@ def test_builders_agree_with_the_separate_loops():
     for cover_size in range(1, 7):
         for _ in range(60):
             g, vc = random_host(rng, cover_size)
-            eq = equivalence_classes(g, vc)
+            classes = equivalence_classes(g, vc)
+            eq = SimpleNamespace(classes=classes)
 
-            new_q, old_q = build_equivalence_graph(g, vc, eq), ref.build_equivalence_graph(g, vc, eq)
+            new_q, old_q = build_equivalence_graph(g, vc, classes), ref.build_equivalence_graph(g, vc, eq)
             assert new_q == old_q
-            assert new_q.class_vertex == old_q.class_vertex
-            assert_same_graph(new_q.graph, old_q.graph)
+            assert new_q[1] == old_q.class_vertex
+            assert_same_graph(new_q[0], old_q.graph)
 
-            new_x, old_x = build_gbar(g, vc, eq), ref.build_gbar(g, vc, eq)
+            new_x, old_x = build_gbar(g, vc, classes), ref.build_gbar(g, vc, eq)
             assert new_x == old_x
-            assert new_x.copies == old_x.copies
-            assert_same_graph(new_x.graph, old_x.graph)
+            assert new_x[1] == old_x.copies
+            assert_same_graph(new_x[0], old_x.graph)
 
-            for cls in eq.classes:
+            for cls in classes:
                 copies = num_ver(len(cls.members), len(cls.neighborhood), len(vc))
                 several_copies += copies > 1
                 fewer_copies += copies < len(cls.members)
@@ -83,14 +85,14 @@ def test_builders_agree_with_the_separate_loops():
 
 @pytest.mark.parametrize("max_cover", range(0, 7))
 def test_guard_above_max_cover_is_unchanged(max_cover, monkeypatch):
-    monkeypatch.setattr(cover, "MAX_COVER", max_cover)
+    monkeypatch.setattr(context, "MAX_COVER", max_cover)
     rng = random.Random(max_cover)
     g, vc = random_host(rng, max_cover + 1)
-    eq = equivalence_classes(g, vc)
+    classes = equivalence_classes(g, vc)
     with pytest.raises(TypeSpaceTooLarge) as new:
-        build_gbar(g, vc, eq)
+        build_gbar(g, vc, classes)
     with pytest.raises(TypeSpaceTooLarge) as old:
-        ref.build_gbar(g, vc, eq, max_cover=max_cover)
+        ref.build_gbar(g, vc, SimpleNamespace(classes=classes), max_cover=max_cover)
     assert str(new.value) == str(old.value)
     assert str(new.value) == (
         f"cover of size {max_cover + 1} exceeds the expansion cap {max_cover}"

@@ -1,18 +1,19 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from cge.cover import (
-    VertexCover,
+from cge import cover
+from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
+from cge.errors import EmptyGraph, NotACover, TypeSpaceTooLarge
+from cge.fptilp.context import (
+    FptContext,
     build_equivalence_graph,
     build_gbar,
-    connect_cover,
     equivalence_classes,
     num_ver,
-    vertex_cover_2approx,
 )
-from cge.errors import EmptyGraph, NotACover, TypeSpaceTooLarge
-from cge.fptilp.context import FptContext
 from cge.fptilp.typespace import _enumerate_skeletons
 from cge.graphs import ExplorationInstance, Multigraph
 
@@ -33,6 +34,22 @@ def star(leaves):
 
 def c4():
     return Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def test_cover_module_holds_only_covers():
+    """The classes and the graphs built from them serve only the compiler,
+    which loads on first use; they stay out of the module every command
+    imports."""
+    tree = ast.parse(Path(cover.__file__).read_text(encoding="utf-8"))
+    defined = {
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    } | {
+        target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    assert defined == {"VertexCover", "is_cover", "vertex_cover_2approx", "connect_cover"}
 
 
 class TestTwoApprox:
@@ -174,84 +191,93 @@ class TestConnectCoverMatchesMultiRound:
 
 class TestEquivalenceClasses:
     def test_path_single_class(self):
-        eq = equivalence_classes(path3(), VertexCover((1,)))
-        assert len(eq) == 1
-        assert eq.classes[0].neighborhood == (1,)
-        assert eq.classes[0].members == (0, 2)
+        classes = equivalence_classes(path3(), VertexCover((1,)))
+        assert len(classes) == 1
+        assert classes[0].neighborhood == (1,)
+        assert classes[0].members == (0, 2)
 
     def test_c4_single_class(self):
-        eq = equivalence_classes(c4(), VertexCover((0, 2)))
-        assert len(eq) == 1
-        assert eq.classes[0].neighborhood == (0, 2)
-        assert eq.classes[0].members == (1, 3)
+        classes = equivalence_classes(c4(), VertexCover((0, 2)))
+        assert len(classes) == 1
+        assert classes[0].neighborhood == (0, 2)
+        assert classes[0].members == (1, 3)
 
     def test_star_with_enlarged_cover(self):
-        eq = equivalence_classes(star(3), VertexCover((0, 1)))
-        assert len(eq) == 1
-        assert eq.classes[0].neighborhood == (0,)
-        assert eq.classes[0].members == (2, 3)
+        classes = equivalence_classes(star(3), VertexCover((0, 1)))
+        assert len(classes) == 1
+        assert classes[0].neighborhood == (0,)
+        assert classes[0].members == (2, 3)
 
     def test_partition_and_equivalence_laws(self):
         rng = random.Random(99)
         for _ in range(40):
             g = random_connected_graph(rng, n_max=8, m_max=12)
             vcp = connect_cover(g, vertex_cover_2approx(g), 0)
-            eq = equivalence_classes(g, vcp)
-            members = [u for cls in eq.classes for u in cls.members]
+            classes = equivalence_classes(g, vcp)
+            members = [u for cls in classes for u in cls.members]
             assert sorted(members) == sorted(set(range(g.n)) - vcp.as_set())
-            neighborhoods = [cls.neighborhood for cls in eq.classes]
+            neighborhoods = [cls.neighborhood for cls in classes]
             assert len(set(neighborhoods)) == len(neighborhoods)
-            for cls in eq.classes:
+            for cls in classes:
                 for u in cls.members:
                     assert tuple(g.neighbors(u)) == cls.neighborhood
+
+    def test_context_maps_members_class_vertices_and_copies(self):
+        # cover {0, 3}: members 1 and 2 see only 0, member 4 sees only 3
+        g = Multigraph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        ctx = FptContext.build(ExplorationInstance(g, 0, 1, 8), VertexCover((0, 3)))
+        assert ctx.classes == (((0,), (1, 2)), ((3,), (4,)))
+        assert ctx.class_of == {1: 0, 2: 0, 4: 1}
+        assert ctx.class_vertex == (5, 6)
+        assert ctx.class_of_star_vertex == {5: 0, 6: 1}
+        assert ctx.copies == ((5, 6), (7,))
+        assert ctx.class_of_copy == {5: 0, 6: 0, 7: 1}
+        assert ctx.gstar.edges == ((0, 3), (0, 5), (3, 6))
+        assert ctx.gbar.edges == ((0, 3), (0, 5), (0, 6), (3, 7))
 
 
 class TestQuotientGraph:
     def test_path(self):
         g = path3()
         vcp = VertexCover((1,))
-        eq = equivalence_classes(g, vcp)
-        res = build_equivalence_graph(g, vcp, eq)
-        assert res.class_vertex == (3,)
-        assert res.graph.edges == ((1, 3),)
+        graph, class_vertex = build_equivalence_graph(g, vcp, equivalence_classes(g, vcp))
+        assert class_vertex == (3,)
+        assert graph.edges == ((1, 3),)
 
     def test_c4(self):
         g = c4()
         vcp = VertexCover((0, 2))
-        eq = equivalence_classes(g, vcp)
-        res = build_equivalence_graph(g, vcp, eq)
-        assert res.class_vertex == (4,)
-        assert res.graph.edges == ((0, 4), (2, 4))
+        graph, class_vertex = build_equivalence_graph(g, vcp, equivalence_classes(g, vcp))
+        assert class_vertex == (4,)
+        assert graph.edges == ((0, 4), (2, 4))
 
     def test_vertex_count_identity(self):
         rng = random.Random(5)
         for _ in range(30):
             g = random_connected_graph(rng)
             vcp = connect_cover(g, vertex_cover_2approx(g), 0)
-            eq = equivalence_classes(g, vcp)
-            res = build_equivalence_graph(g, vcp, eq)
-            active = {v for e in res.graph.edges for v in e}
-            if res.graph.num_edges:
-                assert active <= (vcp.as_set() | set(res.class_vertex))
-            assert res.graph.n == g.n + len(eq)
+            classes = equivalence_classes(g, vcp)
+            graph, class_vertex = build_equivalence_graph(g, vcp, classes)
+            active = {v for e in graph.edges for v in e}
+            if graph.num_edges:
+                assert active <= (vcp.as_set() | set(class_vertex))
+            assert graph.n == g.n + len(classes)
 
 
 class TestExpandedGraph:
     def test_path_two_copies(self):
         g = path3()
         vcp = VertexCover((1,))
-        eq = equivalence_classes(g, vcp)
-        res = build_gbar(g, vcp, eq)
-        assert res.copies == ((3, 4),)
-        assert res.graph.edges == ((1, 3), (1, 4))
+        graph, copies = build_gbar(g, vcp, equivalence_classes(g, vcp))
+        assert copies == ((3, 4),)
+        assert graph.edges == ((1, 3), (1, 4))
 
     def test_c4_two_copies(self):
         g = c4()
         vcp = VertexCover((0, 2))
-        eq = equivalence_classes(g, vcp)
-        res = build_gbar(g, vcp, eq)
-        assert res.copies == ((4, 5),)
-        assert res.graph.edges == ((0, 4), (0, 5), (2, 4), (2, 5))
+        graph, copies = build_gbar(g, vcp, equivalence_classes(g, vcp))
+        assert copies == ((4, 5),)
+        assert graph.edges == ((0, 4), (0, 5), (2, 4), (2, 5))
 
     def test_num_ver_formula(self):
         assert num_ver(10, 2, 2) == 8
@@ -261,9 +287,8 @@ class TestExpandedGraph:
     def test_cap_guard(self):
         g = star(6)
         vcp = VertexCover(tuple(range(7)))
-        eq = equivalence_classes(g, vcp)
         with pytest.raises(TypeSpaceTooLarge):
-            build_gbar(g, vcp, eq)
+            build_gbar(g, vcp, equivalence_classes(g, vcp))
 
     def test_skeletons_take_each_edge_once_or_twice(self):
         """The expansion stores each edge once; doubling is the skeleton
@@ -276,7 +301,7 @@ class TestExpandedGraph:
                 continue
             budget = 2 * g.num_edges
             ctx = FptContext.build(ExplorationInstance(g, 0, 1, budget), vcp)
-            edges = ctx.gbar.graph.edges
+            edges = ctx.gbar.edges
             doubled = set()
             for cc in _enumerate_skeletons(ctx):
                 assert set(cc) <= set(edges)

@@ -221,7 +221,7 @@ def test_even_subgraph_masks_match_the_reference(c):
     for _ in range(20):
         g = covered_graph(rng, c, n_ind_max=5, p_cover=0.3)
         ctx = context(g, rng.randrange(c), c)
-        for graph in (g, ctx.gstar.graph, ctx.gbar.graph):
+        for graph in (g, ctx.gstar, ctx.gbar):
             edges = graph.edges
             components = len([comp for comp in graph.components() if len(comp) > 1])
             if len(edges) - len({v for e in edges for v in e}) + components > 12:

@@ -66,7 +66,7 @@ class TestBuildSystem:
         ctx, types, system = build_all(g, 1, 2, 4, cover=VertexCover((1,)))
         tags = [c.tag for c in system.constraints]
         assert tags.count("eq1") == 1
-        assert tags.count("eq2") == len(ctx.eq)
+        assert tags.count("eq2") == len(ctx.classes)
         assert tags.count("eq3") == sum(
             len(vt.nei_subsets) for vt in types.vertex_types
         )

@@ -153,7 +153,7 @@ class TestReconstruct:
         g = Multigraph(3, [(0, 1), (1, 2)])
         inst, ctx, types, system = pipeline(g, 1, 1, 4, cover=VertexCover((1,)))
         vt = types.vertex_types[0]
-        copies = ctx.gbar.copies[0]
+        copies = ctx.copies[0]
         slot2 = ctx.cycle_length_slots.index(2)
         ri = next(
             i
@@ -162,7 +162,7 @@ class TestReconstruct:
             and rt.num_of_cyc[slot2] == 1
             and sum(rt.num_of_cyc) == 1
         )
-        star_vertex = ctx.gstar.class_vertex[0]
+        star_vertex = ctx.class_vertex[0]
         ci = next(
             i
             for i, ct in enumerate(types.cycle_types)
@@ -230,7 +230,7 @@ def _vertex_types_per_member(
     ctx: FptContext, types: TypeSpace, ver_counts: list[int]
 ) -> dict[int, VertexType]:
     chosen: dict[int, VertexType] = {}
-    for cls_idx, cls in enumerate(ctx.eq.classes):
+    for cls_idx, cls in enumerate(ctx.classes):
         pool: list[VertexType] = []
         for vt, count in zip(types.vertex_types, ver_counts):
             if vt.class_id == cls_idx:
@@ -298,7 +298,7 @@ def _sub_alloc(
         by_type.setdefault(member_type[member], []).append(member)
     out: dict[tuple[VertexType, tuple], dict[Token, int]] = {}
     for (vt, ns), tokens in sorted(pools.items()):
-        targets = by_type.get(vt) or list(ctx.eq.classes[vt.class_id].members)
+        targets = by_type.get(vt) or list(ctx.classes[vt.class_id].members)
         mapping: dict[Token, int] = {}
         for q, token in enumerate(sorted(tokens)):
             mapping[token] = targets[q % len(targets)]

@@ -18,16 +18,7 @@ from pathlib import Path
 import pytest
 
 from cge.approx import even_independent_degrees, partition_independent_edges
-from cge.cover import (
-    EqClass,
-    EquivalenceClasses,
-    VertexCover,
-    build_equivalence_graph,
-    build_gbar,
-    connect_cover,
-    equivalence_classes,
-    vertex_cover_2approx,
-)
+from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
 from cge.errors import NotConnected
 from cge.euler import RobotCycle, Solution, verify_solution
 from cge.exact import SearchConfig
@@ -60,7 +51,7 @@ def _pipeline(name: str):
 def _triangle_records() -> dict[str, object]:
     """One record of each kind, all from the corpus triangle with two robots."""
     doc, ctx, types, system = _pipeline("triangle-k2.cge")
-    inst, vcp, eq = ctx.instance, ctx.vcp, ctx.eq
+    inst, vcp = ctx.instance, ctx.vcp
     g = inst.graph
     sol = Solution(((RobotCycle((0, 1, 2, 0)), 1), (RobotCycle((0, 1, 0)), 1)))
     report = verify_solution(inst, sol)
@@ -68,10 +59,7 @@ def _triangle_records() -> dict[str, object]:
         "InstanceDocument": doc,
         "ExplorationInstance": inst,
         "VertexCover": vcp,
-        "EqClass": eq.classes[0],
-        "EquivalenceClasses": eq,
-        "QuotientGraph": build_equivalence_graph(g, vcp, eq),
-        "ExpandedGraph": build_gbar(g, vcp, eq),
+        "EqClass": ctx.classes[0],
         "PartitionState": partition_independent_edges(
             g, vcp, even_independent_degrees(g, vcp), 2
         ),
@@ -96,17 +84,6 @@ REPRS = {
     "ExplorationInstance": TRIANGLE,
     "VertexCover": "VertexCover(vertices=(0, 1))",
     "EqClass": "EqClass(neighborhood=(0, 1), members=(2,))",
-    "EquivalenceClasses": (
-        "EquivalenceClasses(classes=(EqClass(neighborhood=(0, 1), members=(2,)),))"
-    ),
-    "QuotientGraph": (
-        "QuotientGraph(graph=Multigraph(n=4, edges=((0, 1), (0, 3), (1, 3))),"
-        " class_vertex=(3,))"
-    ),
-    "ExpandedGraph": (
-        "ExpandedGraph(graph=Multigraph(n=4, edges=((0, 1), (0, 3), (1, 3))),"
-        " copies=((3,),))"
-    ),
     "PartitionState": (
         "PartitionState(e_i=[Counter({(0, 2): 1, (1, 2): 1})], pairs_dealt=1, k=2)"
     ),
@@ -136,11 +113,11 @@ REPRS = {
     "FptContext": (
         f"FptContext(instance={TRIANGLE},"
         " vcp=VertexCover(vertices=(0, 1)),"
-        " eq=EquivalenceClasses(classes=(EqClass(neighborhood=(0, 1), members=(2,)),)),"
-        " gstar=QuotientGraph(graph=Multigraph(n=4, edges=((0, 1), (0, 3),"
-        " (1, 3))), class_vertex=(3,)),"
-        " gbar=ExpandedGraph(graph=Multigraph(n=4, edges=((0, 1), (0, 3),"
-        " (1, 3))), copies=((3,),)))"
+        " classes=(EqClass(neighborhood=(0, 1), members=(2,)),),"
+        " gstar=Multigraph(n=4, edges=((0, 1), (0, 3), (1, 3))),"
+        " class_vertex=(3,),"
+        " gbar=Multigraph(n=4, edges=((0, 1), (0, 3), (1, 3))),"
+        " copies=((3,),))"
     ),
 }
 
@@ -217,12 +194,9 @@ def test_defaults_and_keywords():
     assert SearchConfig(max_budget=3).node_limit == 5_000_000
 
 
-def test_len_counts_vertices_and_classes():
+def test_len_counts_vertices():
     assert len(VertexCover((0, 2, 5))) == 3
     assert not VertexCover(())
-    eq = EquivalenceClasses((EqClass((0,), (1, 2)), EqClass((0, 3), (4,))))
-    assert len(eq) == 2
-    assert eq.class_of() == {1: 0, 2: 0, 4: 1}
 
 
 def test_fpt_context_properties_are_computed_once(records):
@@ -237,6 +211,8 @@ def test_fpt_context_properties_are_computed_once(records):
         assert getattr(fresh, name) is first
     assert fresh.cover_set == frozenset({0, 1})
     assert fresh.class_of == {2: 0}
+    assert fresh.class_of_star_vertex == {3: 0}
+    assert fresh.class_of_copy == {3: 0}
     assert fresh.cycle_length_slots == (2, 3)
 
 

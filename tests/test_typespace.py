@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from cge import cover
 from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
 from cge.errors import PreconditionViolated, TypeSpaceTooLarge
 from cge.exact import exact_optimum
 from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import ValidPair, decompose_valid_pair, solution_pairs
-from cge.fptilp import typespace
+from cge.fptilp import context, typespace
 from cge.fptilp.typespace import (
     derive_cycle_type,
     derive_robot_type,
@@ -60,7 +59,7 @@ class TestDeriveVertexType:
         pairs = [(0, w) for w in range(1, 9)]
         pairs += [(i, i + 1) for i in range(1, 8)]
         g = Multigraph(9, pairs)
-        monkeypatch.setattr(cover, "MAX_COVER", 8)
+        monkeypatch.setattr(context, "MAX_COVER", 8)
         ctx = make_ctx(g, 1, 3, 40, cover=VertexCover(tuple(range(1, 9))))
         red = ValidPair(
             cc=(
@@ -118,7 +117,7 @@ class TestDeriveRobotType:
         rt = derive_robot_type(ctx, pair, derive_vertex_types(ctx, [pair]))
         assert len(rt.alloc) == 1
         copy, vt = rt.alloc[0]
-        assert copy in ctx.gbar.copies[0]
+        assert copy in ctx.copies[0]
         assert vt.class_id == 0
 
     def test_relabel_into_expansion_ids(self):
@@ -127,7 +126,7 @@ class TestDeriveRobotType:
             cc=((0, 1), (0, 1), (1, 2), (1, 2)), cycles=()
         )
         rt = derive_robot_type(ctx, pair, derive_vertex_types(ctx, [pair]))
-        copies = ctx.gbar.copies[0]
+        copies = ctx.copies[0]
         assert rt.cc == (
             (1, copies[0]), (1, copies[0]), (1, copies[1]), (1, copies[1])
         )
@@ -138,7 +137,7 @@ class TestDeriveCycleType:
         ctx = path3_ctx()
         pair = ValidPair(cc=((0, 1), (0, 1)), cycles=((1, 2, 1),))
         ct = derive_cycle_type(ctx, 0, (1, 2, 1), derive_vertex_types(ctx, [pair]))
-        star_vertex = ctx.gstar.class_vertex[0]
+        star_vertex = ctx.class_vertex[0]
         assert ct.cycle == (1, star_vertex, 1)
         assert len(ct.pa_alloc) == 1
         assert ct.pa_alloc[0][0] == (1, 1)
@@ -224,7 +223,7 @@ class TestTypeClosure:
         vtypes = derive_vertex_types(ctx, [pair])
         host = space.robot_types.index(derive_robot_type(ctx, pair, vtypes))
         ct = derive_cycle_type(ctx, host, (0, 2, 0, 3, 0), vtypes)
-        star_vertex = ctx.gstar.class_vertex[0]
+        star_vertex = ctx.class_vertex[0]
         assert ct.cycle == (0, star_vertex, 0, star_vertex, 0)
         assert ct in set(space.cycle_types)
 

@@ -5,6 +5,7 @@ import pytest
 
 from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
 from cge.errors import OddDegree, PreconditionViolated
+from cge.fptilp import pairs
 from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import ValidPair, decompose_valid_pair, extract_cycle_cover
 from cge.graphs import ExplorationInstance, Multigraph, walk_edges
@@ -25,6 +26,32 @@ WALK_PROBLEMS = {
     "skeleton misses the start vertex",
     "skeleton has an odd degree",
 }
+
+
+def even_cover_multiset(rng: random.Random) -> tuple[Counter, set[int]]:
+    """An all-even edge multiset in which every edge touches a cover of 1 to
+    4 vertices and no multiplicity is above 2."""
+    cover_size = rng.randint(1, 4)
+    vc = list(range(cover_size))
+    outside = range(cover_size, cover_size + rng.randint(1, 14))
+    ms = Counter()
+    for i, u in enumerate(vc):
+        for v in vc[i + 1:]:
+            ms[(u, v)] = rng.choice((0, 0, 1, 2))
+    for u in outside:
+        for w in vc:
+            ms[(w, u)] = rng.choice((0, 1, 2, 2))
+
+    def toggle(e):  # one copy more or fewer, staying within 0..2
+        ms[e] += 1 if ms[e] in (0, 1) and rng.random() < 0.5 or ms[e] == 0 else -1
+
+    for u in outside:
+        if sum(m for (w, x), m in ms.items() if x == u) % 2:
+            toggle((rng.choice(vc), u))
+    odd = [w for w in vc if sum(m for e, m in ms.items() if w in e) % 2]
+    for a, b in zip(odd[::2], odd[1::2]):  # an even number of them
+        toggle((a, b))
+    return +ms, set(vc)
 
 
 class TestExtractCycleCover:
@@ -60,6 +87,31 @@ class TestExtractCycleCover:
         assert (0, 2, 1, 3, 0) in cycles
         non4 = [c for c in cycles if len(c) - 1 != 4]
         assert len(non4) <= 2 * 4
+
+    def test_square_search_never_runs_dry_under_the_precondition(self, monkeypatch):
+        """Every edge touches the cover and no multiplicity is above 2: the
+        search finds a square whenever more than 2|vc|^2 edges remain, so the
+        fall-through after it never runs."""
+        search = pairs._pigeonhole_squares
+        dry = []
+
+        def watched(work, vc):
+            yield from search(work, vc)
+            # reached only when asked for one more square than the search has
+            dry.append((dict(+work), sorted(vc)))
+
+        monkeypatch.setattr(pairs, "_pigeonhole_squares", watched)
+        rng = random.Random(36)
+        searched = 0
+        for _ in range(3000):
+            ms, vc = even_cover_multiset(rng)
+            assert max(ms.values(), default=0) <= 2
+            assert all(u in vc or v in vc for u, v in ms)
+            cycles = extract_cycle_cover(ms, vc)
+            assert sum((walk_edges(c) for c in cycles), Counter()) == +ms
+            searched += sum(ms.values()) > 2 * len(vc) ** 2
+        assert not dry, dry[:3]
+        assert searched >= 1000
 
     def test_partition_and_bounds_on_corpus(self):
         rng = random.Random(17)
