@@ -10,11 +10,12 @@ past the type cap, the search node limit and the robot cap) and the usage
 errors cge words itself (`reduce-bin` with both flags, and a `--node-limit`,
 `--max-budget` or `--vc` out of range).  Last come the paths no other call
 reaches: a witness that violates a constraint and one with a negative value,
-`reconstruct` given another instance's system, `--vc a`, `build-ilp` without
-a budget, `verify` given a bin packing, bin packings with `exact 2` and
-`item 0`, `solve-exact` on a single vertex, and both solvers and `verify` on an
-instance whose 2-approximate cover is disconnected, so the connector path
-runs.  Seeded mid-size graphs and
+`reconstruct` given another instance's system, `--vc a`, a `--vc` that is not a
+cover (to `solve-approx` and `build-ilp`), `reduce-bin` given a `cge`
+instance, `build-ilp` without a budget, `verify` given a bin packing, bin
+packings with `exact 2`, `item 0` and a `binpack 2` header, `solve-exact` on a
+single vertex, and both solvers and `verify` on an instance whose 2-approximate
+cover is disconnected, so the connector path runs.  Seeded mid-size graphs and
 other malformed inputs are not in it yet.
 
 Each key is a command line with paths reduced to file names.  Its value holds
@@ -60,6 +61,7 @@ ROBOT_TRIP = "cge 1\nnodes 2\ninit 0\nrobots 10000001\nedge 0 1\n"
 BAD_BINPACKS = {
     "exact-2": "binpack 1\ncapacity 3\nbins 1\nexact 2\nitem 1\n",
     "item-0": "binpack 1\ncapacity 3\nbins 1\nexact 0\nitem 0\n",
+    "header-2": "binpack 2\ncapacity 3\nbins 1\nexact 0\nitem 1\n",
 }
 # no edges: the optimum is 0 and the robot's walk is its start
 ONE_VERTEX = "cge 1\nnodes 1\ninit 0\nrobots 1\n"
@@ -141,6 +143,10 @@ def manifest(workdir: Path) -> dict[str, dict]:
     run("solve-exact", star, "--node-limit", "0")
     run("solve-exact", no_budget, "--max-budget", "-1")
     run("solve-approx", star, "--vc", "9")
+    # {1} misses the star's edges at 0, so neither solver nor compiler may use it
+    run("solve-approx", star, "--vc", "1")
+    run("build-ilp", star, "-o", workdir / "star3-k2.vc1.ilp", "--vc", "1")
+    run("reduce-bin", star, "--to-cge")
 
     witness = (workdir / "star3-k2.exact.assign").read_text(encoding="utf-8").splitlines()
     for name, value in (("rob-5", 5), ("rob-negative", -1)):
