@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import chain, cycle
-from typing import NamedTuple
 
-from .cover import VertexCover, connect_cover
+from .cover import connect_cover
 from .errors import OddDegree, TreeNotSpanning
 from .euler import Solution, tour_walk
 from .graphs import (
@@ -30,23 +29,11 @@ from .graphs import (
 )
 
 
-class PartitionState(NamedTuple):
-    """Intermediate state of the balanced partition, exposed for testing.
-
-    `e_i` holds only the robots dealt edges so far, always robots 0, 1, ...
-    in order; the other robots of the k hold nothing.
-    """
-
-    e_i: list[EdgeMultiset]
-    pairs_dealt: int
-    k: int
-
-
-def even_independent_degrees(g: Multigraph, vcp: VertexCover) -> EdgeMultiset:
+def even_independent_degrees(g: Multigraph, vcp: tuple[int, ...]) -> EdgeMultiset:
     """All edges with an endpoint outside the cover, plus one duplicate per
     odd-degree independent vertex (the edge to its lowest-id neighbor).
     """
-    cset = vcp.as_set()
+    cset = set(vcp)
     e_ind: Counter = Counter()
     for (u, v) in g.edges:
         if u not in cset or v not in cset:
@@ -58,16 +45,18 @@ def even_independent_degrees(g: Multigraph, vcp: VertexCover) -> EdgeMultiset:
 
 
 def partition_independent_edges(
-    g: Multigraph, vcp: VertexCover, e_ind: EdgeMultiset, k: int
-) -> PartitionState:
+    g: Multigraph, vcp: tuple[int, ...], e_ind: EdgeMultiset, k: int
+) -> tuple[list[EdgeMultiset], int]:
     """Deal the independent-incident edges in pairs, round-robin over robots.
 
     Pairs are extracted per independent vertex in ascending id, its incident
     multiset sorted by neighbor id; moving a pair atomically keeps the vertex's
     degree even in every robot multiset.  Pair j goes to robot j mod k, so
-    the robots dealt a pair are the first min(k, pairs).
+    the robots dealt a pair are the first min(k, pairs).  Returns the dealt
+    robots' multisets, robots 0, 1, ... in order (the other robots of the k
+    hold nothing), and the number of pairs dealt.
     """
-    cset = vcp.as_set()
+    cset = set(vcp)
     e_i: list[Counter] = []
     j = 0
     for u in range(g.n):
@@ -84,11 +73,14 @@ def partition_independent_edges(
             robot[incident[idx]] += 1
             robot[incident[idx + 1]] += 1
             j += 1
-    return PartitionState(e_i=e_i, pairs_dealt=j, k=k)
+    return e_i, j
 
 
-def deal_cover_edges(g: Multigraph, vcp: VertexCover, state: PartitionState) -> None:
-    """Deal each cover-internal edge to a currently smallest multiset.
+def deal_cover_edges(
+    g: Multigraph, vcp: tuple[int, ...], e_i: list[EdgeMultiset], pairs: int, k: int
+) -> None:
+    """Deal each cover-internal edge to a currently smallest multiset of
+    `e_i`, as `partition_independent_edges` left it after `pairs` pairs.
 
     The schedule is the O(1)-per-step equivalent of minimum selection: with
     t = pairs mod k robots holding one extra pair, first deal to robots
@@ -96,15 +88,14 @@ def deal_cover_edges(g: Multigraph, vcp: VertexCover, state: PartitionState) -> 
     a pair when pairs < k, so the robots holding edges stay a prefix, of
     length min(k, pairs + cover-internal edges).
     """
-    k = state.k
-    cset = vcp.as_set()
+    cset = set(vcp)
     singles = [e for e in g.edges if e[0] in cset and e[1] in cset]
-    t = state.pairs_dealt % k
+    t = pairs % k
     robots = chain(range(t, k), cycle(range(k - 1, -1, -1)))
     for e, robot in zip(singles, robots):
-        if robot == len(state.e_i):
-            state.e_i.append(Counter())
-        state.e_i[robot][e] += 1
+        if robot == len(e_i):
+            e_i.append(Counter())
+        e_i[robot][e] += 1
 
 
 def spanning_tree(g: Multigraph, vertices: set[int], root: int) -> dict[int, int]:
@@ -141,7 +132,7 @@ def _fix_parities(parent: dict[int, int], odd: set[int], counts, cset: set[int])
 
 
 def make_vc_even_degree(
-    parent: dict[int, int], e: EdgeMultiset, vcp: VertexCover
+    parent: dict[int, int], e: EdgeMultiset, vcp: tuple[int, ...]
 ) -> EdgeMultiset:
     """Add at most |cover| - 1 tree edges so every degree becomes even.
 
@@ -151,7 +142,7 @@ def make_vc_even_degree(
     T-join, added children first.  One pass over `e` and one over the tree
     cost O(|e| + |cover|).
     """
-    cset = vcp.as_set()
+    cset = set(vcp)
     if len(parent) != len(cset) - 1:
         raise TreeNotSpanning(f"{len(parent)} tree edges cannot span {len(cset)} cover vertices")
     fix = dict.fromkeys(parent, 0)
@@ -161,13 +152,13 @@ def make_vc_even_degree(
     return result
 
 
-def approx_solve(inst: ExplorationInstance, vc: VertexCover) -> Solution:
+def approx_solve(inst: ExplorationInstance, vc: tuple[int, ...]) -> Solution:
     """Run the full approximation pipeline and return a verified-shape solution."""
     g = inst.graph
     vcp = connect_cover(g, vc, inst.v_init)
-    cset = vcp.as_set()
-    state = partition_independent_edges(g, vcp, even_independent_degrees(g, vcp), inst.k)
-    deal_cover_edges(g, vcp, state)
+    cset = set(vcp)
+    e_i, pairs = partition_independent_edges(g, vcp, even_independent_degrees(g, vcp), inst.k)
+    deal_cover_edges(g, vcp, e_i, pairs, inst.k)
     parent = spanning_tree(g, cset, inst.v_init)
     # built once: the edge from tree vertex v to its parent has index v, and
     # every tree vertex lists its (tree neighbour, index) pairs descending
@@ -181,13 +172,13 @@ def approx_solve(inst: ExplorationInstance, vc: VertexCover) -> Solution:
     for lst in adj.values():
         lst.clear()  # refilled per robot; every walk empties it
 
-    def tour(e_i: EdgeMultiset):
+    def tour(dealt: EdgeMultiset):
         counts = ones.copy()
         for lst, tree_lst in zip(adj.values(), tree_lists):
             lst += tree_lst
         odd = set(tree_odd)
         grown = set()
-        for (a, b), m in e_i.items():
+        for (a, b), m in dealt.items():
             if parent.get(b) == a:
                 counts[b] += m
             elif parent.get(a) == b:
@@ -204,8 +195,8 @@ def approx_solve(inst: ExplorationInstance, vc: VertexCover) -> Solution:
         _fix_parities(parent, odd, counts, cset)
         return tour_walk(adj, counts, odd, inst.v_init)
 
-    runs = [(tour(e_i), 1) for e_i in state.e_i]
-    if inst.k > len(state.e_i):
+    runs = [(tour(robot), 1) for robot in e_i]
+    if inst.k > len(e_i):
         # robots past the dealt prefix hold no edges: one run walks the fixed tree
-        runs.append((tour({}), inst.k - len(state.e_i)))
+        runs.append((tour({}), inst.k - len(e_i)))
     return Solution(tuple(runs))

@@ -34,7 +34,7 @@ import sys
 from types import ModuleType, SimpleNamespace
 
 from .approx import approx_solve
-from .cover import VertexCover, connect_cover, vertex_cover_2approx
+from .cover import connect_cover, vertex_cover_2approx
 from .errors import (
     CgeError,
     ImmediateNo,
@@ -48,13 +48,7 @@ from .exact import SearchConfig, exact_decide, exact_optimum
 from .euler import Solution, solution_from_multisets, verify_solution
 from .graphs import ExplorationInstance
 from .hardness import bin_to_rob, binpacking_to_exact
-from .textio import (
-    InstanceDocument,
-    format_instance,
-    format_solution,
-    parse_instance,
-    parse_solution,
-)
+from .textio import format_instance, format_solution, parse_instance, parse_solution
 
 
 def _lazy_import(name: str) -> ModuleType:
@@ -109,10 +103,10 @@ def _read_solution(path: str) -> Solution:
 
 
 def _load(path: str, kind: str):
-    doc = parse_instance(_read(path))
-    if doc.kind != kind:
+    inst = parse_instance(_read(path))
+    if isinstance(inst, ExplorationInstance) != (kind == "cge"):
         raise ParseError(1, f"{path}: expected a '{kind}' instance")
-    return doc.payload
+    return inst
 
 
 def _load_robots(path: str) -> ExplorationInstance:
@@ -124,7 +118,7 @@ def _load_robots(path: str) -> ExplorationInstance:
     return inst
 
 
-def _cover_from_arg(inst: ExplorationInstance, arg: str | None) -> VertexCover:
+def _cover_from_arg(inst: ExplorationInstance, arg: str | None) -> tuple[int, ...]:
     if arg is None:
         return vertex_cover_2approx(inst.graph)
     try:
@@ -134,7 +128,7 @@ def _cover_from_arg(inst: ExplorationInstance, arg: str | None) -> VertexCover:
     n = inst.graph.n
     if any(not 0 <= v < n for v in vertices):
         raise CgeError(f"--vc vertices must lie in 0..{n - 1}, got {arg!r}")
-    return VertexCover(vertices)
+    return vertices
 
 
 def _fpt_pipeline(inst: ExplorationInstance, vc_arg: str | None):
@@ -191,12 +185,12 @@ def cmd_reduce_bin(args) -> int:
         raise CgeError("choose --to-exact or --to-cge")
     if args.to_exact:
         bp = binpacking_to_exact(bp)
-        sys.stdout.write(format_instance(InstanceDocument("binpack", bp)))
+        sys.stdout.write(format_instance(bp))
         return EXIT_OK
     if not bp.exact:
         bp = binpacking_to_exact(bp)
     inst = bin_to_rob(bp)
-    sys.stdout.write(format_instance(InstanceDocument("cge", inst)))
+    sys.stdout.write(format_instance(inst))
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
 """Vertex covers: the check, the factor-2 matching cover, and the connector
 that makes a cover's induced subgraph connected and adds the start vertex.
+A cover is the sorted tuple of its vertex ids.
 
 The independent-vertex classes and the two graphs built from them serve only
 the equation-system compiler; they live in `cge.fptilp.context`.
@@ -7,22 +8,8 @@ the equation-system compiler; they live in `cge.fptilp.context`.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import EmptyGraph, NotACover
 from .graphs import Multigraph
-
-
-class VertexCover(NamedTuple):
-    """A set of vertices touching every edge."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def as_set(self) -> set[int]:
-        return set(self.vertices)
 
 
 def is_cover(g: Multigraph, vertices) -> bool:
@@ -30,10 +17,10 @@ def is_cover(g: Multigraph, vertices) -> bool:
     return all(u in vs or v in vs for (u, v) in g.edges)
 
 
-def vertex_cover_2approx(g: Multigraph) -> VertexCover:
+def vertex_cover_2approx(g: Multigraph) -> tuple[int, ...]:
     """Greedy maximal matching over edges in ascending (u, v) order; both
-    endpoints of every matched edge enter the cover, giving the classic
-    factor-2 guarantee.  Deterministic.
+    endpoints of every matched edge enter the cover, sorted, giving the
+    classic factor-2 guarantee.  Deterministic.
     """
     if g.n == 0:
         raise EmptyGraph("graph has no vertices")
@@ -44,10 +31,10 @@ def vertex_cover_2approx(g: Multigraph) -> VertexCover:
             matched[u] = matched[v] = True
             cover.append(u)
             cover.append(v)
-    return VertexCover(tuple(sorted(cover)))
+    return tuple(sorted(cover))
 
 
-def connect_cover(g: Multigraph, vc: VertexCover, v_init: int) -> VertexCover:
+def connect_cover(g: Multigraph, vc: tuple[int, ...], v_init: int) -> tuple[int, ...]:
     """Augment a cover so its induced subgraph is connected and contains v_init.
 
     One ascending pass over the vertices outside the cover, with the cover's
@@ -62,9 +49,9 @@ def connect_cover(g: Multigraph, vc: VertexCover, v_init: int) -> VertexCover:
     two components never touches two later.  Adds at most |vc| - 1 connectors
     plus v_init.
     """
-    if not is_cover(g, vc.vertices):
-        raise NotACover(f"{vc.vertices} is not a vertex cover")
-    current = set(vc.vertices) | {v_init}
+    if not is_cover(g, vc):
+        raise NotACover(f"{vc} is not a vertex cover")
+    current = set(vc) | {v_init}
     comps = g.components(current)
     root = {v: comp[0] for comp in comps for v in comp}
     components = len(comps)
@@ -89,4 +76,4 @@ def connect_cover(g: Multigraph, vc: VertexCover, v_init: int) -> VertexCover:
             components -= len(touched) - 1
     if components > 1:
         raise NotACover("cannot connect cover: host graph is disconnected")
-    return VertexCover(tuple(sorted(current)))
+    return tuple(sorted(current))

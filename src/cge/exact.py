@@ -243,8 +243,6 @@ def _assign_robots(
     """
     usable = (1 << bisect_right(catalog.lengths, budget)) - 1
     covers = [c & usable for c in catalog.covers]
-    if not all(covers):
-        return None
     return _assign_from(covers, catalog.supports, full_mask, nodes, 0, k, [])
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from ..cover import VertexCover
 from ..errors import PreconditionViolated, TypeSpaceTooLarge
 from ..graphs import ExplorationInstance, Multigraph
 
@@ -33,14 +32,14 @@ class EqClass(NamedTuple):
     members: tuple[int, ...]  # sorted independent vertices
 
 
-def equivalence_classes(g: Multigraph, vc: VertexCover) -> tuple[EqClass, ...]:
+def equivalence_classes(g: Multigraph, vc: tuple[int, ...]) -> tuple[EqClass, ...]:
     """Group the vertices outside the cover by open neighborhood.
 
     Classes are sorted lexicographically by neighborhood.  `vc` must be a
     cover, as `connect_cover` has checked, so every neighborhood is a subset
     of it.
     """
-    cset = vc.as_set()
+    cset = set(vc)
     groups: dict[tuple[int, ...], list[int]] = {}
     for u in range(g.n):
         if u in cset:
@@ -53,7 +52,7 @@ def equivalence_classes(g: Multigraph, vc: VertexCover) -> tuple[EqClass, ...]:
 
 
 def _class_graph(
-    g: Multigraph, vc: VertexCover, classes: tuple[EqClass, ...], counts: list[int]
+    g: Multigraph, vc: tuple[int, ...], classes: tuple[EqClass, ...], counts: list[int]
 ) -> tuple[Multigraph, tuple[tuple[int, ...], ...]]:
     """All cover-internal edges of the host plus `counts[i]` fresh vertices for
     class i, numbered from `g.n` upward and each wired to the class
@@ -62,7 +61,7 @@ def _class_graph(
     The pairs come in the ascending order `Multigraph` keeps as given: each
     cover vertex's higher cover neighbours, then its copies, class by class.
     """
-    cset = vc.as_set()
+    cset = set(vc)
     ids = []
     copies: dict[int, list[int]] = {w: [] for w in cset}
     nxt = g.n
@@ -79,7 +78,7 @@ def _class_graph(
 
 
 def build_equivalence_graph(
-    g: Multigraph, vc: VertexCover, classes: tuple[EqClass, ...]
+    g: Multigraph, vc: tuple[int, ...], classes: tuple[EqClass, ...]
 ) -> tuple[Multigraph, tuple[int, ...]]:
     """All cover-internal edges of the host plus one class vertex per class,
     wired to the class neighborhood; returns the graph and the class vertex
@@ -95,7 +94,7 @@ def num_ver(class_size: int, neighborhood_size: int, cover_size: int) -> int:
 
 
 def build_gbar(
-    g: Multigraph, vc: VertexCover, classes: tuple[EqClass, ...]
+    g: Multigraph, vc: tuple[int, ...], classes: tuple[EqClass, ...]
 ) -> tuple[Multigraph, tuple[tuple[int, ...], ...]]:
     """Build the expansion graph; returns the graph and the copy vertices of
     each class.
@@ -113,7 +112,7 @@ def build_gbar(
 
 class _ContextFields(NamedTuple):
     instance: ExplorationInstance
-    vcp: VertexCover
+    vcp: tuple[int, ...]
     classes: tuple[EqClass, ...]
     gstar: Multigraph  # the quotient graph
     class_vertex: tuple[int, ...]  # class index -> vertex id in `gstar`
@@ -125,8 +124,8 @@ class FptContext(_ContextFields):
     # no __slots__: the cached properties live in the instance __dict__
 
     @classmethod
-    def build(cls, inst: ExplorationInstance, vcp: VertexCover) -> "FptContext":
-        if inst.v_init not in vcp.as_set():
+    def build(cls, inst: ExplorationInstance, vcp: tuple[int, ...]) -> "FptContext":
+        if inst.v_init not in vcp:
             raise PreconditionViolated("the cover must contain the start vertex")
         if inst.budget is None:
             raise PreconditionViolated("a budget is required to build the equations")
@@ -153,7 +152,7 @@ class FptContext(_ContextFields):
 
     @cached_property
     def cover_set(self) -> frozenset[int]:
-        return frozenset(self.vcp.vertices)
+        return frozenset(self.vcp)
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:

@@ -29,7 +29,7 @@ from itertools import accumulate
 from ..errors import InfeasibleAllocation, TooLarge
 from ..graphs import EdgeMultiset, relabel_multiset, walk_edges
 from .context import FptContext
-from .system import IlpAssignment, IlpSystem, check_assignment, type_counts
+from .system import IlpSystem, check_assignment, type_counts
 from .typespace import (
     NeiSub,
     TypeSpace,
@@ -67,7 +67,7 @@ def _member_cursors(
 
 
 def reconstruct_solution(
-    ctx: FptContext, types: TypeSpace, system: IlpSystem, assignment: IlpAssignment
+    ctx: FptContext, types: TypeSpace, system: IlpSystem, assignment: dict[str, int]
 ) -> list[tuple[EdgeMultiset, int]]:
     """Turn a satisfying assignment into runs of (edge multiset, robot
     count), in robot order and with counts summing to k, whose robots meet

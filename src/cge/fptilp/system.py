@@ -38,7 +38,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
 from itertools import chain, groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 from ..errors import DomainMismatch, ParseError
@@ -83,10 +83,6 @@ class IlpSystem(NamedTuple):
     constraints: tuple[Constraint, ...]
 
 
-class IlpAssignment(NamedTuple):
-    values: tuple[tuple[str, int], ...]  # (variable, value), in variable order
-
-
 def variable_names(types: TypeSpace) -> tuple[str, ...]:
     names = [f"x_ver_{i}" for i in range(len(types.vertex_types))]
     names += [f"x_rob_{i}" for i in range(len(types.robot_types))]
@@ -95,12 +91,12 @@ def variable_names(types: TypeSpace) -> tuple[str, ...]:
 
 
 def type_counts(
-    types: TypeSpace, assignment: IlpAssignment
+    types: TypeSpace, assignment: dict[str, int]
 ) -> tuple[list[int], list[int], list[int]]:
     """The assignment's vertex-, robot- and cycle-type counts, each list in
     canonical type order.  The assignment names the system's variables in
     order, as `check_assignment` requires."""
-    counts = list(map(itemgetter(1), assignment.values))
+    counts = list(assignment.values())
     n_ver, n_rob = len(types.vertex_types), len(types.robot_types)
     return counts[:n_ver], counts[n_ver:n_ver + n_rob], counts[n_ver + n_rob:]
 
@@ -198,12 +194,13 @@ def build_ilp_system(ctx: FptContext, types: TypeSpace) -> IlpSystem:
 
 
 def check_assignment(
-    system: IlpSystem, assignment: IlpAssignment
+    system: IlpSystem, assignment: dict[str, int]
 ) -> tuple[bool, list[int]]:
-    """Evaluate every constraint; returns (ok, violated constraint indices)."""
-    if tuple(map(itemgetter(0), assignment.values)) != system.variables:
+    """Evaluate every constraint of an assignment that names the system's
+    variables in order; returns (ok, violated constraint indices)."""
+    if tuple(assignment) != system.variables:
         raise DomainMismatch("assignment domain differs from the system variables")
-    values = list(map(itemgetter(1), assignment.values))
+    values = list(assignment.values())
     if min(values, default=0) < 0:
         raise DomainMismatch("assignment values must be non-negative")
     violated = [
@@ -225,7 +222,7 @@ def witness_from_solution(
     types: TypeSpace,
     runs: list[tuple[ValidPair, int]],
     names: tuple[str, ...],
-) -> IlpAssignment:
+) -> dict[str, int]:
     """Count the derived types of a concrete decomposition given as runs of
     (valid pair, robot count): a run's robot and cycle types count once per
     robot.  A type missing from the space is reported at the run's first
@@ -249,7 +246,7 @@ def witness_from_solution(
             missing = f"derived cycle type of robot {first} missing from the space"
             counts[cyc_base + _position(types.cycle_types, ct, missing)] += count
         first += count
-    return IlpAssignment(tuple(zip(names, counts)))
+    return dict(zip(names, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +418,13 @@ def _var_index(names: list[str]) -> dict[str, int]:
     return var_index
 
 
-def format_assignment(assignment: IlpAssignment) -> str:
+def format_assignment(assignment: dict[str, int]) -> str:
     # one format over all the values holds no string per line
-    values = assignment.values
-    return ("assign %s\n" + "%s %s\n" * len(values)) % (len(values), *chain.from_iterable(values))
+    n = len(assignment)
+    return ("assign %s\n" + "%s %s\n" * n) % (n, *chain.from_iterable(assignment.items()))
 
 
-def parse_assignment(text: str) -> IlpAssignment:
+def parse_assignment(text: str) -> dict[str, int]:
     """Read the text a chunk of whole lines at a time: a chunk is accepted
     when it equals the rendering of its tokens read as names and values.  A
     text with a chunk that is not, or with a name given twice, is read again
@@ -451,10 +448,10 @@ def parse_assignment(text: str) -> IlpAssignment:
     if len(values) != count:
         return _parse_assignment_lines(text)
     _check_rendered(text, f"assign {count}", None)
-    return IlpAssignment(tuple(values.items()))
+    return values
 
 
-def _parse_assignment_lines(text: str) -> IlpAssignment:
+def _parse_assignment_lines(text: str) -> dict[str, int]:
     """The line reader behind `parse_assignment`: it reads each text that
     the chunk reader does not accept, and words the error."""
     values: dict[str, int] = {}
@@ -471,4 +468,4 @@ def _parse_assignment_lines(text: str) -> IlpAssignment:
         if first_bad is None and line != f"{name} {value}":
             first_bad = no
     _check_rendered(text, f"assign {len(values)}", first_bad)
-    return IlpAssignment(tuple(values.items()))
+    return values

@@ -98,12 +98,6 @@ def copy_neighborhoods(ctx: FptContext, cc: EdgeMultiset) -> dict[int, NeiSub]:
     }
 
 
-def robot_alloc_counts(ctx: FptContext, rt: RobotType) -> Counter:
-    """(vertex type, neighbor multiset) -> how often the robot type allocates it."""
-    nbhds = copy_neighborhoods(ctx, rt.cc_counter())
-    return Counter((vt, nbhds[copy]) for copy, vt in rt.alloc)
-
-
 def cycle_alloc_counts(ct: CycleType) -> Counter:
     """(vertex type, neighbor pair) -> how often the cycle type allocates it."""
     return Counter((vt, ns) for ns, vt in ct.pa_alloc)

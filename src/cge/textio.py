@@ -54,17 +54,12 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from typing import Iterator, NamedTuple, TextIO
+from typing import Iterator, TextIO
 
 from .errors import CgeError, NotConnected, ParseError
 from .euler import RobotCycle, Solution, robot_lines
 from .graphs import ExplorationInstance, Multigraph, _simple_edges
 from .hardness import BinPackingInstance
-
-
-class InstanceDocument(NamedTuple):
-    kind: str  # "cge" | "binpack"
-    payload: object
 
 
 # the characters at which str.splitlines ends a line; "\r\n" ends one line
@@ -88,12 +83,12 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
     return lines
 
 
-def parse_instance(text: str) -> InstanceDocument:
+def parse_instance(text: str) -> ExplorationInstance | BinPackingInstance:
     """The instance in `text`: read in bulk when it is exactly as
     `format_instance` writes an exploration instance with edges, else by
     the line reader, which alone words errors."""
     inst = _read_in_bulk(text)
-    return _parse_instance_lines(text) if inst is None else InstanceDocument("cge", inst)
+    return _parse_instance_lines(text) if inst is None else inst
 
 
 def _read_in_bulk(text: str) -> ExplorationInstance | None:
@@ -126,7 +121,7 @@ def _read_in_bulk(text: str) -> ExplorationInstance | None:
     return None
 
 
-def _parse_instance_lines(text: str) -> InstanceDocument:
+def _parse_instance_lines(text: str) -> ExplorationInstance | BinPackingInstance:
     """The line reader behind `parse_instance`: it reads each text the bulk
     read does not accept, and words the error."""
     lines = _meaningful_lines(text)
@@ -137,11 +132,11 @@ def _parse_instance_lines(text: str) -> InstanceDocument:
     if head[0] == "cge":
         if head != ["cge", "1"]:
             raise ParseError(first_no, "expected header 'cge 1'")
-        return InstanceDocument("cge", _parse_cge(lines[1:]))
+        return _parse_cge(lines[1:])
     if head[0] == "binpack":
         if head != ["binpack", "1"]:
             raise ParseError(first_no, "expected header 'binpack 1'")
-        return InstanceDocument("binpack", _parse_binpack(lines[1:]))
+        return _parse_binpack(lines[1:])
     raise ParseError(first_no, f"unknown format {head[0]!r}")
 
 
@@ -236,25 +231,21 @@ def _cge_form(budgets: int, m: int) -> str:
     return head + "edge %s %s\n" * m
 
 
-def format_instance(doc: InstanceDocument) -> str:
-    if doc.kind == "cge":
-        inst: ExplorationInstance = doc.payload
-        g = inst.graph
-        budget = () if inst.budget is None else (inst.budget,)
-        return _cge_form(len(budget), g.num_edges) % (
-            g.n, inst.v_init, inst.k, *budget, *chain.from_iterable(g.edges)
-        )
-    if doc.kind == "binpack":
-        bp: BinPackingInstance = doc.payload
+def format_instance(inst: ExplorationInstance | BinPackingInstance) -> str:
+    if isinstance(inst, BinPackingInstance):
         lines = [
             "binpack 1",
-            f"capacity {bp.capacity}",
-            f"bins {bp.bins}",
-            f"exact {int(bp.exact)}",
+            f"capacity {inst.capacity}",
+            f"bins {inst.bins}",
+            f"exact {int(inst.exact)}",
         ]
-        lines.extend(f"item {s}" for s in bp.sizes)
+        lines.extend(f"item {s}" for s in inst.sizes)
         return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown document kind {doc.kind!r}")
+    g = inst.graph
+    budget = () if inst.budget is None else (inst.budget,)
+    return _cge_form(len(budget), g.num_edges) % (
+        g.n, inst.v_init, inst.k, *budget, *chain.from_iterable(g.edges)
+    )
 
 
 def format_solution(sol: Solution) -> str:

@@ -20,7 +20,7 @@ from cge.approx import (
     partition_independent_edges,
     spanning_tree,
 )
-from cge.cover import VertexCover, connect_cover
+from cge.cover import connect_cover
 from cge.errors import NotEulerian, OddDegree, StartNotInGraph, TreeNotSpanning
 from cge.euler import RobotCycle, Solution, _tour_lists
 from cge.graphs import EdgeMultiset, ExplorationInstance, odd_degree_vertices
@@ -100,7 +100,7 @@ def solution_from_multisets(
 
 
 def make_vc_even_degree(
-    parent: dict[int, int], e: EdgeMultiset, vcp: VertexCover
+    parent: dict[int, int], e: EdgeMultiset, vcp: tuple[int, ...]
 ) -> EdgeMultiset:
     """Add at most |cover| - 1 tree edges so every degree becomes even.
 
@@ -111,7 +111,7 @@ def make_vc_even_degree(
     odd-degree vertices: the tree's only T-join, whatever its root.  One pass
     over `e` and one over the tree, children first, cost O(|e| + |cover|).
     """
-    cset = vcp.as_set()
+    cset = set(vcp)
     if len(parent) != len(cset) - 1:
         raise TreeNotSpanning(f"{len(parent)} tree edges cannot span {len(cset)} cover vertices")
     odd = set(odd_degree_vertices(e))
@@ -128,13 +128,13 @@ def make_vc_even_degree(
     return result
 
 
-def approx_solve(inst: ExplorationInstance, vc: VertexCover) -> Solution:
+def approx_solve(inst: ExplorationInstance, vc: tuple[int, ...]) -> Solution:
     """Run the full approximation pipeline and return a verified-shape solution."""
     g = inst.graph
     vcp = connect_cover(g, vc, inst.v_init)
-    state = partition_independent_edges(g, vcp, even_independent_degrees(g, vcp), inst.k)
-    deal_cover_edges(g, vcp, state)
-    parent = spanning_tree(g, vcp.as_set(), inst.v_init)
+    e_is, pairs = partition_independent_edges(g, vcp, even_independent_degrees(g, vcp), inst.k)
+    deal_cover_edges(g, vcp, e_is, pairs, inst.k)
+    parent = spanning_tree(g, set(vcp), inst.v_init)
     # sorted, so the keys a robot's tour sorts arrive mostly in order
     tree = sorted([(v, p) if v < p else (p, v) for v, p in parent.items()])
 
@@ -145,8 +145,8 @@ def approx_solve(inst: ExplorationInstance, vc: VertexCover) -> Solution:
         ms.update(tree)
         return make_vc_even_degree(parent, ms, vcp)
 
-    runs = ((fixed(e_i), 1) for e_i in state.e_i)
-    idle = inst.k - len(state.e_i)
+    runs = ((fixed(e_i), 1) for e_i in e_is)
+    idle = inst.k - len(e_is)
     if idle:
         # robots past the dealt prefix hold no edges: one run walks the fixed tree
         runs = chain(runs, [(make_vc_even_degree(parent, Counter(tree), vcp), idle)])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from cge.cover import VertexCover
 from cge.errors import TypeSpaceTooLarge
 from cge.fptilp.context import num_ver
 from cge.graphs import Multigraph
@@ -31,11 +30,11 @@ class ExpandedGraph(NamedTuple):
     copies: tuple[tuple[int, ...], ...]  # class index -> copy vertex ids
 
 
-def build_equivalence_graph(g: Multigraph, vc: VertexCover, eq) -> QuotientGraph:
+def build_equivalence_graph(g: Multigraph, vc: tuple[int, ...], eq) -> QuotientGraph:
     """All cover-internal edges of the host plus one class vertex per class,
     wired to the class neighborhood.
     """
-    cset = vc.as_set()
+    cset = set(vc)
     edges: dict[tuple[int, int], int] = {}
     for (u, v) in g.edges:
         if u in cset and v in cset:
@@ -53,7 +52,7 @@ def build_equivalence_graph(g: Multigraph, vc: VertexCover, eq) -> QuotientGraph
 
 def build_gbar(
     g: Multigraph,
-    vc: VertexCover,
+    vc: tuple[int, ...],
     eq,
     max_cover: int = 6,
 ) -> ExpandedGraph:
@@ -66,7 +65,7 @@ def build_gbar(
         raise TypeSpaceTooLarge(
             f"cover of size {len(vc)} exceeds the expansion cap {max_cover}"
         )
-    cset = vc.as_set()
+    cset = set(vc)
     edges: dict[tuple[int, int], int] = {}
     for (u, v) in g.edges:
         if u in cset and v in cset:

@@ -168,6 +168,14 @@ def feasibility_conditions_hold(
     return covered == graph_edges
 
 
+def robot_alloc_counts(ctx, rt) -> Counter:
+    """(vertex type, neighbor multiset) -> how often the robot type allocates it."""
+    from cge.fptilp.typespace import copy_neighborhoods
+
+    nbhds = copy_neighborhoods(ctx, rt.cc_counter())
+    return Counter((vt, nbhds[copy]) for copy, vt in rt.alloc)
+
+
 def pair_union(pair) -> Counter:
     """A valid pair's skeleton plus all its cycles, as one edge multiset."""
     total = Counter(pair.cc)

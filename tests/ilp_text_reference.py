@@ -10,7 +10,7 @@ rendering of each constraint line.
 from __future__ import annotations
 
 from cge.errors import ParseError
-from cge.fptilp.system import RELATIONS, Constraint, IlpAssignment, IlpSystem
+from cge.fptilp.system import RELATIONS, Constraint, IlpSystem
 
 
 def _constraint_line(c: Constraint, variables: tuple[str, ...]) -> str:
@@ -113,7 +113,7 @@ def parse_ilp(text: str) -> IlpSystem:
     return IlpSystem(names, tuple(constraints))
 
 
-def parse_assignment(text: str) -> IlpAssignment:
+def parse_assignment(text: str) -> dict[str, int]:
     lines, (count,) = _exported_lines(text, "assign <numvars>")
     values = []
     seen: set[str] = set()
@@ -135,4 +135,4 @@ def parse_assignment(text: str) -> IlpAssignment:
         values.append((parts[0], value))
     if count + 1 < len(lines):
         raise ParseError(count + 2, "text after the last declared value")
-    return IlpAssignment(tuple(values))
+    return dict(values)

@@ -15,7 +15,6 @@ from typing import Iterable
 from cge.errors import NotConnected, ParseError, SelfLoop
 from cge.graphs import Edge, ExplorationInstance, Multigraph
 from cge.hardness import BinPackingInstance
-from cge.textio import InstanceDocument
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -59,7 +58,7 @@ def _meaningful_lines(text: str):
             yield lineno, line
 
 
-def parse_instance(text: str) -> InstanceDocument:
+def parse_instance(text: str) -> ExplorationInstance | BinPackingInstance:
     lines = list(_meaningful_lines(text))
     if not lines:
         raise ParseError(1, "empty input")
@@ -68,11 +67,11 @@ def parse_instance(text: str) -> InstanceDocument:
     if head[0] == "cge":
         if head != ["cge", "1"]:
             raise ParseError(first_no, "expected header 'cge 1'")
-        return InstanceDocument("cge", _parse_cge(lines[1:]))
+        return _parse_cge(lines[1:])
     if head[0] == "binpack":
         if head != ["binpack", "1"]:
             raise ParseError(first_no, "expected header 'binpack 1'")
-        return InstanceDocument("binpack", _parse_binpack(lines[1:]))
+        return _parse_binpack(lines[1:])
     raise ParseError(first_no, f"unknown format {head[0]!r}")
 
 

@@ -15,7 +15,7 @@ from collections.abc import Callable
 from cge.errors import InfeasibleAllocation
 from cge.graphs import EdgeMultiset, relabel_multiset, walk_edges
 from cge.fptilp.context import FptContext
-from cge.fptilp.system import IlpAssignment, IlpSystem, check_assignment, type_counts
+from cge.fptilp.system import IlpSystem, check_assignment, type_counts
 from cge.fptilp.typespace import (
     CycleType,
     NeiSub,
@@ -145,7 +145,7 @@ def reconstruct_solution(
     ctx: FptContext,
     types: TypeSpace,
     system: IlpSystem,
-    assignment: IlpAssignment,
+    assignment: dict[str, int],
 ) -> list[EdgeMultiset]:
     """Turn a satisfying assignment into k edge multisets meeting the
     feasibility conditions with value at most the budget.

@@ -2,6 +2,7 @@
 guard trips, each command in a fresh process, at sizes tier-1 cannot afford.
 Run `python tests/scale_checks.py` with `cge` on PATH (`pip install -e .`);
 it runs every check, lists the failures and exits 1 if there are any.
+Without `cge` on PATH it says so in one line and exits 1, running no check.
 
 Linux carries the peak RSS of the process that starts a command into the
 command's `ru_maxrss`: after a vfork (subprocess's default) its peak, after a
@@ -13,6 +14,7 @@ import math
 import os
 import random
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -338,6 +340,9 @@ def check_exact_m22_two_robots() -> None:
 
 
 def main() -> int:
+    if shutil.which("cge") is None:
+        print("no `cge` console script on PATH: run `pip install -e .` first", file=sys.stderr)
+        return 1
     checks = [f for name, f in globals().items() if name.startswith("check_")]
     failures = []
     with tempfile.TemporaryDirectory() as tmp:

@@ -11,7 +11,7 @@ from cge.approx import (
     partition_independent_edges,
     spanning_tree,
 )
-from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
+from cge.cover import connect_cover, vertex_cover_2approx
 from cge.errors import OddDegree, TreeNotSpanning
 from cge.euler import verify_solution
 from cge.exact import exact_optimum
@@ -38,7 +38,7 @@ def rerooted(parent, vertices, root):
 def lowest_leaf_reference(tree, e, vcp):
     """The former parity fix: remove the lowest-id leaf of the shrinking tree,
     adding one copy of its tree edge first if its degree is odd."""
-    cset = vcp.as_set()
+    cset = set(vcp)
     tree_adj = {v: set() for v in cset}
     for (u, v), m in tree.items():
         if m:
@@ -82,22 +82,22 @@ def random_tree_case(rng):
     for w in outside:
         if multiset_degree(e, w) % 2:
             e[norm_edge(w, rng.choice(cover))] += 1
-    return parent, e, VertexCover(tuple(cover))
+    return parent, e, tuple(cover)
 
 
 class TestEvenIndependentDegrees:
     def test_path_both_ends_duplicated(self):
         g = Multigraph(3, [(0, 1), (1, 2)])
-        e_ind = even_independent_degrees(g, VertexCover((1,)))
+        e_ind = even_independent_degrees(g, (1,))
         assert e_ind == Counter({(0, 1): 2, (1, 2): 2})
 
     def test_c4_no_duplicates(self):
         g = Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        e_ind = even_independent_degrees(g, VertexCover((0, 2)))
+        e_ind = even_independent_degrees(g, (0, 2))
         assert e_ind == Counter({(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
 
     def test_star_three_duplicates(self):
-        e_ind = even_independent_degrees(star(3), VertexCover((0,)))
+        e_ind = even_independent_degrees(star(3), (0,))
         assert sum(e_ind.values()) == 6
         assert all(m == 2 for m in e_ind.values())
 
@@ -110,10 +110,10 @@ class TestPartition:
             k = rng.randint(1, 3)
             vcp = connect_cover(g, vertex_cover_2approx(g), 0)
             e_ind = even_independent_degrees(g, vcp)
-            state = partition_independent_edges(g, vcp, e_ind, k)
-            assert sum(state.e_i, Counter()) == e_ind
-            cset = vcp.as_set()
-            for ms in state.e_i:
+            e_i, _ = partition_independent_edges(g, vcp, e_ind, k)
+            assert sum(e_i, Counter()) == e_ind
+            cset = set(vcp)
+            for ms in e_i:
                 for u in range(g.n):
                     if u not in cset:
                         assert multiset_degree(ms, u) % 2 == 0
@@ -125,10 +125,10 @@ class TestPartition:
             k = rng.randint(1, 3)
             vcp = connect_cover(g, vertex_cover_2approx(g), 0)
             e_ind = even_independent_degrees(g, vcp)
-            state = partition_independent_edges(g, vcp, e_ind, k)
-            deal_cover_edges(g, vcp, state)
+            e_i, pairs = partition_independent_edges(g, vcp, e_ind, k)
+            deal_cover_edges(g, vcp, e_i, pairs, k)
             # robots past the dealt prefix hold no edges
-            padded = state.e_i + [Counter()] * (k - len(state.e_i))
+            padded = e_i + [Counter()] * (k - len(e_i))
             sizes = [sum(ms.values()) for ms in padded]
             assert max(sizes) - min(sizes) <= 2
 
@@ -139,7 +139,7 @@ class TestSpanningTree:
         for _ in range(60):
             g = random_connected_graph(rng, n_max=12, m_max=24)
             start = rng.randrange(g.n)
-            cset = connect_cover(g, vertex_cover_2approx(g), start).as_set()
+            cset = set(connect_cover(g, vertex_cover_2approx(g), start))
             parent = spanning_tree(g, cset, start)
             # every cover vertex but the root has one parent, adjacent to it
             # and reached before it
@@ -161,19 +161,19 @@ class TestSpanningTree:
 class TestMakeVcEvenDegree:
     def test_single_edge_tree_fixes_odd(self):
         e = Counter({(0, 1): 1})  # both endpoints odd
-        out = make_vc_even_degree({1: 0}, e, VertexCover((0, 1)))
+        out = make_vc_even_degree({1: 0}, e, (0, 1))
         assert out == Counter({(0, 1): 2})
 
     def test_identity_when_even(self):
         e = Counter({(0, 1): 2})
-        out = make_vc_even_degree({1: 0}, e, VertexCover((0, 1)))
+        out = make_vc_even_degree({1: 0}, e, (0, 1))
         assert out == e
 
     def test_path_tree_trace(self):
         # degrees: 0 odd, 1 even, 2 odd; rooted at 0, the subtrees of 1 and 2
         # each hold one odd vertex, so both tree edges get a copy
         e = Counter({(0, 1): 1, (1, 2): 1})
-        out = make_vc_even_degree({1: 0, 2: 1}, e, VertexCover((0, 1, 2)))
+        out = make_vc_even_degree({1: 0, 2: 1}, e, (0, 1, 2))
         assert out == Counter({(0, 1): 2, (1, 2): 2})
         assert out - e == Counter({(0, 1): 1, (1, 2): 1})
 
@@ -182,7 +182,7 @@ class TestMakeVcEvenDegree:
         for _ in range(60):
             g = random_connected_graph(rng)
             vcp = connect_cover(g, vertex_cover_2approx(g), 0)
-            cset = vcp.as_set()
+            cset = set(vcp)
             parent = spanning_tree(g, cset, 0)
             e = tree_edges(parent)
             for (u, v) in g.edges:
@@ -195,15 +195,15 @@ class TestMakeVcEvenDegree:
 
     def test_rejects_non_spanning_tree(self):
         with pytest.raises(TreeNotSpanning):
-            make_vc_even_degree({}, Counter({(0, 1): 1}), VertexCover((0, 1)))
+            make_vc_even_degree({}, Counter({(0, 1): 1}), (0, 1))
         e = Counter({(0, 1): 1, (1, 2): 1, (2, 3): 2})
         with pytest.raises(TreeNotSpanning, match="2 tree edges cannot span 4"):
-            make_vc_even_degree({1: 0, 2: 1}, e, VertexCover((0, 1, 2, 3)))
+            make_vc_even_degree({1: 0, 2: 1}, e, (0, 1, 2, 3))
 
     def test_rejects_odd_vertex_outside_cover(self):
         e = Counter({(0, 1): 1, (1, 2): 1, (0, 3): 1})
         with pytest.raises(OddDegree, match="vertex 3"):
-            make_vc_even_degree({1: 0, 2: 1}, e, VertexCover((0, 1, 2)))
+            make_vc_even_degree({1: 0, 2: 1}, e, (0, 1, 2))
 
     def test_matches_lowest_leaf_elimination_on_random_trees(self):
         rng = random.Random(41)
@@ -228,8 +228,8 @@ class TestMakeVcEvenDegree:
         cases = [random_tree_case(rng) for _ in range(300)] + list(robot_multiset_cases())
         for parent, e, vcp in cases:
             ref = reference.make_vc_even_degree(tree_edges(parent), e, vcp)
-            for root in vcp.vertices:
-                out = make_vc_even_degree(rerooted(parent, vcp.as_set(), root), e, vcp)
+            for root in vcp:
+                out = make_vc_even_degree(rerooted(parent, set(vcp), root), e, vcp)
                 assert list(out.items()) == list(ref.items())
 
 
@@ -241,26 +241,25 @@ def robot_multiset_cases():
         g = random_connected_graph(rng, n_max=12, m_max=24)
         start = rng.randrange(g.n)
         vcp = connect_cover(g, vertex_cover_2approx(g), start)
-        state = partition_independent_edges(
-            g, vcp, even_independent_degrees(g, vcp), rng.randint(1, 4)
-        )
-        deal_cover_edges(g, vcp, state)
-        parent = spanning_tree(g, vcp.as_set(), start)
-        for e_i in state.e_i:
+        k = rng.randint(1, 4)
+        e_is, pairs = partition_independent_edges(g, vcp, even_independent_degrees(g, vcp), k)
+        deal_cover_edges(g, vcp, e_is, pairs, k)
+        parent = spanning_tree(g, set(vcp), start)
+        for e_i in e_is:
             yield parent, e_i + tree_edges(parent), vcp
 
 
 class TestApproxSolve:
     def test_star_optimal(self):
         inst = ExplorationInstance(star(3), 0, 1)
-        sol = approx_solve(inst, VertexCover((0,)))
+        sol = approx_solve(inst, (0,))
         assert verify_solution(inst, sol).ok
         assert sol.value == 6
 
     def test_single_edge_two_robots(self):
         g = Multigraph(2, [(0, 1)])
         inst = ExplorationInstance(g, 0, 2)
-        sol = approx_solve(inst, VertexCover((0,)))
+        sol = approx_solve(inst, (0,))
         assert verify_solution(inst, sol).ok
         assert sol.value == 2
         lengths = sorted(rc.length for rc in robot_cycles(sol))
@@ -282,14 +281,14 @@ class TestApproxSolve:
         vc = vertex_cover_2approx(g)
         vcp = connect_cover(g, vc, 8)
         e_ind = even_independent_degrees(g, vcp)
-        cset = vcp.as_set()
+        cset = set(vcp)
         for u in range(g.n):
             if u not in cset:
                 assert multiset_degree(e_ind, u) % 2 == 0
-        state = partition_independent_edges(g, vcp, e_ind, 3)
-        deal_cover_edges(g, vcp, state)
+        e_i, pairs = partition_independent_edges(g, vcp, e_ind, 3)
+        deal_cover_edges(g, vcp, e_i, pairs, 3)
         covered = set()
-        for ms in state.e_i:
+        for ms in e_i:
             covered |= {e for e, c in ms.items() if c}
         cover_internal = {
             e for e in g.edges if e[0] in cset and e[1] in cset

@@ -11,7 +11,7 @@ tree edges) and solves with idle robots.  About 1.7 s on a 2-vCPU host.
 import random
 
 from cge.approx import approx_solve
-from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
+from cge.cover import connect_cover, vertex_cover_2approx
 from cge.graphs import ExplorationInstance, Multigraph
 from cge.textio import format_solution
 
@@ -33,11 +33,11 @@ def _cases(rng):
         vc = vertex_cover_2approx(graph)
         yield inst, vc, "2-approximate"
         extra = rng.sample(range(graph.n), rng.randint(1, graph.n))
-        yield inst, VertexCover(tuple(sorted(set(vc.vertices) | set(extra)))), "padded"
+        yield inst, tuple(sorted(set(vc) | set(extra))), "padded"
     n = rng.randint(2, 60)
     centre = rng.randrange(n)
     star = Multigraph(n, [(min(centre, v), max(centre, v)) for v in range(n) if v != centre])
-    yield ExplorationInstance(star, centre, rng.choice(ROBOTS)), VertexCover((centre,)), "star"
+    yield ExplorationInstance(star, centre, rng.choice(ROBOTS)), (centre,), "star"
 
 
 def test_same_bytes_as_the_per_robot_counter_path():

@@ -10,11 +10,11 @@ import itertools
 
 import pytest
 
-from cge.cover import VertexCover, connect_cover
+from cge.cover import connect_cover
 from cge.euler import solution_from_multisets, verify_solution
 from cge.fptilp.context import FptContext
 from cge.fptilp.reconstruct import reconstruct_solution
-from cge.fptilp.system import IlpAssignment, build_ilp_system, check_assignment
+from cge.fptilp.system import build_ilp_system, check_assignment
 from cge.fptilp.typespace import enumerate_type_space, robot_bud, robot_cycbud
 from cge.graphs import ExplorationInstance, Multigraph
 
@@ -91,7 +91,7 @@ def satisfying_assignments(ctx, types, system, cap=100_000):
                         values[f"x_cyc_{ci}"] = v
                 count += 1
                 assert count <= cap, "assignment enumeration exceeded the cap"
-                assignment = IlpAssignment(tuple((n, values[n]) for n in names))
+                assignment = {n: values[n] for n in names}
                 ok, _ = check_assignment(system, assignment)
                 if ok:
                     yield assignment
@@ -111,7 +111,7 @@ CASES = [
 @pytest.mark.parametrize("name,g,v_init,k,budget,cover", CASES)
 def test_every_satisfying_assignment_reconstructs(name, g, v_init, k, budget, cover):
     inst = ExplorationInstance(g, v_init, k, budget)
-    vcp = connect_cover(g, VertexCover(cover), v_init)
+    vcp = connect_cover(g, cover, v_init)
     ctx = FptContext.build(inst, vcp)
     types = enumerate_type_space(ctx)
     system = build_ilp_system(ctx, types)
@@ -121,7 +121,7 @@ def test_every_satisfying_assignment_reconstructs(name, g, v_init, k, budget, co
         multisets = robot_multisets(runs)
         assert feasibility_conditions_hold(inst, multisets, budget), (
             name,
-            assignment.values,
+            list(assignment.items()),
             [dict(m) for m in multisets],
         )
         sol = solution_from_multisets(g.n, v_init, runs, k)

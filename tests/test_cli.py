@@ -9,14 +9,9 @@ from cge import cli
 from cge.cli import main
 from cge.errors import ParseError
 from cge.euler import solution_from_multisets
-from cge.graphs import walk_edges
-from cge.textio import (
-    InstanceDocument,
-    format_instance,
-    format_solution,
-    parse_instance,
-    parse_solution,
-)
+from cge.graphs import ExplorationInstance, walk_edges
+from cge.hardness import BinPackingInstance
+from cge.textio import format_instance, format_solution, parse_instance, parse_solution
 
 TRIANGLE = "cge 1\nnodes 3\ninit 0\nrobots 1\nedge 0 1\nedge 0 2\nedge 1 2\n"
 SINGLE_EDGE = "cge 1\nnodes 2\ninit 0\nrobots 1\nedge 0 1\n"
@@ -34,9 +29,8 @@ def run_cli(*argv):
 
 class TestParsing:
     def test_single_edge(self):
-        doc = parse_instance(SINGLE_EDGE)
-        assert doc.kind == "cge"
-        inst = doc.payload
+        inst = parse_instance(SINGLE_EDGE)
+        assert isinstance(inst, ExplorationInstance)
         assert inst.graph.n == 2 and inst.k == 1 and inst.budget is None
 
     def test_missing_init(self):
@@ -48,20 +42,20 @@ class TestParsing:
             parse_instance("cge 1\nnodes 2\ninit 0\nrobots 1\nedge 0 1\nedge 1 0\n")
 
     def test_binpack(self):
-        doc = parse_instance(BINPACK)
-        assert doc.kind == "binpack"
-        assert doc.payload.sizes == (2, 2)
-        assert doc.payload.exact
+        bp = parse_instance(BINPACK)
+        assert isinstance(bp, BinPackingInstance)
+        assert bp.sizes == (2, 2)
+        assert bp.exact
 
     def test_round_trip_identity(self):
         for text in (TRIANGLE, SINGLE_EDGE, PATH3_BUDGET, BINPACK):
-            doc = parse_instance(text)
-            assert format_instance(doc) == text
-            assert format_instance(parse_instance(format_instance(doc))) == text
+            inst = parse_instance(text)
+            assert format_instance(inst) == text
+            assert format_instance(parse_instance(format_instance(inst))) == text
 
     def test_comments_ignored(self):
-        doc = parse_instance("# hello\ncge 1\nnodes 2\ninit 0 # start\nrobots 1\nedge 0 1\n")
-        assert doc.payload.graph.num_edges == 1
+        inst = parse_instance("# hello\ncge 1\nnodes 2\ninit 0 # start\nrobots 1\nedge 0 1\n")
+        assert inst.graph.num_edges == 1
 
 
 class TestSolutionFormat:

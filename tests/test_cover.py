@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from cge import cover
-from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
+from cge.cover import connect_cover, vertex_cover_2approx
 from cge.errors import EmptyGraph, NotACover, TypeSpaceTooLarge
 from cge.fptilp.context import (
     FptContext,
@@ -49,22 +49,22 @@ def test_cover_module_holds_only_covers():
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         if isinstance(target, ast.Name)
     }
-    assert defined == {"VertexCover", "is_cover", "vertex_cover_2approx", "connect_cover"}
+    assert defined == {"is_cover", "vertex_cover_2approx", "connect_cover"}
 
 
 class TestTwoApprox:
     def test_single_edge_keeps_both_endpoints(self):
         g = Multigraph(2, [(0, 1)])
-        assert vertex_cover_2approx(g).vertices == (0, 1)
+        assert vertex_cover_2approx(g) == (0, 1)
 
     def test_triangle(self):
-        assert vertex_cover_2approx(triangle()).vertices == (0, 1)
+        assert vertex_cover_2approx(triangle()) == (0, 1)
 
     def test_star_cover_property(self):
         g = star(4)
         vc = vertex_cover_2approx(g)
-        assert vc.vertices == (0, 1)
-        cs = set(vc.vertices)
+        assert vc == (0, 1)
+        cs = set(vc)
         assert all(u in cs or v in cs for u, v in g.edges)
 
     def test_empty_graph_rejected(self):
@@ -76,27 +76,27 @@ class TestTwoApprox:
         for _ in range(60):
             g = random_connected_graph(rng, n_max=8, m_max=12)
             vc = vertex_cover_2approx(g)
-            cs = set(vc.vertices)
+            cs = set(vc)
             assert all(u in cs or v in cs for u, v in g.edges)
             assert len(vc) <= 2 * brute_force_min_vertex_cover(g)
 
 
 class TestConnectCover:
     def test_path_forced_connector(self):
-        vc = connect_cover(path3(), VertexCover((0, 2)), 0)
-        assert vc.vertices == (0, 1, 2)
+        vc = connect_cover(path3(), (0, 2), 0)
+        assert vc == (0, 1, 2)
 
     def test_triangle_identity(self):
-        vc = connect_cover(triangle(), VertexCover((0, 1)), 0)
-        assert vc.vertices == (0, 1)
+        vc = connect_cover(triangle(), (0, 1), 0)
+        assert vc == (0, 1)
 
     def test_star_adds_only_v_init(self):
-        vc = connect_cover(star(3), VertexCover((0,)), 2)
-        assert vc.vertices == (0, 2)
+        vc = connect_cover(star(3), (0,), 2)
+        assert vc == (0, 2)
 
     def test_rejects_non_cover(self):
         with pytest.raises(NotACover):
-            connect_cover(triangle(), VertexCover((2,)), 0)
+            connect_cover(triangle(), (2,), 0)
 
     def test_random_properties(self):
         rng = random.Random(7)
@@ -105,17 +105,17 @@ class TestConnectCover:
             base = vertex_cover_2approx(g)
             v_init = rng.randrange(g.n)
             vcp = connect_cover(g, base, v_init)
-            assert v_init in vcp.as_set()
-            assert set(base.vertices) <= vcp.as_set()
+            assert v_init in vcp
+            assert set(base) <= set(vcp)
             assert len(vcp) <= 2 * max(1, len(base))
-            assert len(g.components(vcp.as_set())) == 1
+            assert len(g.components(set(vcp))) == 1
 
 
 def multi_round_connect(g, vc, v_init):
     """The multi-round loop `connect_cover` replaced: recompute the components
     of the current set, add the first outside vertex (in id order) adjacent to
     two of them, and start over."""
-    current = set(vc.vertices) | {v_init}
+    current = set(vc) | {v_init}
     while True:
         comps = g.components(current)
         if len(comps) <= 1:
@@ -138,13 +138,13 @@ def random_minimal_cover(rng, g):
     for v in order:
         if all(w in cover for w in g.neighbors(v)):
             cover.discard(v)
-    return VertexCover(tuple(sorted(cover)))
+    return tuple(sorted(cover))
 
 
 class TestConnectCoverMatchesMultiRound:
     def check(self, g, vc, v_init):
         vcp = connect_cover(g, vc, v_init)
-        assert vcp.vertices == multi_round_connect(g, vc, v_init)
+        assert vcp == multi_round_connect(g, vc, v_init)
 
     def test_seeded_connected_graphs(self):
         rng = random.Random(8123)
@@ -164,9 +164,9 @@ class TestConnectCoverMatchesMultiRound:
         rng = random.Random(8125)
         for _ in range(200):
             g = random_connected_graph(rng, n_max=25, m_max=40)
-            cover = set(random_minimal_cover(rng, g).vertices)
+            cover = set(random_minimal_cover(rng, g))
             cover |= set(rng.sample(range(g.n), rng.randint(1, g.n)))
-            self.check(g, VertexCover(tuple(sorted(cover))), rng.randrange(g.n))
+            self.check(g, tuple(sorted(cover)), rng.randrange(g.n))
 
     def test_v_init_outside_the_cover(self):
         rng = random.Random(8126)
@@ -174,7 +174,7 @@ class TestConnectCoverMatchesMultiRound:
         for _ in range(200):
             g = random_connected_graph(rng, n_max=25, m_max=40)
             cover = random_minimal_cover(rng, g)
-            outside = sorted(set(range(g.n)) - set(cover.vertices))
+            outside = sorted(set(range(g.n)) - set(cover))
             if outside:
                 self.check(g, cover, rng.choice(outside))
                 checked += 1
@@ -184,26 +184,26 @@ class TestConnectCoverMatchesMultiRound:
         g = Multigraph(5, [(0, 1), (1, 2), (3, 4)])
         for cover in ((1, 3), (0, 2, 3), (1, 4)):
             with pytest.raises(NotACover):
-                connect_cover(g, VertexCover(cover), 0)
+                connect_cover(g, cover, 0)
             with pytest.raises(NotACover):
-                multi_round_connect(g, VertexCover(cover), 0)
+                multi_round_connect(g, cover, 0)
 
 
 class TestEquivalenceClasses:
     def test_path_single_class(self):
-        classes = equivalence_classes(path3(), VertexCover((1,)))
+        classes = equivalence_classes(path3(), (1,))
         assert len(classes) == 1
         assert classes[0].neighborhood == (1,)
         assert classes[0].members == (0, 2)
 
     def test_c4_single_class(self):
-        classes = equivalence_classes(c4(), VertexCover((0, 2)))
+        classes = equivalence_classes(c4(), (0, 2))
         assert len(classes) == 1
         assert classes[0].neighborhood == (0, 2)
         assert classes[0].members == (1, 3)
 
     def test_star_with_enlarged_cover(self):
-        classes = equivalence_classes(star(3), VertexCover((0, 1)))
+        classes = equivalence_classes(star(3), (0, 1))
         assert len(classes) == 1
         assert classes[0].neighborhood == (0,)
         assert classes[0].members == (2, 3)
@@ -215,7 +215,7 @@ class TestEquivalenceClasses:
             vcp = connect_cover(g, vertex_cover_2approx(g), 0)
             classes = equivalence_classes(g, vcp)
             members = [u for cls in classes for u in cls.members]
-            assert sorted(members) == sorted(set(range(g.n)) - vcp.as_set())
+            assert sorted(members) == sorted(set(range(g.n)) - set(vcp))
             neighborhoods = [cls.neighborhood for cls in classes]
             assert len(set(neighborhoods)) == len(neighborhoods)
             for cls in classes:
@@ -225,7 +225,7 @@ class TestEquivalenceClasses:
     def test_context_maps_members_class_vertices_and_copies(self):
         # cover {0, 3}: members 1 and 2 see only 0, member 4 sees only 3
         g = Multigraph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
-        ctx = FptContext.build(ExplorationInstance(g, 0, 1, 8), VertexCover((0, 3)))
+        ctx = FptContext.build(ExplorationInstance(g, 0, 1, 8), (0, 3))
         assert ctx.classes == (((0,), (1, 2)), ((3,), (4,)))
         assert ctx.class_of == {1: 0, 2: 0, 4: 1}
         assert ctx.class_vertex == (5, 6)
@@ -239,14 +239,14 @@ class TestEquivalenceClasses:
 class TestQuotientGraph:
     def test_path(self):
         g = path3()
-        vcp = VertexCover((1,))
+        vcp = (1,)
         graph, class_vertex = build_equivalence_graph(g, vcp, equivalence_classes(g, vcp))
         assert class_vertex == (3,)
         assert graph.edges == ((1, 3),)
 
     def test_c4(self):
         g = c4()
-        vcp = VertexCover((0, 2))
+        vcp = (0, 2)
         graph, class_vertex = build_equivalence_graph(g, vcp, equivalence_classes(g, vcp))
         assert class_vertex == (4,)
         assert graph.edges == ((0, 4), (2, 4))
@@ -260,21 +260,21 @@ class TestQuotientGraph:
             graph, class_vertex = build_equivalence_graph(g, vcp, classes)
             active = {v for e in graph.edges for v in e}
             if graph.num_edges:
-                assert active <= (vcp.as_set() | set(class_vertex))
+                assert active <= (set(vcp) | set(class_vertex))
             assert graph.n == g.n + len(classes)
 
 
 class TestExpandedGraph:
     def test_path_two_copies(self):
         g = path3()
-        vcp = VertexCover((1,))
+        vcp = (1,)
         graph, copies = build_gbar(g, vcp, equivalence_classes(g, vcp))
         assert copies == ((3, 4),)
         assert graph.edges == ((1, 3), (1, 4))
 
     def test_c4_two_copies(self):
         g = c4()
-        vcp = VertexCover((0, 2))
+        vcp = (0, 2)
         graph, copies = build_gbar(g, vcp, equivalence_classes(g, vcp))
         assert copies == ((4, 5),)
         assert graph.edges == ((0, 4), (0, 5), (2, 4), (2, 5))
@@ -286,7 +286,7 @@ class TestExpandedGraph:
 
     def test_cap_guard(self):
         g = star(6)
-        vcp = VertexCover(tuple(range(7)))
+        vcp = tuple(range(7))
         with pytest.raises(TypeSpaceTooLarge):
             build_gbar(g, vcp, equivalence_classes(g, vcp))
 

@@ -165,7 +165,7 @@ def reference_traversal_bound(inst):
     one each; rounded up to even when the graph is bipartite."""
     g = inst.graph
     vcp = connect_cover(g, vertex_cover_2approx(g), inst.v_init)
-    cset = vcp.as_set()
+    cset = set(vcp)
     total = 0
     for (u, v) in g.edges:
         if u in cset and v in cset:
@@ -308,6 +308,23 @@ def test_assignment_spends_the_reference_nodes(inst):
             new = _NodeBudget(UNLIMITED)
             assert _assign_robots(cat, inst.k, budget, full, new) == expected
             assert spent(new) == spent(old), f"budget {budget}"
+
+
+def test_every_edge_has_a_usable_walk_at_the_start_budget():
+    """`_assign_robots` needs, for every edge, a catalog entry within its
+    budget: it tries no budget below `_lower_bound`, which is at least
+    `_farthest_edge_bound`, and the walk out to an edge, across it and back
+    home takes dist[u] + 1 + dist[v] steps and uses no edge more than twice.
+    Checked at both bounds on seeded desk graphs (n <= 8, m <= 11), k = 2."""
+    rng = random.Random(3701)
+    for _ in range(150):
+        g = random_connected_graph(rng, n_max=8, m_max=11)
+        inst = ExplorationInstance(g, rng.randrange(g.n), 2)
+        frontier = _Frontier(g, inst.v_init)
+        for budget in (_farthest_edge_bound(g, inst.v_init), exact._lower_bound(inst)):
+            catalog = _walk_catalog(g, inst.v_init, budget, frontier, _NodeBudget(UNLIMITED))
+            usable = (1 << bisect_right(catalog.lengths, budget)) - 1
+            assert all(c & usable for c in catalog.covers), (case_id(inst), budget)
 
 
 @pytest.mark.parametrize("inst", CASES[::2], ids=case_id)

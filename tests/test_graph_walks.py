@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 import graph_walks_reference as ref
-from cge.cover import VertexCover, connect_cover
+from cge.cover import connect_cover
 from cge.errors import CgeError
 from cge.fptilp import pairs, typespace
 from cge.fptilp.context import FptContext
@@ -46,7 +46,7 @@ def covered_graph(rng, c, n_ind_max=5, p_cover=0.4, nbhd_max=3):
 
 def context(g, start, c):
     inst = ExplorationInstance(g, start, 1, budget=2 * g.num_edges)
-    return FptContext.build(inst, connect_cover(g, VertexCover(tuple(range(c))), start))
+    return FptContext.build(inst, connect_cover(g, tuple(range(c)), start))
 
 
 def closed_walk(rng, g, start, steps):

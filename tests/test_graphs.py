@@ -9,7 +9,7 @@ from cge import graphs
 from cge.cli import main
 from cge.errors import NotConnected, SelfLoop
 from cge.graphs import ExplorationInstance, Multigraph, norm_edge, odd_degree_vertices
-from cge.textio import InstanceDocument, _parse_instance_lines, format_instance, parse_instance
+from cge.textio import _parse_instance_lines, format_instance, parse_instance
 
 import instance_text_reference
 from corpus import BUILDABLE, CORPUS
@@ -188,12 +188,11 @@ def small_instances(draw):
 @given(small_instances())
 @settings(max_examples=150)
 def test_instance_text_round_trip(inst):
-    doc = InstanceDocument("cge", inst)
-    text = format_instance(doc)
+    text = format_instance(inst)
     back = parse_instance(text)
     assert format_instance(back) == text
-    assert back.payload.graph == inst.graph
-    assert (back.payload.v_init, back.payload.k, back.payload.budget) == (
+    assert back.graph == inst.graph
+    assert (back.v_init, back.k, back.budget) == (
         inst.v_init,
         inst.k,
         inst.budget,
@@ -251,6 +250,7 @@ def test_an_instance_text_with_edges_out_of_order_builds_one_graph(monkeypatch):
         init(self, n, edges)
 
     monkeypatch.setattr(Multigraph, "__init__", spy)
-    kind, inst = parse_instance((CORPUS / "guard-c4.cge").read_text(encoding="utf-8"))
-    assert (kind, inst.graph.edges) == ("cge", ((0, 1), (0, 3), (1, 2), (2, 3)))
+    inst = parse_instance((CORPUS / "guard-c4.cge").read_text(encoding="utf-8"))
+    assert isinstance(inst, ExplorationInstance)
+    assert inst.graph.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
     assert built == [4]

@@ -4,13 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
+from cge.cover import connect_cover, vertex_cover_2approx
 from cge.errors import DomainMismatch
 from cge.exact import exact_optimum
 from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import decompose_valid_pair, solution_pairs
 from cge.fptilp.system import (
-    IlpAssignment,
     build_ilp_system,
     check_assignment,
     export_ilp,
@@ -39,7 +38,7 @@ def build_all(g, v_init, k, budget, cover=None):
 class TestBuildSystem:
     def test_eq1_sums_robot_types_to_k(self):
         g = Multigraph(2, [(0, 1)])
-        ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
+        ctx, types, system = build_all(g, 0, 1, 2, cover=(0, 1))
         eq1 = [c for c in system.constraints if c.tag == "eq1"]
         assert len(eq1) == 1
         assert eq1[0].relation == "=" and eq1[0].rhs == 1
@@ -48,14 +47,14 @@ class TestBuildSystem:
 
     def test_eq2_rhs_is_class_size(self):
         g = Multigraph(3, [(0, 1), (1, 2)])
-        ctx, types, system = build_all(g, 1, 1, 4, cover=VertexCover((1,)))
+        ctx, types, system = build_all(g, 1, 1, 4, cover=(1,))
         eq2 = [c for c in system.constraints if c.tag == "eq2"]
         assert len(eq2) == 1
         assert eq2[0].rhs == 2
 
     def test_eq4_covers_internal_edge(self):
         g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
-        ctx, types, system = build_all(g, 0, 1, 4, cover=VertexCover((0, 1)))
+        ctx, types, system = build_all(g, 0, 1, 4, cover=(0, 1))
         eq4 = [c for c in system.constraints if c.tag == "eq4"]
         assert len(eq4) == 1
         assert eq4[0].relation == ">=" and eq4[0].rhs == 1
@@ -63,7 +62,7 @@ class TestBuildSystem:
 
     def test_constraint_group_counts(self):
         g = Multigraph(3, [(0, 1), (1, 2)])
-        ctx, types, system = build_all(g, 1, 2, 4, cover=VertexCover((1,)))
+        ctx, types, system = build_all(g, 1, 2, 4, cover=(1,))
         tags = [c.tag for c in system.constraints]
         assert tags.count("eq1") == 1
         assert tags.count("eq2") == len(ctx.classes)
@@ -79,43 +78,42 @@ class TestBuildSystem:
 class TestWitness:
     def test_all_zero_fails_eq1(self):
         g = Multigraph(2, [(0, 1)])
-        ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
-        zero = IlpAssignment(tuple((n, 0) for n in system.variables))
+        ctx, types, system = build_all(g, 0, 1, 2, cover=(0, 1))
+        zero = dict.fromkeys(system.variables, 0)
         ok, violated = check_assignment(system, zero)
         assert not ok
         assert any(system.constraints[i].tag == "eq1" for i in violated)
 
     def test_domain_mismatch_rejected(self):
         g = Multigraph(2, [(0, 1)])
-        ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
-        bad = IlpAssignment((("x_nothing", 1),))
+        ctx, types, system = build_all(g, 0, 1, 2, cover=(0, 1))
+        bad = {"x_nothing": 1}
         with pytest.raises(DomainMismatch):
             check_assignment(system, bad)
 
     def test_single_robot_witness(self):
         g = Multigraph(2, [(0, 1)])
         inst = ExplorationInstance(g, 0, 1, 2)
-        ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
+        ctx, types, system = build_all(g, 0, 1, 2, cover=(0, 1))
         opt, sol = exact_optimum(inst)
         assert opt == 2
         witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
         ok, violated = check_assignment(system, witness)
         assert ok, violated
-        values = dict(witness.values)
-        rob_values = [v for n, v in values.items() if n.startswith("x_rob_")]
+        rob_values = [v for n, v in witness.items() if n.startswith("x_rob_")]
         assert sum(rob_values) == 1
 
     def test_two_identical_robots_count_two(self):
         g = Multigraph(2, [(0, 1)])
         inst = ExplorationInstance(g, 0, 2, 2)
-        vcp = VertexCover((0, 1))
+        vcp = (0, 1)
         ctx = FptContext.build(inst, connect_cover(g, vcp, 0))
         types = enumerate_type_space(ctx)
         system = build_ilp_system(ctx, types)
         source = Counter({(0, 1): 2})
         pairs = [(decompose_valid_pair(ctx, source), 1) for _ in range(2)]
         witness = witness_from_solution(ctx, types, pairs, system.variables)
-        assert max(dict(witness.values).values()) == 2
+        assert max(witness.values()) == 2
         ok, _ = check_assignment(system, witness)
         assert ok
 
@@ -124,7 +122,7 @@ class TestWitness:
         inst = ExplorationInstance(g, 1, 1, 4)
         opt, sol = exact_optimum(inst)
         assert opt == 4
-        ctx, types, system = build_all(g, 1, 1, 4, cover=VertexCover((1,)))
+        ctx, types, system = build_all(g, 1, 1, 4, cover=(1,))
         witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
         ok, violated = check_assignment(system, witness)
         assert ok, [system.constraints[i] for i in violated]
@@ -133,12 +131,11 @@ class TestWitness:
         g = Multigraph(3, [(0, 1), (1, 2)])
         inst = ExplorationInstance(g, 1, 1, 4)
         opt, sol = exact_optimum(inst)
-        ctx, types, system = build_all(g, 1, 1, 4, cover=VertexCover((1,)))
+        ctx, types, system = build_all(g, 1, 1, 4, cover=(1,))
         witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
-        values = dict(witness.values)
-        target = next(n for n, v in values.items() if n.startswith("x_ver_") and v)
-        values[target] += 1
-        bumped = IlpAssignment(tuple(values.items()))
+        bumped = dict(witness)
+        target = next(n for n, v in bumped.items() if n.startswith("x_ver_") and v)
+        bumped[target] += 1
         ok, violated = check_assignment(system, bumped)
         assert not ok
 
@@ -159,19 +156,19 @@ class TestExport:
 
     def test_round_trip_bytes(self):
         g = Multigraph(3, [(0, 1), (1, 2)])
-        _, _, system = build_all(g, 1, 1, 4, cover=VertexCover((1,)))
+        _, _, system = build_all(g, 1, 1, 4, cover=(1,))
         text = export_ilp(system)
         assert export_ilp(parse_ilp(text)) == text
 
     def test_golden_file(self):
         g = Multigraph(3, [(0, 1), (1, 2)])
-        _, _, system = build_all(g, 1, 1, 4, cover=VertexCover((1,)))
+        _, _, system = build_all(g, 1, 1, 4, cover=(1,))
         assert export_ilp(system) == GOLDEN.read_text()
 
     def test_assignment_round_trip(self):
         g = Multigraph(2, [(0, 1)])
         inst = ExplorationInstance(g, 0, 1, 2)
-        ctx, types, system = build_all(g, 0, 1, 2, cover=VertexCover((0, 1)))
+        ctx, types, system = build_all(g, 0, 1, 2, cover=(0, 1))
         opt, sol = exact_optimum(inst)
         witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
         text = format_assignment(witness)

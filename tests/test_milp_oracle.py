@@ -15,11 +15,9 @@ scipy_optimize = pytest.importorskip("scipy.optimize")
 import numpy as np  # noqa: E402  (scipy depends on numpy)
 from scipy.sparse import csr_array  # noqa: E402
 
-from cge.cover import VertexCover  # noqa: E402
 from cge.euler import solution_from_multisets, verify_solution  # noqa: E402
 from cge.exact import exact_optimum  # noqa: E402
 from cge.fptilp.reconstruct import reconstruct_solution  # noqa: E402
-from cge.fptilp.system import IlpAssignment  # noqa: E402
 from cge.graphs import ExplorationInstance, Multigraph  # noqa: E402
 from cge.textio import parse_instance  # noqa: E402
 
@@ -71,7 +69,7 @@ def assert_tight(inst, vcp):
     ctx, types, system = budgeted_system(inst, vcp, opt)
     values = solve(system)
     assert values is not None, f"infeasible at the optimum {opt}"
-    assignment = IlpAssignment(tuple(zip(system.variables, values)))
+    assignment = dict(zip(system.variables, values))
     runs = reconstruct_solution(ctx, types, system, assignment)
     g = inst.graph
     report = verify_solution(
@@ -83,11 +81,11 @@ def assert_tight(inst, vcp):
 
 @pytest.mark.parametrize("path", BUILDABLE, ids=lambda p: p.stem)
 def test_system_is_tight_and_its_solutions_reconstruct(path):
-    inst = parse_instance(path.read_text()).payload
+    inst = parse_instance(path.read_text())
     assert_tight(inst, corpus_cover(inst))
 
 
 @pytest.mark.parametrize("n,edges,start,k,cover", random_instances(2917, 10))
 def test_random_star_systems_are_tight(n, edges, start, k, cover):
     inst = ExplorationInstance(Multigraph(n, edges), start, k)
-    assert_tight(inst, VertexCover(cover))
+    assert_tight(inst, cover)

@@ -5,7 +5,7 @@ import pytest
 
 from cge import euler
 from cge.approx import approx_solve
-from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
+from cge.cover import connect_cover, vertex_cover_2approx
 from cge.errors import InfeasibleAllocation
 from cge.euler import solution_from_multisets, verify_solution
 from cge.exact import exact_optimum
@@ -14,7 +14,6 @@ from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import solution_pairs
 from cge.fptilp.reconstruct import reconstruct_solution
 from cge.fptilp.system import (
-    IlpAssignment,
     IlpSystem,
     build_ilp_system,
     check_assignment,
@@ -31,7 +30,6 @@ from cge.fptilp.typespace import (
     copy_neighborhoods,
     cycle_alloc_counts,
     enumerate_type_space,
-    robot_alloc_counts,
 )
 from cge.graphs import (
     EdgeMultiset,
@@ -46,6 +44,7 @@ import reconstruct_reference as per_robot
 from conftest import (
     feasibility_conditions_hold,
     random_connected_graph,
+    robot_alloc_counts,
     robot_multisets,
     with_budget,
 )
@@ -67,8 +66,8 @@ def star_witness():
     of its approximate solution: one robot type, 2 length-2 and 2 length-4
     cycle instances."""
     g = Multigraph(9, [(0, i) for i in range(1, 9)])
-    inst, ctx, types, system = pipeline(g, 0, 2, 8, cover=VertexCover((0,)))
-    sol = approx_solve(inst, VertexCover((0,)))
+    inst, ctx, types, system = pipeline(g, 0, 2, 8, cover=(0,))
+    sol = approx_solve(inst, (0,))
     return inst, ctx, types, system, witness_from_solution(
         ctx, types, solution_pairs(ctx, sol), system.variables
     )
@@ -77,7 +76,7 @@ def star_witness():
 class TestReconstruct:
     def test_single_robot_round_trip(self):
         g = Multigraph(2, [(0, 1)])
-        inst, ctx, types, system = pipeline(g, 0, 1, 2, cover=VertexCover((0, 1)))
+        inst, ctx, types, system = pipeline(g, 0, 1, 2, cover=(0, 1))
         opt, sol = exact_optimum(inst)
         witness = witness_from_solution(ctx, types, solution_pairs(ctx, sol), system.variables)
         multisets = robot_multisets(reconstruct_solution(ctx, types, system, witness))
@@ -85,8 +84,8 @@ class TestReconstruct:
 
     def test_rejects_unsatisfying_assignment(self):
         g = Multigraph(2, [(0, 1)])
-        inst, ctx, types, system = pipeline(g, 0, 1, 2, cover=VertexCover((0, 1)))
-        zero = IlpAssignment(tuple((n, 0) for n in system.variables))
+        inst, ctx, types, system = pipeline(g, 0, 1, 2, cover=(0, 1))
+        zero = dict.fromkeys(system.variables, 0)
         with pytest.raises(InfeasibleAllocation):
             reconstruct_solution(ctx, types, system, zero)
 
@@ -119,10 +118,9 @@ class TestReconstruct:
                   if ct.host == ri and ct.length == 2)
         values = {n: 0 for n in system.variables}
         values.update({"x_ver_0": 8, f"x_rob_{ri}": 2, f"x_cyc_{ci}": 4})
-        assignment = IlpAssignment(tuple(values.items()))
-        assert check_assignment(system, assignment)[0]
+        assert check_assignment(system, values)[0]
         # leaves 1 to 4 go to the 2-cycles, 5 to 8 to the skeletons
-        multisets = robot_multisets(reconstruct_solution(ctx, types, system, assignment))
+        multisets = robot_multisets(reconstruct_solution(ctx, types, system, values))
         assert multisets == [Counter({(0, v): 2 for v in leaves})
                              for leaves in ((1, 2, 5, 6), (3, 4, 7, 8))]
         assert feasibility_conditions_hold(inst, multisets, 8)
@@ -139,7 +137,7 @@ class TestReconstruct:
         used = {types.cycle_types[ci].length: ci for ci, count in enumerate(cyc_counts) if count}
         for ci, tag in ((idle, "eq5"), (used[2], "eq5"), (used[4], "eq6")):
             name = f"x_cyc_{ci}"
-            changed = IlpAssignment(tuple((n, v + (n == name)) for n, v in witness.values))
+            changed = {n: v + (n == name) for n, v in witness.items()}
             violated = check_assignment(system, changed)[1]
             assert tag in {system.constraints[i].tag for i in violated}, name
             with pytest.raises(InfeasibleAllocation):
@@ -151,7 +149,7 @@ class TestReconstruct:
         the other leaf through the class vertex.
         """
         g = Multigraph(3, [(0, 1), (1, 2)])
-        inst, ctx, types, system = pipeline(g, 1, 1, 4, cover=VertexCover((1,)))
+        inst, ctx, types, system = pipeline(g, 1, 1, 4, cover=(1,))
         vt = types.vertex_types[0]
         copies = ctx.copies[0]
         slot2 = ctx.cycle_length_slots.index(2)
@@ -172,10 +170,9 @@ class TestReconstruct:
         values["x_ver_0"] = 2
         values[f"x_rob_{ri}"] = 1
         values[f"x_cyc_{ci}"] = 1
-        assignment = IlpAssignment(tuple(values.items()))
-        ok, violated = check_assignment(system, assignment)
+        ok, violated = check_assignment(system, values)
         assert ok, [system.constraints[i] for i in violated]
-        multisets = robot_multisets(reconstruct_solution(ctx, types, system, assignment))
+        multisets = robot_multisets(reconstruct_solution(ctx, types, system, values))
         assert multisets == [Counter({(0, 1): 2, (1, 2): 2})]
         assert feasibility_conditions_hold(inst, multisets, 4)
 
@@ -189,7 +186,7 @@ class TestReconstruct:
             classes = {
                 tuple(g.neighbors(u))
                 for u in range(g.n)
-                if u not in vcp.as_set()
+                if u not in vcp
             }
             if len(vcp) > 2 or len(classes) > 3:
                 continue
@@ -381,7 +378,7 @@ def reference_reconstruct_solution(
     ctx: FptContext,
     types: TypeSpace,
     system: IlpSystem,
-    assignment: IlpAssignment,
+    assignment: dict[str, int],
 ) -> list[EdgeMultiset]:
     """Turn a satisfying assignment into k edge multisets meeting the
     feasibility conditions with value at most the budget.
@@ -442,13 +439,13 @@ def assert_matches_reference(inst, ctx, types, system, assignment):
 
 
 def corpus_instance(path):
-    inst = parse_instance(path.read_text()).payload
+    inst = parse_instance(path.read_text())
     return inst, corpus_cover(inst)
 
 
 def random_instance(n, edges, start, k, cover):
     inst = ExplorationInstance(Multigraph(n, edges), start, k)
-    return inst, VertexCover(cover)
+    return inst, cover
 
 
 @pytest.mark.parametrize("path", BUILDABLE, ids=lambda p: p.stem)
@@ -484,7 +481,7 @@ def test_milp_assignment_matches_reference(make, args, slack):
         pytest.skip(f"{len(system.variables)} variables exceed {MAX_MILP_VARIABLES}")
     values = solve(system)
     assert values is not None, f"infeasible at budget {opt + slack}"
-    assignment = IlpAssignment(tuple(zip(system.variables, values)))
+    assignment = dict(zip(system.variables, values))
     assert_matches_reference(inst, ctx, types, system, assignment)
 
 
@@ -539,7 +536,7 @@ def population_instance(seed):
     budget = max(len(walk) - 1 for walk in walks)
     inst = ExplorationInstance(g, 0, k, budget)
     sol = solution_from_multisets(n, 0, [(walk_edges(walk), 1) for walk in walks], k)
-    return inst, VertexCover(centres), sol
+    return inst, centres, sol
 
 
 POPULATION_SEEDS = range(12)
@@ -576,7 +573,7 @@ def test_walks_once_per_run_and_builds_each_skeleton_once(tmp_path, monkeypatch)
     copy-neighbourhood pass per robot type in use."""
     ilp, assign, inst = star(tmp_path, 1000)
     in_use = sum(
-        1 for name, value in parse_assignment(assign.read_text()).values
+        1 for name, value in parse_assignment(assign.read_text()).items()
         if name.startswith("x_rob_") and value
     )
     calls = Counter()
@@ -602,8 +599,8 @@ def test_unsatisfying_assignment_is_a_no_through_the_cli(tmp_path):
     """A well-formed assignment that fails the check prints one line and
     exits 1; the check inside `reconstruct_solution` is the one that runs."""
     ilp, assign, inst = star(tmp_path, 2)
-    names = [name for name, _ in parse_assignment(assign.read_text()).values]
-    assign.write_text(format_assignment(IlpAssignment(tuple((n, 0) for n in names))))
+    zero = dict.fromkeys(parse_assignment(assign.read_text()), 0)
+    assign.write_text(format_assignment(zero))
     assert run_cli("reconstruct", ilp, assign, inst) == (
         1, "assignment does not satisfy the system\n", "")
 

@@ -65,7 +65,7 @@ class RefSolution:
 
 
 def reference_partition_independent_edges(g, vcp, e_ind, k):
-    cset = vcp.as_set()
+    cset = set(vcp)
     work = Counter(e_ind)
     e_i: list[Counter] = [Counter() for _ in range(k)]
     j = 0
@@ -88,7 +88,7 @@ def reference_partition_independent_edges(g, vcp, e_ind, k):
 
 def reference_deal_cover_edges(g, vcp, state):
     k = len(state.e_i)
-    cset = vcp.as_set()
+    cset = set(vcp)
     singles = [e for e in g.edges if e[0] in cset and e[1] in cset]
     t = state.pairs_dealt % k
     order = list(range(t, k))
@@ -125,7 +125,7 @@ def reference_approx_solve(inst, vc):
     e_ind = even_independent_degrees(g, vcp)
     state = reference_partition_independent_edges(g, vcp, e_ind, inst.k)
     reference_deal_cover_edges(g, vcp, state)
-    cset = vcp.as_set()
+    cset = set(vcp)
     tree = spanning_tree(g, cset, inst.v_init) if len(cset) > 1 else Counter()
     idle = make_vc_even_degree(tree, tree, vcp) if not all(state.e_i) else None
     multisets = (
@@ -301,9 +301,9 @@ def pieces(g, start):
     """Pairs plus cover-internal edges: the robots past this many get no
     edges of their own from the partition."""
     vcp = connect_cover(g, vertex_cover_2approx(g), start)
-    cset = vcp.as_set()
-    pairs = partition_independent_edges(g, vcp, even_independent_degrees(g, vcp), 1)
-    return pairs.pairs_dealt + sum(u in cset and v in cset for u, v in g.edges)
+    cset = set(vcp)
+    _, pairs = partition_independent_edges(g, vcp, even_independent_degrees(g, vcp), 1)
+    return pairs + sum(u in cset and v in cset for u, v in g.edges)
 
 
 def robot_counts(g, start):
@@ -345,16 +345,16 @@ def test_approx_equals_per_robot_reference(seed):
         vc = vertex_cover_2approx(g)
         vcp = connect_cover(g, vc, inst.v_init)
         e_ind = even_independent_degrees(g, vcp)
-        state = partition_independent_edges(g, vcp, e_ind, k)
-        deal_cover_edges(g, vcp, state)
+        e_i, pairs = partition_independent_edges(g, vcp, e_ind, k)
+        deal_cover_edges(g, vcp, e_i, pairs, k)
         ref = reference_partition_independent_edges(g, vcp, e_ind, k)
         reference_deal_cover_edges(g, vcp, ref)
-        assert len(state.e_i) == min(k, pieces(g, inst.v_init)), name
-        assert state.e_i + [Counter()] * (k - len(state.e_i)) == ref.e_i, name
-        assert state.pairs_dealt == ref.pairs_dealt, name
+        assert len(e_i) == min(k, pieces(g, inst.v_init)), name
+        assert e_i + [Counter()] * (k - len(e_i)) == ref.e_i, name
+        assert pairs == ref.pairs_dealt, name
 
         sol = approx_solve(inst, vc)
-        assert len(sol.runs) <= len(state.e_i) + 1, name
+        assert len(sol.runs) <= len(e_i) + 1, name
         assert format_solution(sol) == reference_format_solution(
             reference_approx_solve(inst, vc)
         ), name

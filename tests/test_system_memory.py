@@ -40,7 +40,7 @@ PARSE_ILP_PEAK = 16.0
 
 
 def _system(path):
-    inst = parse_instance(path.read_text()).payload
+    inst = parse_instance(path.read_text())
     ctx = FptContext.build(inst, corpus_cover(inst))
     return build_ilp_system(ctx, enumerate_type_space(ctx))
 

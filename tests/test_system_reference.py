@@ -13,22 +13,16 @@ verified solution.
 
 import pytest
 
-from cge.cover import VertexCover
 from cge.euler import solution_from_multisets, verify_solution
 from cge.exact import exact_optimum
 from cge.fptilp.context import FptContext
 from cge.fptilp.pairs import solution_pairs
 from cge.fptilp.reconstruct import reconstruct_solution
 from cge.fptilp.system import build_ilp_system, check_assignment, witness_from_solution
-from cge.fptilp.typespace import (
-    cycle_alloc_counts,
-    enumerate_type_space,
-    robot_alloc_counts,
-    robot_cycbud,
-)
+from cge.fptilp.typespace import cycle_alloc_counts, enumerate_type_space, robot_cycbud
 from cge.graphs import ExplorationInstance, Multigraph, walk_edges
 
-from conftest import term_pairs
+from conftest import robot_alloc_counts, term_pairs
 from corpus import random_instances
 
 
@@ -69,7 +63,7 @@ def naive_rows(ctx, types):
 
 
 def built_system(g, start, k, budget, cover):
-    ctx = FptContext.build(ExplorationInstance(g, start, k, budget), VertexCover(cover))
+    ctx = FptContext.build(ExplorationInstance(g, start, k, budget), cover)
     types = enumerate_type_space(ctx)
     return ctx, types, build_ilp_system(ctx, types)
 

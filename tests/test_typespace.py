@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
+from cge.cover import connect_cover, vertex_cover_2approx
 from cge.errors import PreconditionViolated, TypeSpaceTooLarge
 from cge.exact import exact_optimum
 from cge.fptilp.context import FptContext
@@ -30,7 +30,7 @@ def make_ctx(g, v_init, k, budget, cover=None):
 
 def path3_ctx(k=1, budget=4):
     g = Multigraph(3, [(0, 1), (1, 2)])
-    return make_ctx(g, 1, k, budget, cover=VertexCover((1,)))
+    return make_ctx(g, 1, k, budget, cover=(1,))
 
 
 class TestDeriveVertexType:
@@ -60,7 +60,7 @@ class TestDeriveVertexType:
         pairs += [(i, i + 1) for i in range(1, 8)]
         g = Multigraph(9, pairs)
         monkeypatch.setattr(context, "MAX_COVER", 8)
-        ctx = make_ctx(g, 1, 3, 40, cover=VertexCover(tuple(range(1, 9))))
+        ctx = make_ctx(g, 1, 3, 40, cover=tuple(range(1, 9)))
         red = ValidPair(
             cc=(
                 (0, 1), (0, 6), (0, 8), (0, 8),
@@ -88,7 +88,7 @@ class TestDeriveVertexType:
 class TestDeriveRobotType:
     def test_double_edge_at_start(self):
         g = Multigraph(2, [(0, 1)])
-        ctx = make_ctx(g, 0, 1, 2, cover=VertexCover((0, 1)))
+        ctx = make_ctx(g, 0, 1, 2, cover=(0, 1))
         pair = ValidPair(cc=((0, 1), (0, 1)), cycles=())
         rt = derive_robot_type(ctx, pair, derive_vertex_types(ctx, [pair]))
         assert rt.cc == ((0, 1), (0, 1))
@@ -97,7 +97,7 @@ class TestDeriveRobotType:
 
     def test_triangle_cycle_counts(self):
         g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
-        ctx = make_ctx(g, 0, 1, 8, cover=VertexCover((0, 1, 2)))
+        ctx = make_ctx(g, 0, 1, 8, cover=(0, 1, 2))
         pair = ValidPair(
             cc=((0, 1), (0, 1)), cycles=((0, 1, 2, 0),)
         )
@@ -112,7 +112,7 @@ class TestDeriveRobotType:
         must allocate the pair (copy, {1, 1}).
         """
         g = Multigraph(3, [(1, 0), (1, 2)])  # center 1
-        ctx = make_ctx(g, 1, 1, 6, cover=VertexCover((1,)))
+        ctx = make_ctx(g, 1, 1, 6, cover=(1,))
         pair = ValidPair(cc=((0, 1), (0, 1)), cycles=())
         rt = derive_robot_type(ctx, pair, derive_vertex_types(ctx, [pair]))
         assert len(rt.alloc) == 1
@@ -144,7 +144,7 @@ class TestDeriveCycleType:
 
     def test_cover_only_cycle_has_empty_alloc(self):
         g = Multigraph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-        ctx = make_ctx(g, 0, 1, 10, cover=VertexCover((0, 1, 2)))
+        ctx = make_ctx(g, 0, 1, 10, cover=(0, 1, 2))
         pair = ValidPair(
             cc=((0, 3), (0, 3)), cycles=((0, 1, 2, 0),)
         )
@@ -162,14 +162,14 @@ class TestEnumerate:
 
     def test_no_independents_no_vertex_types(self):
         g = Multigraph(2, [(0, 1)])
-        ctx = make_ctx(g, 0, 1, 2, cover=VertexCover((0, 1)))
+        ctx = make_ctx(g, 0, 1, 2, cover=(0, 1))
         space = enumerate_type_space(ctx)
         assert space.vertex_types == ()
         assert all(ct.pa_alloc == () for ct in space.cycle_types)
 
     def test_doubled_edge_robot_type_present(self):
         g = Multigraph(2, [(0, 1)])
-        ctx = make_ctx(g, 0, 1, 2, cover=VertexCover((0, 1)))
+        ctx = make_ctx(g, 0, 1, 2, cover=(0, 1))
         space = enumerate_type_space(ctx)
         ccs = {rt.cc for rt in space.robot_types}
         assert ((0, 1), (0, 1)) in ccs
@@ -184,7 +184,7 @@ class TestEnumerate:
     def test_star5_counts_every_kind_against_one_cap(self, monkeypatch):
         """star5-k1 holds 1 vertex, 171 robot and 855 cycle types, 1027 in
         all: the cap trips at the kind whose count passes it."""
-        inst = parse_instance((CORPUS / "star5-k1.cge").read_text()).payload
+        inst = parse_instance((CORPUS / "star5-k1.cge").read_text())
         ctx = FptContext.build(inst, corpus_cover(inst))
         for cap, kind in ((100, "robot"), (1000, "cycle"), (1026, "cycle")):
             monkeypatch.setattr(typespace, "MAX_TYPES", cap)
@@ -200,7 +200,7 @@ class TestEnumerate:
     def test_rejects_edgeless(self):
         g = Multigraph(1)
         inst = ExplorationInstance(g, 0, 1, 0)
-        ctx = FptContext.build(inst, VertexCover((0,)))
+        ctx = FptContext.build(inst, (0,))
         with pytest.raises(PreconditionViolated):
             enumerate_type_space(ctx)
 
@@ -215,7 +215,7 @@ class TestTypeClosure:
         g = Multigraph(4, [(0, 1), (0, 2), (0, 3)])
         inst = ExplorationInstance(g, 0, 1)
         opt, sol = exact_optimum(inst)
-        vcp = connect_cover(g, VertexCover((0,)), 0)
+        vcp = connect_cover(g, (0,), 0)
         ctx = FptContext.build(with_budget(inst, opt), vcp)
         pair = decompose_valid_pair(ctx, sol.runs[0][0].edge_multiset())
         assert (0, 2, 0, 3, 0) in pair.cycles
@@ -234,7 +234,7 @@ class TestTypeClosure:
             g = random_connected_graph(rng, n_max=5, m_max=6)
             v_init = rng.randrange(g.n)
             vcp = connect_cover(g, vertex_cover_2approx(g), v_init)
-            eq_count = len({tuple(g.neighbors(u)) for u in range(g.n) if u not in vcp.as_set()})
+            eq_count = len({tuple(g.neighbors(u)) for u in range(g.n) if u not in vcp})
             if len(vcp) <= 2 and eq_count <= 3:
                 break
         k = rng.randint(1, 2)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from cge.cover import VertexCover, connect_cover, vertex_cover_2approx
+from cge.cover import connect_cover, vertex_cover_2approx
 from cge.errors import OddDegree, PreconditionViolated
 from cge.fptilp import pairs
 from cge.fptilp.context import FptContext
@@ -117,7 +117,7 @@ class TestExtractCycleCover:
         rng = random.Random(17)
         for _ in range(200):
             g, ms = random_even_multiset(rng, n_max=7, total_max=18)
-            vc = set(vertex_cover_2approx(g).vertices)
+            vc = set(vertex_cover_2approx(g))
             cycles = extract_cycle_cover(ms, vc)
             union = Counter()
             for c in cycles:
@@ -134,7 +134,7 @@ class TestExtractCycleCover:
 class TestDecompose:
     def test_double_edge(self):
         g = Multigraph(2, [(0, 1)])
-        ctx = make_ctx(g, 0, 1, 2, cover=VertexCover((0,)))
+        ctx = make_ctx(g, 0, 1, 2, cover=(0,))
         source = Counter({(0, 1): 2})
         pair = decompose_valid_pair(ctx, source)
         assert pair.cc == ((0, 1), (0, 1))
@@ -143,7 +143,7 @@ class TestDecompose:
 
     def test_triangle_all_in_skeleton(self):
         g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
-        ctx = make_ctx(g, 0, 1, 3, cover=VertexCover((0, 1)))
+        ctx = make_ctx(g, 0, 1, 3, cover=(0, 1))
         source = Counter({(0, 1): 1, (0, 2): 1, (1, 2): 1})
         pair = decompose_valid_pair(ctx, source)
         assert Counter(pair.cc) == source
@@ -154,7 +154,7 @@ class TestDecompose:
         # two equivalent leaves doubled at the single cover vertex: one stays
         # in the skeleton, the other peels off as a 2-cycle
         g = Multigraph(3, [(0, 1), (0, 2)])
-        ctx = make_ctx(g, 0, 1, 4, cover=VertexCover((0,)))
+        ctx = make_ctx(g, 0, 1, 4, cover=(0,))
         source = Counter({(0, 1): 2, (0, 2): 2})
         pair = decompose_valid_pair(ctx, source)
         assert check_valid_pair(ctx, pair, source) == []

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 
-from cge.cover import VertexCover
 from cge.errors import OddDegree, TreeNotSpanning
 from cge.graphs import EdgeMultiset, Multigraph, norm_edge
 
@@ -33,7 +32,7 @@ def spanning_tree(g: Multigraph, vertices: set[int], root: int) -> EdgeMultiset:
 
 
 def make_vc_even_degree(
-    tree: EdgeMultiset, e: EdgeMultiset, vcp: VertexCover
+    tree: EdgeMultiset, e: EdgeMultiset, vcp: tuple[int, ...]
 ) -> EdgeMultiset:
     """Add at most |cover| - 1 tree edges so every degree becomes even.
 
@@ -45,7 +44,7 @@ def make_vc_even_degree(
     at most once.  One traversal of the tree, one pass over `e` and one pass
     over the cover, children before parents, cost O(|e| + |cover|).
     """
-    cset = vcp.as_set()
+    cset = set(vcp)
     edges = [edge for edge, m in tree.items() if m]
     if len(edges) != len(cset) - 1:
         raise TreeNotSpanning(f"{len(edges)} tree edges cannot span {len(cset)} cover vertices")

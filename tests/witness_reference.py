@@ -24,7 +24,7 @@ from cge.fptilp.pairs import (
     freeze_multiset,
     pair_source,
 )
-from cge.fptilp.system import IlpAssignment, _position, variable_names
+from cge.fptilp.system import _position, variable_names
 from cge.fptilp.typespace import (
     CycleType,
     NeiSub,
@@ -133,7 +133,7 @@ def derive_cycle_type(
 
 def witness_from_solution(
     ctx: FptContext, types: TypeSpace, pairs: list[ValidPair]
-) -> IlpAssignment:
+) -> dict[str, int]:
     """Count the derived types of a concrete decomposition per robot."""
     rob_base = len(types.vertex_types)
     cyc_base = rob_base + len(types.robot_types)
@@ -152,4 +152,4 @@ def witness_from_solution(
             missing = f"derived cycle type of robot {i} missing from the space"
             counts[cyc_base + _position(types.cycle_types, ct, missing)] += 1
     names = variable_names(types)
-    return IlpAssignment(tuple(zip(names, counts)))
+    return dict(zip(names, counts))
