@@ -15,8 +15,12 @@ cover (to `solve-approx` and `build-ilp`), `reduce-bin` given a `cge`
 instance, `build-ilp` without a budget, `verify` given a bin packing, bin
 packings with `exact 2`, `item 0` and a `binpack 2` header, `solve-exact` on a
 single vertex, and both solvers and `verify` on an instance whose 2-approximate
-cover is disconnected, so the connector path runs.  Seeded mid-size graphs and
-other malformed inputs are not in it yet.
+cover is disconnected, so the connector path runs.  Then every malformed text
+of reject_texts.py: each solution through `verify star3-k2.cge`, each instance
+through `solve-approx`, each equation system with star3-k2's witness and each
+assignment with star3-k2's system through `check-witness`, and a solution
+whose first walk does not close through `verify` and `derive-witness`.  Seeded
+mid-size graphs are not in it yet.
 
 Each key is a command line with paths reduced to file names.  Its value holds
 the exit code, the sha256 of stdout and of stderr (the scratch directory
@@ -42,6 +46,12 @@ from pathlib import Path
 sys.dont_write_bytecode = True  # as in conftest.py: no bytecode under src/
 
 from cge.cli import main as cli_main  # noqa: E402
+from reject_texts import (  # noqa: E402
+    ASSIGNMENT_REJECTS,
+    ILP_REJECTS,
+    INSTANCE_REJECTS,
+    SOLUTION_REJECTS,
+)
 
 DATA = Path(__file__).parent / "data"
 CORPUS = DATA / "corpus"
@@ -67,6 +77,8 @@ BAD_BINPACKS = {
 ONE_VERTEX = "cge 1\nnodes 1\ninit 0\nrobots 1\n"
 # the matching cover {0, 1, 2, 3} splits into {0, 1} and {2, 3}; connect_cover adds 4
 SPLIT_COVER = "cge 1\nnodes 5\ninit 0\nrobots 2\nedge 0 1\nedge 1 4\nedge 2 3\nedge 2 4\n"
+# the first robot's walk does not return to its start
+OPEN_FIRST_WALK = "value 2\nrobot 1: 0 1\n"
 
 
 def _sha(data: str | bytes) -> str:
@@ -173,6 +185,23 @@ def manifest(workdir: Path) -> dict[str, dict]:
         sol = workdir / f"split-cover.{solver}.sol"
         sol.write_text(text.removeprefix("yes\n"), encoding="utf-8")
         run("verify", split, sol)
+
+    def written(name: str, text: str) -> Path:
+        path = workdir / name
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    for name, text in SOLUTION_REJECTS.items():
+        run("verify", star, written(f"solution-{name}.sol", text))
+    open_walk = written("open-first-walk.sol", OPEN_FIRST_WALK)
+    run("verify", star, open_walk)
+    run("derive-witness", star, open_walk, "-o", workdir / "open-first-walk.assign")
+    for name, text in INSTANCE_REJECTS.items():
+        run("solve-approx", written(f"instance-{name}.cge", text))
+    for name, text in ILP_REJECTS.items():
+        run("check-witness", written(f"ilp-{name}.ilp", text), workdir / "star3-k2.exact.assign")
+    for name, text in ASSIGNMENT_REJECTS.items():
+        run("check-witness", workdir / "star3-k2.ilp", written(f"assignment-{name}.assign", text))
     return entries
 
 
