@@ -388,9 +388,6 @@ def _run(argv: list[str]) -> int:
     args = _parse_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except ImmediateNo as exc:
         sys.stdout.write(f"no: {exc}\n")
         return EXIT_NO

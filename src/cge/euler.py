@@ -19,28 +19,16 @@ only the per-robot text lines, written by `robot_lines`, cost one per robot.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotEulerian, StartNotInGraph
 from .graphs import EdgeMultiset, ExplorationInstance, walk_edges
 
 
-class _RobotCycleFields(NamedTuple):
-    walk: tuple[int, ...]
-
-
-class RobotCycle(_RobotCycleFields):
+class RobotCycle(NamedTuple):
     """A closed walk (v_0, ..., v_l) with v_0 = v_l; length counts traversals."""
 
-    __slots__ = ()
-
-    def __new__(cls, walk: tuple[int, ...]):
-        if len(walk) == 0:
-            raise ValueError("walk must contain at least the start vertex")
-        if walk[0] != walk[-1]:
-            raise ValueError("walk must start and end at the same vertex")
-        return super().__new__(cls, walk)
+    walk: tuple[int, ...]
 
     @property
     def length(self) -> int:
@@ -244,35 +232,14 @@ class RobotReport(NamedTuple):
     adjacency_ok: bool
     length: int
 
-    @property
-    def ok(self) -> bool:
-        return self.starts_at_init and self.ends_at_init and self.adjacency_ok
 
-
-class _VerificationFields(NamedTuple):
+class VerificationReport(NamedTuple):
     run_reports: tuple[RobotReport, ...]
     uncovered: tuple[tuple[int, int], ...]
     value: int
     budget_ok: bool | None  # None when the instance carries no budget
     robot_count_ok: bool
-
-
-class VerificationReport(_VerificationFields):
-    # no __slots__: the cached `ok` lives in the instance __dict__
-
-    @property
-    def coverage_ok(self) -> bool:
-        return not self.uncovered
-
-    @cached_property
-    def ok(self) -> bool:
-        """Every check passed; computed once, as `text()` and callers both read it."""
-        return (
-            self.robot_count_ok
-            and all(r.ok for r in self.run_reports)
-            and self.coverage_ok
-            and (self.budget_ok is not False)
-        )
+    ok: bool  # every check passed
 
     def text(self) -> Iterator[str]:
         """The report as `verify` prints it, in pieces to write as they come:
@@ -331,10 +298,18 @@ def verify_solution(inst: ExplorationInstance, sol: Solution) -> VerificationRep
     uncovered = tuple(e for e in g.edges if e not in covered)
     value = max((r.length for r in reports), default=0)
     budget_ok = None if inst.budget is None else value <= inst.budget
+    robot_count_ok = robots == inst.k
+    ok = (
+        robot_count_ok
+        and all(r.starts_at_init and r.ends_at_init and r.adjacency_ok for r in reports)
+        and not uncovered
+        and budget_ok is not False
+    )
     return VerificationReport(
         run_reports=tuple(reports),
         uncovered=uncovered,
         value=value,
         budget_ok=budget_ok,
-        robot_count_ok=robots == inst.k,
+        robot_count_ok=robot_count_ok,
+        ok=ok,
     )

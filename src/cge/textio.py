@@ -315,10 +315,9 @@ def parse_solution(source: str | TextIO) -> Solution:
                         walk = tuple(map(int, parts[2].split()))
                     except ValueError:
                         raise ParseError(lineno, "non-integer vertex in walk")
-                    try:
-                        cycles.append(RobotCycle(walk))
-                    except ValueError as exc:
-                        raise ParseError(lineno, str(exc))
+                    if walk[0] != walk[-1]:
+                        raise ParseError(lineno, "walk must start and end at the same vertex")
+                    cycles.append(RobotCycle(walk))
                     counts.append(1)
                     last = parts[2]
             else:

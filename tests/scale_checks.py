@@ -291,6 +291,41 @@ def check_approx_200000_edges() -> None:
           "verify.out": "daba9ce33147535eb71b11f0ad2101d2615df2fcd3e13e8d0b26112d6f92181c"})
 
 
+def value_line(name: str) -> str:
+    """The first `value` line, read without holding the rest of the file."""
+    with open(name) as fh:
+        return next(line.rstrip("\n") for line in fh if line.startswith("value "))
+
+
+def check_spider_100000_edges() -> None:
+    """1000 legs of 100 edges, k = 8 from the centre: the optimum is
+    2 * 100 * ceil(1000 / 8) = 25 000, and every robot walks the whole cover
+    tree.  The commands took about 2 s and 0.7 s and peaked at 104.1 and
+    90.7 MB (2-vCPU host, CPython 3.11)."""
+    with open("spider.cge", "w") as fh:
+        fh.write("cge 1\nnodes 100001\ninit 0\nrobots 8\n")
+        fh.writelines(f"edge 0 {1 + 100 * leg}\n" for leg in range(1000))
+        fh.writelines(f"edge {v} {v + 1}\n" for v in range(1, 100001) if v % 100)
+    cge("solve-approx", "spider.cge", out="approx.sol", timeout=20, limit=110)
+    cge("verify", "spider.cge", "approx.sol", out="verify.out", timeout=20, limit=96)
+    require(value_line("approx.sol") == value_line("verify.out") == "value 200000", "value")
+    require("result: ok" in lines("verify.out"), "not verified")
+
+
+def check_cycle_100000_edges() -> None:
+    """C_100000, k = 8 from vertex 0: the optimum is 100 000, and every robot
+    walks the cover tree, a path of 99 999 edges, out and back.  The commands
+    took about 2 s and 0.8 s and peaked at 105.3 and 102.7 MB (2-vCPU host,
+    CPython 3.11)."""
+    with open("cycle.cge", "w") as fh:
+        fh.write("cge 1\nnodes 100000\ninit 0\nrobots 8\nedge 0 1\nedge 0 99999\n")
+        fh.writelines(f"edge {v} {v + 1}\n" for v in range(1, 99999))
+    cge("solve-approx", "cycle.cge", out="approx.sol", timeout=20, limit=111)
+    cge("verify", "cycle.cge", "approx.sol", out="verify.out", timeout=20, limit=108)
+    require(value_line("approx.sol") == value_line("verify.out") == "value 199998", "value")
+    require("result: ok" in lines("verify.out"), "not verified")
+
+
 def check_huge_capacity() -> None:
     """Padding to 10^18 unit items is a guard trip, not a "no"."""
     write("huge.binpack", "binpack 1\ncapacity 1000000000000000000\nbins 1\nexact 0\nitem 1\n")

@@ -3,7 +3,8 @@ verbatim copies for differential tests.
 
 `parse_solution` reads every line of `str.splitlines()` through the line
 grammar, one robot at a time, and merges consecutive robot lines with equal
-walk text into one run.
+walk text into one run.  A walk is checked as `RobotCycle`'s constructor then
+checked it, in `_robot_cycle`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,14 @@ from __future__ import annotations
 from cge.errors import ParseError
 from cge.euler import RobotCycle, Solution
 from cge.textio import _int_field
+
+
+def _robot_cycle(walk: tuple[int, ...]) -> RobotCycle:
+    if len(walk) == 0:
+        raise ValueError("walk must contain at least the start vertex")
+    if walk[0] != walk[-1]:
+        raise ValueError("walk must start and end at the same vertex")
+    return RobotCycle(walk)
 
 
 def _meaningful_lines(text: str):
@@ -48,7 +57,7 @@ def parse_solution(text: str) -> Solution:
             except ValueError:
                 raise ParseError(lineno, "non-integer vertex in walk")
             try:
-                cycles.append(RobotCycle(walk))
+                cycles.append(_robot_cycle(walk))
             except ValueError as exc:
                 raise ParseError(lineno, str(exc))
             counts.append(1)

@@ -125,10 +125,13 @@ class TestCommands:
     def test_verify_reads_each_robot_report_once(self, tmp_path, monkeypatch):
         import cge.euler
 
-        calls = []
-        original = cge.euler.RobotReport.ok
+        calls, reports = [], []
+        robot_report, verify_solution = cge.euler.RobotReport, cli.verify_solution
         monkeypatch.setattr(
-            cge.euler.RobotReport, "ok", property(lambda r: calls.append(r) or original.fget(r))
+            cge.euler, "RobotReport", lambda *f: calls.append(robot_report(*f)) or calls[-1]
+        )
+        monkeypatch.setattr(
+            cli, "verify_solution", lambda *a: reports.append(verify_solution(*a)) or reports[-1]
         )
         inst = tmp_path / "tri.cge"
         inst.write_text(TRIANGLE.replace("robots 1\n", "robots 5\n"))
@@ -138,6 +141,9 @@ class TestCommands:
         assert code == 0 and out.endswith("result: ok\n")
         # robots 1-3 take three different walks, robots 4-5 stay idle: four runs
         assert sorted((r.index, r.count) for r in calls) == [(0, 1), (1, 1), (2, 1), (3, 2)]
+        # the verdict is the report's last field, computed with the report
+        [report] = reports
+        assert report._fields[-1] == "ok" and report[-1] is True
 
     def test_verify_roundtrip(self, tmp_path):
         inst = tmp_path / "tri.cge"

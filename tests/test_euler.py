@@ -235,7 +235,8 @@ class TestVerify:
         report = verify_solution(inst, sol)
         assert not report.ok
         assert not report.run_reports[0].adjacency_ok
-        assert report.run_reports[1].ok
+        walked = report.run_reports[1]
+        assert walked.starts_at_init and walked.ends_at_init and walked.adjacency_ok
         assert report.uncovered == ()
 
 

@@ -130,6 +130,20 @@ def test_runs_longer_than_a_block_and_a_piece_round_trip():
     assert assert_reads_as_reference(broken) == sol
 
 
+OPEN = "walk must start and end at the same vertex"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("value 1\nrobot 1: 0 1\n", 2),  # the first run
+    ("value 2\nrobot 1: 0 1 0\nrobot 2: 0 2 0\nrobot 3: 0 2\n", 4),  # a later run
+    # right after a run of equal lines, which the reader compares as text
+    ("value 2\n" + "".join(f"robot {i}: 0 1 0\n" for i in range(1, 6)) + "robot 6: 0 1 0 1\n", 7),
+], ids=["first-run", "later-run", "after-equal-lines"])
+def test_an_open_walk_is_rejected_at_its_line(text, line):
+    assert assert_reads_as_reference(text) == (line, OPEN)
+    assert assert_reads_as_reference(text, block=2, piece=5) == (line, OPEN)
+
+
 class CountedText(str):
     """A text that counts the searches for a line's end: one per line the
     grammar reads."""
