@@ -3,8 +3,8 @@ verbatim copies for differential tests.
 
 `parse_solution` reads every line of `str.splitlines()` through the line
 grammar, one robot at a time, and merges consecutive robot lines with equal
-walk text into one run.  A walk is checked as `RobotCycle`'s constructor then
-checked it, in `_robot_cycle`.
+walk text into one run.  `_robot_cycle` holds the two walk checks that
+`RobotCycle`'s constructor made in that version.
 """
 
 from __future__ import annotations
