@@ -19,8 +19,13 @@ cover is disconnected, so the connector path runs.  Then every malformed text
 of reject_texts.py: each solution through `verify star3-k2.cge`, each instance
 through `solve-approx`, each equation system with star3-k2's witness and each
 assignment with star3-k2's system through `check-witness`, and a solution
-whose first walk does not close through `verify` and `derive-witness`.  Seeded
-mid-size graphs are not in it yet.
+whose first walk does not close through `verify` and `derive-witness`.  Then
+the hundreds of the robot lines: both solvers and `verify` of both solutions
+on one edge and on K4 at 99, 100, 101, 199, 1000, 1001 and 10001 robots, and
+through `verify` hand-written solutions of one edge whose second run starts
+at robots 98 to 102, whose second run crosses 9999 -> 10000, and whose one run
+holds a line with a wrong label or a trailing blank at robot 100, 101 or 200.
+Seeded mid-size graphs are not in it yet.
 
 Each key is a command line with paths reduced to file names.  Its value holds
 the exit code, the sha256 of stdout and of stderr (the scratch directory
@@ -79,6 +84,26 @@ ONE_VERTEX = "cge 1\nnodes 1\ninit 0\nrobots 1\n"
 SPLIT_COVER = "cge 1\nnodes 5\ninit 0\nrobots 2\nedge 0 1\nedge 1 4\nedge 2 3\nedge 2 4\n"
 # the first robot's walk does not return to its start
 OPEN_FIRST_WALK = "value 2\nrobot 1: 0 1\n"
+# one edge and K4, solved and verified where the robot numbers gain a digit
+# or a hundred
+HUNDREDS_GRAPHS = {"edge": (2, "0 1"), "k4": (4, "0 1 0 2 0 3 1 2 1 3 2 3")}
+HUNDREDS_ROBOTS = (99, 100, 101, 199, 1000, 1001, 10001)
+# a robot line that breaks its run: the next robot's label, a trailing blank
+BROKEN_ROBOT_LINES = {"label": "robot {j}: 0 1 0", "blank": "robot {i}: 0 1 0 "}
+
+
+def _instance_text(nodes: int, robots: int, ends: str = "0 1") -> str:
+    e = ends.split()
+    edges = "".join(f"edge {u} {v}\n" for u, v in zip(e[::2], e[1::2]))
+    return f"cge 1\nnodes {nodes}\ninit 0\nrobots {robots}\n{edges}"
+
+
+def _runs_text(value: int, *runs: tuple[str, int]) -> str:
+    """A solution text whose runs are (walk, robot count) pairs, in order."""
+    lines = [f"value {value}"]
+    for walk, count in runs:
+        lines += (f"robot {i}: {walk}" for i in range(len(lines), len(lines) + count))
+    return "\n".join(lines) + "\n"
 
 
 def _sha(data: str | bytes) -> str:
@@ -202,6 +227,26 @@ def manifest(workdir: Path) -> dict[str, dict]:
         run("check-witness", written(f"ilp-{name}.ilp", text), workdir / "star3-k2.exact.assign")
     for name, text in ASSIGNMENT_REJECTS.items():
         run("check-witness", workdir / "star3-k2.ilp", written(f"assignment-{name}.assign", text))
+
+    for graph, (nodes, ends) in HUNDREDS_GRAPHS.items():
+        for robots in HUNDREDS_ROBOTS:
+            stem = f"{graph}-r{robots}"
+            inst = written(f"{stem}.cge", _instance_text(nodes, robots, ends))
+            for solver in ("approx", "exact"):
+                _, text = run(f"solve-{solver}", inst)
+                run("verify", inst, written(f"{stem}.{solver}.sol", text.removeprefix("yes\n")))
+    edge = written("edge-r300.cge", _instance_text(2, 300))
+    for first in range(98, 103):
+        text = _runs_text(4, ("0 1 0", first - 1), ("0 1 0 1 0", 301 - first))
+        run("verify", edge, written(f"second-run-at-{first}.sol", text))
+    text = _runs_text(4, ("0 1 0", 9990), ("0 1 0 1 0", 20), ("0 1 0", 10))
+    wide = written("edge-r10020.cge", _instance_text(2, 10020))
+    run("verify", wide, written("run-past-9999.sol", text))
+    lines = _runs_text(2, ("0 1 0", 300)).splitlines()
+    for name, line in BROKEN_ROBOT_LINES.items():
+        for i in (100, 101, 200):
+            broken = lines[:i] + [line.format(i=i, j=i + 1)] + lines[i + 1:]
+            run("verify", edge, written(f"broken-{name}-at-{i}.sol", "\n".join(broken) + "\n"))
     return entries
 
 
