@@ -14,7 +14,8 @@ builds its cover tree's lists once and adds each robot's own edges.
 
 A solution is a sequence of runs, each a walk and the number of consecutive
 robots that take it.  Walking, verifying and reporting cost one step per run;
-only the per-robot text lines, written by `robot_lines`, cost one per robot.
+only the per-robot text lines, written by `robot_lines`, grow with the robots:
+one Python step per hundred robots, and C-level work per line.
 """
 
 from __future__ import annotations
@@ -205,20 +206,28 @@ def solution_from_multisets(
     return Solution(tuple(out))
 
 
-_CHUNK = 1 << 14  # robot lines per joined piece
-
-
 def robot_lines(first: int, count: int, body: str) -> Iterator[str]:
-    """The lines `robot i: <body>` for i = first + 1 .. first + count.
+    """The lines `robot i: <body>` for i = first + 1 .. first + count,
+    newline-joined in pieces without their final "\n".
 
-    They come newline-joined in pieces of at most `_CHUNK` lines, so a run of
-    a million robots never holds a million line objects at once.
+    Robots h00..h99 (h >= 1) form one piece, written from one template of
+    the hundred two-digit endings; the robots before the first such hundred
+    and those after the last form one piece each.
     """
     end = first + count + 1
     between = f": {body}\nrobot "  # the text between two robot numbers
-    for lo in range(first + 1, end, _CHUNK):
-        numbers = between.join(map(str, range(lo, min(lo + _CHUNK, end))))
-        yield f"robot {numbers}: {body}"
+    lo = (first // 100 + 1) * 100  # the first full hundred's first robot
+    hi = end // 100 * 100  # the robot after the last full hundred
+    if lo >= hi:
+        lo = hi = end
+    if first + 1 < lo:
+        yield f"robot {between.join(map(str, range(first + 1, lo)))}: {body}"
+    if lo < hi:
+        tails = [f"{d:02d}: {body}" for d in range(100)]
+        for h in range(lo // 100, hi // 100):
+            yield f"robot {h}" + f"\nrobot {h}".join(tails)
+    if hi < end:
+        yield f"robot {between.join(map(str, range(hi, end)))}: {body}"
 
 
 class RobotReport(NamedTuple):

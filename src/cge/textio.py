@@ -27,11 +27,12 @@ solution, and each run's walk is written out once when formatting.  The
 parser reads a run's first two lines through the line grammar.  Once the
 second has shown the run to go on, each later line that is exactly what
 `format_solution` writes for the run's next robot, `robot <i>: <walk>` and
-"\n", is compared as text in blocks of such lines and not parsed.  So
+"\n", is compared as text, a hundred lines at a time, and not parsed.  So
 parsing costs two grammar steps per run, and one per line written
-otherwise, plus a text compare per robot; a run of one robot costs no
-compare.  A solution file is read in pieces, so its text is never held
-whole.
+otherwise, plus a text compare per hundred robots; a run of one robot costs
+no compare.  Each distinct walk token is converted to an int once per text,
+and each distinct vertex to its name once per formatted solution.  A
+solution file is read in pieces, so its text is never held whole.
 
 '#' starts a comment; blank lines are ignored; LF line endings.  Integers
 are ASCII digits with an optional sign: a line holding any other character
@@ -64,7 +65,6 @@ from .hardness import BinPackingInstance
 
 # the characters at which str.splitlines ends a line; "\r\n" ends one line
 _LINE_END = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-_BLOCK = 1 << 10  # most robot lines compared at once
 _PIECE = 1 << 16  # characters read from a solution file at a time
 
 
@@ -248,11 +248,23 @@ def format_instance(inst: ExplorationInstance | BinPackingInstance) -> str:
     )
 
 
+class _Memo(dict):
+    """A dict that computes each missing value once, as `fn(key)`."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def format_solution(sol: Solution) -> str:
     pieces = [f"value {sol.value}"]
     first = 0
+    name = _Memo(str)  # each vertex's text, made once
     for rc, count in sol.runs:
-        pieces.extend(robot_lines(first, count, " ".join(map(str, rc.walk))))
+        pieces.extend(robot_lines(first, count, " ".join(map(name.__getitem__, rc.walk))))
         first += count
     pieces.append("")  # the text's last "\n", without a second copy of it
     return "\n".join(pieces)
@@ -268,6 +280,7 @@ def parse_solution(source: str | TextIO) -> Solution:
     counts: list[int] = []  # robots per run, parallel to `cycles`
     robots = 0
     last = None  # walk text of the last robot line
+    vertex = _Memo(int)  # each walk token's int, read once
     value_seen = False
     lineno = 0
     for text in (source,) if isinstance(source, str) else _pieces(source):
@@ -312,7 +325,7 @@ def parse_solution(source: str | TextIO) -> Solution:
                     lineno += more
                 else:
                     try:
-                        walk = tuple(map(int, parts[2].split()))
+                        walk = tuple(map(vertex.__getitem__, parts[2].split()))
                     except ValueError:
                         raise ParseError(lineno, "non-integer vertex in walk")
                     if walk[0] != walk[-1]:
@@ -340,21 +353,18 @@ def _same_walk_lines(text: str, pos: int, robots: int, body: str) -> tuple[int, 
 
     Such a line is what `format_solution` writes for one more robot of the
     run; the grammar would read it as that, so it is compared, not parsed.
-    Blocks of lines double while they match and halve when one fails.  A
-    block is built only if its last line is where it would be were every
-    line of the block as long, so a block that runs past the run's end is
-    rarely built; where the robot numbers gain a digit, blocks shrink.
+    The lines are compared a `robot_lines` piece at a time, a hundred robots
+    each, and line by line inside the first piece that differs.
     """
-    count, step = 0, 1
-    while step:
-        first = robots + count
-        last = f"robot {first + step}: {body}\n"
-        if text.startswith(last, pos + (step - 1) * len(last)) and text.startswith(
-            block := "\n".join(robot_lines(first, step, body)) + "\n", pos
-        ):
-            pos += len(block)
-            count += step
-            step = min(2 * step, _BLOCK)
-        else:
-            step //= 2
-    return count, pos
+    start = pos
+    # no more lines than characters left can follow
+    for piece in robot_lines(robots, len(text) - pos, body):
+        if text.startswith(piece, pos) and text.startswith("\n", pos + len(piece)):
+            pos += len(piece) + 1
+            continue
+        for line in piece.split("\n"):
+            if not (text.startswith(line, pos) and text.startswith("\n", pos + len(line))):
+                break
+            pos += len(line) + 1
+        break
+    return text.count("\n", start, pos), pos

@@ -135,16 +135,27 @@ def check_cli_round_trip() -> None:
 
 def check_million_robots() -> None:
     """A million robots on one edge form a few runs, so these stay fast.
-    verify reads the 20 MB solution in pieces (153 MB when it held it); the
-    solves hold one copy of their text (53.8 and 46.2 MB on a 2-vCPU host
-    with CPython 3.11, 72.7 and 61.3 MB with two)."""
+    verify reads the 20 MB solution in pieces (153 MB when it held it) and
+    compares its lines a hundred robots at a time: it peaks at 14.6 MB, and
+    at 14.7 MB on uneven runs that break off inside a hundred, against 19.1
+    and 18.8 MB when it compared them in doubling blocks (2-vCPU host,
+    CPython 3.11); its limit of 16 MB adds the 10^5-edge checks' 5% margin.  The solves
+    hold one copy of their text (53.8 and 46.2 MB on that host, 72.7 and
+    61.3 MB with two).  The uneven runs' digest was recorded with the
+    doubling blocks."""
     inst = write("wide.cge", "cge 1\nnodes 2\ninit 0\nrobots 1000000\n", "0 1")
     cge("solve-approx", inst, out="approx.sol", limit=60)
-    cge("verify", inst, "approx.sol", out="verify.out", limit=50)
+    cge("verify", inst, "approx.sol", out="verify.out", limit=16)
     cge("solve-exact", inst, out="exact.sol", limit=52)
+    with open("uneven.sol", "w") as fh:
+        fh.write("value 4\n")
+        fh.writelines(f"robot {i}: 0 1 0\n" for i in range(1, 123458))
+        fh.writelines(f"robot {i}: 0 1 0 1 0\n" for i in range(123458, 1000001))
+    cge("verify", inst, "uneven.sol", out="uneven.out", limit=16)
     sums({"approx.sol": "fea258eaccfcb9b679e1ce9dc2c951682e87207fe22175104132d813c45af853",
           "verify.out": "58caf106bdd1f5864b1cbbcdbefe5b60115b0349b4b4b1f67a17e6259f561db1",
-          "exact.sol": "cd0ddc83fb0680217ba264711e42f2d10c3c3c37448e116e0a56094fda3e28e9"})
+          "exact.sol": "cd0ddc83fb0680217ba264711e42f2d10c3c3c37448e116e0a56094fda3e28e9",
+          "uneven.out": "89a85ecdebbf4f3011ce4211ca34498a7e1bd130d03857a52ef167960b7a7761"})
 
 
 def check_hundred_thousand_robots() -> None:

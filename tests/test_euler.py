@@ -11,6 +11,7 @@ from cge.euler import (
     Solution,
     closed_walk_faults,
     find_eulerian_cycle,
+    robot_lines,
     solution_from_multisets,
     verify_solution,
 )
@@ -251,3 +252,14 @@ class TestSolutionFromMultisets:
     def test_vertex_outside_the_graph_is_refused(self):
         with pytest.raises(ValueError):
             solution_from_multisets(3, 0, [(Counter({(0, 3): 2}), 1)], 1)
+
+
+@pytest.mark.parametrize("first", [0, 1, 98, 99, 100, 101, 999, 9999])
+def test_robot_lines_are_the_lines_one_robot_at_a_time(first):
+    """Full hundreds come from the template of two-digit endings, the
+    partial hundreds at either end one number at a time; the text is the
+    same."""
+    for body in ("0 1 0", "0"):
+        for count in (0, 1, 2, 99, 100, 101, 250, 1000):
+            expected = "".join(f"robot {i}: {body}\n" for i in range(first + 1, first + count + 1))
+            assert "".join(piece + "\n" for piece in robot_lines(first, count, body)) == expected

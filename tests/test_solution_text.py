@@ -47,11 +47,10 @@ def outcome(parse, source):
         return exc.line, exc.message
 
 
-def assert_reads_as_reference(text, block=None, piece=None):
+def assert_reads_as_reference(text, piece=None):
     expected = outcome(reference.parse_solution, text)
     assert outcome(parse_solution, text) == expected
-    with mock.patch.object(textio, "_BLOCK", block or textio._BLOCK), \
-            mock.patch.object(textio, "_PIECE", piece or textio._PIECE):
+    with mock.patch.object(textio, "_PIECE", piece or textio._PIECE):
         assert outcome(parse_solution, text) == expected
         assert outcome(parse_solution, io.StringIO(text)) == expected
     return expected
@@ -100,9 +99,9 @@ def solution_texts(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(solution_texts(), st.sampled_from([1, 2, 3, 8, None]), st.integers(1, 64))
-def test_parser_reads_what_the_per_line_parser_reads(text, block, piece):
-    assert_reads_as_reference(text, block, piece)
+@given(solution_texts(), st.integers(1, 64))
+def test_parser_reads_what_the_per_line_parser_reads(text, piece):
+    assert_reads_as_reference(text, piece)
 
 
 @pytest.mark.parametrize("sep", SEPARATORS)
@@ -114,7 +113,7 @@ def test_every_line_end_and_every_broken_line_inside_a_run(sep, broken):
     )
     text = "\n".join(lines[:30]) + sep + "\n".join(lines[30:]) + "\n"
     assert_reads_as_reference(text)
-    assert_reads_as_reference(text, block=2, piece=5)
+    assert_reads_as_reference(text, piece=5)
 
 
 def test_runs_longer_than_a_block_and_a_piece_round_trip():
@@ -125,9 +124,44 @@ def test_runs_longer_than_a_block_and_a_piece_round_trip():
     text = format_solution(sol)
     assert assert_reads_as_reference(text) == sol
     assert assert_reads_as_reference(text, piece=1000) == sol
-    # a run broken once in the middle of a block
+    # a run broken once in the middle of a hundred
     broken = text.replace("robot 2000: 0 1 0\n", "robot 2000: 0 1 0 \n")
     assert assert_reads_as_reference(broken) == sol
+
+
+def runs_text(*runs):
+    """A solution text as `format_solution` writes it, from (walk, robot
+    count) pairs."""
+    return format_solution(Solution(tuple((RobotCycle(walk), count) for walk, count in runs)))
+
+
+# robots where the numbers gain a digit or a hundred, and two on either side
+HUNDREDS = [b + d for b in (100, 1000, 10000) for d in range(-2, 3)]
+
+
+@pytest.mark.parametrize("robot", HUNDREDS)
+def test_runs_that_start_or_end_near_a_hundred(robot):
+    for text in (
+        # the first run ends at `robot`, the second starts there
+        runs_text(((0, 1, 0), robot), ((0, 2, 0), 150), ((0, 1, 0), 3)),
+        runs_text(((0, 1, 0), robot - 1), ((0, 2, 0), 150)),
+        # a run from robot 3 that ends there, and one of a single robot
+        runs_text(((0, 1, 0), 2), ((0, 2, 0), robot - 2), ((0,), 1)),
+    ):
+        sol = reference.parse_solution(text)
+        for piece in (None, 7, 1000):
+            assert assert_reads_as_reference(text, piece) == sol
+
+
+@pytest.mark.parametrize("robot", HUNDREDS)
+def test_every_broken_line_near_a_hundred(robot):
+    lines = runs_text(((0, 1, 0), robot + 120)).splitlines()
+    for broken in BROKEN_LINES:
+        text = "\n".join([*lines[:robot], broken.format(
+            i=robot, j=robot + 1, h=robot - 1, w="0 1 0", w2="0  1  0", w1f="0\x1f1\x1f0"
+        ), *lines[robot + 1:]]) + "\n"
+        assert_reads_as_reference(text)
+        assert_reads_as_reference(text, piece=7)
 
 
 OPEN = "walk must start and end at the same vertex"
@@ -141,7 +175,7 @@ OPEN = "walk must start and end at the same vertex"
 ], ids=["first-run", "later-run", "after-equal-lines"])
 def test_an_open_walk_is_rejected_at_its_line(text, line):
     assert assert_reads_as_reference(text) == (line, OPEN)
-    assert assert_reads_as_reference(text, block=2, piece=5) == (line, OPEN)
+    assert assert_reads_as_reference(text, piece=5) == (line, OPEN)
 
 
 class CountedText(str):
@@ -160,6 +194,17 @@ def test_lines_of_an_open_run_skip_the_grammar():
     sol = parse_solution(text)
     assert [(rc.walk, count) for rc, count in sol.runs] == [((0, 1, 0), 5000)]
     assert CountedText.searches == 3  # the value line, robot 1 and robot 2
+
+
+@pytest.mark.parametrize("robots", [5000, 5001, 5050, 5099, 5100])
+def test_lines_matched_inside_a_hundred_skip_the_grammar(robots):
+    """The run ends inside or at the end of a hundred: its lines in the
+    hundred that differs are matched one by one, not parsed."""
+    CountedText.searches = 0
+    text = CountedText(runs_text(((0, 1, 0), robots), ((0, 2, 0), 1)))
+    sol = parse_solution(text)
+    assert [(rc.walk, count) for rc, count in sol.runs] == [((0, 1, 0), robots), ((0, 2, 0), 1)]
+    assert CountedText.searches == 4  # the value line, robots 1 and 2, the last robot
 
 
 @pytest.mark.parametrize("token", ["+1", "01", "-0", "+0", "001", "1"])
