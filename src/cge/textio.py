@@ -359,12 +359,15 @@ def _same_walk_lines(text: str, pos: int, robots: int, body: str) -> tuple[int, 
     start = pos
     # no more lines than characters left can follow
     for piece in robot_lines(robots, len(text) - pos, body):
-        if text.startswith(piece, pos) and text.startswith("\n", pos + len(piece)):
-            pos += len(piece) + 1
+        piece += "\n"
+        if text.startswith(piece, pos):
+            pos += len(piece)
             continue
-        for line in piece.split("\n"):
-            if not (text.startswith(line, pos) and text.startswith("\n", pos + len(line))):
+        # the run ends in this piece; `body` was cut at the first line end,
+        # so the piece's lines end only at its "\n"s
+        for line in piece.splitlines(keepends=True):
+            if not text.startswith(line, pos):
                 break
-            pos += len(line) + 1
+            pos += len(line)
         break
     return text.count("\n", start, pos), pos

@@ -137,12 +137,11 @@ def check_million_robots() -> None:
     """A million robots on one edge form a few runs, so these stay fast.
     verify reads the 20 MB solution in pieces (153 MB when it held it) and
     compares its lines a hundred robots at a time: it peaks at 14.6 MB, and
-    at 14.7 MB on uneven runs that break off inside a hundred, against 19.1
-    and 18.8 MB when it compared them in doubling blocks (2-vCPU host,
-    CPython 3.11); its limit of 16 MB adds the 10^5-edge checks' 5% margin.  The solves
-    hold one copy of their text (53.8 and 46.2 MB on that host, 72.7 and
-    61.3 MB with two).  The uneven runs' digest was recorded with the
-    doubling blocks."""
+    at 14.7 MB on uneven runs that break off inside a hundred (2-vCPU host,
+    CPython 3.11); its limit of 16 MB adds the 5% margin of the 10^5-edge
+    checks.  The solves hold one copy of their text (52.5 and 45.0 MB on
+    that host, 72.7 and 61.3 MB with two).  The digests were recorded when
+    the lines were compared in doubling blocks."""
     inst = write("wide.cge", "cge 1\nnodes 2\ninit 0\nrobots 1000000\n", "0 1")
     cge("solve-approx", inst, out="approx.sol", limit=60)
     cge("verify", inst, "approx.sol", out="verify.out", limit=16)
